@@ -17,8 +17,9 @@ from . import fock
 from .covariance import (
     CovarianceSpec,
     chord_exponent,
+    contour_nodes,
+    covariance_entries,
     covariance_matrix,
-    covariance_value,
 )
 from .grassmann import SchwingerEngine
 from .lattice import LatticeSpec, TimeGrid, enumerate_sites
@@ -29,6 +30,8 @@ from .model import (
     decay_base,
     interaction_norm,
 )
+
+DET_BLOCK = 256  # trials per array evaluation in det_bound_sample
 
 
 @dataclass
@@ -54,34 +57,39 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
 
     Points are uniform over sites, spins and continuous times in [0, beta);
     u_j, v_k are unit vectors in C^m.  Per-trial RNG streams are split off the
-    seed deterministically, so results are reproducible under any scheduling.
+    seed deterministically, so results are reproducible.  Trials are evaluated
+    DET_BLOCK at a time, each block with every covariance entry in one array
+    expression and one stacked det, so memory does not grow with `trials`.
     """
-    spec, params = cs.spec, cs.params
-    sites = enumerate_sites(spec)
+    sites = np.array(enumerate_sites(cs.spec))
     streams = np.random.SeedSequence(seed).spawn(trials)
     worst = 0.0
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        pts = []
-        for _ in range(2 * n):
-            site = sites[int(rng.integers(len(sites)))]
-            spin = int(rng.integers(2))
-            time = float(rng.uniform(0.0, params.beta))
-            pts.append((site, spin, time))
-        left, right = pts[:n], pts[n:]
-        U = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
-        V = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        M = np.empty((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                M[j, k] = (U[j] @ V[k].conj()).conjugate() * covariance_value(
-                    cs, left[j], right[k])
-        ratio = abs(complex(np.linalg.det(M))) / 4.0**n
-        worst = max(worst, ratio)
-    return {"worst_ratio": worst, "n": n, "vec_dim": vec_dim,
-            "trials": trials, "shifts": list(cs.shifts)}
+    for b in range(0, trials, DET_BLOCK):
+        block = streams[b:b + DET_BLOCK]
+        site_idx = np.empty((len(block), 2 * n), dtype=int)
+        spins = np.empty((len(block), 2 * n), dtype=int)
+        times = np.empty((len(block), 2 * n))
+        U = np.empty((len(block), n, vec_dim), dtype=complex)
+        V = np.empty((len(block), n, vec_dim), dtype=complex)
+        for t, ss in enumerate(block):
+            rng = np.random.default_rng(ss)
+            for p in range(2 * n):
+                site_idx[t, p] = rng.integers(len(sites))
+                spins[t, p] = rng.integers(2)
+                times[t, p] = rng.uniform(0.0, cs.params.beta)
+            U[t] = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
+            V[t] = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
+        U /= np.linalg.norm(U, axis=2, keepdims=True)
+        V /= np.linalg.norm(V, axis=2, keepdims=True)
+        # C(left_j, right_k) with the first n points on the left, the last n right
+        x = sites[site_idx]
+        C = covariance_entries(cs, x[:, None, n:] - x[:, :n, None],
+                               times[:, None, n:] - times[:, :n, None])
+        C = np.where(spins[:, :n, None] == spins[:, None, n:], C, 0.0)
+        M = np.einsum("tjm,tkm->tjk", U, V.conj()).conj() * C
+        worst = max(worst, float(np.abs(np.linalg.det(M)).max()) / 4.0**n)
+    return {"worst_ratio": worst, "n": n, "vec_dim": vec_dim, "trials": trials,
+            "shifts": list(cs.shifts)}
 
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
@@ -221,18 +229,8 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     base = SchwingerEngine(spec, params, grid, u)
     rhs = chord**n * base.schwinger_value(q.x_sites, q.y_sites, q.xi_spins,
                                           q.phi_spins, eta)
-    nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
-    seg = 2.0 * math.pi / spec.L
-    thetas = 0.5 * seg * (nodes + 1.0)
-    th_w = 0.5 * seg * weights * (spec.L / (2.0 * math.pi))
-    phis = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
-    w1 = (thetas[:, None] + radius * np.exp(1j * phis)[None, :]).reshape(-1)
-    wt1 = (th_w[:, None] * (np.exp(-1j * phis) /
-                            (radius * circle_nodes))[None, :]).reshape(-1)
-    total_shift, total_w = w1, wt1
-    for _ in range(n - 1):
-        total_shift = (total_shift[:, None] + w1[None, :]).reshape(-1)
-        total_w = (total_w[:, None] * wt1[None, :]).reshape(-1)
+    total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
+                                         circle_nodes)
     lhs = 0.0 + 0.0j
     for w, wt in zip(total_shift, total_w):
         eng = SchwingerEngine(spec, params, grid, u,

@@ -10,9 +10,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,21 +22,11 @@ DEFAULTS = dict(d=1, L=4, t=1.0, t_prime=0.0, mu=0.2, beta=1.0, half_steps=1,
                 m_max=3, trials=1000, seed=0, tol=1e-10)
 
 
-def _thread_count(args) -> int:
-    if args.threads:
-        return args.threads
-    env = os.environ.get("FERMIDECAY_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _load_or_default(args):
     """Model from --model, else the on-site Hubbard at 90% of its decay
     threshold with the flag parameters."""
     if args.model:
-        spec, params, u = model.load_model(args.model)
-        return spec, params, u
+        return model.load_model(args.model)
     spec = LatticeSpec(d=args.d, L=args.L)
     params = ModelParams(t=args.t, t_prime=args.t_prime, mu=args.mu,
                          beta=args.beta)
@@ -47,11 +35,15 @@ def _load_or_default(args):
 
 
 class Check:
-    def __init__(self, name, computed, bound, passed, direction="<=", **details):
+    """One reported quantity; it passes when computed <= bound unless an
+    explicit pass rule is given."""
+
+    def __init__(self, name, computed, bound, passed=None, direction="<=",
+                 **details):
         self.name = name
         self.computed = computed
         self.bound = bound
-        self.passed = bool(passed)
+        self.passed = bool(computed <= bound if passed is None else passed)
         self.direction = direction
         self.details = details
 
@@ -67,23 +59,23 @@ class Check:
         return d
 
 
+def _write_csv(args, fields, rows):
+    target = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        w = csv.DictWriter(target, fieldnames=fields)
+        w.writeheader()
+        w.writerows(rows)
+    finally:
+        if args.out:
+            target.close()
+
+
 def _write_report(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.format == "csv":
-        rows = payload.get("checks", payload.get("rows", []))
-        out = []
         fields = ["quantity", "computed", "bound", "ratio", "pass"]
-        for r in rows:
-            out.append({k: r.get(k) for k in fields})
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                w = csv.DictWriter(fh, fieldnames=fields)
-                w.writeheader()
-                w.writerows(out)
-        else:
-            w = csv.DictWriter(sys.stdout, fieldnames=fields)
-            w.writeheader()
-            w.writerows(out)
+        _write_csv(args, fields, [{k: r.get(k) for k in fields}
+                                  for r in payload["checks"]])
         return
     if args.out:
         with open(args.out, "w") as fh:
@@ -95,150 +87,162 @@ def _write_report(args, payload):
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
+    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
+        return obj.tolist()  # Python int/float, or nested lists of them
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
-# suites
+# checks: one function per acceptance criterion or CLI-only check; the suites
+# below and tests/test_acceptance.py call the same functions
 # ---------------------------------------------------------------------------
 
-def suite_covariance(spec, params, u, args):
-    checks = []
-    tol = args.tol
+def fourier_consistency(spec, params, tol):
     fdev = model.check_fourier_consistency(spec, params)
-    checks.append(Check("fourier_consistency", fdev, tol, fdev <= tol))
-    for L in (1, 2):
-        for hs in (1, 2):
+    return [Check("fourier_consistency", fdev, tol)]
+
+
+def det_identity(params, sizes, half_steps):
+    """Criterion 05: det C_h against its closed form, without and with a shift."""
+    checks = []
+    for L in sizes:
+        for hs in half_steps:
             for shift in ((), ((0.1j, 0),)):
-                s = LatticeSpec(d=1, L=L)
-                cs = covariance.CovarianceSpec(s, params, shift)
-                grid = TimeGrid(params.beta, hs)
-                res = covariance.det_identity_check(cs, grid)
+                cs = covariance.CovarianceSpec(LatticeSpec(d=1, L=L), params,
+                                               shift)
+                res = covariance.det_identity_check(cs, TimeGrid(params.beta, hs))
                 checks.append(Check(
                     f"det_identity_L{L}_bh{2*hs}_shift{'y' if shift else 'n'}",
-                    res["relative_error"], 1e-8,
-                    res["relative_error"] <= 1e-8))
-    s2 = LatticeSpec(d=1, L=2)
-    res = covariance.matsubara_check(
-        covariance.CovarianceSpec(s2, params), TimeGrid(params.beta, 1))
-    checks.append(Check("matsubara_offdiagonal", res["max_offdiagonal"], 1e-9,
-                        res["max_offdiagonal"] <= 1e-9))
-    checks.append(Check("matsubara_diagonal", res["max_diagonal_deviation"],
-                        1e-9, res["max_diagonal_deviation"] <= 1e-9))
-    for d, L in ((1, 2), (1, 4), (2, 2)):
-        s = LatticeSpec(d=d, L=L)
-        dev = covariance.u1_shift_identity_check(
-            covariance.CovarianceSpec(s, params), TimeGrid(params.beta, 1), 0)
-        checks.append(Check(f"u1_shift_identity_d{d}_L{L}", dev, 1e-12,
-                            dev <= 1e-12))
-    cs = covariance.CovarianceSpec(spec, params)
-    a = ((1,) + (0,) * (spec.d - 1), UP, 0.0)
-    b = ((0,) * spec.d, UP, 0.25 * params.beta)
-    res = covariance.contour_formula_check(cs, a, b, axis=0, n=1,
-                                           circle_nodes=512)
-    checks.append(Check("contour_formula_n1", res["deviation"], 1e-6,
-                        res["deviation"] <= 1e-6))
-    grid = TimeGrid(params.beta, max(args.half_steps, 2))
-    env = covariance.decay_envelope_check(cs, grid)
-    checks.append(Check("decay_envelope_chord", env["worst_ratio_chord"], 1.0,
-                        env["worst_ratio_chord"] <= 1.0))
-    checks.append(Check("decay_envelope_reduced", env["worst_ratio_reduced"],
-                        1.0, env["worst_ratio_reduced"] <= 1.0))
-    l1 = covariance.l1_bound_check(cs, grid)
-    checks.append(Check("l1_bound", l1["lhs"], l1["rhs"], l1["satisfied"]))
-    rng = np.random.default_rng(args.seed)
-    sites = enumerate_sites(spec)
-    pairs = []
-    for _ in range(3):
-        a = (sites[int(rng.integers(len(sites)))], int(rng.integers(2)),
-             float(rng.uniform(0, params.beta)))
-        b = (sites[int(rng.integers(len(sites)))], int(rng.integers(2)),
-             float(rng.uniform(0, params.beta)))
-        pairs.append((a, b))
-    det = covariance.det_decay_check(cs, pairs)
-    checks.append(Check("det_decay", det["abs_det"], det["bound"],
-                        det["satisfied"]))
-    if spec.n_modes <= 12:
-        space = fock.FockSpace(spec)
-        eig = fock.diagonalize(fock.build_hamiltonian(space, params, None))
-        worst = 0.0
-        for xa in sites:
-            for xb in sites:
-                q = fock.query((xa,), (xb,), (UP,), (UP,))
-                v = fock.correlation(space, params, None, q, eig=eig)
-                ref = covariance.covariance_value(cs, (xa, UP, 0.0), (xb, UP, 0.0)) \
-                    + covariance.covariance_value(cs, (xb, UP, 0.0), (xa, UP, 0.0))
-                worst = max(worst, abs(v - ref))
-        checks.append(Check("free_fermion_consistency", worst, 1e-10,
-                            worst <= 1e-10))
+                    res["relative_error"], 1e-8))
     return checks
 
 
-def suite_detbound(spec, params, u, args):
+def matsubara_diagonalization(spec, params, grid):
+    """Criterion 06: C_h is diagonal in the momentum/frequency basis."""
+    res = covariance.matsubara_check(covariance.CovarianceSpec(spec, params),
+                                     grid)
+    return [Check("matsubara_offdiagonal", res["max_offdiagonal"], 1e-9),
+            Check("matsubara_diagonal", res["max_diagonal_deviation"], 1e-9)]
+
+
+def u1_shift_identity(params, lattices, axes=(0,)):
+    """Criterion 07: the U(1) shift identity, worst over the axes < d."""
+    checks = []
+    for d, L in lattices:
+        cs = covariance.CovarianceSpec(LatticeSpec(d=d, L=L), params)
+        dev = max(covariance.u1_shift_identity_check(
+            cs, TimeGrid(params.beta, 1), axis) for axis in axes if axis < d)
+        checks.append(Check(f"u1_shift_identity_d{d}_L{L}", dev, 1e-12))
+    return checks
+
+
+def contour_formula(spec, params, separations):
+    """Criterion 08: the n = 1 contour formula, worst over (dist, dt) pairs."""
+    cs = covariance.CovarianceSpec(spec, params)
+    origin = (0,) * spec.d
+    worst = max(covariance.contour_formula_check(
+        cs, ((dist,) + origin[1:], UP, 0.0), (origin, UP, dt), axis=0, n=1,
+        circle_nodes=512)["deviation"] for dist, dt in separations)
+    return [Check("contour_formula_n1", worst, 1e-6)]
+
+
+def covariance_decay(spec, params, grid):
+    """Criterion 09: the covariance decay envelopes and the l1 sum bound."""
+    cs = covariance.CovarianceSpec(spec, params)
+    env = covariance.decay_envelope_check(cs, grid)
+    l1 = covariance.l1_bound_check(cs, grid)
+    return [Check("decay_envelope_chord", env["worst_ratio_chord"], 1.0),
+            Check("decay_envelope_reduced", env["worst_ratio_reduced"], 1.0),
+            Check("l1_bound", l1["lhs"], l1["rhs"])]
+
+
+def l1_integral(spec, params, grid):
+    """Criteria 09 and 10: the l1 integral D against its closed form."""
+    D = bounds.covariance_l1_D(covariance.CovarianceSpec(spec, params), grid)
+    closed = 4.0 * params.beta * model.geometric_sum_factor(params, spec.d)
+    return [Check("l1_integral_vs_closed_form", D, closed)]
+
+
+def det_decay(spec, params, seed):
+    """|det C| of three seeded random point pairs against its decay bound."""
+    rng = np.random.default_rng(seed)
+    sites = enumerate_sites(spec)
+
+    def point():
+        return (sites[int(rng.integers(len(sites)))], int(rng.integers(2)),
+                float(rng.uniform(0, params.beta)))
+    pairs = [(point(), point()) for _ in range(3)]
+    det = covariance.det_decay_check(covariance.CovarianceSpec(spec, params),
+                                     pairs)
+    return [Check("det_decay", det["abs_det"], det["bound"])]
+
+
+def free_fermion_consistency(spec, params, spins):
+    """Criterion 01: free exact-trace two-point functions against C + C^t."""
+    cs = covariance.CovarianceSpec(spec, params)
+    space = fock.FockSpace(spec)
+    eig = fock.diagonalize(fock.build_hamiltonian(space, params, None))
+    sites = enumerate_sites(spec)
+    worst = 0.0
+    for xa in sites:
+        for xb in sites:
+            for spin in spins:
+                q = fock.query((xa,), (xb,), (spin,), (spin,))
+                v = fock.correlation(space, params, None, q, eig=eig)
+                ref = covariance.covariance_value(cs, (xa, spin, 0.0), (xb, spin, 0.0)) \
+                    + covariance.covariance_value(cs, (xb, spin, 0.0), (xa, spin, 0.0))
+                worst = max(worst, abs(v - ref))
+    return [Check("free_fermion_consistency", worst, 1e-10)]
+
+
+def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
+    """Criterion 04: the 4^n determinant bound, sampled for n = 1..6 without
+    shift, with an imaginary shift at the analyticity radius and with
+    real_shift minus that; call (n, i) is seeded seed + seed_stride n + i."""
     radius = covariance.shift_radius(params, spec.d,
                                      math.pi / (2.0 * params.beta))
-    shift_choices = [(), ((1j * radius, 0),), ((0.7 - 1j * radius, 0),)]
-    combos = []
-    per = max(1, args.trials // (6 * len(shift_choices)))
+    shift_choices = [(), ((1j * radius, 0),), ((real_shift - 1j * radius, 0),)]
+    worst, total = 0.0, 0
     for n in range(1, 7):
         for i, shift in enumerate(shift_choices):
-            m = min(n, 6)
-            combos.append((n, m, shift, per, args.seed + 1000 * n + i))
-
-    def run(combo):
-        n, m, shift, trials, seed = combo
-        cs = covariance.CovarianceSpec(spec, params, shift)
-        return bounds.det_bound_sample(cs, n, m, trials, seed)
-
-    with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
-        results = list(pool.map(run, combos))
-    worst = max(r["worst_ratio"] for r in results)
-    total = sum(r["trials"] for r in results)
-    return [Check("det_bound_worst_ratio", worst, 1.0, worst <= 1.0,
-                  trials=total)]
+            cs = covariance.CovarianceSpec(spec, params, shift)
+            res = bounds.det_bound_sample(cs, n, n, trials_per_call,
+                                          seed + seed_stride * n + i)
+            worst = max(worst, res["worst_ratio"])
+            total += res["trials"]
+    return [Check("det_bound_worst_ratio", worst, 1.0, trials=total)]
 
 
-def suite_grassmann(spec, params, u, args):
-    checks = []
-    rng = np.random.default_rng(args.seed)
-    s1 = LatticeSpec(d=1, L=1)
+def wick_vs_berezin(seed, max_degree):
+    """Criterion 02: Wick determinants against the Berezin expansion."""
+    rng = np.random.default_rng(seed)
     n = 6
     G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
     worst = 0.0
     for _ in range(200):
-        k = int(rng.integers(1, 4))
+        k = int(rng.integers(1, max_degree + 1))
         barred = list(rng.permutation(n)[:k])
         unbarred = list(rng.permutation(n)[:k])
-        mono = grassmann.monomial(barred, unbarred)
-        ref = grassmann.wick_canonical(mono, G)
+        ref = grassmann.wick_canonical(grassmann.monomial(barred, unbarred), G)
         via_berezin = grassmann.berezin_gaussian(
             n, grassmann.GrassmannPolynomial.from_monomial(barred, unbarred), G)
         worst = max(worst, abs(ref - via_berezin))
-    checks.append(Check("wick_vs_berezin", worst, 1e-12, worst <= 1e-12))
+    return [Check("wick_vs_berezin", worst, 1e-12)]
 
-    # t = 0.5 keeps the beta*h = 8 discretization error inside the 5e-2 target
-    atom_params = ModelParams(t=0.5, t_prime=0.0, mu=0.2, beta=1.0)
-    hub = model.hubbard_interaction(0.3, d=1)
-    for hs in (1, 2, 4):
-        grid = TimeGrid(1.0, hs)
-        dp = grassmann.discrete_partition(s1, atom_params, grid, hub)
-        pe = grassmann.partition_via_exponential(s1, atom_params, grid, hub)
+
+def partition_and_h_convergence(spec, params, u, half_steps):
+    """Criterion 03: partition routes agree; grid correlations converge."""
+    checks = []
+    for hs in half_steps:
+        grid = TimeGrid(params.beta, hs)
+        dp = grassmann.discrete_partition(spec, params, grid, u)
+        pe = grassmann.partition_via_exponential(spec, params, grid, u)
         checks.append(Check(f"partition_equivalence_bh{2*hs}",
-                            abs(dp["value"] - pe), 1e-10,
-                            abs(dp["value"] - pe) <= 1e-10,
-                            h=grid.h, partition=dp["value"]))
-    space = fock.FockSpace(s1)
+                            abs(dp["value"] - pe), 1e-10, h=grid.h,
+                            partition=dp["value"]))
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
-    exact = fock.correlation(space, atom_params, hub, q).real
-    conv = grassmann.correlation_via_grassmann(s1, atom_params, hub, q, (1, 2, 4))
+    exact = fock.correlation(fock.FockSpace(spec), params, u, q).real
+    conv = grassmann.correlation_via_grassmann(spec, params, u, q, half_steps)
     errors = [abs(r["value"].real - exact) for r in conv]
     decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     checks.append(Check("h_convergence_monotone", errors, None, decreasing,
@@ -246,119 +250,90 @@ def suite_grassmann(spec, params, u, args):
                               for r in conv], exact=exact))
     checks.append(Check("h_convergence_final_error", errors[-1], 5e-2,
                         errors[-1] < 5e-2))
-    grid = TimeGrid(1.0, 1)
-    ser = grassmann.schwinger_taylor(s1, atom_params, grid, hub, q, args.m_max)
-    checks.append(Check("schwinger_series_b0_bound", abs(ser[0]), 4.0,
-                        abs(ser[0]) <= 4.0,
-                        b_m=[abs(c) for c in ser.coefficients]))
     return checks
 
 
-def suite_taylor(spec, params, u, args):
-    s = LatticeSpec(d=1, L=2)
-    p = ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0)
-    hub = model.hubbard_interaction(0.1, d=1)
-    grid = TimeGrid(1.0, 1)
-    checks = []
-    D = bounds.covariance_l1_D(covariance.CovarianceSpec(s, p), grid)
-    closed = 4.0 * p.beta * model.geometric_sum_factor(p, s.d)
-    checks.append(Check("l1_integral_vs_closed_form", D, closed, D <= closed))
+def schwinger_series_b0(spec, params, u, m_max):
+    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+    ser = grassmann.schwinger_taylor(spec, params, TimeGrid(params.beta, 1), u,
+                                     q, m_max)
+    return [Check("schwinger_series_b0_bound", abs(ser[0]), 4.0,
+                  b_m=[abs(c) for c in ser.coefficients])]
+
+
+def taylor_bounds(spec, params, u, grid, m_max):
+    """Criterion 10: the Taylor-coefficient bounds on |b_m| and |c_m|."""
     q2 = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-    rep = bounds.verify_taylor_bounds(s, p, grid, hub, q2, args.m_max)
-    for row in rep["b_rows"]:
-        checks.append(Check(f"prop41_m{row['m']}", row["abs_coefficient"],
-                            row["bound"], row["passed"]))
-    for row in rep.get("c_rows", []):
-        checks.append(Check(f"prop42_{row['variant']}_m{row['m']}",
-                            row["abs_coefficient"], row["bound"], row["passed"]))
+    rep = bounds.verify_taylor_bounds(spec, params, grid, u, q2, m_max)
     q1 = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    rep1 = bounds.verify_taylor_bounds(s, p, grid, hub, q1, args.m_max)
-    for row in rep1["b_rows"]:
-        checks.append(Check(f"prop41_mhat1_m{row['m']}", row["abs_coefficient"],
-                            row["bound"], row["passed"]))
-    return checks
+    rep1 = bounds.verify_taylor_bounds(spec, params, grid, u, q1, m_max)
+    named = ([(f"prop41_m{r['m']}", r) for r in rep["b_rows"]]
+             + [(f"prop42_{r['variant']}_m{r['m']}", r)
+                for r in rep["c_rows"]]
+             + [(f"prop41_mhat1_m{r['m']}", r) for r in rep1["b_rows"]])
+    return [Check(name, r["abs_coefficient"], r["bound"], r["passed"])
+            for name, r in named]
 
 
 def _separation_queries(spec, max_sep):
-    out = []
-    for sep in range(max_sep + 1):
-        x1 = (0,) * spec.d
-        x2 = (sep,) + (0,) * (spec.d - 1)
-        out.append(fock.query((x1, x1), (x2, x2), (UP, DOWN), (UP, DOWN)))
-    return out
+    x1 = (0,) * spec.d
+    return [fock.query((x1, x1), ((sep,) + x1[1:],) * 2, (UP, DOWN), (UP, DOWN))
+            for sep in range(max_sep + 1)]
 
 
-def suite_theorem(spec, params, u, args):
-    checks = []
+def smallness(spec, params, u):
     try:
         rep = model.check_smallness(u, params, spec, variant="hubbard")
     except ValueError as exc:
         return [Check("smallness_applicable", str(exc), None, False)]
-    checks.append(Check("smallness_hubbard", rep.lhs, rep.rhs, rep.satisfied))
-    if not rep.satisfied:
-        return checks
-    queries = _separation_queries(spec, min(spec.L - 1, 3))
+    return [Check("smallness_hubbard", rep.lhs, rep.rhs, rep.satisfied)]
+
+
+def theorem_envelope(spec, params, u, queries):
+    """Criterion 11: exact-trace correlations against the finite-L envelope."""
     rows = bounds.verify_theorem_envelope(spec, params, u, queries,
                                           variant="hubbard")
-    for row in rows:
-        checks.append(Check(f"envelope_sep{row['sum_diff']}",
-                            abs(row["correlation"]), row["envelope_chord"],
-                            row["passed"],
-                            envelope_euclidean=row["envelope_euclidean"]))
-    # the contour mechanism behind the envelope, at the grid level
-    s2 = LatticeSpec(d=1, L=2)
-    hub2 = model.hubbard_interaction(0.1, d=1)
-    qc = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    res = bounds.schwinger_contour_check(s2, params, TimeGrid(params.beta, 1),
-                                         hub2, qc, axis=0, n=1,
-                                         circle_nodes=128, theta_nodes=16)
-    checks.append(Check("schwinger_contour_identity", res["deviation"], 1e-6,
-                        res["deviation"] <= 1e-6))
-    # trivial-hopping vanishing: t = t' = 0 makes unbalanced correlations zero
-    p0 = ModelParams(t=0.0, t_prime=0.0, mu=params.mu, beta=params.beta)
-    s_small = LatticeSpec(d=1, L=min(spec.L, 4))
-    space = fock.FockSpace(s_small)
-    hub = model.hubbard_interaction(0.5, d=1)
+    return [Check(f"envelope_sep{row['sum_diff']}", abs(row["correlation"]),
+                  row["envelope_chord"], row["passed"],
+                  envelope_euclidean=row["envelope_euclidean"])
+            for row in rows]
+
+
+def schwinger_contour_identity(spec, params, u):
+    """The contour mechanism behind the envelope, at the grid level."""
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    v = fock.correlation(space, p0, hub, q)
-    checks.append(Check("trivial_hopping_vanishing", abs(v), 1e-12,
-                        abs(v) <= 1e-12))
-    return checks
+    res = bounds.schwinger_contour_check(spec, params, TimeGrid(params.beta, 1),
+                                         u, q, axis=0, n=1, circle_nodes=128,
+                                         theta_nodes=16)
+    return [Check("schwinger_contour_identity", res["deviation"], 1e-6)]
 
 
-def suite_exact(spec, params, u, args):
-    """Anti-symmetrization and lambda-derivative checks (part of --suite all)."""
-    checks = []
-    s = LatticeSpec(d=1, L=2)
-    hub_U = 0.7
-    g = {}
-    for x in enumerate_sites(s):
-        g[((x, x), (UP, DOWN), (UP, DOWN))] = hub_U
-    f = model.antisymmetrize(g, s, 2)
-    ref = model.hubbard_antisymmetric_tensor(hub_U, s)
-    checks.append(Check("antisym_hubbard_tensor", float(np.max(np.abs(f - ref))),
-                        1e-14, np.allclose(f, ref, atol=1e-14)))
+def trivial_hopping_vanishing(spec, params, u, queries):
+    """Criterion 12: with t = t' = 0, unbalanced correlations vanish."""
+    space = fock.FockSpace(spec)
+    eig = fock.diagonalize(fock.build_hamiltonian(space, params, u))
+    worst = max(abs(fock.correlation(space, params, u, q, eig=eig))
+                for q in queries)
+    return [Check("trivial_hopping_vanishing", worst, 1e-12)]
+
+
+def antisymmetrization(spec, U, seed):
+    """Criterion 13: the on-site f_c tensor and its norm |U|/2; the pinned
+    norm inequality on 50 seeded random hermitian order-2 tables."""
+    g = {((x, x), (UP, DOWN), (UP, DOWN)): U for x in enumerate_sites(spec)}
+    f = model.antisymmetrize(g, spec, 2)
+    dev = float(np.max(np.abs(f - model.hubbard_antisymmetric_tensor(U, spec))))
     norm = model.antisym_pinned_norm(f, 2)
-    checks.append(Check("antisym_hubbard_norm", norm, abs(hub_U) / 2,
-                        abs(norm - abs(hub_U) / 2) <= 1e-12, direction="=="))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
-        g = _random_order2_table(s, rng)
-        f = model.antisymmetrize(g, s, 2)
-        lhs = model.antisym_pinned_norm(f, 2)
-        rhs = model.table_pinned_norm(g, 2)
-        worst = max(worst, lhs - rhs)
-    checks.append(Check("antisym_norm_inequality", worst, 0.0, worst <= 1e-12))
-    atom = LatticeSpec(d=1, L=1)
-    space = fock.FockSpace(atom)
-    pa = ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0)
-    hub = model.hubbard_interaction(0.1, d=1)
-    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
-    res = fock.lambda_derivative_check(space, pa, hub, q, step=1e-4)
-    checks.append(Check("lambda_derivative", res["deviation"], 1e-6,
-                        res["deviation"] <= 1e-6))
-    return checks
+        g = _random_order2_table(spec, rng)
+        lhs = model.antisym_pinned_norm(model.antisymmetrize(g, spec, 2), 2)
+        worst = max(worst, lhs - model.table_pinned_norm(g, 2))
+    return [Check("antisym_hubbard_tensor", dev, 1e-14),
+            Check("antisym_hubbard_norm", norm, abs(U) / 2,
+                  norm == abs(U) / 2, direction="=="),
+            Check("antisym_norm_inequality", worst, 0.0, worst <= 1e-12)]
 
 
 def _random_order2_table(s, rng):
@@ -373,6 +348,81 @@ def _random_order2_table(s, rng):
         g[(X, Xi, Phi)] = g.get((X, Xi, Phi), 0) + val
         g[(X, Phi, Xi)] = g.get((X, Phi, Xi), 0) + val.conjugate()
     return g
+
+
+def lambda_derivative(params):
+    """Criterion 14: the coupling derivative of the free energy, on one site."""
+    space = fock.FockSpace(LatticeSpec(d=1, L=1))
+    hub = model.hubbard_interaction(0.1, d=1)
+    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+    res = fock.lambda_derivative_check(space, params, hub, q, step=1e-4)
+    return [Check("lambda_derivative", res["deviation"], 1e-6)]
+
+
+# ---------------------------------------------------------------------------
+# suites: the checks at the CLI inputs
+# ---------------------------------------------------------------------------
+
+def suite_covariance(spec, params, u, args):
+    checks = fourier_consistency(spec, params, args.tol)
+    checks += det_identity(params, (1, 2), (1, 2))
+    checks += matsubara_diagonalization(LatticeSpec(d=1, L=2), params,
+                                        TimeGrid(params.beta, 1))
+    checks += u1_shift_identity(params, ((1, 2), (1, 4), (2, 2)))
+    checks += contour_formula(spec, params, [(1, 0.25 * params.beta)])
+    grid = TimeGrid(params.beta, max(args.half_steps, 2))
+    checks += covariance_decay(spec, params, grid)
+    checks += det_decay(spec, params, args.seed)
+    if spec.n_modes <= 12:
+        checks += free_fermion_consistency(spec, params, (UP,))
+    return checks
+
+
+def suite_detbound(spec, params, u, args):
+    return det_bound(spec, params, 0.7, max(1, args.trials // 18), args.seed,
+                     1000)
+
+
+def suite_grassmann(spec, params, u, args):
+    # t = 0.5 keeps the beta*h = 8 discretization error inside the 5e-2 target
+    atom = LatticeSpec(d=1, L=1)
+    atom_params = ModelParams(t=0.5, t_prime=0.0, mu=0.2, beta=1.0)
+    hub = model.hubbard_interaction(0.3, d=1)
+    return (wick_vs_berezin(args.seed, 3)
+            + partition_and_h_convergence(atom, atom_params, hub, (1, 2, 4))
+            + schwinger_series_b0(atom, atom_params, hub, args.m_max))
+
+
+def suite_taylor(spec, params, u, args):
+    s = LatticeSpec(d=1, L=2)
+    p = ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0)
+    grid = TimeGrid(1.0, 1)
+    return (l1_integral(s, p, grid)
+            + taylor_bounds(s, p, model.hubbard_interaction(0.1, d=1), grid,
+                            args.m_max))
+
+
+def suite_theorem(spec, params, u, args):
+    checks = smallness(spec, params, u)
+    if not checks[0].passed:
+        return checks
+    checks += theorem_envelope(spec, params, u,
+                               _separation_queries(spec, min(spec.L - 1, 3)))
+    checks += schwinger_contour_identity(LatticeSpec(d=1, L=2), params,
+                                         model.hubbard_interaction(0.1, d=1))
+    p0 = ModelParams(t=0.0, t_prime=0.0, mu=params.mu, beta=params.beta)
+    checks += trivial_hopping_vanishing(
+        LatticeSpec(d=1, L=min(spec.L, 4)), p0,
+        model.hubbard_interaction(0.5, d=1),
+        [fock.query(((0,),), ((1,),), (UP,), (UP,))])
+    return checks
+
+
+def suite_exact(spec, params, u, args):
+    """Anti-symmetrization and lambda-derivative checks (part of --suite all)."""
+    return (antisymmetrization(LatticeSpec(d=1, L=2), 0.7, args.seed)
+            + lambda_derivative(ModelParams(t=params.t, t_prime=0.0,
+                                            mu=params.mu, beta=1.0)))
 
 
 SUITES = {
@@ -444,11 +494,9 @@ def cmd_model_validate(args) -> int:
     report["smallness_general_R0.5"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                                         "satisfied": rep.satisfied}
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
-    if issues:
-        for msg in issues:
-            print(f"invariant violation: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    for msg in issues:
+        print(f"invariant violation: {msg}", file=sys.stderr)
+    return 1 if issues else 0
 
 
 def cmd_table(args) -> int:
@@ -479,11 +527,10 @@ def cmd_table(args) -> int:
         for q in _separation_queries(spec, min(spec.L - 1, 3)):
             v = fock.correlation(space, params, u, q, eig=eig)
             sep = q.y_sites[0][0]
-            env = bounds.theorem_envelope((sep * 2,) + (0,) * (spec.d - 1),
-                                          spec, params, variant="hubbard")
-            enveu = bounds.theorem_envelope((sep * 2,) + (0,) * (spec.d - 1),
-                                            spec, params, variant="hubbard",
-                                            distance_mode="euclidean")
+            env, enveu = (bounds.theorem_envelope(
+                (sep * 2,) + (0,) * (spec.d - 1), spec, params,
+                variant="hubbard", distance_mode=mode)
+                for mode in ("chord_L", "euclidean"))
             rows.append({"separation": sep, "abs_correlation": abs(v),
                          "envelope_chord": env, "envelope_euclidean": enveu})
         fields = ["separation", "abs_correlation", "envelope_chord",
@@ -495,25 +542,16 @@ def cmd_table(args) -> int:
         grid = TimeGrid(1.0, 1)
         q2 = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
         rep = bounds.verify_taylor_bounds(s, p, grid, hub, q2, args.m_max)
-        for row in rep["b_rows"]:
-            rows.append({"m": row["m"], "abs_bm": row["abs_coefficient"],
-                         "bound": row["bound"],
-                         "ratio": row["abs_coefficient"] / row["bound"]})
+        rows = [{"m": r["m"], "abs_bm": r["abs_coefficient"], "bound": r["bound"],
+                 "ratio": r["abs_coefficient"] / r["bound"]} for r in rep["b_rows"]]
         fields = ["m", "abs_bm", "bound", "ratio"]
     else:
         print(f"error: unknown table kind {args.kind}", file=sys.stderr)
         return 2
     if args.format == "json":
         _write_report(args, {"kind": args.kind, "rows": rows})
-        return 0
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.DictWriter(target, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
+    else:
+        _write_csv(args, fields, rows)
     return 0
 
 
@@ -533,8 +571,6 @@ def _add_common(p, default_format="json"):
     p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
-    p.add_argument("--threads", type=int, default=0,
-                   help="thread-pool size (default: FERMIDECAY_THREADS or all cores)")
     p.add_argument("--coupling-fraction", type=float, default=0.9,
                    help="default-model |U| as a fraction of the decay threshold")
 

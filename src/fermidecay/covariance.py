@@ -64,7 +64,9 @@ def shift_radius(params: ModelParams, d: int, r: float) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _dispersions(cs: CovarianceSpec) -> np.ndarray:
-    return dispersion_grid(cs.spec, cs.params, cs.shifts)
+    E = dispersion_grid(cs.spec, cs.params, cs.shifts)
+    E.flags.writeable = False  # shared by every caller of the cache
+    return E
 
 
 def guarded_dispersions(cs: CovarianceSpec) -> np.ndarray:
@@ -82,16 +84,20 @@ def guarded_dispersions(cs: CovarianceSpec) -> np.ndarray:
     return E
 
 
-def _fermi_factor(E: np.ndarray, dt: float, beta: float) -> np.ndarray:
-    """The two-branch time kernel, rearranged per sign of Re E for stability."""
+def _fermi_factor(E: np.ndarray, dt, beta: float) -> np.ndarray:
+    """The two-branch time kernel, rearranged per sign of Re E for stability.
+
+    dt may be an array; the result has shape dt.shape + E.shape.
+    """
     E = np.asarray(E, dtype=complex)
+    dt = np.asarray(dt, dtype=float)[..., None]
+    early = dt <= 0
     pos = E.real > 0
     den = 1.0 + np.exp(-beta * np.where(pos, E, -E))
-    if dt <= 0:
-        expo = -dt * E - np.where(pos, beta * E, 0.0)
-        return np.exp(expo) / den
-    expo = -dt * E + np.where(pos, 0.0, beta * E)
-    return -np.exp(expo) / den
+    expo = -dt * E + np.where(early, -np.where(pos, beta * E, 0.0),
+                              np.where(pos, 0.0, beta * E))
+    val = np.exp(expo) / den
+    return np.where(early, val, -val)
 
 
 def covariance_value(cs: CovarianceSpec, a, b) -> complex:
@@ -104,12 +110,16 @@ def covariance_value(cs: CovarianceSpec, a, b) -> complex:
     (xa, sa, ta), (xb, sb, tb) = a, b
     if sa != sb:
         return 0.0 + 0.0j
-    E = guarded_dispersions(cs)
-    ks = momentum_grid(cs.spec)
     dvec = np.array([int(q) - int(p) for p, q in zip(xa, xb)], dtype=float)
-    phase = np.exp(1j * (ks @ dvec))
-    vals = _fermi_factor(E, float(tb) - float(ta), cs.params.beta)
-    return complex(np.sum(phase * vals) / cs.spec.n_sites)
+    return complex(covariance_entries(cs, dvec, float(tb) - float(ta)))
+
+
+def covariance_entries(cs: CovarianceSpec, dx, dt) -> np.ndarray:
+    """Equal-spin C for arrays of site differences dx = x_b - x_a (last axis
+    of length d) and time differences dt = t_b - t_a of matching shape."""
+    phase = np.exp(1j * (np.asarray(dx) @ momentum_grid(cs.spec).T))
+    vals = _fermi_factor(guarded_dispersions(cs), dt, cs.params.beta)
+    return np.sum(phase * vals, axis=-1) / cs.spec.n_sites
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,8 +133,10 @@ def _covariance_lookup(cs: CovarianceSpec, grid: TimeGrid):
     phases = np.exp(1j * (diffs @ ks.T))  # (n_sites, n_k)
     n = grid.n_points
     dts = np.arange(-(n - 1), n) / grid.h  # time differences t_b - t_a
-    kernel = np.stack([_fermi_factor(E, float(dt), cs.params.beta) for dt in dts])
+    kernel = _fermi_factor(E, dts, cs.params.beta)  # (n_dt, n_k)
     table = phases @ kernel.T / spec.n_sites  # (n_sites, n_dt)
+    table.flags.writeable = False  # shared by every caller of the cache
+    dts.flags.writeable = False
     return table, dts
 
 
@@ -257,15 +269,38 @@ def reduced_exponent(spec: LatticeSpec, dvec) -> float:
     return sum(abs(c) for c in red) / (2.0 * E_CONST * math.pi * spec.d)
 
 
+def contour_nodes(L: int, n: int, radius: float, theta_nodes: int,
+                  circle_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts sum_j w_j and weights of the n-fold contour quadrature
+
+        prod_j (L/2pi) int_0^{2pi/L} dtheta_j (2pi i)^{-1} oint dw_j (w_j - theta_j)^{-2}
+
+    over the circles |w_j - theta_j| = radius.  The theta segments use
+    Gauss-Legendre; the circles use the composite trapezoid rule (spectrally
+    accurate since the integrand is periodic).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
+    seg = 2.0 * math.pi / L
+    thetas = 0.5 * seg * (nodes + 1.0)
+    th_w = 0.5 * seg * weights * (L / (2.0 * math.pi))
+    phis = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
+    w1 = (thetas[:, None] + radius * np.exp(1j * phis)[None, :]).reshape(-1)
+    wt1 = (th_w[:, None] * (np.exp(-1j * phis) /
+                            (radius * circle_nodes))[None, :]).reshape(-1)
+    total_shift, total_w = w1, wt1
+    for _ in range(n - 1):
+        total_shift = (total_shift[:, None] + w1[None, :]).reshape(-1)
+        total_w = (total_w[:, None] * wt1[None, :]).reshape(-1)
+    return total_shift, total_w
+
+
 def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
                           circle_nodes: int = 512, theta_nodes: int = 24,
                           radius: float | None = None) -> dict:
     """Iterated contour representation of the chord-weighted covariance.
 
-    lhs: the n-fold (L/2pi) int_0^{2pi/L} dtheta (2pi i)^{-1} oint dw/(w-theta)^2
-    quadrature of C(shifts + sum_j w_j e_axis); rhs: chord^n * C(shifts).
-    Circles use the composite trapezoid rule (spectrally accurate since the
-    integrand is periodic); the theta segments use Gauss-Legendre.
+    lhs: the n-fold contour_nodes quadrature of C(shifts + sum_j w_j e_axis);
+    rhs: chord^n * C(shifts).
     """
     spec, params = cs.spec, cs.params
     if radius is None:
@@ -274,23 +309,8 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
     dvec = [int(p) - int(q) for p, q in zip(xa, xb)]
     chord = (np.exp(1j * 2.0 * math.pi * dvec[axis] / spec.L) - 1.0) / (2.0 * math.pi / spec.L)
     rhs = chord**n * covariance_value(cs, a, b)
-
-    nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
-    seg = 2.0 * math.pi / spec.L
-    thetas = 0.5 * seg * (nodes + 1.0)
-    th_w = 0.5 * seg * weights * (spec.L / (2.0 * math.pi))
-    phis = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
-    circ = radius * np.exp(1j * phis)
-    circ_w = np.exp(-1j * phis) / (radius * circle_nodes)
-
-    w1 = thetas[:, None] + circ[None, :]
-    wt1 = th_w[:, None] * circ_w[None, :]
-    total_w = wt1.reshape(-1)
-    total_shift = w1.reshape(-1)
-    for _ in range(n - 1):
-        total_shift = (total_shift[:, None] + w1.reshape(-1)[None, :]).reshape(-1)
-        total_w = (total_w[:, None] * wt1.reshape(-1)[None, :]).reshape(-1)
-
+    total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
+                                         circle_nodes)
     E = dispersion_grid(spec, params, cs.shifts, extra_axis_shift=(axis, total_shift))
     limit = math.pi / params.beta
     if np.any(np.abs(E.imag) >= limit):

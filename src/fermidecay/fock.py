@@ -91,7 +91,10 @@ def _mode_operators(n_modes: int):
                 rows.append(state & ~bit)
                 cols.append(state)
                 vals.append(phase)
-        ops.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+        op = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False  # shared by every caller of the cache
+        ops.append(op)
     return tuple(ops)
 
 
@@ -194,13 +197,17 @@ def diagonalize(H) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(M)
 
 
+def _expectation(eig, O, beta: float) -> complex:
+    """Tr(e^{-beta H} O) / Tr e^{-beta H} from the eigenpairs (w, V) of H."""
+    w, V = eig
+    weights = np.exp(-beta * (w - w.min()))
+    diag = np.einsum("in,ij,jn->n", V.conj(), _dense(O), V)
+    return complex(np.sum(weights * diag) / np.sum(weights))
+
+
 def thermal_average(space: FockSpace, H, O, beta: float) -> complex:
     """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H."""
-    w, V = diagonalize(H)
-    weights = np.exp(-beta * (w - w.min()))
-    Od = _dense(O)
-    diag = np.einsum("in,ij,jn->n", V.conj(), Od, V)
-    return complex(np.sum(weights * diag) / np.sum(weights))
+    return _expectation(diagonalize(H), O, beta)
 
 
 def log_partition(H, beta: float) -> float:
@@ -229,11 +236,7 @@ def correlation(space: FockSpace, params: ModelParams,
     """
     if eig is None:
         eig = diagonalize(build_hamiltonian(space, params, u))
-    w, V = eig
-    weights = np.exp(-params.beta * (w - w.min()))
-    O = _dense(observable_pair(space, q))
-    diag = np.einsum("in,ij,jn->n", V.conj(), O, V)
-    return complex(np.sum(weights * diag) / np.sum(weights))
+    return _expectation(eig, observable_pair(space, q), params.beta)
 
 
 def lambda_derivative_check(space: FockSpace, params: ModelParams,

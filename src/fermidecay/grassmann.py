@@ -132,17 +132,13 @@ def _generator_count(space) -> int:
 
 def wick_expectation(space, barred, unbarred, G: np.ndarray) -> complex:
     """Gaussian expectation det(G(j_u, p_v)) of the reversed-barred monomial;
-    mismatched degrees integrate to zero."""
+    mismatched degrees and repeated generators integrate to zero."""
     n = _generator_count(space)
-    if len(barred) != len(unbarred):
-        return 0.0 + 0.0j
     for i in list(barred) + list(unbarred):
         if not 0 <= i < n:
             raise ValueError(f"generator index {i} outside 0..{n - 1}")
-    if not barred:
-        return 1.0 + 0.0j
-    sub = G[np.ix_(list(barred), list(unbarred))]
-    return complex(np.linalg.det(sub))
+    term = monomial(list(reversed(barred)), unbarred)
+    return 0.0 + 0.0j if term is None else wick_canonical(term, G)
 
 
 def wick_canonical(term, G: np.ndarray) -> complex:
@@ -204,12 +200,6 @@ class GrassmannPolynomial:
                 t = monomial_product((b1, u1, c1), (b2, u2, c2))
                 if t is not None:
                     out.add(t[0], t[1], t[2])
-        return out
-
-    def scaled(self, factor):
-        out = GrassmannPolynomial()
-        for (b, u), c in self.terms.items():
-            out.add(b, u, c * factor)
         return out
 
     def plus(self, other):

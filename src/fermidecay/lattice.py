@@ -139,13 +139,3 @@ def spacetime_index(spec: LatticeSpec, grid: TimeGrid, site, spin: int,
         raise ValueError(f"time index {time_idx} outside grid of {grid.n_points}")
     return time_idx * spec.n_modes + mode_index(spec, site, spin)
 
-
-def enumerate_spacetime(spec: LatticeSpec, grid: TimeGrid):
-    """Triples (site, spin, time_idx) in global index order."""
-    sites = enumerate_sites(spec)
-    out = []
-    for t in range(grid.n_points):
-        for s in sites:
-            for spin in SPINS:
-                out.append((s, spin, t))
-    return out

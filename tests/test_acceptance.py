@@ -1,262 +1,163 @@
 """Acceptance suite: every criterion at its stated tolerance and time budget.
 
+Each criterion calls the same check functions as `fermidecay verify` (in
+fermidecay.cli) with its own pinned inputs and requires every returned check
+to pass, so each tolerance and pass rule is defined once.  Work a criterion
+does beyond the shared checks stays here as assertions next to the call.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
-from fermidecay import bounds, fock, grassmann, model
-from fermidecay.covariance import (
-    CovarianceSpec,
-    contour_formula_check,
-    covariance_value,
-    decay_envelope_check,
-    det_identity_check,
-    l1_bound_check,
-    matsubara_check,
-    shift_radius,
-    u1_shift_identity_check,
+from fermidecay import cli, fock
+from fermidecay.lattice import (
+    DOWN,
+    UP,
+    LatticeSpec,
+    TimeGrid,
+    enumerate_sites,
+    mode_index,
 )
-from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from fermidecay.model import (
     ModelParams,
     antisym_pinned_norm,
     antisymmetrize,
-    hubbard_antisymmetric_tensor,
     hubbard_interaction,
     hubbard_threshold,
     table_pinned_norm,
 )
 
 
-def _report(num, name, passed, elapsed, budget, detail=""):
-    status = "PASS" if passed else "FAIL"
-    print(f"criterion {num:2d} [{status}] {name}: {detail} "
+def _report(num, name, checks, start, budget):
+    elapsed = time.perf_counter() - start
+    failed = [c.name for c in checks if not c.passed]
+    rows = [c.row() for c in checks if c.direction == "<="]
+    ratios = [(r["ratio"], r["quantity"]) for r in rows if r["ratio"] is not None]
+    detail = f"{len(checks)} checks"
+    if ratios:
+        ratio, quantity = max(ratios)
+        detail += f", worst {quantity} at {ratio:.3e} of its bound"
+    print(f"criterion {num:2d} [{'FAIL' if failed else 'PASS'}] {name}: {detail} "
           f"({elapsed:.2f}s / budget {budget:.0f}s)")
-    assert passed, f"criterion {num} ({name}) failed: {detail}"
+    assert not failed, f"criterion {num} ({name}) failed: {failed}"
     assert elapsed < budget, f"criterion {num} exceeded {budget}s ({elapsed:.1f}s)"
 
 
 def test_criterion_01_free_fermion_consistency():
     start = time.perf_counter()
-    spec = LatticeSpec(d=1, L=4)
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.3, beta=1.0)
-    cs = CovarianceSpec(spec, p)
-    space = fock.FockSpace(spec)
-    eig = fock.diagonalize(fock.build_hamiltonian(space, p, None))
-    worst = 0.0
-    for xa in enumerate_sites(spec):
-        for xb in enumerate_sites(spec):
-            for spin in (UP, DOWN):
-                q = fock.query((xa,), (xb,), (spin,), (spin,))
-                v = fock.correlation(space, p, None, q, eig=eig)
-                ref = covariance_value(cs, (xa, spin, 0.0), (xb, spin, 0.0)) \
-                    + covariance_value(cs, (xb, spin, 0.0), (xa, spin, 0.0))
-                worst = max(worst, abs(v - ref))
-    _report(1, "free-fermion consistency", worst <= 1e-10,
-            time.perf_counter() - start, 5.0, f"max |delta| = {worst:.3e}")
+    checks = cli.free_fermion_consistency(LatticeSpec(d=1, L=4), p, (UP, DOWN))
+    _report(1, "free-fermion consistency", checks, start, 5.0)
 
 
 def test_criterion_02_wick_equals_berezin():
     start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    n = 6
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        barred = [int(v) for v in rng.permutation(n)[:k]]
-        unbarred = [int(v) for v in rng.permutation(n)[:k]]
-        ref = grassmann.wick_canonical(grassmann.monomial(barred, unbarred), G)
-        via = grassmann.berezin_gaussian(
-            n, grassmann.GrassmannPolynomial.from_monomial(barred, unbarred), G)
-        worst = max(worst, abs(ref - via))
-    _report(2, "Wick = Berezin", worst <= 1e-12,
-            time.perf_counter() - start, 10.0, f"max |delta| = {worst:.3e}")
+    checks = cli.wick_vs_berezin(seed=2024, max_degree=4)
+    _report(2, "Wick = Berezin", checks, start, 10.0)
 
 
 def test_criterion_03_partition_equivalence_h_convergence():
     start = time.perf_counter()
-    atom = LatticeSpec(d=1, L=1)
     # U = 0.3, beta = 1 pinned by the criterion; t = 0.5, mu = 0.2 chosen so
     # the beta*h = 8 discretization error sits inside the 5e-2 target
     p = ModelParams(t=0.5, t_prime=0.0, mu=0.2, beta=1.0)
-    hub = hubbard_interaction(0.3, d=1)
-    eq_worst = 0.0
-    for hs in (1, 2, 4):
-        grid = TimeGrid(1.0, hs)
-        dp = grassmann.discrete_partition(atom, p, grid, hub)["value"]
-        pe = grassmann.partition_via_exponential(atom, p, grid, hub)
-        eq_worst = max(eq_worst, abs(dp - pe))
-    space = fock.FockSpace(atom)
-    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
-    exact = fock.correlation(space, p, hub, q).real
-    conv = grassmann.correlation_via_grassmann(atom, p, hub, q, (1, 2, 4))
-    errs = [abs(r["value"].real - exact) for r in conv]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    ok = eq_worst <= 1e-10 and decreasing and errs[-1] < 5e-2
-    _report(3, "partition equivalence + h-convergence", ok,
-            time.perf_counter() - start, 30.0,
-            f"max |dp-pe| = {eq_worst:.2e}, errors = "
-            f"{[round(e, 4) for e in errs]}")
+    checks = cli.partition_and_h_convergence(
+        LatticeSpec(d=1, L=1), p, hubbard_interaction(0.3, d=1), (1, 2, 4))
+    _report(3, "partition equivalence + h-convergence", checks, start, 30.0)
 
 
 def test_criterion_04_determinant_bound():
     start = time.perf_counter()
-    spec = LatticeSpec(d=1, L=4)
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    rad = shift_radius(p, 1, math.pi / (2.0 * p.beta))
-    shifts = [(), ((1j * rad, 0),), ((0.5 - 1j * rad, 0),)]
-    worst = 0.0
-    trials = 0
-    for n in range(1, 7):
-        for i, shift in enumerate(shifts):
-            cs = CovarianceSpec(spec, p, shift)
-            res = bounds.det_bound_sample(cs, n, min(n, 6), 56,
-                                          seed=41 * n + i)
-            worst = max(worst, res["worst_ratio"])
-            trials += res["trials"]
-    ok = worst <= 1.0 and trials >= 1000
-    _report(4, "determinant bound", ok, time.perf_counter() - start, 30.0,
-            f"worst |det|/4^n = {worst:.3e} over {trials} trials")
+    checks = cli.det_bound(LatticeSpec(d=1, L=4), p, real_shift=0.5,
+                           trials_per_call=56, seed=0, seed_stride=41)
+    assert checks[0].details["trials"] >= 1000
+    _report(4, "determinant bound", checks, start, 30.0)
 
 
 def test_criterion_05_determinant_identity():
     start = time.perf_counter()
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    worst = 0.0
-    for L in (1, 2):
-        for hs in (1, 2):
-            for shift in ((), ((0.1j, 0),)):
-                cs = CovarianceSpec(LatticeSpec(d=1, L=L), p, shift)
-                res = det_identity_check(cs, TimeGrid(p.beta, hs))
-                worst = max(worst, res["relative_error"])
-    _report(5, "determinant identity", worst <= 1e-8,
-            time.perf_counter() - start, 5.0, f"worst rel err = {worst:.3e}")
+    checks = cli.det_identity(p, sizes=(1, 2), half_steps=(1, 2))
+    _report(5, "determinant identity", checks, start, 5.0)
 
 
 def test_criterion_06_matsubara_diagonalization():
     start = time.perf_counter()
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    cs = CovarianceSpec(LatticeSpec(d=1, L=2), p)
-    res = matsubara_check(cs, TimeGrid(p.beta, 1))
-    ok = res["max_offdiagonal"] <= 1e-9 and res["max_diagonal_deviation"] <= 1e-9
-    _report(6, "Matsubara diagonalization", ok,
-            time.perf_counter() - start, 5.0,
-            f"offdiag {res['max_offdiagonal']:.2e}, "
-            f"diag dev {res['max_diagonal_deviation']:.2e}")
+    checks = cli.matsubara_diagonalization(LatticeSpec(d=1, L=2), p,
+                                           TimeGrid(p.beta, 1))
+    _report(6, "Matsubara diagonalization", checks, start, 5.0)
 
 
 def test_criterion_07_u1_shift_identity():
     start = time.perf_counter()
     p = ModelParams(t=1.0, t_prime=0.2, mu=0.2, beta=1.0)
-    worst = 0.0
-    for d in (1, 2):
-        for L in (2, 4):
-            spec = LatticeSpec(d=d, L=L)
-            for axis in range(d):
-                dev = u1_shift_identity_check(CovarianceSpec(spec, p),
-                                              TimeGrid(p.beta, 1), axis)
-                worst = max(worst, dev)
-    _report(7, "U(1) shift identity", worst <= 1e-12,
-            time.perf_counter() - start, 5.0, f"max deviation = {worst:.3e}")
+    lattices = [(d, L) for d in (1, 2) for L in (2, 4)]
+    checks = cli.u1_shift_identity(p, lattices, axes=(0, 1))
+    _report(7, "U(1) shift identity", checks, start, 5.0)
 
 
 def test_criterion_08_contour_formula():
     start = time.perf_counter()
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    cs = CovarianceSpec(LatticeSpec(d=1, L=4), p)
-    worst = 0.0
-    for dist, dt in ((1, 0.25), (2, 0.6), (3, 0.0)):
-        res = contour_formula_check(cs, ((dist,), UP, 0.0), ((0,), UP, dt),
-                                    axis=0, n=1, circle_nodes=512)
-        worst = max(worst, res["deviation"])
-    _report(8, "contour formula n=1", worst <= 1e-6,
-            time.perf_counter() - start, 20.0, f"worst deviation = {worst:.3e}")
+    checks = cli.contour_formula(LatticeSpec(d=1, L=4), p,
+                                 [(1, 0.25), (2, 0.6), (3, 0.0)])
+    _report(8, "contour formula n=1", checks, start, 20.0)
 
 
 def test_criterion_09_covariance_decay_and_l1():
     start = time.perf_counter()
     spec = LatticeSpec(d=1, L=16)
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.0, beta=2.0)
-    cs = CovarianceSpec(spec, p)
     grid = TimeGrid(p.beta, 4)
-    env = decay_envelope_check(cs, grid)
-    l1 = l1_bound_check(cs, grid)
-    D = bounds.covariance_l1_D(cs, grid)
-    ok = (env["worst_ratio_chord"] <= 1.0 and env["worst_ratio_reduced"] <= 1.0
-          and l1["satisfied"] and D <= l1["rhs"])
-    _report(9, "covariance decay + l1", ok, time.perf_counter() - start, 10.0,
-            f"worst env ratio {env['worst_ratio_chord']:.3f}, "
-            f"D = {D:.3f} <= {l1['rhs']:.1f}")
+    checks = cli.covariance_decay(spec, p, grid) + cli.l1_integral(spec, p, grid)
+    _report(9, "covariance decay + l1", checks, start, 10.0)
 
 
 def test_criterion_10_taylor_bounds():
     start = time.perf_counter()
-    spec = LatticeSpec(d=1, L=2)
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    hub = hubbard_interaction(0.1, d=1)
-    grid = TimeGrid(1.0, 1)
-    q = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-    rep = bounds.verify_taylor_bounds(spec, p, grid, hub, q, 3)
-    ok = all(r["passed"] for r in rep["b_rows"])
-    ok = ok and all(r["passed"] for r in rep["c_rows"])
-    ok = ok and rep["b_rows"][0]["bound"] == 4.0**2  # printed value, exact
-    q1 = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    rep1 = bounds.verify_taylor_bounds(spec, p, grid, hub, q1, 3)
-    ok = ok and all(r["passed"] for r in rep1["b_rows"])
-    ok = ok and rep1["b_rows"][0]["bound"] == 4.0**1
-    _report(10, "Taylor coefficient bounds", ok,
-            time.perf_counter() - start, 60.0,
-            f"D = {rep['D']:.4f}, all m <= 3 within bounds")
+    checks = cli.taylor_bounds(LatticeSpec(d=1, L=2), p,
+                               hubbard_interaction(0.1, d=1), TimeGrid(1.0, 1), 3)
+    by_name = {c.name: c for c in checks}
+    # the printed m = 0 bounds B^m_hat, exactly
+    assert by_name["prop41_m0"].bound == 4.0**2
+    assert by_name["prop41_mhat1_m0"].bound == 4.0**1
+    # the |c_m| half: full and pinned rows for every m <= 3
+    assert sum(n.startswith("prop42_") for n in by_name) == 8
+    _report(10, "Taylor coefficient bounds", checks, start, 60.0)
 
 
 def test_criterion_11_theorem_envelope():
     start = time.perf_counter()
     spec = LatticeSpec(d=1, L=4)
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    U = 0.9 * hubbard_threshold(p, spec.d)
-    hub = hubbard_interaction(U, d=1)
-    queries = []
-    for x2 in range(4):
-        for y1 in range(4):
-            for y2 in range(4):
-                queries.append(fock.query(((0,), (x2,)), ((y1,), (y2,)),
-                                          (UP, DOWN), (UP, DOWN)))
-    rows = bounds.verify_theorem_envelope(spec, p, hub, queries,
-                                          variant="hubbard")
-    ok = all(r["passed"] for r in rows)
-    worst = max(abs(r["correlation"]) / r["envelope_chord"] for r in rows)
-    _report(11, "theorem envelope at finite L", ok,
-            time.perf_counter() - start, 60.0,
-            f"{len(rows)} queries, worst |corr|/envelope = {worst:.3e}")
+    hub = hubbard_interaction(0.9 * hubbard_threshold(p, spec.d), d=1)
+    queries = [fock.query(((0,), (x2,)), ((y1,), (y2,)), (UP, DOWN), (UP, DOWN))
+               for x2 in range(4) for y1 in range(4) for y2 in range(4)]
+    checks = cli.theorem_envelope(spec, p, hub, queries)
+    _report(11, "theorem envelope at finite L", checks, start, 60.0)
 
 
 def test_criterion_12_trivial_hopping_vanishing():
     start = time.perf_counter()
-    spec = LatticeSpec(d=1, L=4)
     p = ModelParams(t=0.0, t_prime=0.0, mu=0.2, beta=1.0)
-    hub = hubbard_interaction(0.5, d=1)
-    space = fock.FockSpace(spec)
-    eig = fock.diagonalize(fock.build_hamiltonian(space, p, hub))
-    worst = 0.0
-    for q in (fock.query(((0,),), ((1,),), (UP,), (UP,)),
-              fock.query(((0,),), ((3,),), (DOWN,), (DOWN,)),
-              fock.query(((0,), (1,)), ((2,), (0,)), (UP, DOWN), (UP, DOWN))):
-        worst = max(worst, abs(fock.correlation(space, p, hub, q, eig=eig)))
-    _report(12, "trivial-hopping vanishing", worst <= 1e-12,
-            time.perf_counter() - start, 5.0, f"max |corr| = {worst:.3e}")
+    queries = [fock.query(((0,),), ((1,),), (UP,), (UP,)),
+               fock.query(((0,),), ((3,),), (DOWN,), (DOWN,)),
+               fock.query(((0,), (1,)), ((2,), (0,)), (UP, DOWN), (UP, DOWN))]
+    checks = cli.trivial_hopping_vanishing(LatticeSpec(d=1, L=4), p,
+                                           hubbard_interaction(0.5, d=1), queries)
+    _report(12, "trivial-hopping vanishing", checks, start, 5.0)
 
 
 def _operator_from_table(space, spec, g, l):
     dim = space.dimension
     out = sp.csr_matrix((dim, dim), dtype=complex)
-    from fermidecay.lattice import mode_index
     for (X, Xi, Phi), val in g.items():
         create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
         annih = [mode_index(spec, x, s)
@@ -287,73 +188,58 @@ def _operator_from_tensor(space, f, l):
     return out
 
 
+def _random_table(sites, rng, entries):
+    """Order-2 table with independent (non-hermitian) random entries."""
+    g = {}
+    for _ in range(entries):
+        X = (sites[int(rng.integers(2))], sites[int(rng.integers(2))])
+        Xi = (int(rng.integers(2)), int(rng.integers(2)))
+        Phi = (int(rng.integers(2)), int(rng.integers(2)))
+        g[(X, Xi, Phi)] = complex(rng.normal(), rng.normal())
+    return g
+
+
 def test_criterion_13_antisymmetrization():
     start = time.perf_counter()
     rng = np.random.default_rng(99)
-    ok = True
-    detail = []
+    U = 0.8
+    checks = []
     for L in (2, 4):
         spec = LatticeSpec(d=1, L=L)
+        checks += cli.antisymmetrization(spec, U, seed=99)
+        # operator identities: a random l = 1 table and the on-site l = 2
+        # table against the explicit f_c tensor
         space = fock.FockSpace(spec)
-        # l = 1 random table
         g1 = {}
         for x in enumerate_sites(spec):
             for xi in (UP, DOWN):
                 for phi in (UP, DOWN):
                     g1[((x,), (xi,), (phi,))] = complex(rng.normal(), rng.normal())
         f1 = antisymmetrize(g1, spec, 1)
-        dev1 = abs((_operator_from_table(space, spec, g1, 1) -
-                    _operator_from_tensor(space, f1, 1))).max()
-        # l = 2: on-site Hubbard against the explicit f_c tensor
-        U = 0.8
+        assert abs(_operator_from_table(space, spec, g1, 1) -
+                   _operator_from_tensor(space, f1, 1)).max() <= 1e-12
         g2 = {((x, x), (UP, DOWN), (UP, DOWN)): U for x in enumerate_sites(spec)}
         f2 = antisymmetrize(g2, spec, 2)
-        dev2 = abs((_operator_from_table(space, spec, g2, 2) -
-                    _operator_from_tensor(space, f2, 2))).max()
-        fc_dev = float(np.max(np.abs(f2 - hubbard_antisymmetric_tensor(U, spec))))
-        norm_dev = abs(antisym_pinned_norm(f2, 2) - U / 2)
-        ok = ok and dev1 <= 1e-12 and dev2 <= 1e-12 and fc_dev <= 1e-14 \
-            and norm_dev == 0.0
-        detail.append(f"L={L}: ops {max(dev1, dev2):.2e}, f_c {fc_dev:.1e}")
+        assert abs(_operator_from_table(space, spec, g2, 2) -
+                   _operator_from_tensor(space, f2, 2)).max() <= 1e-12
     # l = 2 random table operator identity at L = 2
     spec = LatticeSpec(d=1, L=2)
     space = fock.FockSpace(spec)
-    g = {}
-    for _ in range(8):
-        sites = enumerate_sites(spec)
-        X = (sites[int(rng.integers(2))], sites[int(rng.integers(2))])
-        Xi = (int(rng.integers(2)), int(rng.integers(2)))
-        Phi = (int(rng.integers(2)), int(rng.integers(2)))
-        g[(X, Xi, Phi)] = complex(rng.normal(), rng.normal())
+    sites = enumerate_sites(spec)
+    g = _random_table(sites, rng, 8)
     f = antisymmetrize(g, spec, 2)
-    dev = abs((_operator_from_table(space, spec, g, 2) -
-               _operator_from_tensor(space, f, 2))).max()
-    ok = ok and dev <= 1e-12
-    # norm inequality on 50 random tables
-    worst_gap = 0.0
+    assert abs(_operator_from_table(space, spec, g, 2) -
+               _operator_from_tensor(space, f, 2)).max() <= 1e-12
+    # norm inequality on 50 non-hermitian random tables
     for _ in range(50):
-        g = {}
-        sites = enumerate_sites(spec)
-        for _ in range(6):
-            X = (sites[int(rng.integers(2))], sites[int(rng.integers(2))])
-            Xi = (int(rng.integers(2)), int(rng.integers(2)))
-            Phi = (int(rng.integers(2)), int(rng.integers(2)))
-            g[(X, Xi, Phi)] = complex(rng.normal(), rng.normal())
-        fh = antisymmetrize(g, spec, 2)
-        worst_gap = max(worst_gap,
-                        antisym_pinned_norm(fh, 2) - table_pinned_norm(g, 2))
-    ok = ok and worst_gap <= 1e-12
-    _report(13, "anti-symmetrization", ok, time.perf_counter() - start, 30.0,
-            "; ".join(detail) + f"; norm gap {worst_gap:.2e}")
+        g = _random_table(sites, rng, 6)
+        gap = antisym_pinned_norm(antisymmetrize(g, spec, 2), 2) \
+            - table_pinned_norm(g, 2)
+        assert gap <= 1e-12
+    _report(13, "anti-symmetrization", checks, start, 30.0)
 
 
 def test_criterion_14_lambda_derivative():
     start = time.perf_counter()
-    atom = fock.FockSpace(LatticeSpec(d=1, L=1))
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
-    hub = hubbard_interaction(0.1, d=1)
-    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
-    res = fock.lambda_derivative_check(atom, p, hub, q, step=1e-4)
-    _report(14, "lambda derivative", res["deviation"] <= 1e-6,
-            time.perf_counter() - start, 10.0,
-            f"|FD - direct| = {res['deviation']:.3e}")
+    _report(14, "lambda derivative", cli.lambda_derivative(p), start, 10.0)

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fermidecay import fock
+from fermidecay import bounds, fock
 from fermidecay.bounds import (
     BoundContext,
     coefficient_series_partial,
@@ -14,8 +18,13 @@ from fermidecay.bounds import (
     verify_taylor_bounds,
     verify_theorem_envelope,
 )
-from fermidecay.covariance import CovarianceSpec, l1_bound_check, shift_radius
-from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid
+from fermidecay.covariance import (
+    CovarianceSpec,
+    covariance_value,
+    l1_bound_check,
+    shift_radius,
+)
+from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from fermidecay.model import (
     ModelParams,
     geometric_sum_factor,
@@ -45,6 +54,57 @@ def test_det_bound_reproducible(params, chain4):
     a = det_bound_sample(cs, 3, 2, 40, seed=9)
     b = det_bound_sample(cs, 3, 2, 40, seed=9)
     assert a["worst_ratio"] == b["worst_ratio"]
+
+
+def _det_bound_sample_loop(cs, n, vec_dim, trials, seed):
+    """Reference: the trial-by-trial, entry-by-entry form of det_bound_sample."""
+    sites = enumerate_sites(cs.spec)
+    worst = 0.0
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(ss)
+        # (site, spin, time) per point; tuple items are drawn left to right
+        pts = [(sites[int(rng.integers(len(sites)))], int(rng.integers(2)),
+                float(rng.uniform(0.0, cs.params.beta))) for _ in range(2 * n)]
+        left, right = pts[:n], pts[n:]
+        U = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
+        V = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        M = np.array([[(U[j] @ V[k].conj()).conjugate()
+                       * covariance_value(cs, left[j], right[k])
+                       for k in range(n)] for j in range(n)])
+        worst = max(worst, abs(complex(np.linalg.det(M))) / 4.0**n)
+    return worst
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data(), st.integers(0, 2), st.integers(0, 2**32))
+def test_det_bound_sample_matches_loop(n, data, choice, seed):
+    # the three shift choices of suite_detbound; 40 trials make an all-singular
+    # sample (worst ratio pure rounding noise) vanishingly rare.  A small block
+    # size makes most examples span several blocks, a ragged last one included.
+    vec_dim = data.draw(st.integers(1, n))
+    block = data.draw(st.integers(1, 64))
+    p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
+    rad = shift_radius(p, 1, math.pi / (2 * p.beta))
+    shift = [(), ((1j * rad, 0),), ((0.7 - 1j * rad, 0),)][choice]
+    cs = CovarianceSpec(LatticeSpec(d=1, L=4), p, shift)
+    with mock.patch.object(bounds, "DET_BLOCK", block):
+        got = det_bound_sample(cs, n, vec_dim, 40, seed)["worst_ratio"]
+    assert got == pytest.approx(_det_bound_sample_loop(cs, n, vec_dim, 40, seed),
+                                rel=1e-12, abs=0.0)
+
+
+def test_det_bound_sample_memory_bounded(params):
+    # peak traced memory must not grow with the number of trials
+    cs = CovarianceSpec(LatticeSpec(d=2, L=4), params)
+    peaks = []
+    for trials in (bounds.DET_BLOCK, 4 * bounds.DET_BLOCK):
+        tracemalloc.start()
+        det_bound_sample(cs, 6, 6, trials, seed=3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_covariance_l1_D_properties(params):

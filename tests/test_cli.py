@@ -53,12 +53,13 @@ def test_verify_covariance_exit_zero(tmp_path):
 
 
 def test_verify_deterministic_reports(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        rc = main(["verify", "--suite", "taylor", "--seed", "7",
-                   "--out", str(path)])
-        assert rc == 0
-    assert a.read_bytes() == b.read_bytes()
+    for suite in ("taylor", "detbound"):
+        a, b = tmp_path / f"{suite}_a.json", tmp_path / f"{suite}_b.json"
+        for path in (a, b):
+            rc = main(["verify", "--suite", suite, "--seed", "7",
+                       "--out", str(path)])
+            assert rc == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_csv_format(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fermidecay import fock
 from fermidecay.covariance import (
     CovarianceGuardError,
     CovarianceSpec,
+    _covariance_lookup,
     chord_components,
     contour_formula_check,
     covariance_matrix,
@@ -14,6 +16,7 @@ from fermidecay.covariance import (
     decay_envelope_check,
     det_decay_check,
     det_identity_check,
+    guarded_dispersions,
     l1_bound_check,
     matsubara_check,
     matsubara_frequencies,
@@ -61,6 +64,19 @@ def test_covariance_matrix_matches_values(params, chain4):
             va = covariance_value(cs, (a[0], a[1], grid.points[a[2]]),
                                   (b[0], b[1], grid.points[b[2]]))
             assert M[flat(a), flat(b)] == pytest.approx(va, abs=1e-13)
+
+
+def test_cached_arrays_read_only(params, chain4):
+    cs = CovarianceSpec(chain4, params)
+    a = ((0,), UP, 0.0)
+    before = covariance_value(cs, a, a)
+    table, dts = _covariance_lookup(cs, TimeGrid(params.beta, 1))
+    op = fock._mode_operators(chain4.n_modes)[0]
+    for arr in (guarded_dispersions(cs), table, dts, op.data, op.indices,
+                op.indptr):
+        with pytest.raises(ValueError):
+            arr += 5
+    assert covariance_value(cs, a, a) == before
 
 
 def test_covariance_matrix_not_hermitian(params):
@@ -282,7 +298,6 @@ def test_det_decay_check(params, rng):
 
 
 def test_free_fermion_consistency_with_fock(params):
-    from fermidecay import fock
     spec = LatticeSpec(d=1, L=4)
     p = ModelParams(t=1.0, mu=0.3, beta=1.0)
     cs = CovarianceSpec(spec, p)
