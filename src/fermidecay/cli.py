@@ -505,6 +505,9 @@ def cmd_table(args) -> int:
     except model.ModelFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except model.HermiticityError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
     rows = []
     if args.kind == "covariance_decay":
         cs = covariance.CovarianceSpec(spec, params)

@@ -2,7 +2,10 @@
 
 Creation/annihilation operators are realized through the Jordan-Wigner string
 in the global mode order, so every sign is reproducible.  Thermal averages go
-through a dense hermitian eigendecomposition; sizes are desk scale by design.
+through the eigendecomposition of H one conserved-number sector at a time:
+(N_up, N_down) when H keeps both counts, else the total N, else the whole
+space.  Each sector block is diagonalized densely and observables stay
+sparse; sizes are desk scale by design.
 """
 
 from __future__ import annotations
@@ -160,15 +163,21 @@ def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> sp.csr_matri
     return H
 
 
-def build_hamiltonian(space: FockSpace, params: ModelParams,
-                      u: InteractionCoefficients | None = None,
-                      lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
-    H = build_h0(space, params)
+def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
+               lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
+    """(H + V) + Lambda, in that order, so that a Hamiltonian assembled from
+    a shared H_0 or H_0 + V is bitwise the one build_hamiltonian makes."""
     if u is not None:
         H = H + build_interaction(space, u)
     if lam is not None:
         H = H + build_lambda_term(space, lam)
     return H
+
+
+def build_hamiltonian(space: FockSpace, params: ModelParams,
+                      u: InteractionCoefficients | None = None,
+                      lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
+    return _add_terms(space, build_h0(space, params), u, lam)
 
 
 def observable_pair(space: FockSpace, q: CorrelationQuery) -> sp.csr_matrix:
@@ -182,27 +191,53 @@ def observable_pair(space: FockSpace, q: CorrelationQuery) -> sp.csr_matrix:
     return O + O.conj().T.tocsr()
 
 
-def _dense(H) -> np.ndarray:
-    M = H.toarray() if sp.issparse(H) else np.asarray(H)
-    if M.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {M.shape[0]} exceeds dense-trace guard")
-    return M
+def _sectors(H) -> tuple[sp.csr_matrix, list[np.ndarray]]:
+    """H as CSR, and the basis states in the finest conserved-number blocks
+    that H keeps: (N_up, N_down), else the total N, else a single block.
+
+    Mode 2*site + spin is spin up when even.  A labelling is kept when every
+    nonzero entry of H joins two states of equal label.
+    """
+    H = sp.csr_matrix(H)
+    dim = H.shape[0]
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"dimension {dim} exceeds dense-trace guard")
+    basis = np.arange(dim)
+    bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
+    n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
+    rows, cols = H.nonzero()
+    for label in (n_up * dim + n_down, n_up + n_down, np.zeros(dim, dtype=int)):
+        if np.array_equal(label[rows], label[cols]):
+            break
+    order = np.argsort(label, kind="stable")
+    return H, np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def diagonalize(H) -> tuple[np.ndarray, np.ndarray]:
-    M = _dense(H)
-    herm_defect = np.max(np.abs(M - M.conj().T))
+def diagonalize(H) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigenpairs of H, one (states, eigenvalues, eigenvectors) triple per
+    conserved-number sector; the eigenvectors are in the sector's basis."""
+    H, sectors = _sectors(H)
+    herm_defect = abs(H - H.conj().T).max()
     if herm_defect > 1e-10:
         raise ValueError(f"matrix is not hermitian (defect {herm_defect:.3e})")
-    return np.linalg.eigh(M)
+    return [(s, *np.linalg.eigh(H[s][:, s].toarray())) for s in sectors]
 
 
 def _expectation(eig, O, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H} from the eigenpairs (w, V) of H."""
-    w, V = eig
-    weights = np.exp(-beta * (w - w.min()))
-    diag = np.einsum("in,ij,jn->n", V.conj(), _dense(O), V)
-    return complex(np.sum(weights * diag) / np.sum(weights))
+    """Tr(e^{-beta H} O) / Tr e^{-beta H} from the sector eigenpairs of H.
+
+    e^{-beta H} is block diagonal, so the entries of O between sectors add
+    nothing to the trace and each sector needs only its own block of O.
+    """
+    O = sp.csr_matrix(O)
+    w_min = min(w.min() for _, w, _ in eig)
+    num = den = 0.0
+    for states, w, V in eig:
+        weights = np.exp(-beta * (w - w_min))
+        diag = np.einsum("in,in->n", V.conj(), O[states][:, states] @ V)
+        num += np.sum(weights * diag)
+        den += np.sum(weights)
+    return complex(num / den)
 
 
 def thermal_average(space: FockSpace, H, O, beta: float) -> complex:
@@ -211,7 +246,8 @@ def thermal_average(space: FockSpace, H, O, beta: float) -> complex:
 
 
 def log_partition(H, beta: float) -> float:
-    w = np.linalg.eigvalsh(_dense(H))
+    H, sectors = _sectors(H)
+    w = np.concatenate([np.linalg.eigvalsh(H[s][:, s].toarray()) for s in sectors])
     m = w.min()
     return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))
 
@@ -220,8 +256,8 @@ def partition_ratio(space: FockSpace, params: ModelParams,
                     u: InteractionCoefficients | None,
                     lam: LambdaCoefficients | None = None) -> float:
     """Tr e^{-beta H_lambda} / Tr e^{-beta H_0}."""
-    H = build_hamiltonian(space, params, u, lam)
     H0 = build_h0(space, params)
+    H = _add_terms(space, H0, u, lam)
     return float(np.exp(log_partition(H, params.beta) -
                         log_partition(H0, params.beta)))
 
@@ -231,8 +267,8 @@ def correlation(space: FockSpace, params: ModelParams,
                 eig=None) -> complex:
     """Thermal average of the symmetrized correlation observable.
 
-    eig may carry a precomputed (eigenvalues, eigenvectors) pair of H so that
-    many queries against the same model diagonalize only once.
+    eig may carry the precomputed sector eigenpairs `diagonalize(H)` of H so
+    that many queries against the same model diagonalize only once.
     """
     if eig is None:
         eig = diagonalize(build_hamiltonian(space, params, u))
@@ -246,13 +282,15 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
     e^{-beta H_0}) in a single lambda entry, against the direct correlation."""
     if step <= 0:
         raise ValueError("step must be positive")
-    direct = correlation(space, params, u, q)
+    H0 = build_h0(space, params)
+    HV = _add_terms(space, H0, u)
+    direct = correlation(space, params, u, q, eig=diagonalize(HV))
     logs = {}
-    lz0 = log_partition(build_h0(space, params), params.beta)
+    lz0 = log_partition(H0, params.beta)
     for eps in (step, -step):
         lam = LambdaCoefficients(m_hat=q.m_hat)
         lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, eps)
-        H = build_hamiltonian(space, params, u, lam)
+        H = _add_terms(space, HV, lam=lam)
         logs[eps] = log_partition(H, params.beta) - lz0
     fd = -(logs[step] - logs[-step]) / (2.0 * step * params.beta)
     return {"finite_difference": fd, "direct": direct,

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -209,6 +210,21 @@ def test_verify_theorem_envelope_passes(params):
     rows = verify_theorem_envelope(spec, params, hub, queries, variant="hubbard")
     assert all(r["passed"] for r in rows)
     assert all(r["imag_defect"] <= 1e-12 for r in rows)
+
+
+def test_verify_theorem_envelope_L6(params):
+    # dimension 4096: every separation of the L = 6 chain, within 10 s
+    start = time.perf_counter()
+    spec = LatticeSpec(d=1, L=6)
+    hub = hubbard_interaction(0.9 * hubbard_threshold(params, spec.d), d=1)
+    queries = [fock.query(((0,), (0,)), ((sep,), (sep,)), (UP, DOWN), (UP, DOWN))
+               for sep in range(6)]
+    rows = verify_theorem_envelope(spec, params, hub, queries, variant="hubbard")
+    elapsed = time.perf_counter() - start
+    assert [r["sum_diff"] for r in rows] == [(-2 * sep,) for sep in range(6)]
+    assert all(r["passed"] for r in rows)
+    assert all(r["imag_defect"] <= 1e-12 for r in rows)
+    assert elapsed < 10.0, f"L = 6 envelope took {elapsed:.1f}s"
 
 
 def test_verify_theorem_envelope_refuses_large_coupling(params):

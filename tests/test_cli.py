@@ -33,6 +33,22 @@ def test_model_validate_hermiticity_violation(tmp_path, capsys):
     assert "order 2 entry" in err
 
 
+def test_table_hermiticity_violation(tmp_path, capsys):
+    # the non-hermitian file of test_model_validate_hermiticity_violation
+    data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
+                         hubbard_interaction(0.1, d=1))
+    data["interaction"][0]["entries"][0]["im"] = 0.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "taylor.csv"
+    rc = main(["table", "--kind", "taylor", "--model", str(path),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:") and "order 2 entry" in err
+    assert not out.exists()
+
+
 def test_model_validate_missing_file(tmp_path):
     assert main(["model-validate", "--model", str(tmp_path / "nope.json")]) == 2
 

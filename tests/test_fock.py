@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermidecay import fock
 from fermidecay.fock import (
@@ -18,12 +19,14 @@ from fermidecay.fock import (
     query,
     thermal_average,
 )
-from fermidecay.lattice import DOWN, UP, LatticeSpec, enumerate_sites
+from fermidecay.lattice import DOWN, UP, LatticeSpec, enumerate_sites, mode_index
 from fermidecay.model import (
     LambdaCoefficients,
     ModelParams,
+    density_density_interaction,
     hubbard_interaction,
     spin_field_interaction,
+    spin_spin_interaction,
 )
 
 
@@ -101,10 +104,12 @@ def test_thermal_average_identity_and_ground_state():
     ident = np.eye(atom.dimension)
     assert thermal_average(atom, H, ident, p.beta) == pytest.approx(1.0)
     # beta -> large: average approaches the ground-state expectation
-    w, V = diagonalize(H)
+    states, w, V = min(diagonalize(H), key=lambda sector: sector[1][0])
+    g = np.zeros(atom.dimension, dtype=complex)
+    g[states] = V[:, 0]
     nup = (mode_operator(atom, 0, "create") @
            mode_operator(atom, 0, "annihilate")).toarray()
-    ground = V[:, 0].conj() @ nup @ V[:, 0]
+    ground = g.conj() @ nup @ g
     avg = thermal_average(atom, H, nup, 50.0)
     assert avg.real == pytest.approx(ground.real, abs=1e-10)
 
@@ -354,3 +359,113 @@ def test_free_fermion_consistency_d2():
             ref = covariance_value(cs, (xa, DOWN, 0.0), (xb, DOWN, 0.0)) + \
                 covariance_value(cs, (xb, DOWN, 0.0), (xa, DOWN, 0.0))
             assert abs(v - ref) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# sector blocks against the full-space reference
+# ---------------------------------------------------------------------------
+
+def _full_space_expectation(full, O, beta):
+    """Reference: the expectation from the eigenpairs `full` of one dense
+    eigh of the whole space, through the three-operand contraction the
+    sector path replaced (optimize=True lets numpy contract it as a matrix
+    product; the literal loop takes seconds at dimension 1024, and the two
+    agree to rounding)."""
+    w, V = full
+    weights = np.exp(-beta * (w - w.min()))
+    O = O.toarray() if hasattr(O, "toarray") else np.asarray(O)
+    diag = np.einsum("in,ij,jn->n", V.conj(), O, V, optimize=True)
+    return complex(np.sum(weights * diag) / np.sum(weights))
+
+
+def _example_interaction(kind, spec, coupling):
+    """One of the four interaction kinds; field_x/y/z is a uniform field along
+    that axis."""
+    origin = (0,) * spec.d
+    step = (1,) + (0,) * (spec.d - 1)
+    if kind == "hubbard":
+        return hubbard_interaction(coupling, d=spec.d)
+    if kind == "density_density":
+        return density_density_interaction(
+            {2: {((step, origin), (UP, DOWN)): coupling},
+             1: {(origin, DOWN): -0.5 * coupling}})
+    if kind == "spin_spin":
+        return spin_spin_interaction({step: coupling}, d=spec.d)
+    vec = [0.0, 0.0, 0.0]
+    vec["xyz".index(kind[-1])] = coupling
+    return spin_field_interaction({x: tuple(vec) for x in enumerate_sites(spec)})
+
+
+def _assert_matches_full_space(space, p, u, lam, queries):
+    H = build_hamiltonian(space, p, u, lam)
+    eig = diagonalize(H)
+    assert sorted(np.concatenate([s for s, _, _ in eig]).tolist()) == \
+        list(range(space.dimension))
+    full = np.linalg.eigh(H.toarray())
+    for q in queries:
+        ref = _full_space_expectation(full, observable_pair(space, q), p.beta)
+        assert abs(correlation(space, p, u, q, eig=eig) - ref) <= 1e-12
+        # psi*_a psi_b alone: not hermitian, and off-block when the spins differ
+        hop = (mode_operator(space, mode_index(space.spec, q.x_sites[0],
+                                               q.xi_spins[0]), "create") @
+               mode_operator(space, mode_index(space.spec, q.y_sites[0],
+                                               q.phi_spins[0]), "annihilate"))
+        ref = _full_space_expectation(full, hop, p.beta)
+        assert abs(thermal_average(space, H, hop, p.beta) - ref) <= 1e-12
+    w = np.linalg.eigvalsh(H.toarray())
+    ref = float(-p.beta * w.min() + np.log(np.sum(np.exp(-p.beta * (w - w.min())))))
+    assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
+    return eig
+
+
+@st.composite
+def _points(draw, spec, m):
+    sites = enumerate_sites(spec)
+    pick = st.integers(0, len(sites) - 1)
+    spin = st.sampled_from((UP, DOWN))
+    return ([sites[draw(pick)] for _ in range(m)],
+            [sites[draw(pick)] for _ in range(m)],
+            [draw(spin) for _ in range(m)], [draw(spin) for _ in range(m)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]),
+       st.sampled_from(["hubbard", "density_density", "spin_spin",
+                        "field_x", "field_y", "field_z"]),
+       st.floats(0.05, 1.0), st.floats(0.0, 0.5), st.floats(0.2, 2.0),
+       st.integers(0, 3), st.data())
+def test_sectors_match_full_space(shape, kind, coupling, mu, beta, n_lambda,
+                                  data):
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=0.2, mu=mu, beta=beta)
+    u = _example_interaction(kind, spec, coupling)
+    lam = None
+    if n_lambda:
+        lam = LambdaCoefficients(m_hat=data.draw(st.integers(1, 2)))
+        for _ in range(n_lambda):
+            lam.add(*data.draw(_points(spec, lam.m_hat)),
+                    data.draw(st.floats(0.05, 0.5)))
+    queries = [query(*data.draw(_points(spec, m))) for m in (1, 2, 2)]
+    eig = _assert_matches_full_space(space, p, u, lam, queries)
+    if lam is None:
+        n = spec.n_sites
+        spin_flips = kind in ("field_x", "field_y")
+        assert len(eig) == (2 * n + 1 if spin_flips else (n + 1) ** 2)
+
+
+def test_sector_counts_and_L5():
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    chain = LatticeSpec(d=1, L=4)
+    hub = hubbard_interaction(0.3, d=1)
+    assert len(diagonalize(build_hamiltonian(FockSpace(chain), p, hub))) == 25
+    square = LatticeSpec(d=2, L=2)
+    fld = _example_interaction("field_x", square, 0.4)
+    assert FockSpace(square).dimension == 256
+    assert len(diagonalize(build_hamiltonian(FockSpace(square), p, fld))) == 9
+    # dimension 1024: (N_up, N_down) blocks, a spin-flip query among them
+    big = FockSpace(LatticeSpec(d=1, L=5))
+    queries = [query(((0,), (0,)), ((2,), (2,)), (UP, DOWN), (UP, DOWN)),
+               query(((0,),), ((1,),), (UP,), (DOWN,))]
+    eig = _assert_matches_full_space(big, p, hub, None, queries)
+    assert len(eig) == 36
