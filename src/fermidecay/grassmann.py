@@ -5,11 +5,20 @@ all unbarred, each block in ascending global index order, with the sign of the
 reordering tracked explicitly.  Gaussian expectations of canonical monomials
 are determinants of the covariance sampled at the barred/unbarred indices; the
 Berezin engine below instead expands the Gaussian weight literally and serves
-as the independent cross-check of every sign convention.
+as the independent cross-check of every sign convention.  The expanded weight
+of a covariance is cached by the content of G, so repeated integrals against
+one G expand it once.
+
+The Schwinger engine sums Gaussian expectations over all vertex subsets.  The
+combinatorics (which subsets survive, with which sign) do not depend on G, so
+they are compiled once into a plan: per (subset size, degree) a row index
+array, a column index array and signed coefficients.  A plan is evaluated with
+one stacked determinant per group, at one covariance or at a stack of them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +52,9 @@ class GrassmannIndexSpace:
                              f"{MAX_WICK_GENERATORS}-generator guard")
         # beta*h even and 2L^d even make N = 0 mod 4, so the Gaussian
         # normalization sign (-1)^{N(N-1)/2} is +1.
-        assert self.n % 4 == 0
+        if self.n % 4:
+            raise ValueError(f"{self.n} generators: the index space needs a "
+                             "multiple of 4 (even beta*h)")
 
     @property
     def n(self) -> int:
@@ -234,6 +245,22 @@ def berezin_gaussian(space, f: GrassmannPolynomial, G: np.ndarray) -> complex:
     if n > MAX_BEREZIN_GENERATORS:
         raise ValueError(f"Berezin engine limited to {MAX_BEREZIN_GENERATORS} "
                          f"generators, got {n}")
+    G = np.ascontiguousarray(G, dtype=np.complex128)
+    expw, denom = _berezin_weight(n, G.shape, G.tobytes())
+    if denom == 0:
+        raise ZeroDivisionError("singular Gaussian weight")
+    full = (1 << n) - 1
+    num = (f * expw).coefficient(full, full)
+    return complex(num / denom)
+
+
+# keyed by the bytes of G, so a G changed in place gets a fresh expansion; at
+# the 10-generator cap one weight holds C(20, 10) terms, hence the small size
+@functools.lru_cache(maxsize=4)
+def _berezin_weight(n: int, shape: tuple, data: bytes):
+    """The expanded weight exp(-<psi^t, G^{-1} psibar^t>) and its top
+    coefficient; the polynomial stays inside this module."""
+    G = np.frombuffer(data, dtype=np.complex128).reshape(shape)
     Ginv = np.linalg.inv(G)
     # -<psi^t, G^{-1} psibar^t> = sum_{ij} (G^{-1})_{ij} psibar_j psi_i
     weight = GrassmannPolynomial()
@@ -243,11 +270,7 @@ def berezin_gaussian(space, f: GrassmannPolynomial, G: np.ndarray) -> complex:
                 weight.add(1 << j, 1 << i, Ginv[i, j])
     expw = weight.exp_nilpotent()
     full = (1 << n) - 1
-    denom = expw.coefficient(full, full)
-    if denom == 0:
-        raise ZeroDivisionError("singular Gaussian weight")
-    num = (f * expw).coefficient(full, full)
-    return complex(num / denom)
+    return expw, expw.coefficient(full, full)
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +356,65 @@ def observable_monomials(space: GrassmannIndexSpace, x_sites, y_sites,
     return out
 
 
-def _subset_scan(seed, monomials, G: np.ndarray) -> list:
-    """Sum of Gaussian expectations of seed * prod_{v in S} monomial_v over all
-    subsets S, graded by |S|.  Returns coefficients[m]."""
+@dataclass(frozen=True)
+class _SubsetPlan:
+    """The subset sums of a seed set, compiled: each group holds the surviving
+    subsets of one size `depth` whose monomials have degree k, as row and
+    column index arrays (count, k) and signed coefficients (count,)."""
+
+    depths: int     # V + 1 coefficients per series
+    groups: tuple   # (depth, rows, cols, coeffs)
+
+
+def _subset_plan(seeds, monomials) -> _SubsetPlan:
+    """Walk seed * prod_{v in S} monomial_v over all subsets S once.
+
+    Each surviving product contributes its coefficient times the canonical
+    sign (-1)^{k(k-1)/2} of wick_canonical; products of mismatched barred and
+    unbarred degree integrate to zero and are dropped here.
+    """
     V = len(monomials)
-    out = [0.0 + 0.0j] * (V + 1)
+    groups = {}
 
     def recurse(state, start, depth):
-        out[depth] += wick_canonical(state, G)
+        bm, um, c = state
+        k = bm.bit_count()
+        if k == um.bit_count():
+            rows, cols, coeffs = groups.setdefault((depth, k), ([], [], []))
+            rows.append(_mask_bits(bm))
+            cols.append(_mask_bits(um))
+            coeffs.append(-c if (k * (k - 1) // 2) % 2 else c)
         for i in range(start, V):
             nxt = monomial_product(state, monomials[i])
             if nxt is not None:
                 recurse(nxt, i + 1, depth + 1)
 
-    recurse(seed, 0, 0)
+    for seed in seeds:
+        recurse(seed, 0, 0)
+    return _SubsetPlan(V + 1, tuple(
+        (depth,
+         np.array(rows, dtype=np.intp).reshape(len(coeffs), k),
+         np.array(cols, dtype=np.intp).reshape(len(coeffs), k),
+         np.array(coeffs, dtype=np.complex128))
+        for (depth, k), (rows, cols, coeffs) in sorted(groups.items())))
+
+
+def _evaluate_plan(plan: _SubsetPlan, G: np.ndarray) -> np.ndarray:
+    """coefficients[..., m]: the planned subset sums of size m at G of shape
+    (n, n), or at each covariance of a stack of shape (B, n, n)."""
+    out = np.zeros(G.shape[:-2] + (plan.depths,), dtype=np.complex128)
+    for depth, rows, cols, coeffs in plan.groups:
+        sub = G[..., rows[:, :, None], cols[:, None, :]]
+        out[..., depth] += np.linalg.det(sub) @ coeffs
     return out
 
 
 @dataclass
 class EtaSeries:
-    """Truncated power series in the coupling strength eta."""
+    """Truncated power series in the coupling strength eta; the coefficient
+    axis is the last one, so an array of shape (B, M) holds B series."""
 
-    coefficients: list
+    coefficients: list | np.ndarray
 
     def __len__(self):
         return len(self.coefficients)
@@ -362,14 +422,23 @@ class EtaSeries:
     def __getitem__(self, m):
         return self.coefficients[m]
 
-    def value_at(self, eta: complex) -> complex:
-        return complex(sum(c * eta**m for m, c in enumerate(self.coefficients)))
+    def value_at(self, eta: complex):
+        """The series at eta: a complex, or one value per series of a stack."""
+        c = np.asarray(self.coefficients)
+        value = c @ np.power(complex(eta), np.arange(c.shape[-1]))
+        return complex(value) if c.ndim == 1 else value
 
 
 class SchwingerEngine:
     """Numerator/denominator of the Schwinger function as exact polynomials in
     eta; one engine serves the partition checks, the Taylor coefficients and
-    the correlation values."""
+    the correlation values.
+
+    The subset structure of the vertices is compiled into plans once per
+    engine (one for the denominator, one per observable) and evaluated at the
+    engine's covariance, or at a stack G of shape (B, n, n) of covariances on
+    the same index space, such as the shifted ones of a contour quadrature.
+    """
 
     def __init__(self, spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
                  u: InteractionCoefficients | None, shifts=(),
@@ -380,19 +449,33 @@ class SchwingerEngine:
         self.vertices = build_vertices(self.space, params, u,
                                        interaction_sites=interaction_sites,
                                        max_instances=max_instances)
+        self._plans = {}
+        self._denominator = None
 
-    def denominator(self) -> EtaSeries:
-        seed = (0, 0, 1.0 + 0.0j)
-        return EtaSeries(_subset_scan(seed, self.vertices.monomials, self.G))
+    def _plan(self, key, seeds):
+        if key not in self._plans:
+            self._plans[key] = _subset_plan(seeds, self.vertices.monomials)
+        return self._plans[key]
 
-    def numerator(self, x_sites, y_sites, xi_spins, phi_spins) -> EtaSeries:
-        obs = observable_monomials(self.space, x_sites, y_sites, xi_spins, phi_spins)
-        V = len(self.vertices)
-        total = [0.0 + 0.0j] * (V + 1)
-        for seed in obs:
-            part = _subset_scan(seed, self.vertices.monomials, self.G)
-            total = [a + b for a, b in zip(total, part)]
-        return EtaSeries(total)
+    def denominator(self, G: np.ndarray | None = None) -> EtaSeries:
+        """The partition-function series at the engine's covariance (computed
+        once, read-only), or one series per covariance of a stack G."""
+        plan = self._plan(None, [(0, 0, 1.0 + 0.0j)])
+        if G is not None:
+            return EtaSeries(_evaluate_plan(plan, G))
+        if self._denominator is None:
+            coeffs = _evaluate_plan(plan, self.G)
+            coeffs.flags.writeable = False
+            self._denominator = EtaSeries(coeffs)
+        return self._denominator
+
+    def numerator(self, x_sites, y_sites, xi_spins, phi_spins,
+                  G: np.ndarray | None = None) -> EtaSeries:
+        """The observable series at the engine's covariance, or one series
+        per covariance of a stack G; all observable seeds share one plan."""
+        key = (tuple(x_sites), tuple(y_sites), tuple(xi_spins), tuple(phi_spins))
+        plan = self._plan(key, observable_monomials(self.space, *key))
+        return EtaSeries(_evaluate_plan(plan, self.G if G is None else G))
 
     def schwinger_series(self, x_sites, y_sites, xi_spins, phi_spins,
                          m_max: int) -> EtaSeries:
@@ -404,13 +487,17 @@ class SchwingerEngine:
         return EtaSeries([-q / self.params.beta for q in quot])
 
     def schwinger_value(self, x_sites, y_sites, xi_spins, phi_spins,
-                        eta: complex = 1.0) -> complex:
-        num = self.numerator(x_sites, y_sites, xi_spins, phi_spins)
-        den = self.denominator()
-        d = den.value_at(eta)
-        if abs(d) < 1e-12:
+                        eta: complex = 1.0, G: np.ndarray | None = None):
+        """The Schwinger function at eta: a complex, or one value per
+        covariance of a stack G.  Every covariance must keep its denominator
+        away from zero."""
+        num = self.numerator(x_sites, y_sites, xi_spins, phi_spins, G)
+        d = self.denominator(G).value_at(eta)
+        small = np.abs(d) < 1e-12
+        if np.any(small):
+            bad = d if G is None else d[np.argmax(small)]
             raise ZeroDivisionError(
-                f"Schwinger denominator {d} too small at eta={eta}; "
+                f"Schwinger denominator {bad} too small at eta={eta}; "
                 "the grid is too coarse for the positivity lemma")
         return -num.value_at(eta) / (self.params.beta * d)
 

@@ -9,22 +9,26 @@ from hypothesis import given, settings, strategies as st
 
 from fermidecay import bounds, fock
 from fermidecay.bounds import (
+    DET_BLOCK,
     BoundContext,
     coefficient_series_partial,
     covariance_l1_D,
     det_bound_sample,
     prop41_bound,
     prop42_bound,
+    schwinger_contour_check,
     theorem_envelope,
     verify_taylor_bounds,
     verify_theorem_envelope,
 )
 from fermidecay.covariance import (
     CovarianceSpec,
+    contour_nodes,
     covariance_value,
     l1_bound_check,
     shift_radius,
 )
+from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from fermidecay.model import (
     ModelParams,
@@ -290,6 +294,30 @@ def test_schwinger_contour_identity(params):
     res2 = schwinger_contour_check(spec, params, grid, hub, q2, axis=0, n=1,
                                    circle_nodes=32, theta_nodes=4)
     assert abs(res2["rhs"]) <= 1e-15 and abs(res2["lhs"]) <= 1e-10
+
+
+def test_schwinger_contour_guard_per_node(params):
+    # eta at a root of the denominator at one shifted node inside the second
+    # stacked block, but not at the unshifted covariance: the batched
+    # evaluation must still refuse that node
+    spec = LatticeSpec(d=1, L=2)
+    hub = hubbard_interaction(0.1, d=1)
+    grid = TimeGrid(1.0, 1)
+    q = fock.query(((0,),), ((1,),), (UP,), (UP,))
+    radius = 0.3
+    shifts, _ = contour_nodes(spec.L, 1, radius, 4, 128)
+    assert len(shifts) == 2 * DET_BLOCK
+    node = DET_BLOCK + 17
+    shifted = SchwingerEngine(spec, params, grid, hub,
+                              shifts=((complex(shifts[node]), 0),))
+    eta = complex(np.roots(shifted.denominator().coefficients[::-1])[0])
+    assert abs(shifted.denominator().value_at(eta)) < 1e-12
+    base = SchwingerEngine(spec, params, grid, hub)
+    assert abs(base.denominator().value_at(eta)) > 1e-6
+    with pytest.raises(ZeroDivisionError, match="too small"):
+        schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
+                                circle_nodes=128, theta_nodes=4,
+                                radius=radius, eta=eta)
 
 
 def test_verify_theorem_envelope_d2():

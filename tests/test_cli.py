@@ -69,7 +69,7 @@ def test_verify_covariance_exit_zero(tmp_path):
 
 
 def test_verify_deterministic_reports(tmp_path):
-    for suite in ("taylor", "detbound"):
+    for suite in ("taylor", "detbound", "grassmann", "theorem"):
         a, b = tmp_path / f"{suite}_a.json", tmp_path / f"{suite}_b.json"
         for path in (a, b):
             rc = main(["verify", "--suite", suite, "--seed", "7",

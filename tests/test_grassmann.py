@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fermidecay import fock
+from fermidecay import cli, fock
 from fermidecay.covariance import CovarianceSpec, covariance_value
 from fermidecay.grassmann import (
     EtaSeries,
@@ -20,12 +23,31 @@ from fermidecay.grassmann import (
     wick_canonical,
     wick_expectation,
 )
+from fermidecay.grassmann import _berezin_weight, _evaluate_plan, _subset_plan
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid
 from fermidecay.model import LambdaCoefficients, ModelParams, hubbard_interaction
 
 
 def random_g(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+
+
+def subset_scan_reference(seed, monomials, G):
+    """Sum of Gaussian expectations of seed * prod_{v in S} monomial_v over all
+    subsets S, graded by |S|: one Wick determinant per node of the subset
+    recursion.  The compiled plan must reproduce it."""
+    V = len(monomials)
+    out = [0.0 + 0.0j] * (V + 1)
+
+    def recurse(state, start, depth):
+        out[depth] += wick_canonical(state, G)
+        for i in range(start, V):
+            nxt = monomial_product(state, monomials[i])
+            if nxt is not None:
+                recurse(nxt, i + 1, depth + 1)
+
+    recurse(seed, 0, 0)
+    return out
 
 
 def test_wick_expectation_contract(rng):
@@ -91,6 +113,34 @@ def test_berezin_guard():
         berezin_gaussian(11, GrassmannPolynomial.one(), np.eye(11))
 
 
+def test_berezin_weight_expanded_once_per_g():
+    # criterion 02 integrates 200 monomials against one G
+    _berezin_weight.cache_clear()
+    cli.wick_vs_berezin(seed=2024, max_degree=4)
+    info = _berezin_weight.cache_info()
+    assert (info.hits, info.misses) == (199, 1)
+
+
+def test_berezin_cache_follows_content_of_g(rng):
+    n = 4
+    G = random_g(rng, n)
+    f = GrassmannPolynomial.from_monomial([0, 1], [2, 3])
+    _berezin_weight.cache_clear()
+    first = berezin_gaussian(n, f, G)
+    cached = berezin_gaussian(n, f, G)
+    assert _berezin_weight.cache_info().hits == 1
+    _berezin_weight.cache_clear()
+    assert cached == first == berezin_gaussian(n, f, G)
+    # an in-place change of G must not be served the stale weight
+    G[0, 2] += 0.5
+    moved = berezin_gaussian(n, f, G)
+    assert moved != first
+    assert moved == pytest.approx(wick_canonical(monomial([0, 1], [2, 3]), G),
+                                  rel=1e-12)
+    with pytest.raises(ValueError, match="limited to 10 generators"):
+        berezin_gaussian(11, GrassmannPolynomial.one(), np.eye(11))
+
+
 def test_index_space_size_and_order(atom):
     space = GrassmannIndexSpace(atom, TimeGrid(1.0, 2))
     assert space.n == 8
@@ -99,6 +149,12 @@ def test_index_space_size_and_order(atom):
     assert space.index((0,), UP, 1) == 2
     with pytest.raises(ValueError):
         GrassmannIndexSpace(LatticeSpec(d=1, L=2), TimeGrid(1.0, 4))  # 32 > 24
+
+
+def test_index_space_rejects_generator_count_off_four(atom):
+    # one grid time gives N = 2, where the normalization sign is not +1
+    with pytest.raises(ValueError, match="^2 generators"):
+        GrassmannIndexSpace(atom, SimpleNamespace(n_points=1))
 
 
 def test_partition_free_is_one(atom, params):
@@ -366,3 +422,65 @@ def test_unnormalized_gaussian_sign_at_n4(rng):
             weight.add(1 << j, 1 << i, Ginv[i, j])
     top = weight.exp_nilpotent().coefficient((1 << n) - 1, (1 << n) - 1)
     assert top == pytest.approx(1.0 / complex(np.linalg.det(G)), rel=1e-12)
+
+
+@st.composite
+def _vertex_case(draw):
+    """Vertices, seeds and a stack of random covariances for the plan test."""
+    L, half_steps = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    spec = LatticeSpec(d=1, L=L)
+    space = GrassmannIndexSpace(spec, TimeGrid(1.0, half_steps))
+    p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
+    site = st.integers(0, L - 1).map(lambda x: (x,))
+    spin = st.sampled_from((UP, DOWN))
+    lam = None
+    if draw(st.booleans()):
+        m_hat = draw(st.integers(1, 2))
+        lam = LambdaCoefficients(m_hat=m_hat)
+        lam.add(*[[draw(f) for _ in range(m_hat)]
+                  for f in (site, site, spin, spin)],
+                draw(st.floats(0.05, 0.5)))
+    hub = hubbard_interaction(draw(st.floats(0.05, 1.0)), d=1)
+    monomials = list(build_vertices(space, p, hub, lam).monomials)
+    # a vanishing vertex, as build_vertices emits for repeated generators
+    monomials.insert(draw(st.integers(0, len(monomials))), (0, 0, 0.0))
+    m = draw(st.integers(1, 2))
+    obs = observable_monomials(space, *[[draw(f) for _ in range(m)]
+                                        for f in (site, site, spin, spin)])
+    a, b, c = draw(st.permutations(range(space.n)))[:3]
+    mismatched = monomial([a], [b, c], 0.7)
+    seeds = [(0, 0, 1.0 + 0.0j)] + obs + [mismatched]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([random_g(rng, space.n)
+                      for _ in range(draw(st.integers(1, 5)))])
+    return seeds, monomials, stack
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_vertex_case())
+def test_plan_matches_subset_recursion(case):
+    seeds, monomials, stack = case
+    plan = _subset_plan(seeds, monomials)
+    ref = np.array([np.sum([subset_scan_reference(s, monomials, G)
+                            for s in seeds], axis=0) for G in stack])
+    scale = max(1.0, float(np.abs(ref).max()))
+    batched = _evaluate_plan(plan, stack)
+    assert batched.shape == ref.shape
+    assert np.abs(batched - ref).max() <= 1e-12 * scale
+    for G, row in zip(stack, ref):
+        assert np.abs(_evaluate_plan(plan, G) - row).max() <= 1e-12 * scale
+
+
+def test_engine_denominator_computed_once(atom, params):
+    eng = SchwingerEngine(atom, params, TimeGrid(1.0, 2),
+                          hubbard_interaction(0.3, d=1))
+    den = eng.denominator()
+    assert eng.denominator() is den
+    assert not den.coefficients.flags.writeable
+    ref = subset_scan_reference((0, 0, 1.0 + 0.0j), eng.vertices.monomials,
+                                eng.G)
+    assert np.abs(den.coefficients - ref).max() <= 1e-12
+    # a stack of one covariance gives the same series as the engine's own
+    stacked = eng.denominator(eng.G[None])
+    assert stacked.coefficients.shape == (1, len(den))
+    assert np.abs(stacked.coefficients[0] - den.coefficients).max() <= 1e-15
