@@ -16,6 +16,7 @@ import numpy as np
 from . import fock
 from .covariance import (
     CovarianceSpec,
+    _covariance_lookup,
     chord_exponent,
     contour_nodes,
     covariance_entries,
@@ -94,11 +95,16 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
     """The integral D of the grid covariance: max over pinned points of the
-    (1/h)-weighted absolute column/row sums, in both argument orders."""
-    M = covariance_matrix(cs, grid)
-    col = float(np.max(np.sum(np.abs(M), axis=0))) / grid.h
-    row = float(np.max(np.sum(np.abs(M), axis=1))) / grid.h
-    return max(col, row)
+    (1/h)-weighted absolute column/row sums, in both argument orders.
+
+    Every row and every column of C_h sums |C| over all site differences and
+    over one window of beta*h consecutive grid time differences, so D is the
+    largest such window sum of the translation-invariant lookup table.
+    """
+    table, _ = _covariance_lookup(cs, grid)
+    T = grid.n_points
+    per_dt = np.sum(np.abs(table[:, :2 * T - 1]), axis=0)  # dt = (1-T..T-1)/h
+    return float(np.max(np.convolve(per_dt, np.ones(T), "valid"))) / grid.h
 
 
 def prop41_bound(m: int, m_hat: int, ctx: BoundContext,
@@ -216,9 +222,10 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
                               oint dw_j (w_j - theta_j)^{-2} S(C_h(sum w_j e_p), eta).
 
     Every quadrature node costs one Schwinger evaluation at a shifted
-    covariance; one engine compiles the subset plans once and evaluates them
-    at DET_BLOCK stacked covariances at a time, so memory does not grow with
-    the node count.  The circle rule is spectrally accurate and the identity
+    covariance.  One covariance_matrix call builds the shifted covariances of
+    DET_BLOCK nodes as a stack, and one engine, which compiles the subset
+    plans once, evaluates them together, so memory does not grow with the
+    node count.  The circle rule is spectrally accurate and the identity
     holds to near machine precision.
     """
     if radius is None:
@@ -233,10 +240,11 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     rhs = chord**n * engine.schwinger_value(*obs, eta)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
+    cs = CovarianceSpec(spec, params)
     lhs = 0.0 + 0.0j
     for b in range(0, len(total_shift), DET_BLOCK):
-        G = np.stack([engine.space.covariance(params, ((complex(w), axis),))
-                      for w in total_shift[b:b + DET_BLOCK]])
+        G = covariance_matrix(cs, grid,
+                              extra_axis_shift=(axis, total_shift[b:b + DET_BLOCK]))
         lhs += total_w[b:b + DET_BLOCK] @ engine.schwinger_value(*obs, eta, G=G)
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "deviation": abs(lhs - rhs), "radius": radius}

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, covariance, fock, grassmann, model
+from . import bounds, covariance, fock, grassmann, lattice, model
 from .lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from .model import ModelParams
 
@@ -435,14 +435,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec, params, u = _load_or_default(args)
-    except model.ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except model.HermiticityError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
+    spec, params, u = _load_or_default(args)
     names = list(SUITES) + ["exact"] if args.suite == "all" else [args.suite]
     all_checks = []
     for name in names:
@@ -471,14 +464,7 @@ def cmd_model_validate(args) -> int:
     if not args.model:
         print("error: --model is required", file=sys.stderr)
         return 2
-    try:
-        spec, params, u = model.load_model(args.model)
-    except model.HermiticityError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
-    except model.ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec, params, u = model.load_model(args.model)
     issues = []
     if not params.has_hopping(spec.d):
         issues.append("hopping amplitudes vanish: |t| + |t'|*1_{d>=2} == 0")
@@ -500,29 +486,17 @@ def cmd_model_validate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        spec, params, u = _load_or_default(args)
-    except model.ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except model.HermiticityError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
+    spec, params, u = _load_or_default(args)
     rows = []
     if args.kind == "covariance_decay":
-        cs = covariance.CovarianceSpec(spec, params)
-        grid = TimeGrid(params.beta, max(args.half_steps, 2))
-        table, _ = covariance._covariance_lookup(cs, grid)
-        F = model.decay_base(params, spec.d, math.pi / (2.0 * params.beta))
+        env = covariance.decay_envelope_check(
+            covariance.CovarianceSpec(spec, params),
+            TimeGrid(params.beta, max(args.half_steps, 2)))["rows"]
         for dist in range(spec.L + 1):
-            dvec = (dist,) + (0,) * (spec.d - 1)
-            rank = 0
-            for c in dvec:
-                rank = rank * spec.L + c % spec.L
-            absc = float(np.max(np.abs(table[rank])))
-            env = 2.0 * F ** (-covariance.chord_exponent(spec, dvec))
-            rows.append({"distance": dist, "abs_c": absc, "envelope": env,
-                         "ratio": absc / env})
+            r = env[lattice.site_index(spec, (dist,) + (0,) * (spec.d - 1))]
+            rows.append({"distance": dist, "abs_c": r["max_abs_c"],
+                         "envelope": r["envelope_chord"],
+                         "ratio": r["max_abs_c"] / r["envelope_chord"]})
         fields = ["distance", "abs_c", "envelope", "ratio"]
     elif args.kind == "envelope":
         space = fock.FockSpace(spec)
@@ -558,18 +532,36 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _checked(convert, ok, rule):
+    """An argparse type: convert the text, then reject values failing `ok`."""
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse: "invalid int value: ..."
+    return check
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
+                          "positive and finite")
+
+
 def _add_common(p, default_format="json"):
     p.add_argument("--model", help="model description JSON")
-    p.add_argument("--d", type=int, default=DEFAULTS["d"])
-    p.add_argument("--L", type=int, default=DEFAULTS["L"])
+    p.add_argument("--d", type=_POSITIVE_INT, default=DEFAULTS["d"])
+    p.add_argument("--L", type=_POSITIVE_INT, default=DEFAULTS["L"])
     p.add_argument("--t", type=float, default=DEFAULTS["t"])
     p.add_argument("--t-prime", type=float, default=DEFAULTS["t_prime"])
     p.add_argument("--mu", type=float, default=DEFAULTS["mu"])
-    p.add_argument("--beta", type=float, default=DEFAULTS["beta"])
-    p.add_argument("--half-steps", type=int, default=DEFAULTS["half_steps"],
+    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULTS["beta"])
+    p.add_argument("--half-steps", type=_POSITIVE_INT,
+                   default=DEFAULTS["half_steps"],
                    help="grid frequency h = 2*half_steps/beta")
-    p.add_argument("--m-max", type=int, default=DEFAULTS["m_max"])
-    p.add_argument("--trials", type=int, default=DEFAULTS["trials"])
+    p.add_argument("--m-max", type=_NONNEGATIVE_INT, default=DEFAULTS["m_max"])
+    p.add_argument("--trials", type=_POSITIVE_INT, default=DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p.add_argument("--out", help="output path (default stdout)")
@@ -597,11 +589,19 @@ def main(argv=None) -> int:
                     choices=("covariance_decay", "envelope", "taylor"))
     _add_common(pt, default_format="csv")
     args = parser.parse_args(argv)
-    if args.command == "model-validate":
-        return cmd_model_validate(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_table(args)
+    command = {"model-validate": cmd_model_validate, "verify": cmd_verify,
+               "table": cmd_table}[args.command]
+    try:
+        return command(args)
+    except model.ModelFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except model.HermiticityError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:  # a guard refused the input
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -52,10 +52,6 @@ class CovarianceSpec:
             if not 0 <= int(p) < self.spec.d:
                 raise ValueError(f"shift axis {p} outside 0..{self.spec.d - 1}")
 
-    def with_extra_shift(self, z: complex, axis: int) -> "CovarianceSpec":
-        return CovarianceSpec(self.spec, self.params,
-                              self.shifts + ((complex(z), int(axis)),))
-
 
 def shift_radius(params: ModelParams, d: int, r: float) -> float:
     """Half log of the decay base: |Im z| below this keeps |Im E_{k+z e_p}| < r."""
@@ -69,28 +65,46 @@ def _dispersions(cs: CovarianceSpec) -> np.ndarray:
     return E
 
 
-def guarded_dispersions(cs: CovarianceSpec) -> np.ndarray:
+def guarded_dispersions(cs: CovarianceSpec,
+                        extra_axis_shift=None) -> np.ndarray:
     """Dispersion over the momentum grid, failing loudly when the imaginary
-    part guard |Im E_k| < pi/beta is violated (names the offending k)."""
-    E = _dispersions(cs)
+    part guard |Im E_k| < pi/beta is violated (names the offending k).
+
+    With extra_axis_shift = (axis, w) for a 1-d array w (the convention of
+    model.dispersion_grid), E is shifted further by each w e_axis and has
+    shape (len(w), L^d); every row passes the guard.
+    """
+    if extra_axis_shift is None:
+        E = _dispersions(cs)
+    else:
+        axis, w = extra_axis_shift
+        E = dispersion_grid(cs.spec, cs.params, cs.shifts,
+                            extra_axis_shift=(axis, np.ravel(w))).T
     limit = math.pi / cs.params.beta
     bad = np.abs(E.imag) >= limit
     if np.any(bad):
-        idx = int(np.argmax(bad))
-        k = momentum_grid(cs.spec)[idx]
+        idx = np.unravel_index(np.argmax(bad), E.shape)
+        k = momentum_grid(cs.spec)[idx[-1]]
+        where = f"shifts {cs.shifts}"
+        if extra_axis_shift is not None:
+            where += f" + {complex(np.ravel(w)[idx[0]]):.6g} e_{axis}"
         raise CovarianceGuardError(
             f"|Im E_k| = {abs(E.imag[idx]):.6g} >= pi/beta = {limit:.6g} "
-            f"at k = {tuple(k)} (shifts {cs.shifts})")
+            f"at k = {tuple(k.tolist())} ({where}): outside the analyticity "
+            "strip, reduce the shift radius")
     return E
 
 
 def _fermi_factor(E: np.ndarray, dt, beta: float) -> np.ndarray:
     """The two-branch time kernel, rearranged per sign of Re E for stability.
 
-    dt may be an array; the result has shape dt.shape + E.shape.
+    E has the momentum axis last and any leading batch axes; dt may be an
+    array.  The result has shape E.shape[:-1] + dt.shape + E.shape[-1:].
     """
     E = np.asarray(E, dtype=complex)
-    dt = np.asarray(dt, dtype=float)[..., None]
+    dt = np.asarray(dt, dtype=float)
+    E = E.reshape(E.shape[:-1] + (1,) * dt.ndim + E.shape[-1:])
+    dt = dt[..., None]
     early = dt <= 0
     pos = E.real > 0
     den = 1.0 + np.exp(-beta * np.where(pos, E, -E))
@@ -110,64 +124,68 @@ def covariance_value(cs: CovarianceSpec, a, b) -> complex:
     (xa, sa, ta), (xb, sb, tb) = a, b
     if sa != sb:
         return 0.0 + 0.0j
-    dvec = np.array([int(q) - int(p) for p, q in zip(xa, xb)], dtype=float)
-    return complex(covariance_entries(cs, dvec, float(tb) - float(ta)))
+    return complex(covariance_entries(cs, np.subtract(xb, xa),
+                                      float(tb) - float(ta)))
 
 
-def covariance_entries(cs: CovarianceSpec, dx, dt) -> np.ndarray:
+def covariance_entries(cs: CovarianceSpec, dx, dt,
+                       extra_axis_shift=None) -> np.ndarray:
     """Equal-spin C for arrays of site differences dx = x_b - x_a (last axis
-    of length d) and time differences dt = t_b - t_a of matching shape."""
-    phase = np.exp(1j * (np.asarray(dx) @ momentum_grid(cs.spec).T))
-    vals = _fermi_factor(guarded_dispersions(cs), dt, cs.params.beta)
-    return np.sum(phase * vals, axis=-1) / cs.spec.n_sites
+    of length d) and time differences dt = t_b - t_a; dx[..., 0] and dt
+    broadcast against each other.  This is the one evaluation of the
+    momentum sum; with extra_axis_shift = (axis, w), see guarded_dispersions,
+    the result gains a leading axis of len(w)."""
+    dx = np.asarray(dx, dtype=float)
+    dt = np.reshape(dt, (1,) * (dx.ndim - 1 - np.ndim(dt)) + np.shape(dt))
+    phase = np.exp(1j * (dx @ momentum_grid(cs.spec).T))
+    vals = _fermi_factor(guarded_dispersions(cs, extra_axis_shift), dt,
+                         cs.params.beta)
+    return np.einsum("...k,...k->...", phase, vals) / cs.spec.n_sites
+
+
+def _covariance_table(cs: CovarianceSpec, grid: TimeGrid,
+                      extra_axis_shift=None):
+    """C[site_diff_rank, time_diff_idx] over canonical site differences and
+    all grid time differences in (-beta, beta], and those differences."""
+    n = grid.n_points
+    dts = np.arange(-(n - 1), n + 1) / grid.h  # time differences t_b - t_a
+    diffs = np.array(enumerate_sites(cs.spec), dtype=float)[:, None, :]
+    return covariance_entries(cs, diffs, dts, extra_axis_shift), dts
 
 
 @functools.lru_cache(maxsize=64)
 def _covariance_lookup(cs: CovarianceSpec, grid: TimeGrid):
-    """Tables C[site_diff_rank, time_diff_idx] over canonical site differences
-    and all grid time differences in (-beta, beta]."""
-    spec = cs.spec
-    E = guarded_dispersions(cs)
-    ks = momentum_grid(spec)
-    diffs = np.array(enumerate_sites(spec), dtype=float)
-    phases = np.exp(1j * (diffs @ ks.T))  # (n_sites, n_k)
-    n = grid.n_points
-    dts = np.arange(-(n - 1), n) / grid.h  # time differences t_b - t_a
-    kernel = _fermi_factor(E, dts, cs.params.beta)  # (n_dt, n_k)
-    table = phases @ kernel.T / spec.n_sites  # (n_sites, n_dt)
+    """The unshifted _covariance_table, computed once per (cs, grid)."""
+    table, dts = _covariance_table(cs, grid)
     table.flags.writeable = False  # shared by every caller of the cache
     dts.flags.writeable = False
     return table, dts
 
 
-def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid) -> np.ndarray:
+def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid,
+                      extra_axis_shift=None) -> np.ndarray:
     """The full N x N covariance matrix in the global (site, spin, time) order,
-    N = 2 L^d beta h (time is the slowest index)."""
+    N = 2 L^d beta h (time is the slowest index).
+
+    With extra_axis_shift = (axis, w) for a 1-d array w, the result is the
+    (len(w), N, N) stack of the matrices at the further shifts w e_axis.
+    """
     spec = cs.spec
     N = spec.n_modes * grid.n_points
     if N > MATRIX_SIZE_LIMIT:
         raise ValueError(f"covariance matrix size {N} exceeds {MATRIX_SIZE_LIMIT}")
-    table, _ = _covariance_lookup(cs, grid)
-    sites = enumerate_sites(spec)
-    ns = spec.n_sites
-    # rank of (site_b - site_a) mod L for every ordered site pair
-    diff_rank = np.empty((ns, ns), dtype=int)
-    for ia, a in enumerate(sites):
-        for ib, b in enumerate(sites):
-            r = 0
-            for ca, cb in zip(a, b):
-                r = r * spec.L + (cb - ca) % spec.L
-            diff_rank[ia, ib] = r
-    mode_site = np.repeat(np.arange(ns), 2)
-    mode_spin = np.tile(np.arange(2), ns)
-    spin_eq = (mode_spin[:, None] == mode_spin[None, :])
-    block_rank = diff_rank[mode_site[:, None], mode_site[None, :]]
-    T = grid.n_points
-    tidx = np.arange(T)
-    dt_idx = tidx[None, :] - tidx[:, None] + (T - 1)  # index into dts
-    M = table[block_rank[None, :, None, :], dt_idx[:, None, :, None]]
-    M = np.where(spin_eq[None, :, None, :], M, 0.0)
-    return M.reshape(N, N)
+    table, _ = (_covariance_lookup(cs, grid) if extra_axis_shift is None
+                else _covariance_table(cs, grid, extra_axis_shift))
+    sites = np.array(enumerate_sites(spec))
+    # lexicographic rank (lattice.site_index) of (site_b - site_a) mod L
+    weights = spec.L ** np.arange(spec.d - 1, -1, -1)
+    rank = ((sites[None, :, :] - sites[:, None, :]) % spec.L) @ weights
+    tidx = np.arange(grid.n_points)
+    dt_idx = tidx[None, :] - tidx[:, None] + grid.n_points - 1  # into dts
+    M = table[..., rank[None, :, None, :], dt_idx[:, None, :, None]]
+    # (time, site) x (time, site) blocks, nonzero between equal spins only
+    M = M[..., None, :, :, None] * np.eye(len(SPINS))[:, None, None, :]
+    return M.reshape(M.shape[:-6] + (N, N))
 
 
 def det_identity_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
@@ -207,31 +225,20 @@ def matsubara_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     ks = momentum_grid(spec)
     sites = np.array(enumerate_sites(spec), dtype=float)
     T = grid.n_points
-    times = grid.points
-    n_modes = spec.n_modes
-    N = n_modes * T
-    rows = []
-    targets = []
-    for ik in range(spec.n_sites):
-        for phi in SPINS:
-            for w in omegas:
-                rows.append((ik, phi, w))
-                targets.append(1.0 / (1.0 - np.exp((-1j * w + E[ik]) / grid.h)))
-    Y = np.zeros((N, N), dtype=complex)
+    # rows (omega, k, spin) against columns (time, site, spin), both with the
+    # last index fastest: the column order of C_h
     norm = 1.0 / math.sqrt(T * spec.n_sites)
-    for r, (ik, phi, w) in enumerate(rows):
-        kvec = ks[ik]
-        for t_idx in range(T):
-            tphase = np.exp(-1j * w * times[t_idx]) * norm
-            for isite in range(spec.n_sites):
-                col = t_idx * n_modes + 2 * isite + phi
-                Y[r, col] = np.exp(1j * (kvec @ sites[isite])) * tphase
+    Y = np.kron(np.exp(-1j * np.outer(omegas, grid.points)) * norm,
+                np.kron(np.exp(1j * (ks @ sites.T)), np.eye(len(SPINS))))
+    targets = np.repeat(
+        1.0 / (1.0 - np.exp((-1j * omegas[:, None] + E[None, :]) / grid.h)),
+        len(SPINS))
     D = Y @ M @ Y.conj().T
     diag = np.diag(D).copy()
     off = D - np.diag(diag)
     max_off = float(np.max(np.abs(off)))
-    max_diag_dev = float(np.max(np.abs(diag - np.array(targets))))
-    unitarity = float(np.max(np.abs(Y @ Y.conj().T - np.eye(N))))
+    max_diag_dev = float(np.max(np.abs(diag - targets)))
+    unitarity = float(np.max(np.abs(Y @ Y.conj().T - np.eye(len(Y)))))
     return {"max_offdiagonal": max_off, "max_diagonal_deviation": max_diag_dev,
             "unitarity_defect": unitarity}
 
@@ -241,7 +248,8 @@ def u1_shift_identity_check(cs: CovarianceSpec, grid: TimeGrid, axis: int) -> fl
     C(x,y)(shifts + (2pi/L) e_q), entrywise over the full matrix."""
     spec = cs.spec
     M0 = covariance_matrix(cs, grid)
-    M1 = covariance_matrix(cs.with_extra_shift(2.0 * math.pi / spec.L, axis), grid)
+    M1 = covariance_matrix(cs, grid,
+                           extra_axis_shift=(axis, [2.0 * math.pi / spec.L]))[0]
     sites = np.array(enumerate_sites(spec), dtype=float)
     comp = np.repeat(sites[:, axis], 2)
     comp = np.tile(comp, grid.n_points)
@@ -264,8 +272,6 @@ def chord_exponent(spec: LatticeSpec, dvec) -> float:
 
 def reduced_exponent(spec: LatticeSpec, dvec) -> float:
     red = periodic_reduce(tuple(int(c) for c in dvec), spec.L)
-    if np.isscalar(red):
-        red = (red,)
     return sum(abs(c) for c in red) / (2.0 * E_CONST * math.pi * spec.d)
 
 
@@ -311,19 +317,9 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
     rhs = chord**n * covariance_value(cs, a, b)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
-    E = dispersion_grid(spec, params, cs.shifts, extra_axis_shift=(axis, total_shift))
-    limit = math.pi / params.beta
-    if np.any(np.abs(E.imag) >= limit):
-        raise CovarianceGuardError(
-            "contour quadrature leaves the analyticity strip; reduce radius")
-    if sa != sb:
-        lhs = 0.0 + 0.0j
-    else:
-        ks = momentum_grid(spec)
-        phase = np.exp(1j * (ks @ np.array([-float(c) for c in dvec])))
-        vals = _fermi_factor(E, float(tb) - float(ta), params.beta)
-        cw = (phase[:, None] * vals).sum(axis=0) / spec.n_sites
-        lhs = complex(np.sum(cw * total_w))
+    cw = covariance_entries(cs, np.subtract(xb, xa), float(tb) - float(ta),
+                            extra_axis_shift=(axis, total_shift))
+    lhs = complex(np.sum(cw * total_w)) if sa == sb else 0.0 + 0.0j
     return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs), "radius": radius}
 
 
@@ -351,17 +347,10 @@ def decay_envelope_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
 def l1_bound_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     """(1/h) sum over [-beta, beta)_h and over the lattice of |C(x xi t, 0 xi 0)|
     against the closed-form 4 beta ((F^a + 1)/(F^a - 1))^d bound."""
-    spec = cs.spec
-    E = guarded_dispersions(cs)
-    ks = momentum_grid(spec)
-    sites = np.array(enumerate_sites(spec), dtype=float)
-    phases = np.exp(1j * (-sites @ ks.T))  # C(x.., 0..): phase e^{i<k, 0-x>}
-    total = 0.0
-    for t in grid.points_double:
-        vals = _fermi_factor(E, -float(t), cs.params.beta)
-        total += float(np.sum(np.abs(phases @ vals))) / spec.n_sites
-    lhs = total / grid.h
-    rhs = 4.0 * cs.params.beta * geometric_sum_factor(cs.params, spec.d)
+    # C(x xi t, 0 xi 0) is the table entry at (-x mod L, -t)
+    table, _ = _covariance_lookup(cs, grid)
+    lhs = float(np.sum(np.abs(table))) / grid.h
+    rhs = 4.0 * cs.params.beta * geometric_sum_factor(cs.params, cs.spec.d)
     return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
 
 

@@ -315,6 +315,8 @@ def dispersion_grid(spec: LatticeSpec, params: ModelParams, shifts=(),
         cos = np.cos(args)
     else:
         axis, w = extra_axis_shift
+        if not 0 <= axis < spec.d:
+            raise ValueError(f"shift axis {axis} outside 0..{spec.d - 1}")
         w = np.asarray(w, dtype=complex)
         full = np.broadcast_to(
             args.reshape(args.shape[0], *(1,) * w.ndim, spec.d),

@@ -22,8 +22,10 @@ from fermidecay.bounds import (
     verify_theorem_envelope,
 )
 from fermidecay.covariance import (
+    MATRIX_SIZE_LIMIT,
     CovarianceSpec,
     contour_nodes,
+    covariance_matrix,
     covariance_value,
     l1_bound_check,
     shift_radius,
@@ -129,6 +131,40 @@ def test_covariance_l1_D_properties(params):
     direct = sum(abs(covariance_value(csa, ((0,), UP, t), ((0,), UP, 0.0)))
                  for t in grid.points) / grid.h
     assert Da == pytest.approx(direct, abs=1e-12)
+
+
+def covariance_l1_D_reference(cs, grid):
+    """Reference: D as the largest absolute row or column sum of C_h."""
+    M = covariance_matrix(cs, grid)
+    col = float(np.max(np.sum(np.abs(M), axis=0))) / grid.h
+    row = float(np.max(np.sum(np.abs(M), axis=1))) / grid.h
+    return max(col, row)
+
+
+@pytest.mark.parametrize("d,L", [(1, L) for L in range(1, 6)]
+                         + [(2, L) for L in range(1, 6)])
+def test_covariance_l1_D_matches_matrix_sums(d, L):
+    p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.5)
+    rad = shift_radius(p, d, math.pi / (2 * p.beta))
+    for hs in (1, 2, 3):
+        for shifts in ((), ((0.4 + 0.7j * rad, d - 1),)):
+            cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+            grid = TimeGrid(p.beta, hs)
+            assert covariance_l1_D(cs, grid) == pytest.approx(
+                covariance_l1_D_reference(cs, grid), rel=1e-12, abs=0.0)
+
+
+def test_covariance_l1_D_above_matrix_size_limit(params):
+    # N = 2 * 300 * 8 = 4800: no matrix is built, D stays below its closed form
+    spec = LatticeSpec(d=1, L=300)
+    grid = TimeGrid(params.beta, 4)
+    cs = CovarianceSpec(spec, params)
+    assert spec.n_modes * grid.n_points > MATRIX_SIZE_LIMIT
+    with pytest.raises(ValueError, match="exceeds"):
+        covariance_matrix(cs, grid)
+    D = covariance_l1_D(cs, grid)
+    assert 0 < D <= 4.0 * params.beta * geometric_sum_factor(params, 1)
+    assert D <= l1_bound_check(cs, grid)["lhs"]
 
 
 def test_prop41_bound_values(params, chain4):

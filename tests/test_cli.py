@@ -69,13 +69,37 @@ def test_verify_covariance_exit_zero(tmp_path):
 
 
 def test_verify_deterministic_reports(tmp_path):
-    for suite in ("taylor", "detbound", "grassmann", "theorem"):
+    for suite in ("taylor", "detbound", "grassmann", "theorem", "covariance"):
         a, b = tmp_path / f"{suite}_a.json", tmp_path / f"{suite}_b.json"
         for path in (a, b):
             rc = main(["verify", "--suite", suite, "--seed", "7",
                        "--out", str(path)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--suite", "covariance", "--beta", "0"], 2),
+    (["verify", "--suite", "covariance", "--L", "0"], 2),
+    (["verify", "--suite", "covariance", "--d", "0"], 2),
+    (["verify", "--suite", "covariance", "--half-steps", "0"], 2),
+    (["verify", "--suite", "detbound", "--trials", "0"], 2),
+    (["verify", "--suite", "grassmann", "--m-max", "-1"], 2),
+    (["table", "--kind", "covariance_decay", "--beta", "-1"], 2),
+    (["table", "--kind", "envelope", "--L", "7"], 1),
+])
+def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
+    # out-of-range flags are usage errors (exit 2, at parse time); a guard
+    # that refuses a table's size is a failed check (exit 1)
+    out = tmp_path / "out"
+    try:
+        rc = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+    assert not out.exists()
 
 
 def test_verify_csv_format(tmp_path):

@@ -9,6 +9,7 @@ from fermidecay.covariance import (
     CovarianceGuardError,
     CovarianceSpec,
     _covariance_lookup,
+    _fermi_factor,
     chord_components,
     contour_formula_check,
     covariance_matrix,
@@ -23,7 +24,14 @@ from fermidecay.covariance import (
     shift_radius,
     u1_shift_identity_check,
 )
-from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
+from fermidecay.lattice import (
+    DOWN,
+    UP,
+    LatticeSpec,
+    TimeGrid,
+    enumerate_sites,
+    momentum_grid,
+)
 from fermidecay.model import ModelParams, dispersion
 
 
@@ -84,6 +92,51 @@ def test_covariance_matrix_not_hermitian(params):
     cs = CovarianceSpec(LatticeSpec(d=1, L=2), params)
     M = covariance_matrix(cs, TimeGrid(1.0, 1))
     assert np.max(np.abs(M - M.conj().T)) > 0.1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2))
+def test_stacked_covariance_matrix_matches_per_shift_loop(data, d, hs, n_base):
+    # one stacked call against one covariance_matrix per shift, each with the
+    # extra shift appended to the base shifts
+    p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
+    L = data.draw(st.integers(1, 4 if d == 1 else 3))
+    spec = LatticeSpec(d=d, L=L)
+    rad = shift_radius(p, d, math.pi / (2.0 * p.beta)) / (n_base + 1)
+    shift = st.tuples(st.floats(-math.pi, math.pi), st.floats(-rad, rad))
+    base = tuple((complex(re, im), data.draw(st.integers(0, d - 1)))
+                 for re, im in data.draw(st.lists(shift, min_size=n_base,
+                                                  max_size=n_base)))
+    axis = data.draw(st.integers(0, d - 1))
+    w = np.array([complex(re, im) for re, im in
+                  data.draw(st.lists(shift, min_size=1, max_size=6))])
+    cs = CovarianceSpec(spec, p, base)
+    grid = TimeGrid(p.beta, hs)
+    stacked = covariance_matrix(cs, grid, extra_axis_shift=(axis, w))
+    loop = np.stack([covariance_matrix(
+        CovarianceSpec(spec, p, base + ((z, axis),)), grid) for z in w])
+    assert stacked.shape == loop.shape
+    np.testing.assert_allclose(stacked, loop, rtol=1e-13, atol=1e-13)
+
+
+def test_stacked_guard_checks_every_node(params, chain4):
+    # one node of the stack outside the strip |Im E_k| < pi/beta: the call
+    # refuses the whole stack and names that node
+    grid = TimeGrid(params.beta, 1)
+    big = 2.0 * shift_radius(params, 1, math.pi / params.beta)
+    w = np.full(8, 0.1j)
+    w[5] = 0.05 + 1.2j * big
+    with pytest.raises(CovarianceGuardError, match="k =") as err:
+        covariance_matrix(CovarianceSpec(chain4, params), grid,
+                          extra_axis_shift=(0, w))
+    assert f"{complex(w[5]):.6g}" in str(err.value)
+    ok = covariance_matrix(CovarianceSpec(chain4, params), grid,
+                           extra_axis_shift=(0, np.delete(w, 5)))
+    assert ok.shape == (7, 16, 16)
+    for axis in (-1, 1):
+        with pytest.raises(ValueError, match="axis"):
+            covariance_matrix(CovarianceSpec(chain4, params), grid,
+                              extra_axis_shift=(axis, np.delete(w, 5)))
 
 
 def test_covariance_matrix_size_guard(params):
@@ -266,6 +319,33 @@ def test_l1_bound(params):
     cs2 = CovarianceSpec(LatticeSpec(d=1, L=8), p, ((1j * rad, 0),))
     res2 = l1_bound_check(cs2, TimeGrid(1.0, 2))
     assert res2["satisfied"]
+
+
+def l1_bound_reference(cs, grid):
+    """Reference: the time-point loop l1_bound_check replaced."""
+    spec = cs.spec
+    E = guarded_dispersions(cs)
+    ks = momentum_grid(spec)
+    sites = np.array(enumerate_sites(spec), dtype=float)
+    phases = np.exp(1j * (-sites @ ks.T))  # C(x.., 0..): phase e^{i<k, 0-x>}
+    total = 0.0
+    for t in grid.points_double:
+        vals = _fermi_factor(E, -float(t), cs.params.beta)
+        total += float(np.sum(np.abs(phases @ vals))) / spec.n_sites
+    return total / grid.h
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
+@pytest.mark.parametrize("hs", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_l1_bound_matches_time_loop(d, L, hs, shifted):
+    p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.5)
+    rad = shift_radius(p, d, math.pi / (2 * p.beta))
+    shifts = ((0.4 + 0.7j * rad, d - 1),) if shifted else ()
+    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+    grid = TimeGrid(p.beta, hs)
+    assert l1_bound_check(cs, grid)["lhs"] == pytest.approx(
+        l1_bound_reference(cs, grid), rel=1e-12, abs=0.0)
 
 
 def test_l1_bound_beta_scaling():
