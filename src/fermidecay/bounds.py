@@ -16,11 +16,11 @@ import numpy as np
 from . import fock
 from .covariance import (
     CovarianceSpec,
-    _covariance_lookup,
     chord_exponent,
     contour_nodes,
     covariance_entries,
     covariance_matrix,
+    l1_time_sums,
 )
 from .grassmann import SchwingerEngine
 from .lattice import LatticeSpec, TimeGrid, enumerate_sites
@@ -101,9 +101,8 @@ def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
     over one window of beta*h consecutive grid time differences, so D is the
     largest such window sum of the translation-invariant lookup table.
     """
-    table, _ = _covariance_lookup(cs, grid)
     T = grid.n_points
-    per_dt = np.sum(np.abs(table[:, :2 * T - 1]), axis=0)  # dt = (1-T..T-1)/h
+    per_dt = l1_time_sums(cs, grid)[:2 * T - 1]  # dt = (1-T..T-1)/h
     return float(np.max(np.convolve(per_dt, np.ones(T), "valid"))) / grid.h
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -59,29 +60,31 @@ class Check:
         return d
 
 
+def _emit(args, text):
+    """Write text to --out, or to stdout without it."""
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(args, fields, rows):
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.DictWriter(target, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=fields)
+    w.writeheader()
+    w.writerows(rows)
+    _emit(args, buf.getvalue())
 
 
 def _write_report(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.format == "csv":
         fields = ["quantity", "computed", "bound", "ratio", "pass"]
         _write_csv(args, fields, [{k: r.get(k) for k in fields}
                                   for r in payload["checks"]])
         return
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True,
+                           default=_json_default) + "\n")
 
 
 def _json_default(obj):
@@ -261,10 +264,20 @@ def schwinger_series_b0(spec, params, u, m_max):
                   b_m=[abs(c) for c in ser.coefficients])]
 
 
+_PAIR_QUERY = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
+
+
+def _taylor_case(params):
+    """The case of `verify --suite taylor` and `table --kind taylor`: on-site
+    U = 0.1 on the two-site chain at beta = 1 and beta*h = 2."""
+    return (LatticeSpec(d=1, L=2),
+            ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0),
+            model.hubbard_interaction(0.1, d=1), TimeGrid(1.0, 1))
+
+
 def taylor_bounds(spec, params, u, grid, m_max):
     """Criterion 10: the Taylor-coefficient bounds on |b_m| and |c_m|."""
-    q2 = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-    rep = bounds.verify_taylor_bounds(spec, params, grid, u, q2, m_max)
+    rep = bounds.verify_taylor_bounds(spec, params, grid, u, _PAIR_QUERY, m_max)
     q1 = fock.query(((0,),), ((1,),), (UP,), (UP,))
     rep1 = bounds.verify_taylor_bounds(spec, params, grid, u, q1, m_max)
     named = ([(f"prop41_m{r['m']}", r) for r in rep["b_rows"]]
@@ -394,12 +407,8 @@ def suite_grassmann(spec, params, u, args):
 
 
 def suite_taylor(spec, params, u, args):
-    s = LatticeSpec(d=1, L=2)
-    p = ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0)
-    grid = TimeGrid(1.0, 1)
-    return (l1_integral(s, p, grid)
-            + taylor_bounds(s, p, model.hubbard_interaction(0.1, d=1), grid,
-                            args.m_max))
+    s, p, hub, grid = _taylor_case(params)
+    return l1_integral(s, p, grid) + taylor_bounds(s, p, hub, grid, args.m_max)
 
 
 def suite_theorem(spec, params, u, args):
@@ -513,12 +522,9 @@ def cmd_table(args) -> int:
         fields = ["separation", "abs_correlation", "envelope_chord",
                   "envelope_euclidean"]
     elif args.kind == "taylor":
-        s = LatticeSpec(d=1, L=2)
-        p = ModelParams(t=params.t, t_prime=0.0, mu=params.mu, beta=1.0)
-        hub = model.hubbard_interaction(0.1, d=1)
-        grid = TimeGrid(1.0, 1)
-        q2 = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-        rep = bounds.verify_taylor_bounds(s, p, grid, hub, q2, args.m_max)
+        s, p, hub, grid = _taylor_case(params)
+        rep = bounds.verify_taylor_bounds(s, p, grid, hub, _PAIR_QUERY,
+                                          args.m_max)
         rows = [{"m": r["m"], "abs_bm": r["abs_coefficient"], "bound": r["bound"],
                  "ratio": r["abs_coefficient"] / r["bound"]} for r in rep["b_rows"]]
         fields = ["m", "abs_bm", "bound", "ratio"]
@@ -547,15 +553,16 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf,
                           "positive and finite")
+_FINITE_FLOAT = _checked(float, math.isfinite, "finite")
 
 
 def _add_common(p, default_format="json"):
     p.add_argument("--model", help="model description JSON")
     p.add_argument("--d", type=_POSITIVE_INT, default=DEFAULTS["d"])
     p.add_argument("--L", type=_POSITIVE_INT, default=DEFAULTS["L"])
-    p.add_argument("--t", type=float, default=DEFAULTS["t"])
-    p.add_argument("--t-prime", type=float, default=DEFAULTS["t_prime"])
-    p.add_argument("--mu", type=float, default=DEFAULTS["mu"])
+    p.add_argument("--t", type=_FINITE_FLOAT, default=DEFAULTS["t"])
+    p.add_argument("--t-prime", type=_FINITE_FLOAT, default=DEFAULTS["t_prime"])
+    p.add_argument("--mu", type=_FINITE_FLOAT, default=DEFAULTS["mu"])
     p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULTS["beta"])
     p.add_argument("--half-steps", type=_POSITIVE_INT,
                    default=DEFAULTS["half_steps"],
@@ -563,10 +570,10 @@ def _add_common(p, default_format="json"):
     p.add_argument("--m-max", type=_NONNEGATIVE_INT, default=DEFAULTS["m_max"])
     p.add_argument("--trials", type=_POSITIVE_INT, default=DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+    p.add_argument("--tol", type=_FINITE_FLOAT, default=DEFAULTS["tol"])
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
-    p.add_argument("--coupling-fraction", type=float, default=0.9,
+    p.add_argument("--coupling-fraction", type=_FINITE_FLOAT, default=0.9,
                    help="default-model |U| as a fraction of the decay threshold")
 
 
@@ -593,7 +600,7 @@ def main(argv=None) -> int:
                "table": cmd_table}[args.command]
     try:
         return command(args)
-    except model.ModelFileError as exc:
+    except (model.ModelFileError, OSError) as exc:  # or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except model.HermiticityError as exc:

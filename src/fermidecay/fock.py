@@ -1,7 +1,9 @@
 """Exact Fock-space oracle: Hamiltonians as sparse matrices, thermal traces.
 
-Creation/annihilation operators are realized through the Jordan-Wigner string
-in the global mode order, so every sign is reproducible.  Thermal averages go
+Every operator -- the mode operators, the pieces of H and the observables --
+comes from one assembler that applies its normal-ordered operator strings to
+all basis states at once with the Jordan-Wigner sign in the global mode
+order, so every sign is reproducible.  Thermal averages go
 through the eigendecomposition of H one conserved-number sector at a time:
 (N_up, N_down) when H keeps both counts, else the total N, else the whole
 space.  Each sector block is diagonalized densely and observables stay
@@ -78,27 +80,42 @@ def query(x_sites, y_sites, xi_spins, phi_spins) -> CorrelationQuery:
                             tuple(int(s) for s in phi_spins))
 
 
+def _assemble(n_modes: int, terms, dtype=complex) -> sp.csr_matrix:
+    """Sum of coeff * psi*_{c1}..psi*_{ck} psi_{a1}..psi_{al} over the terms
+    (coeff, create_modes, annihilate_modes) as one CSR matrix.  Each string
+    acts on all basis states at once, rightmost factor first: psi_m (psi*_m)
+    keeps the states with mode m occupied (empty), applies the Jordan-Wigner
+    sign (-1)^(occupied modes below m) and flips bit m."""
+    dim = 2**n_modes
+    jw = np.ones(1)  # jw[s] = (-1)^(number of occupied modes in s)
+    for _ in range(n_modes):
+        jw = np.concatenate([jw, -jw])
+    triplets = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=dtype),)]
+    for coeff, create, annihilate in terms:
+        start = state = np.arange(dim)
+        sign = np.full(dim, coeff, dtype=dtype)
+        for m, occupied in ([(m, 1) for m in reversed(annihilate)] +
+                            [(m, 0) for m in reversed(create)]):
+            keep = (state >> m) & 1 == occupied
+            start, state, sign = start[keep], state[keep], sign[keep]
+            sign = sign * jw[state & ((1 << m) - 1)]
+            state = state ^ (1 << m)
+        triplets.append((state, start, sign))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    H.eliminate_zeros()
+    return H
+
+
 @functools.lru_cache(maxsize=8)
 def _mode_operators(n_modes: int):
-    """All annihilation operators as CSR matrices, built state by state with
-    the (-1)^(occupied below) Jordan-Wigner phase."""
-    dim = 2**n_modes
-    ops = []
-    for q in range(n_modes):
-        rows, cols, vals = [], [], []
-        bit = 1 << q
-        below = bit - 1
-        for state in range(dim):
-            if state & bit:
-                phase = -1.0 if (state & below).bit_count() % 2 else 1.0
-                rows.append(state & ~bit)
-                cols.append(state)
-                vals.append(phase)
-        op = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    """All annihilation operators psi_q as read-only float CSR matrices."""
+    ops = tuple(_assemble(n_modes, [(1.0, (), (q,))], dtype=float)
+                for q in range(n_modes))
+    for op in ops:
         for arr in (op.data, op.indices, op.indptr):
             arr.flags.writeable = False  # shared by every caller of the cache
-        ops.append(op)
-    return tuple(ops)
+    return ops
 
 
 def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
@@ -112,66 +129,41 @@ def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
     raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
 
 
-def _operator_product(space: FockSpace, create_modes, annihilate_modes) -> sp.csr_matrix:
-    """psi*_{c1} .. psi*_{ck} psi_{a1} .. psi_{al} in the written order."""
-    ops = _mode_operators(space.n_modes)
-    dim = space.dimension
-    out = sp.identity(dim, dtype=complex, format="csr")
-    for m in create_modes:
-        out = out @ ops[m].conj().T
-    for m in annihilate_modes:
-        out = out @ ops[m]
-    return out
+def _normal_ordered(space: FockSpace, entries) -> sp.csr_matrix:
+    """Sum of coeff psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}
+    over the entries (X, Y, Xi, Phi, coeff)."""
+    mode = lambda x, s: mode_index(space.spec, canonical_site(space.spec, x), s)
+    return _assemble(space.n_modes, [
+        (coeff, [mode(x, s) for x, s in zip(X, Xi)],
+         [mode(y, s) for y, s in zip(reversed(Y), reversed(Phi))])
+        for X, Y, Xi, Phi, coeff in entries])
 
 
 def build_h0(space: FockSpace, params: ModelParams) -> sp.csr_matrix:
-    spec = space.spec
-    T = hopping_matrix(spec, params, require_hopping=False)
-    ops = _mode_operators(space.n_modes)
-    H = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
-    for i in range(space.n_modes):
-        for j in range(space.n_modes):
-            if T[i, j] != 0:
-                H = H + T[i, j] * (ops[i].conj().T @ ops[j])
-    return H
+    T = hopping_matrix(space.spec, params, require_hopping=False)
+    return _assemble(space.n_modes, [(T[i, j], (i,), (j,))
+                                     for i, j in zip(*np.nonzero(T))])
 
 
 def build_interaction(space: FockSpace, u: InteractionCoefficients) -> sp.csr_matrix:
     """V = sum over orders and lattice sites of
     U_{L,l} psi*_{x1 xi1}..psi*_{xl xil} psi_{xl phil}..psi_{x1 phi1}."""
-    spec = space.spec
-    fin = restrict_interaction(u, spec)
-    H = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
-    for l, X, Xi, Phi, coeff in lattice_terms(fin, spec):
-        create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
-        annih = [mode_index(spec, x, s) for x, s in zip(reversed(X), reversed(Phi))]
-        H = H + coeff * _operator_product(space, create, annih)
-    return H
+    terms = lattice_terms(restrict_interaction(u, space.spec), space.spec)
+    return _normal_ordered(space, [(X, X, Xi, Phi, c) for _, X, Xi, Phi, c in terms])
 
 
 def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> sp.csr_matrix:
     """sum over entries of (lambda(X,Y,Xi,Phi) + lambda(Y,X,Phi,Xi)) times
     psi*_{x1 xi1}..psi*_{xm xim} psi_{ym phim}..psi_{y1 phi1}."""
-    spec = space.spec
-    H = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
-    for X, Y, Xi, Phi, coeff in lam.symmetrized_terms():
-        create = [mode_index(spec, canonical_site(spec, x), s)
-                  for x, s in zip(X, Xi)]
-        annih = [mode_index(spec, canonical_site(spec, y), s)
-                 for y, s in zip(reversed(Y), reversed(Phi))]
-        H = H + coeff * _operator_product(space, create, annih)
-    return H
+    return _normal_ordered(space, lam.symmetrized_terms())
 
 
 def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
                lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
     """(H + V) + Lambda, in that order, so that a Hamiltonian assembled from
     a shared H_0 or H_0 + V is bitwise the one build_hamiltonian makes."""
-    if u is not None:
-        H = H + build_interaction(space, u)
-    if lam is not None:
-        H = H + build_lambda_term(space, lam)
-    return H
+    pieces = ((u, build_interaction), (lam, build_lambda_term))
+    return sum((build(space, c) for c, build in pieces if c is not None), H)
 
 
 def build_hamiltonian(space: FockSpace, params: ModelParams,
@@ -181,14 +173,10 @@ def build_hamiltonian(space: FockSpace, params: ModelParams,
 
 
 def observable_pair(space: FockSpace, q: CorrelationQuery) -> sp.csr_matrix:
-    """The self-adjoint pair O + O^dagger of the correlation observable."""
-    spec = space.spec
-    create = [mode_index(spec, canonical_site(spec, x), s)
-              for x, s in zip(q.x_sites, q.xi_spins)]
-    annih = [mode_index(spec, canonical_site(spec, y), s)
-             for y, s in zip(reversed(q.y_sites), reversed(q.phi_spins))]
-    O = _operator_product(space, create, annih)
-    return O + O.conj().T.tocsr()
+    """The self-adjoint pair O + O^dagger of the correlation observable; the
+    adjoint of O is the normal-ordered string of the swapped query."""
+    return _normal_ordered(space, [(p.x_sites, p.y_sites, p.xi_spins,
+                                    p.phi_spins, 1.0) for p in (q, q.swapped())])
 
 
 def _sectors(H) -> tuple[sp.csr_matrix, list[np.ndarray]]:

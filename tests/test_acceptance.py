@@ -30,6 +30,7 @@ from fermidecay.model import (
     hubbard_threshold,
     table_pinned_norm,
 )
+from test_fock import operator_product_reference
 
 
 def _report(num, name, checks, start, budget):
@@ -162,7 +163,7 @@ def _operator_from_table(space, spec, g, l):
         create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
         annih = [mode_index(spec, x, s)
                  for x, s in zip(reversed(X), reversed(Phi))]
-        out = out + val * fock._operator_product(space, create, annih)
+        out = out + val * operator_product_reference(space, create, annih)
     return out
 
 
@@ -174,7 +175,7 @@ def _operator_from_tensor(space, f, l):
         for a in range(n):
             for b in range(n):
                 if f[a, b] != 0:
-                    out = out + f[a, b] * fock._operator_product(space, [a], [b])
+                    out = out + f[a, b] * operator_product_reference(space, [a], [b])
         return out
     # l = 2: antisymmetry restricts to ordered index pairs with weight 4
     for a1 in range(n):
@@ -183,7 +184,7 @@ def _operator_from_tensor(space, f, l):
                 for b2 in range(b1 + 1, n):
                     c = f[a1, a2, b1, b2]
                     if c != 0:
-                        out = out + 4.0 * c * fock._operator_product(
+                        out = out + 4.0 * c * operator_product_reference(
                             space, [a1, a2], [b1, b2])
     return out
 

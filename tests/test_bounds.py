@@ -154,6 +154,28 @@ def test_covariance_l1_D_matches_matrix_sums(d, L):
                 covariance_l1_D_reference(cs, grid), rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, L) for L in range(1, 7)]
+                       + [(2, L) for L in range(1, 4)]),
+       st.integers(1, 4), st.floats(0.3, 3.0), st.floats(-0.5, 0.5),
+       st.booleans(), st.data())
+def test_covariance_l1_D_is_half_the_l1_sum(shape, hs, beta, mu, shifted, data):
+    # |C(dt - beta)| = |C(dt)|, so every window of beta*h consecutive time
+    # differences holds half of the doubled-grid l1 sum
+    d, L = shape
+    p = ModelParams(t=1.0, t_prime=0.2, mu=mu, beta=beta)
+    shifts = ()
+    if shifted:
+        rad = shift_radius(p, d, math.pi / (2 * beta))
+        shifts = ((data.draw(st.floats(-1.0, 1.0))
+                   + 1j * rad * data.draw(st.floats(-0.9, 0.9)),
+                   data.draw(st.integers(0, d - 1))),)
+    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+    grid = TimeGrid(beta, hs)
+    assert covariance_l1_D(cs, grid) == pytest.approx(
+        0.5 * l1_bound_check(cs, grid)["lhs"], rel=1e-12, abs=0.0)
+
+
 def test_covariance_l1_D_above_matrix_size_limit(params):
     # N = 2 * 300 * 8 = 4800: no matrix is built, D stays below its closed form
     spec = LatticeSpec(d=1, L=300)

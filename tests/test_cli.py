@@ -87,19 +87,35 @@ def test_verify_deterministic_reports(tmp_path):
     (["verify", "--suite", "grassmann", "--m-max", "-1"], 2),
     (["table", "--kind", "covariance_decay", "--beta", "-1"], 2),
     (["table", "--kind", "envelope", "--L", "7"], 1),
+    (["verify", "--suite", "covariance", "--t", "nan"], 2),
+    (["verify", "--suite", "covariance", "--t-prime", "nan"], 2),
+    (["verify", "--suite", "covariance", "--mu", "inf"], 2),
+    (["verify", "--suite", "covariance", "--mu=-inf"], 2),
+    (["verify", "--suite", "covariance", "--tol", "nan"], 2),
+    (["verify", "--suite", "theorem", "--coupling-fraction", "nan"], 2),
+    (["table", "--kind", "taylor", "--t", "inf"], 2),
+    (["verify", "--suite", "taylor", "--out", "{tmp}/missing/r.json"], 2),
+    (["verify", "--suite", "taylor", "--format", "csv", "--out", "{tmp}"], 2),
+    (["table", "--kind", "taylor", "--out", "{tmp}/missing/t.csv"], 2),
+    (["table", "--kind", "taylor", "--format", "json", "--out", "{tmp}"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
-    # out-of-range flags are usage errors (exit 2, at parse time); a guard
-    # that refuses a table's size is a failed check (exit 1)
+    # out-of-range or non-finite flags are usage errors (exit 2, at parse
+    # time), and so is an --out that cannot be written (one error line); a
+    # guard that refuses a table's size is a failed check (exit 1)
     out = tmp_path / "out"
+    own_out = "--out" in argv
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     try:
-        rc = main(argv + ["--out", str(out)])
+        rc = main(argv if own_out else argv + ["--out", str(out)])
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
     assert not out.exists()
+    if own_out:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_csv_format(tmp_path):

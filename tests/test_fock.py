@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fermidecay import fock
@@ -19,12 +21,22 @@ from fermidecay.fock import (
     query,
     thermal_average,
 )
-from fermidecay.lattice import DOWN, UP, LatticeSpec, enumerate_sites, mode_index
+from fermidecay.lattice import (
+    DOWN,
+    UP,
+    LatticeSpec,
+    canonical_site,
+    enumerate_sites,
+    mode_index,
+)
 from fermidecay.model import (
     LambdaCoefficients,
     ModelParams,
     density_density_interaction,
+    hopping_matrix,
     hubbard_interaction,
+    lattice_terms,
+    restrict_interaction,
     spin_field_interaction,
     spin_spin_interaction,
 )
@@ -469,3 +481,122 @@ def test_sector_counts_and_L5():
                query(((0,),), ((1,),), (UP,), (DOWN,))]
     eig = _assert_matches_full_space(big, p, hub, None, queries)
     assert len(eig) == 36
+
+
+# ---------------------------------------------------------------------------
+# the one assembler against the per-term sums it replaced
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def mode_operators_reference(n_modes):
+    """Reference: the annihilators psi_q built state by state with the
+    (-1)^(occupied below) Jordan-Wigner phase."""
+    dim = 2**n_modes
+    ops = []
+    for q in range(n_modes):
+        rows, cols, vals = [], [], []
+        bit = 1 << q
+        below = bit - 1
+        for state in range(dim):
+            if state & bit:
+                phase = -1.0 if (state & below).bit_count() % 2 else 1.0
+                rows.append(state & ~bit)
+                cols.append(state)
+                vals.append(phase)
+        ops.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+    return tuple(ops)
+
+
+def operator_product_reference(space, create_modes, annihilate_modes):
+    """Reference: psi*_{c1} .. psi*_{ck} psi_{a1} .. psi_{al} in the written
+    order, one sparse product per factor."""
+    ops = mode_operators_reference(space.n_modes)
+    out = sp.identity(space.dimension, dtype=complex, format="csr")
+    for m in create_modes:
+        out = out @ ops[m].conj().T
+    for m in annihilate_modes:
+        out = out @ ops[m]
+    return out
+
+
+def _zero(space):
+    return sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
+
+
+def h0_reference(space, params):
+    T = hopping_matrix(space.spec, params, require_hopping=False)
+    H = _zero(space)
+    for i in range(space.n_modes):
+        for j in range(space.n_modes):
+            if T[i, j] != 0:
+                H = H + T[i, j] * operator_product_reference(space, [i], [j])
+    return H
+
+
+def interaction_reference(space, u):
+    spec = space.spec
+    H = _zero(space)
+    for l, X, Xi, Phi, coeff in lattice_terms(restrict_interaction(u, spec), spec):
+        create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
+        annih = [mode_index(spec, x, s) for x, s in zip(reversed(X), reversed(Phi))]
+        H = H + coeff * operator_product_reference(space, create, annih)
+    return H
+
+
+def lambda_term_reference(space, lam):
+    spec = space.spec
+    H = _zero(space)
+    for X, Y, Xi, Phi, coeff in lam.symmetrized_terms():
+        create = [mode_index(spec, canonical_site(spec, x), s)
+                  for x, s in zip(X, Xi)]
+        annih = [mode_index(spec, canonical_site(spec, y), s)
+                 for y, s in zip(reversed(Y), reversed(Phi))]
+        H = H + coeff * operator_product_reference(space, create, annih)
+    return H
+
+
+def observable_pair_reference(space, q):
+    spec = space.spec
+    create = [mode_index(spec, canonical_site(spec, x), s)
+              for x, s in zip(q.x_sites, q.xi_spins)]
+    annih = [mode_index(spec, canonical_site(spec, y), s)
+             for y, s in zip(reversed(q.y_sites), reversed(q.phi_spins))]
+    O = operator_product_reference(space, create, annih)
+    return O + O.conj().T.tocsr()
+
+
+def test_mode_operators_match_state_loop():
+    for n in range(2, 13):
+        for op, ref in zip(fock._mode_operators(n), mode_operators_reference(n),
+                           strict=True):
+            for arr, ref_arr in ((op.data, ref.data), (op.indices, ref.indices),
+                                 (op.indptr, ref.indptr)):
+                assert arr.dtype == ref_arr.dtype
+                np.testing.assert_array_equal(arr, ref_arr)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]),
+       st.sampled_from(["hubbard", "density_density", "spin_spin",
+                        "field_x", "field_y", "field_z"]),
+       st.floats(0.05, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 0.5),
+       st.integers(1, 3), st.data())
+def test_assembler_matches_per_term_sums(shape, kind, coupling, t_prime,
+                                         mu, n_lambda, data):
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=t_prime, mu=mu, beta=1.0)
+    u = _example_interaction(kind, spec, coupling)
+    lam = LambdaCoefficients(m_hat=data.draw(st.integers(1, 2)))
+    for _ in range(n_lambda):
+        lam.add(*data.draw(_points(spec, lam.m_hat)),
+                data.draw(st.floats(0.05, 0.5)))
+    pairs = [(build_h0(space, p), h0_reference(space, p)),
+             (fock.build_interaction(space, u), interaction_reference(space, u)),
+             (fock.build_lambda_term(space, lam), lambda_term_reference(space, lam))]
+    for m in (1, 2, 3):
+        q = query(*data.draw(_points(spec, m)))
+        pairs.append((observable_pair(space, q), observable_pair_reference(space, q)))
+    for ours, ref in pairs:
+        assert ours.shape == ref.shape and ours.dtype == np.complex128
+        assert abs(ours - ref).max() <= 1e-14
