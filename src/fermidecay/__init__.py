@@ -10,13 +10,11 @@ from .lattice import (
     enumerate_momenta,
     enumerate_sites,
     periodic_reduce,
-    time_grid,
 )
 from .model import (
     InteractionCoefficients,
     LambdaCoefficients,
     ModelParams,
-    build_example_interaction,
     check_smallness,
     decay_base,
     hubbard_interaction,

@@ -16,8 +16,10 @@ import numpy as np
 from . import fock
 from .covariance import (
     CovarianceSpec,
+    chord,
     chord_exponent,
     contour_nodes,
+    contour_radius,
     covariance_entries,
     covariance_matrix,
     l1_time_sums,
@@ -28,8 +30,8 @@ from .model import (
     InteractionCoefficients,
     ModelParams,
     check_smallness,
-    decay_base,
     interaction_norm,
+    theorem_decay_base,
 )
 
 DET_BLOCK = 256  # trials or contour nodes per stacked evaluation
@@ -127,18 +129,6 @@ def prop42_bound(m: int, ctx: BoundContext, U: float) -> float:
     return (4.0 * B**2 / (3 * m + 4)) * math.comb(3 * m + 4, m) * (D * B * abs(U))**m
 
 
-def coefficient_series_partial(x: float, m_terms: int) -> float:
-    """Partial sum of sum_m (4/(3m+4)) C(3m+4, m) x^m, via the term-ratio
-    recurrence; at x = 4/27 the full series sums to 81/16."""
-    total = 1.0  # m = 0 term: (4/4) C(4,0) = 1
-    term = 1.0
-    for m in range(m_terms - 1):
-        term *= x * (3 * m + 4) * (3 * m + 5) * (3 * m + 6) / (
-            (m + 1) * (2 * m + 5) * (2 * m + 6))
-        total += term
-    return total
-
-
 def theorem_envelope(sum_diff, spec: LatticeSpec, params: ModelParams,
                      variant: str = "general", R: float | None = None,
                      m_hat: int | None = None,
@@ -148,7 +138,6 @@ def theorem_envelope(sum_diff, spec: LatticeSpec, params: ModelParams,
     chord_L uses the finite-lattice chord exponent (what the proofs establish
     before the infinite-volume limit); euclidean uses the printed limit form.
     """
-    F = decay_base(params, spec.d, math.pi / (2.0 * params.beta))
     dvec = np.array([int(c) for c in sum_diff])
     if distance_mode == "chord_L":
         expo = chord_exponent(spec, dvec)
@@ -166,7 +155,7 @@ def theorem_envelope(sum_diff, spec: LatticeSpec, params: ModelParams,
         prefactor = 4.0 ** (m_hat + 1) - m_hat * 4.0 ** (2 * m_hat + 1) * math.log(1.0 - R)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return prefactor * F ** (-expo)
+    return prefactor * theorem_decay_base(params, spec.d) ** (-expo)
 
 
 def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
@@ -209,6 +198,12 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
     return out
 
 
+def _sum_diff(q) -> np.ndarray:
+    """sum(x) - sum(y) over the sites of a correlation query."""
+    return (np.sum(np.array(q.x_sites, dtype=int), axis=0)
+            - np.sum(np.array(q.y_sites, dtype=int), axis=0))
+
+
 def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
                             grid: TimeGrid, u: InteractionCoefficients, q,
                             axis: int, n: int = 1, circle_nodes: int = 128,
@@ -228,15 +223,11 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     holds to near machine precision.
     """
     if radius is None:
-        radius = math.log(decay_base(params, spec.d,
-                                     math.pi / (2.0 * params.beta))) / (2.0 * n)
-    sum_diff = np.sum(np.array(q.x_sites, dtype=int), axis=0) - \
-        np.sum(np.array(q.y_sites, dtype=int), axis=0)
-    chord = (np.exp(1j * 2.0 * math.pi * int(sum_diff[axis]) / spec.L) - 1.0) \
-        / (2.0 * math.pi / spec.L)
+        radius = contour_radius(params, spec.d, n)
     engine = SchwingerEngine(spec, params, grid, u)
     obs = (q.x_sites, q.y_sites, q.xi_spins, q.phi_spins)
-    rhs = chord**n * engine.schwinger_value(*obs, eta)
+    rhs = (chord(spec.L, _sum_diff(q)[axis])**n
+           * engine.schwinger_value(*obs, eta))
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
     cs = CovarianceSpec(spec, params)
@@ -265,8 +256,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
     rows = []
     for q in queries:
         value = fock.correlation(space, params, u, q, eig=eig)
-        sum_diff = np.sum(np.array(q.x_sites, dtype=int), axis=0) - \
-            np.sum(np.array(q.y_sites, dtype=int), axis=0)
+        sum_diff = _sum_diff(q)
         env = theorem_envelope(sum_diff, spec, params, variant=variant, R=R,
                                m_hat=q.m_hat, distance_mode="chord_L")
         env_euclid = theorem_envelope(sum_diff, spec, params, variant=variant,
@@ -276,6 +266,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
             "x_sites": q.x_sites, "y_sites": q.y_sites,
             "sum_diff": tuple(int(c) for c in sum_diff),
             "correlation": value.real,
+            "abs_correlation": abs(value),
             "imag_defect": abs(value.imag),
             "envelope_chord": env,
             "envelope_euclidean": env_euclid,

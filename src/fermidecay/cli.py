@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,6 +60,16 @@ class Check:
         if self.details:
             d["details"] = self.details
         return d
+
+
+def _check_out(path):
+    """Refuse an --out that names a directory or lies in a missing one before
+    any work runs, with the error open(path, "w") would raise; nothing is
+    created or truncated."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        os.stat(path)  # cannot resolve: raises FileNotFoundError or ENOTDIR
 
 
 def _emit(args, text):
@@ -202,8 +214,7 @@ def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
     """Criterion 04: the 4^n determinant bound, sampled for n = 1..6 without
     shift, with an imaginary shift at the analyticity radius and with
     real_shift minus that; call (n, i) is seeded seed + seed_stride n + i."""
-    radius = covariance.shift_radius(params, spec.d,
-                                     math.pi / (2.0 * params.beta))
+    radius = covariance.contour_radius(params, spec.d)
     shift_choices = [(), ((1j * radius, 0),), ((real_shift - 1j * radius, 0),)]
     worst, total = 0.0, 0
     for n in range(1, 7):
@@ -288,10 +299,12 @@ def taylor_bounds(spec, params, u, grid, m_max):
             for name, r in named]
 
 
-def _separation_queries(spec, max_sep):
+def _separation_queries(spec):
+    """Pairs moved apart by 0..min(L - 1, 3) steps on the first axis: the
+    queries of `verify --suite theorem` and `table --kind envelope`."""
     x1 = (0,) * spec.d
     return [fock.query((x1, x1), ((sep,) + x1[1:],) * 2, (UP, DOWN), (UP, DOWN))
-            for sep in range(max_sep + 1)]
+            for sep in range(min(spec.L - 1, 3) + 1)]
 
 
 def smallness(spec, params, u):
@@ -306,7 +319,7 @@ def theorem_envelope(spec, params, u, queries):
     """Criterion 11: exact-trace correlations against the finite-L envelope."""
     rows = bounds.verify_theorem_envelope(spec, params, u, queries,
                                           variant="hubbard")
-    return [Check(f"envelope_sep{row['sum_diff']}", abs(row["correlation"]),
+    return [Check(f"envelope_sep{row['sum_diff']}", row["abs_correlation"],
                   row["envelope_chord"], row["passed"],
                   envelope_euclidean=row["envelope_euclidean"])
             for row in rows]
@@ -415,8 +428,7 @@ def suite_theorem(spec, params, u, args):
     checks = smallness(spec, params, u)
     if not checks[0].passed:
         return checks
-    checks += theorem_envelope(spec, params, u,
-                               _separation_queries(spec, min(spec.L - 1, 3)))
+    checks += theorem_envelope(spec, params, u, _separation_queries(spec))
     checks += schwinger_contour_identity(LatticeSpec(d=1, L=2), params,
                                          model.hubbard_interaction(0.1, d=1))
     p0 = ModelParams(t=0.0, t_prime=0.0, mu=params.mu, beta=params.beta)
@@ -488,7 +500,8 @@ def cmd_model_validate(args) -> int:
     rep = model.check_smallness(u, params, spec, variant="general", R=0.5)
     report["smallness_general_R0.5"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                                         "satisfied": rep.satisfied}
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    _emit(args, json.dumps(report, indent=2, sort_keys=True,
+                           default=_json_default) + "\n")
     for msg in issues:
         print(f"invariant violation: {msg}", file=sys.stderr)
     return 1 if issues else 0
@@ -508,19 +521,13 @@ def cmd_table(args) -> int:
                          "ratio": r["max_abs_c"] / r["envelope_chord"]})
         fields = ["distance", "abs_c", "envelope", "ratio"]
     elif args.kind == "envelope":
-        space = fock.FockSpace(spec)
-        eig = fock.diagonalize(fock.build_hamiltonian(space, params, u))
-        for q in _separation_queries(spec, min(spec.L - 1, 3)):
-            v = fock.correlation(space, params, u, q, eig=eig)
-            sep = q.y_sites[0][0]
-            env, enveu = (bounds.theorem_envelope(
-                (sep * 2,) + (0,) * (spec.d - 1), spec, params,
-                variant="hubbard", distance_mode=mode)
-                for mode in ("chord_L", "euclidean"))
-            rows.append({"separation": sep, "abs_correlation": abs(v),
-                         "envelope_chord": env, "envelope_euclidean": enveu})
         fields = ["separation", "abs_correlation", "envelope_chord",
                   "envelope_euclidean"]
+        rows = [{"separation": r["y_sites"][0][0],
+                 **{k: r[k] for k in fields[1:]}}
+                for r in bounds.verify_theorem_envelope(
+                    spec, params, u, _separation_queries(spec),
+                    variant="hubbard")]
     elif args.kind == "taylor":
         s, p, hub, grid = _taylor_case(params)
         rep = bounds.verify_taylor_bounds(s, p, grid, hub, _PAIR_QUERY,
@@ -599,6 +606,8 @@ def main(argv=None) -> int:
     command = {"model-validate": cmd_model_validate, "verify": cmd_verify,
                "table": cmd_table}[args.command]
     try:
+        if args.out:
+            _check_out(args.out)
         return command(args)
     except (model.ModelFileError, OSError) as exc:  # or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,13 @@ from .lattice import (
     momentum_grid,
     periodic_reduce,
 )
-from .model import ModelParams, decay_base, dispersion_grid, geometric_sum_factor
+from .model import (
+    ModelParams,
+    decay_base,
+    dispersion_grid,
+    geometric_sum_factor,
+    theorem_decay_base,
+)
 
 E_CONST = math.e
 
@@ -56,6 +62,12 @@ class CovarianceSpec:
 def shift_radius(params: ModelParams, d: int, r: float) -> float:
     """Half log of the decay base: |Im z| below this keeps |Im E_{k+z e_p}| < r."""
     return 0.5 * math.log(decay_base(params, d, r))
+
+
+def contour_radius(params: ModelParams, d: int, n: int = 1) -> float:
+    """log F / (2n) at F = F(pi/(2 beta)): the default circle radius of the
+    n-fold contour checks; n = 1 is the shift radius at pi/(2 beta)."""
+    return math.log(theorem_decay_base(params, d)) / (2.0 * n)
 
 
 @functools.lru_cache(maxsize=128)
@@ -257,13 +269,22 @@ def u1_shift_identity_check(cs: CovarianceSpec, grid: TimeGrid, axis: int) -> fl
     return float(np.max(np.abs(phase * M0 - M1)))
 
 
+def _chord_parts(L: int, m) -> tuple[complex, float]:
+    """Numerator e^{i 2pi m/L} - 1 and denominator 2pi/L of the chord."""
+    return np.exp(1j * 2.0 * math.pi * int(m) / L) - 1.0, 2.0 * math.pi / L
+
+
+def chord(L: int, m) -> complex:
+    """The complex chord (e^{i 2pi m/L} - 1) / (2pi/L) of the contour checks."""
+    num, den = _chord_parts(L, m)
+    return num / den
+
+
 def chord_components(spec: LatticeSpec, dvec) -> list[float]:
-    """|e^{i 2pi d_q / L} - 1| / (2pi/L) per axis: the finite-lattice distance."""
-    out = []
-    for c in dvec:
-        out.append(abs(np.exp(1j * 2.0 * math.pi * int(c) / spec.L) - 1.0)
-                   / (2.0 * math.pi / spec.L))
-    return out
+    """|e^{i 2pi d_q / L} - 1| / (2pi/L) per axis: the finite-lattice distance.
+    The modulus is taken before the division, as every envelope value is."""
+    return [abs(num) / den for num, den in
+            (_chord_parts(spec.L, c) for c in dvec)]
 
 
 def chord_exponent(spec: LatticeSpec, dvec) -> float:
@@ -308,13 +329,12 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
     lhs: the n-fold contour_nodes quadrature of C(shifts + sum_j w_j e_axis);
     rhs: chord^n * C(shifts).
     """
-    spec, params = cs.spec, cs.params
+    spec = cs.spec
     if radius is None:
-        radius = math.log(decay_base(params, spec.d, math.pi / (2.0 * params.beta))) / (2.0 * n)
+        radius = contour_radius(cs.params, spec.d, n)
     (xa, sa, ta), (xb, sb, tb) = a, b
-    dvec = [int(p) - int(q) for p, q in zip(xa, xb)]
-    chord = (np.exp(1j * 2.0 * math.pi * dvec[axis] / spec.L) - 1.0) / (2.0 * math.pi / spec.L)
-    rhs = chord**n * covariance_value(cs, a, b)
+    m = int(xa[axis]) - int(xb[axis])
+    rhs = chord(spec.L, m)**n * covariance_value(cs, a, b)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
     cw = covariance_entries(cs, np.subtract(xb, xa), float(tb) - float(ta),
@@ -327,7 +347,7 @@ def decay_envelope_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     """Scan all (site difference, time difference) pairs for the two decay
     envelopes: 2 F^{-chord exponent} and the reduced-window l1 variant."""
     spec = cs.spec
-    F = decay_base(cs.params, spec.d, math.pi / (2.0 * cs.params.beta))
+    F = theorem_decay_base(cs.params, spec.d)
     table, _ = _covariance_lookup(cs, grid)
     worst_chord = 0.0
     worst_reduced = 0.0
@@ -368,7 +388,7 @@ def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
     dsum = np.zeros(cs.spec.d, dtype=int)
     for (xa, _, _), (xb, _, _) in pairs:
         dsum += np.array([int(p) - int(q) for p, q in zip(xa, xb)])
-    F = decay_base(cs.params, cs.spec.d, math.pi / (2.0 * cs.params.beta))
+    F = theorem_decay_base(cs.params, cs.spec.d)
     bound = 2.0 * 4.0**n * F ** (-chord_exponent(cs.spec, dsum))
     return {"abs_det": lhs, "bound": bound, "ratio": lhs / bound,
             "satisfied": lhs <= bound}

@@ -118,17 +118,6 @@ def _mode_operators(n_modes: int):
     return ops
 
 
-def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
-    if not 0 <= mode < space.n_modes:
-        raise ValueError(f"mode {mode} outside 0..{space.n_modes - 1}")
-    a = _mode_operators(space.n_modes)[mode]
-    if kind == "annihilate":
-        return a
-    if kind == "create":
-        return a.conj().T.tocsr()
-    raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-
-
 def _normal_ordered(space: FockSpace, entries) -> sp.csr_matrix:
     """Sum of coeff psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}
     over the entries (X, Y, Xi, Phi, coeff)."""

@@ -293,8 +293,7 @@ class VertexSet:
 def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
                    u: InteractionCoefficients | None,
                    lam: LambdaCoefficients | None = None,
-                   interaction_sites=None,
-                   max_instances: int = MAX_INSTANCES) -> VertexSet:
+                   interaction_sites=None) -> VertexSet:
     """One vertex per interaction term and grid time.
 
     The vertex with coefficient c is c * V where V = -(1/h) sum_t
@@ -332,10 +331,10 @@ def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
                 # whose determinant is then identically zero as well
                 vs.monomials.append((0, 0, 0.0))
             vs.blocks.append((rows, cols, coeff))
-    if len(vs.blocks) > max_instances:
+    if len(vs.blocks) > MAX_INSTANCES:
         raise ValueError(
             f"{len(vs.blocks)} interaction instances exceed the subset-sum "
-            f"guard of {max_instances}; shrink the grid or the support")
+            f"guard of {MAX_INSTANCES}; shrink the grid or the support")
     return vs
 
 
@@ -442,13 +441,12 @@ class SchwingerEngine:
 
     def __init__(self, spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
                  u: InteractionCoefficients | None, shifts=(),
-                 interaction_sites=None, max_instances: int = MAX_INSTANCES):
+                 interaction_sites=None):
         self.spec, self.params, self.grid = spec, params, grid
         self.space = GrassmannIndexSpace(spec, grid)
         self.G = self.space.covariance(params, shifts)
         self.vertices = build_vertices(self.space, params, u,
-                                       interaction_sites=interaction_sites,
-                                       max_instances=max_instances)
+                                       interaction_sites=interaction_sites)
         self._plans = {}
         self._denominator = None
 
@@ -529,8 +527,7 @@ def _series_divide(num, den, m_max: int) -> list:
 def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
                        u: InteractionCoefficients | None,
                        lam: LambdaCoefficients | None = None,
-                       m_max: int | None = None,
-                       max_instances: int = MAX_INSTANCES) -> dict:
+                       m_max: int | None = None) -> dict:
     """The discretized expansion of Tr e^{-beta H_lambda} / Tr e^{-beta H_0}:
 
         1 + sum over nonempty subsets S of (vertex, time) instances of
@@ -543,7 +540,7 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
     """
     space = GrassmannIndexSpace(spec, grid)
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    vs = build_vertices(space, params, u, lam, max_instances=max_instances)
+    vs = build_vertices(space, params, u, lam)
     blocks = vs.blocks
     V = len(blocks)
     h = grid.h
@@ -594,38 +591,33 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
 def partition_via_exponential(spec: LatticeSpec, params: ModelParams,
                               grid: TimeGrid,
                               u: InteractionCoefficients | None,
-                              eta: complex = 1.0,
-                              max_instances: int = MAX_INSTANCES) -> complex:
+                              eta: complex = 1.0) -> complex:
     """int exp(eta sum U V) dmu_{C_h}, by expanding the nilpotent exponential
     into subset products of vertex monomials and Wick-evaluating each."""
-    engine = SchwingerEngine(spec, params, grid, u, max_instances=max_instances)
+    engine = SchwingerEngine(spec, params, grid, u)
     return engine.denominator().value_at(eta)
 
 
 def schwinger_taylor(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
                      u: InteractionCoefficients | None, q, m_max: int,
-                     interaction_sites=None,
-                     max_instances: int = MAX_INSTANCES) -> EtaSeries:
+                     interaction_sites=None) -> EtaSeries:
     """Taylor coefficients b_m of the Schwinger function of the query; sites of
     the interaction may be pinned through interaction_sites."""
     engine = SchwingerEngine(spec, params, grid, u,
-                             interaction_sites=interaction_sites,
-                             max_instances=max_instances)
+                             interaction_sites=interaction_sites)
     return engine.schwinger_series(q.x_sites, q.y_sites, q.xi_spins,
                                    q.phi_spins, m_max)
 
 
 def correlation_via_grassmann(spec: LatticeSpec, params: ModelParams,
                               u: InteractionCoefficients | None, q,
-                              half_steps_list,
-                              max_instances: int = MAX_INSTANCES) -> list[dict]:
+                              half_steps_list) -> list[dict]:
     """The correlation from the Grassmann side at a sequence of grids; the
     values converge to the exact trace as h grows."""
     out = []
     for hs in half_steps_list:
         grid = TimeGrid(beta=params.beta, half_steps=int(hs))
-        engine = SchwingerEngine(spec, params, grid, u,
-                                 max_instances=max_instances)
+        engine = SchwingerEngine(spec, params, grid, u)
         out.append({"half_steps": int(hs), "h": grid.h,
                     "value": engine.correlation(q)})
     return out

@@ -128,10 +128,6 @@ class TimeGrid:
         return np.arange(-self.n_points, self.n_points) / self.h
 
 
-def time_grid(beta: float, half_steps: int) -> TimeGrid:
-    return TimeGrid(beta=beta, half_steps=half_steps)
-
-
 def spacetime_index(spec: LatticeSpec, grid: TimeGrid, site, spin: int,
                     time_idx: int) -> int:
     """Global (site, spin, time) index; time is the slowest-varying coordinate."""

@@ -8,7 +8,6 @@ coefficients keep their absolute site (they need not be translation invariant).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -273,35 +272,12 @@ def hopping_matrix(spec: LatticeSpec, params: ModelParams,
     return T
 
 
-def dispersion(k, params: ModelParams, d: int, shifts=()) -> complex:
-    """Dispersion at momentum k with optional complex shifts z*e_p added in.
-
-    shifts is a sequence of (z, axis) pairs; several shifts on the same axis
-    accumulate, which the iterated contour formula requires.
-    """
-    k = list(float(c) for c in k)
-    if len(k) != d:
-        raise ValueError(f"momentum has {len(k)} components, expected {d}")
-    args = [complex(c) for c in k]
-    for z, p in shifts:
-        if not 0 <= p < d:
-            raise ValueError(f"shift axis {p} outside 0..{d - 1}")
-        args[p] += complex(z)
-    E = -2.0 * params.t * sum(cmath.cos(a) for a in args)
-    if d >= 2 and params.t_prime != 0.0:
-        E += -4.0 * params.t_prime * sum(
-            cmath.cos(args[j]) * cmath.cos(args[l])
-            for j in range(d) for l in range(j + 1, d))
-    E -= params.mu
-    if not shifts and abs(E.imag) == 0.0:
-        return complex(E.real)
-    return E
-
-
 def dispersion_grid(spec: LatticeSpec, params: ModelParams, shifts=(),
                     extra_axis_shift=None) -> np.ndarray:
-    """Vectorized dispersion over the full momentum grid.
+    """The dispersion E_k over the full momentum grid, the one used everywhere.
 
+    shifts is a sequence of (z, axis) pairs adding z e_axis to k; several
+    shifts on one axis accumulate, which the iterated contour formula needs.
     extra_axis_shift = (axis, w_array) evaluates E_{k + shifts + w e_axis} for a
     whole array of w at once; the result then has shape (L^d,) + w.shape.
     """
@@ -348,8 +324,7 @@ def check_fourier_consistency(spec: LatticeSpec, params: ModelParams) -> float:
     xs = np.array(sites, dtype=float).reshape(len(sites), spec.d)
     phases = np.exp(-1j * (ks @ xs.T))  # (n_k, n_x)
     synth = phases @ col
-    direct = np.array([dispersion(k, params, spec.d) for k in ks])
-    return float(np.max(np.abs(direct - synth)))
+    return float(np.max(np.abs(dispersion_grid(spec, params) - synth)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +422,6 @@ def density_density_interaction(tables: dict[int, dict]) -> InteractionCoefficie
                         f"(site, spin) pairs, got X={X}, Xi={Xi}")
                 u.add(l, (X, Xi, Xi), value.real)
     return u
-
-
-def build_example_interaction(kind: str, **kwargs) -> InteractionCoefficients:
-    """Dispatch to the example constructors: hubbard, density_density,
-    spin_field, spin_spin."""
-    builders = {
-        "hubbard": hubbard_interaction,
-        "density_density": density_density_interaction,
-        "spin_field": spin_field_interaction,
-        "spin_spin": spin_spin_interaction,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown interaction kind {kind!r}")
-    return builders[kind](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +544,14 @@ def decay_base(params: ModelParams, d: int, r: float) -> float:
     return x + math.sqrt(x * x + 1.0)
 
 
+def theorem_decay_base(params: ModelParams, d: int) -> float:
+    """F = F_{t,t',d}(pi/(2 beta)), the base of every decay envelope."""
+    return decay_base(params, d, math.pi / (2.0 * params.beta))
+
+
 def geometric_sum_factor(params: ModelParams, d: int) -> float:
     """((F^{1/(2 e pi d)} + 1)/(F^{1/(2 e pi d)} - 1))^d at F = F(pi/(2 beta))."""
-    F = decay_base(params, d, math.pi / (2.0 * params.beta))
-    g = F ** (1.0 / (2.0 * math.e * math.pi * d))
+    g = theorem_decay_base(params, d) ** (1.0 / (2.0 * math.e * math.pi * d))
     return ((g + 1.0) / (g - 1.0)) ** d
 
 

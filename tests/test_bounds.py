@@ -11,7 +11,6 @@ from fermidecay import bounds, fock
 from fermidecay.bounds import (
     DET_BLOCK,
     BoundContext,
-    coefficient_series_partial,
     covariance_l1_D,
     det_bound_sample,
     prop41_bound,
@@ -218,6 +217,18 @@ def test_prop42_bound_values(params, chain4):
     assert prop42_bound(0, ctx, 0.5) == pytest.approx(16.0)
     # m=1: (4 B^2 / 7) * C(7,1) * (D B |U|) = 4 B^3 D |U|
     assert prop42_bound(1, ctx, 0.5) == pytest.approx(4 * 4**3 * 0.6 * 0.5)
+
+
+def coefficient_series_partial(x: float, m_terms: int) -> float:
+    """Partial sum of sum_m (4/(3m+4)) C(3m+4, m) x^m, via the term-ratio
+    recurrence; at x = 4/27 the full series sums to 81/16."""
+    total = 1.0  # m = 0 term: (4/4) C(4,0) = 1
+    term = 1.0
+    for m in range(m_terms - 1):
+        term *= x * (3 * m + 4) * (3 * m + 5) * (3 * m + 6) / (
+            (m + 1) * (2 * m + 5) * (2 * m + 6))
+        total += term
+    return total
 
 
 def test_coefficient_series_sums_to_81_16():

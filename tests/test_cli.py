@@ -2,9 +2,16 @@ import json
 
 import pytest
 
+from fermidecay import cli
 from fermidecay.cli import main
 from fermidecay.lattice import LatticeSpec
-from fermidecay.model import ModelParams, hubbard_interaction, model_to_dict, save_model
+from fermidecay.model import (
+    ModelParams,
+    hubbard_interaction,
+    model_to_dict,
+    save_model,
+    spin_spin_interaction,
+)
 
 
 @pytest.fixture
@@ -20,6 +27,14 @@ def test_model_validate_ok(hubbard_file, capsys):
     assert main(["model-validate", "--model", str(hubbard_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "smallness_hubbard" in out
+
+
+def test_model_validate_writes_out(hubbard_file, tmp_path, capsys):
+    out = tmp_path / "validate.json"
+    assert main(["model-validate", "--model", str(hubbard_file),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "smallness_hubbard" in json.loads(out.read_text())
 
 
 def test_model_validate_hermiticity_violation(tmp_path, capsys):
@@ -181,3 +196,60 @@ def test_shipped_model_file_validates():
     import pathlib
     path = pathlib.Path(__file__).resolve().parents[1] / "models" / "hubbard_chain_L4.json"
     assert main(["model-validate", "--model", str(path)]) == 0
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    ran = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name,
+                            lambda *a, name=name: ran.append(name) or [])
+    monkeypatch.setattr(cli, "suite_exact", lambda *a: ran.append("exact") or [])
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(["verify", "--suite", "all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and err.count("\n") == 1
+    assert ran == []
+    monkeypatch.setattr(cli, "_load_or_default", lambda args: ran.append("table"))
+    assert main(["table", "--kind", "envelope",
+                 "--out", str(tmp_path / "missing" / "t.csv")]) == 2
+    assert ran == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--d", "2", "--L", "2"]])
+def test_table_envelope_rows_are_the_theorem_checks(extra, tmp_path):
+    table, report = tmp_path / "table.json", tmp_path / "report.json"
+    assert main(["table", "--kind", "envelope", "--format", "json",
+                 "--out", str(table)] + extra) == 0
+    assert main(["verify", "--suite", "theorem", "--out", str(report)] + extra) == 0
+    rows = json.loads(table.read_text())["rows"]
+    checks = [c for c in json.loads(report.read_text())["checks"]
+              if c["quantity"].startswith("envelope_sep")]
+    d = 2 if extra else 1
+    assert len(rows) == len(checks) == (2 if extra else 4)
+    for row, check in zip(rows, checks, strict=True):
+        sum_diff = (-2 * row["separation"],) + (0,) * (d - 1)
+        assert check["quantity"] == f"envelope_sep{sum_diff}"
+        assert check["computed"] == row["abs_correlation"]
+        assert check["bound"] == row["envelope_chord"]
+        assert check["details"]["envelope_euclidean"] == row["envelope_euclidean"]
+
+
+@pytest.mark.parametrize("case", ["oversized", "spin_spin"])
+def test_table_envelope_refuses_outside_the_theorem(case, tmp_path, capsys):
+    # the table applies the smallness hypothesis that verify applies: an
+    # oversized coupling, or a model the on-site envelope does not bound,
+    # aborts with one line and leaves an existing --out untouched
+    if case == "oversized":
+        extra = ["--coupling-fraction", "1.5"]
+    else:
+        path = tmp_path / "spin.json"
+        path.write_text(json.dumps(model_to_dict(
+            LatticeSpec(d=1, L=4), ModelParams(),
+            spin_spin_interaction({(1,): 1e-4}, d=1))))
+        extra = ["--model", str(path)]
+    out = tmp_path / "envelope.csv"
+    out.write_text("kept\n")
+    assert main(["table", "--kind", "envelope", "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") and err.count("\n") == 1
+    assert out.read_text() == "kept\n"

@@ -15,7 +15,6 @@ from fermidecay.fock import (
     correlation,
     diagonalize,
     lambda_derivative_check,
-    mode_operator,
     observable_pair,
     partition_ratio,
     query,
@@ -40,6 +39,19 @@ from fermidecay.model import (
     spin_field_interaction,
     spin_spin_interaction,
 )
+
+
+def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
+    """psi_mode ("annihilate") or psi*_mode ("create") from the cached
+    Jordan-Wigner operators."""
+    if not 0 <= mode < space.n_modes:
+        raise ValueError(f"mode {mode} outside 0..{space.n_modes - 1}")
+    a = fock._mode_operators(space.n_modes)[mode]
+    if kind == "annihilate":
+        return a
+    if kind == "create":
+        return a.conj().T.tocsr()
+    raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
 
 
 @pytest.fixture
@@ -203,11 +215,11 @@ def test_free_correlation_fermi_function():
     spec = LatticeSpec(d=1, L=4)
     space = FockSpace(spec)
     p = ModelParams(t=1.0, mu=0.3, beta=1.0)
-    from fermidecay.model import dispersion
     from fermidecay.lattice import enumerate_momenta
+    from test_model import dispersion_reference
     q = query(((1,),), ((1,),), (UP,), (UP,))
     v = correlation(space, p, None, q)
-    fermi = np.mean([1.0 / (1.0 + math.exp(p.beta * dispersion(k, p, 1).real))
+    fermi = np.mean([1.0 / (1.0 + math.exp(p.beta * dispersion_reference(k, p, 1).real))
                      for k in enumerate_momenta(spec)])
     assert v.real == pytest.approx(2.0 * fermi, abs=1e-12)
 

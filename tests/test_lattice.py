@@ -11,7 +11,6 @@ from fermidecay.lattice import (
     periodic_reduce,
     site_index,
     spacetime_index,
-    time_grid,
 )
 
 
@@ -63,13 +62,13 @@ def test_momentum_orthogonality(d, L):
 
 
 def test_time_grid_examples():
-    g = time_grid(1.0, 1)
+    g = TimeGrid(1.0, 1)
     assert g.h == 2.0 and g.n_points == 2
     np.testing.assert_allclose(g.points, [0.0, 0.5])
-    g = time_grid(2.0, 2)
+    g = TimeGrid(2.0, 2)
     assert g.h == 2.0
     np.testing.assert_allclose(g.points, [0.0, 0.5, 1.0, 1.5])
-    g = time_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     assert g.h == 4.0
     np.testing.assert_allclose(g.points, [0.0, 0.25, 0.5, 0.75])
     assert len(g.points_double) == 2 * g.n_points
@@ -87,6 +86,6 @@ def test_global_index_order():
     assert mode_index(spec, (1,), 0) == 2
     # site coordinates reduce mod L
     assert site_index(spec, (-1,)) == 1
-    grid = time_grid(1.0, 1)
+    grid = TimeGrid(1.0, 1)
     assert spacetime_index(spec, grid, (1,), 1, 0) == 3
     assert spacetime_index(spec, grid, (0,), 0, 1) == 4

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermidecay.lattice import DOWN, UP, LatticeSpec, enumerate_sites, mode_index
+from fermidecay.lattice import (
+    DOWN,
+    UP,
+    LatticeSpec,
+    enumerate_sites,
+    mode_index,
+    momentum_grid,
+)
 from fermidecay.model import (
     HermiticityError,
     InteractionCoefficients,
@@ -13,11 +21,10 @@ from fermidecay.model import (
     ModelParams,
     antisym_pinned_norm,
     antisymmetrize,
-    build_example_interaction,
     check_fourier_consistency,
     check_smallness,
     decay_base,
-    dispersion,
+    dispersion_grid,
     hopping_matrix,
     hubbard_antisymmetric_tensor,
     hubbard_interaction,
@@ -54,16 +61,79 @@ def test_hopping_matrix_hermitian_and_guard():
     hopping_matrix(LatticeSpec(d=2, L=2), ModelParams(t=0.0, t_prime=1.0))
 
 
+def dispersion_reference(k, params: ModelParams, d: int, shifts=()) -> complex:
+    """Scalar E at one momentum k, with complex shifts z*e_p added in, by
+    cmath: the independent reference for model.dispersion_grid.
+
+    shifts is a sequence of (z, axis) pairs; several shifts on the same axis
+    accumulate, which the iterated contour formula requires.
+    """
+    k = list(float(c) for c in k)
+    if len(k) != d:
+        raise ValueError(f"momentum has {len(k)} components, expected {d}")
+    args = [complex(c) for c in k]
+    for z, p in shifts:
+        if not 0 <= p < d:
+            raise ValueError(f"shift axis {p} outside 0..{d - 1}")
+        args[p] += complex(z)
+    E = -2.0 * params.t * sum(cmath.cos(a) for a in args)
+    if d >= 2 and params.t_prime != 0.0:
+        E += -4.0 * params.t_prime * sum(
+            cmath.cos(args[j]) * cmath.cos(args[l])
+            for j in range(d) for l in range(j + 1, d))
+    E -= params.mu
+    if not shifts and abs(E.imag) == 0.0:
+        return complex(E.real)
+    return E
+
+
 def test_dispersion_values():
     p = ModelParams(t=1.0, mu=0.0)
-    assert dispersion((0.0,), p, 1) == -2.0
-    v = dispersion((np.pi, np.pi), ModelParams(t=1.0, t_prime=0.5, mu=0.2), 2)
+    assert dispersion_reference((0.0,), p, 1) == -2.0
+    v = dispersion_reference((np.pi, np.pi), ModelParams(t=1.0, t_prime=0.5, mu=0.2), 2)
     assert abs(v - 1.8) < 1e-14
-    v = dispersion((0.0,), p, 1, shifts=((0.3j, 0),))
+    v = dispersion_reference((0.0,), p, 1, shifts=((0.3j, 0),))
     assert abs(v - (-2.0 * math.cosh(0.3))) < 1e-14
     assert abs(v.imag) == 0.0
     with pytest.raises(ValueError):
-        dispersion((0.0,), p, 1, shifts=((0.1j, 1),))
+        dispersion_reference((0.0,), p, 1, shifts=((0.1j, 1),))
+
+
+_SHIFT = st.builds(complex, st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 5), (1, 6), (2, 2), (2, 3),
+                        (3, 2)]),
+       st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.data())
+def test_dispersion_grid_matches_scalar_reference(shape, t, t_prime, mu, data):
+    # the vectorized dispersion behind every covariance, strip guard and
+    # contour node against the scalar cmath reference, unshifted, with
+    # several shifts on one axis and with a stack of extra shifts on it
+    d, L = shape
+    spec = LatticeSpec(d=d, L=L)
+    p = ModelParams(t=t, t_prime=t_prime, mu=mu,
+                    beta=data.draw(st.floats(0.3, 3.0)))
+    axis = data.draw(st.integers(0, d - 1))
+    shifts = ([(z, axis) for z in data.draw(st.lists(_SHIFT, max_size=2))]
+              + data.draw(st.lists(st.tuples(_SHIFT, st.integers(0, d - 1)),
+                                   max_size=2)))
+    w = data.draw(st.lists(_SHIFT, min_size=1, max_size=3))
+    ks = momentum_grid(spec)
+    for s in ((), shifts):
+        np.testing.assert_allclose(
+            dispersion_grid(spec, p, s),
+            [dispersion_reference(k, p, d, s) for k in ks], rtol=1e-14,
+            atol=1e-14)
+    stacked = dispersion_grid(spec, p, shifts,
+                              extra_axis_shift=(axis, np.array(w)))
+    assert stacked.shape == (len(ks), len(w))
+    for j, wj in enumerate(w):
+        np.testing.assert_allclose(
+            stacked[:, j],
+            [dispersion_reference(k, p, d, shifts + [(wj, axis)]) for k in ks],
+            rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("d,L,t,tp,mu", [
@@ -158,13 +228,6 @@ def test_spin_spin_interaction_structure():
     assert u.orders[2][(((0,), (0,)), (UP, UP), (UP, UP))] == pytest.approx(w0 / 4)
     assert u.orders[2][(((0,), (0,)), (UP, DOWN), (DOWN, UP))] == pytest.approx(w0 / 2)
     u.validate_hermiticity()
-
-
-def test_build_example_interaction_dispatch():
-    u = build_example_interaction("hubbard", U=0.2, d=1)
-    assert u.hubbard_coupling() == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        build_example_interaction("nope")
 
 
 # --- anti-symmetrization -----------------------------------------------------
