@@ -592,7 +592,8 @@ def main(argv=None) -> int:
                     "mu=0.2, beta=1).")
     sub = parser.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("model-validate", help="parse and validate a model file")
-    _add_common(pv)
+    pv.add_argument("--model", help="model description JSON")
+    pv.add_argument("--out", help="output path (default stdout)")
     ps = sub.add_parser("verify", help="run a verification suite")
     ps.add_argument("--suite", required=True,
                     choices=("covariance", "detbound", "grassmann", "taylor",

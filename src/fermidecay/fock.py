@@ -1,13 +1,15 @@
-"""Exact Fock-space oracle: Hamiltonians as sparse matrices, thermal traces.
+"""Exact Fock-space oracle on numpy alone: Hamiltonians as COO triplets,
+thermal traces.
 
 Every operator -- the mode operators, the pieces of H and the observables --
-comes from one assembler that applies its normal-ordered operator strings to
-all basis states at once with the Jordan-Wigner sign in the global mode
-order, so every sign is reproducible.  Thermal averages go
-through the eigendecomposition of H one conserved-number sector at a time:
-(N_up, N_down) when H keeps both counts, else the total N, else the whole
-space.  Each sector block is diagonalized densely and observables stay
-sparse; sizes are desk scale by design.
+is a FockOperator of canonical COO triplets, made by one assembler that
+applies its normal-ordered operator strings to all basis states at once with
+the Jordan-Wigner sign in the global mode order, so every sign is
+reproducible.  Thermal averages go through the eigendecomposition of H one
+conserved-number sector at a time: (N_up, N_down) when H keeps both counts,
+else the total N, else the whole space.  Each sector block is filled densely
+and diagonalized; observables are contracted entry by entry against the
+eigenvectors of their sector; sizes are desk scale by design.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeSpec, canonical_site, mode_index
 from .model import (
+    HermiticityError,
     InteractionCoefficients,
     LambdaCoefficients,
     ModelParams,
@@ -80,12 +82,50 @@ def query(x_sites, y_sites, xi_spins, phi_spins) -> CorrelationQuery:
                             tuple(int(s) for s in phi_spins))
 
 
-def _assemble(n_modes: int, terms, dtype=complex) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class FockOperator:
+    """A dim x dim matrix as canonical COO triplets: each (row, col) pair at
+    most once, in row-major order, and no stored zero.  The arrays are
+    read-only, so cached operators can be shared."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+def _canonical(dim: int, rows, cols, vals) -> FockOperator:
+    """Sum the entries sharing a (row, col) pair in input order, then drop the
+    zeros, so an entry that cancels exactly joins no two states."""
+    keys, slot = np.unique(rows * dim + cols, return_inverse=True)
+    if np.iscomplexobj(vals):
+        summed = np.empty(len(keys), dtype=vals.dtype)
+        summed.real = np.bincount(slot, vals.real, len(keys))
+        summed.imag = np.bincount(slot, vals.imag, len(keys))
+    else:
+        summed = np.bincount(slot, vals, len(keys))
+    keep = summed != 0
+    arrays = (keys[keep] // dim, keys[keep] % dim, summed[keep])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return FockOperator(*arrays, dim)
+
+
+def _assemble(n_modes: int, terms, dtype=complex) -> FockOperator:
     """Sum of coeff * psi*_{c1}..psi*_{ck} psi_{a1}..psi_{al} over the terms
-    (coeff, create_modes, annihilate_modes) as one CSR matrix.  Each string
-    acts on all basis states at once, rightmost factor first: psi_m (psi*_m)
-    keeps the states with mode m occupied (empty), applies the Jordan-Wigner
-    sign (-1)^(occupied modes below m) and flips bit m."""
+    (coeff, create_modes, annihilate_modes).  Each string acts on all basis
+    states at once, rightmost factor first: psi_m (psi*_m) keeps the states
+    with mode m occupied (empty), applies the Jordan-Wigner sign
+    (-1)^(occupied modes below m) and flips bit m."""
     dim = 2**n_modes
     jw = np.ones(1)  # jw[s] = (-1)^(number of occupied modes in s)
     for _ in range(n_modes):
@@ -101,24 +141,17 @@ def _assemble(n_modes: int, terms, dtype=complex) -> sp.csr_matrix:
             sign = sign * jw[state & ((1 << m) - 1)]
             state = state ^ (1 << m)
         triplets.append((state, start, sign))
-    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
-    H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    H.eliminate_zeros()
-    return H
+    return _canonical(dim, *(np.concatenate(a) for a in zip(*triplets)))
 
 
 @functools.lru_cache(maxsize=8)
 def _mode_operators(n_modes: int):
-    """All annihilation operators psi_q as read-only float CSR matrices."""
-    ops = tuple(_assemble(n_modes, [(1.0, (), (q,))], dtype=float)
-                for q in range(n_modes))
-    for op in ops:
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False  # shared by every caller of the cache
-    return ops
+    """All annihilation operators psi_q as read-only float operators."""
+    return tuple(_assemble(n_modes, [(1.0, (), (q,))], dtype=float)
+                 for q in range(n_modes))
 
 
-def _normal_ordered(space: FockSpace, entries) -> sp.csr_matrix:
+def _normal_ordered(space: FockSpace, entries) -> FockOperator:
     """Sum of coeff psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}
     over the entries (X, Y, Xi, Phi, coeff)."""
     mode = lambda x, s: mode_index(space.spec, canonical_site(space.spec, x), s)
@@ -128,103 +161,148 @@ def _normal_ordered(space: FockSpace, entries) -> sp.csr_matrix:
         for X, Y, Xi, Phi, coeff in entries])
 
 
-def build_h0(space: FockSpace, params: ModelParams) -> sp.csr_matrix:
+def build_h0(space: FockSpace, params: ModelParams) -> FockOperator:
     T = hopping_matrix(space.spec, params, require_hopping=False)
     return _assemble(space.n_modes, [(T[i, j], (i,), (j,))
                                      for i, j in zip(*np.nonzero(T))])
 
 
-def build_interaction(space: FockSpace, u: InteractionCoefficients) -> sp.csr_matrix:
+def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOperator:
     """V = sum over orders and lattice sites of
     U_{L,l} psi*_{x1 xi1}..psi*_{xl xil} psi_{xl phil}..psi_{x1 phi1}."""
     terms = lattice_terms(restrict_interaction(u, space.spec), space.spec)
     return _normal_ordered(space, [(X, X, Xi, Phi, c) for _, X, Xi, Phi, c in terms])
 
 
-def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> sp.csr_matrix:
+def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> FockOperator:
     """sum over entries of (lambda(X,Y,Xi,Phi) + lambda(Y,X,Phi,Xi)) times
     psi*_{x1 xi1}..psi*_{xm xim} psi_{ym phim}..psi_{y1 phi1}."""
     return _normal_ordered(space, lam.symmetrized_terms())
 
 
 def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
-               lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
-    """(H + V) + Lambda, in that order, so that a Hamiltonian assembled from
-    a shared H_0 or H_0 + V is bitwise the one build_hamiltonian makes."""
-    pieces = ((u, build_interaction), (lam, build_lambda_term))
-    return sum((build(space, c) for c, build in pieces if c is not None), H)
+               lam: LambdaCoefficients | None = None) -> FockOperator:
+    """H + V + Lambda, their triplets summed once in that order, so that a
+    Hamiltonian assembled from a shared H_0 or H_0 + V is bitwise the one
+    build_hamiltonian makes."""
+    ops = [H] + [build(space, c) for c, build in ((u, build_interaction),
+                                                  (lam, build_lambda_term))
+                 if c is not None]
+    if len(ops) == 1:
+        return H
+    return _canonical(H.dim, *(np.concatenate([getattr(op, f) for op in ops])
+                               for f in ("rows", "cols", "vals")))
 
 
 def build_hamiltonian(space: FockSpace, params: ModelParams,
                       u: InteractionCoefficients | None = None,
-                      lam: LambdaCoefficients | None = None) -> sp.csr_matrix:
+                      lam: LambdaCoefficients | None = None) -> FockOperator:
     return _add_terms(space, build_h0(space, params), u, lam)
 
 
-def observable_pair(space: FockSpace, q: CorrelationQuery) -> sp.csr_matrix:
+def observable_pair(space: FockSpace, q: CorrelationQuery) -> FockOperator:
     """The self-adjoint pair O + O^dagger of the correlation observable; the
     adjoint of O is the normal-ordered string of the swapped query."""
     return _normal_ordered(space, [(p.x_sites, p.y_sites, p.xi_spins,
                                     p.phi_spins, 1.0) for p in (q, q.swapped())])
 
 
-def _sectors(H) -> tuple[sp.csr_matrix, list[np.ndarray]]:
-    """H as CSR, and the basis states in the finest conserved-number blocks
-    that H keeps: (N_up, N_down), else the total N, else a single block.
+def _as_operator(A) -> FockOperator:
+    """A FockOperator as it is, or the nonzero entries of a dense matrix."""
+    if isinstance(A, FockOperator):
+        return A
+    A = np.asarray(A)
+    rows, cols = np.nonzero(A)
+    return _canonical(A.shape[0], rows, cols, A[rows, cols])
+
+
+def _sectors(H: FockOperator) -> list[np.ndarray]:
+    """The basis states in the finest conserved-number blocks that H keeps:
+    (N_up, N_down), else the total N, else a single block.
 
     Mode 2*site + spin is spin up when even.  A labelling is kept when every
-    nonzero entry of H joins two states of equal label.
+    stored entry of H joins two states of equal label.
     """
-    H = sp.csr_matrix(H)
-    dim = H.shape[0]
+    dim = H.dim
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dimension {dim} exceeds dense-trace guard")
     basis = np.arange(dim)
     bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
     n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
-    rows, cols = H.nonzero()
     for label in (n_up * dim + n_down, n_up + n_down, np.zeros(dim, dtype=int)):
-        if np.array_equal(label[rows], label[cols]):
+        if np.array_equal(label[H.rows], label[H.cols]):
             break
     order = np.argsort(label, kind="stable")
-    return H, np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _state_map(sectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every basis state, its sector and its index inside that sector."""
+    sector, local = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+    for i, states in enumerate(sectors):
+        sector[states] = i
+        local[states] = np.arange(len(states))
+    return sector, local
+
+
+def _blocks(H) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The sectors of H and its dense block on each, filled by one scatter of
+    the stored entries, all of which lie inside a block; a block that is not
+    hermitian is refused."""
+    H = _as_operator(H)
+    sectors = _sectors(H)
+    sector, local = _state_map(sectors, H.dim)
+    sizes = np.array([len(s) for s in sectors])
+    offsets = np.concatenate([[0], np.cumsum(sizes**2)])
+    flat = np.zeros(offsets[-1], dtype=H.vals.dtype)
+    which = sector[H.rows]
+    flat[offsets[which] + local[H.rows] * sizes[which] + local[H.cols]] = H.vals
+    blocks = [flat[offsets[i]:offsets[i + 1]].reshape(n, n)
+              for i, n in enumerate(sizes)]
+    herm_defect = max(np.abs(B - B.conj().T).max() for B in blocks)
+    if herm_defect > 1e-10:
+        raise HermiticityError(
+            f"matrix is not hermitian (defect {herm_defect:.3e})")
+    return sectors, blocks
 
 
 def diagonalize(H) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Eigenpairs of H, one (states, eigenvalues, eigenvectors) triple per
     conserved-number sector; the eigenvectors are in the sector's basis."""
-    H, sectors = _sectors(H)
-    herm_defect = abs(H - H.conj().T).max()
-    if herm_defect > 1e-10:
-        raise ValueError(f"matrix is not hermitian (defect {herm_defect:.3e})")
-    return [(s, *np.linalg.eigh(H[s][:, s].toarray())) for s in sectors]
+    sectors, blocks = _blocks(H)
+    return [(s, *np.linalg.eigh(B)) for s, B in zip(sectors, blocks)]
 
 
 def _expectation(eig, O, beta: float) -> complex:
     """Tr(e^{-beta H} O) / Tr e^{-beta H} from the sector eigenpairs of H.
 
     e^{-beta H} is block diagonal, so the entries of O between sectors add
-    nothing to the trace and each sector needs only its own block of O.
+    nothing to the trace, and sector s contributes
+    sum_n weight_n sum_{(r, c, o) in s} conj(V[r, n]) o V[c, n].
     """
-    O = sp.csr_matrix(O)
+    O = _as_operator(O)
+    sector, local = _state_map([states for states, _, _ in eig], O.dim)
+    which = np.where(sector[O.rows] == sector[O.cols], sector[O.rows], -1)
+    rows, cols = local[O.rows], local[O.cols]
     w_min = min(w.min() for _, w, _ in eig)
     num = den = 0.0
-    for states, w, V in eig:
+    for i, (_, w, V) in enumerate(eig):
         weights = np.exp(-beta * (w - w_min))
-        diag = np.einsum("in,in->n", V.conj(), O[states][:, states] @ V)
+        e = which == i
+        diag = np.einsum("en,e,en->n", V[rows[e]].conj(), O.vals[e], V[cols[e]])
         num += np.sum(weights * diag)
         den += np.sum(weights)
     return complex(num / den)
 
 
 def thermal_average(space: FockSpace, H, O, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H."""
+    """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H; H and O
+    are FockOperators or dense matrices."""
     return _expectation(diagonalize(H), O, beta)
 
 
 def log_partition(H, beta: float) -> float:
-    H, sectors = _sectors(H)
-    w = np.concatenate([np.linalg.eigvalsh(H[s][:, s].toarray()) for s in sectors])
+    w = np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]])
     m = w.min()
     return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))
 

@@ -55,7 +55,8 @@ class ModelParams:
 
 
 class HermiticityError(ValueError):
-    """An interaction entry violates conj(U(X,Xi,Phi)) = U(X,Phi,Xi)."""
+    """An interaction entry violates conj(U(X,Xi,Phi)) = U(X,Phi,Xi), or a
+    matrix handed to the exact trace is not hermitian."""
 
 
 def _as_site_tuple(x) -> tuple[int, ...]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,9 @@ from fermidecay.model import (
     save_model,
     spin_spin_interaction,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL = ROOT / "models" / "hubbard_chain_L4.json"
 
 
 @pytest.fixture
@@ -113,14 +120,20 @@ def test_verify_deterministic_reports(tmp_path):
     (["verify", "--suite", "taylor", "--format", "csv", "--out", "{tmp}"], 2),
     (["table", "--kind", "taylor", "--out", "{tmp}/missing/t.csv"], 2),
     (["table", "--kind", "taylor", "--format", "json", "--out", "{tmp}"], 2),
+    (["model-validate", "--model", "{model}", "--format", "csv", "--L", "9"], 2),
+    (["model-validate", "--model", "{model}", "--trials", "5"], 2),
+    (["model-validate", "--model", "{model}", "--beta", "2"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     # out-of-range or non-finite flags are usage errors (exit 2, at parse
     # time), and so is an --out that cannot be written (one error line); a
-    # guard that refuses a table's size is a failed check (exit 1)
+    # guard that refuses a table's size is a failed check (exit 1);
+    # model-validate takes --model and --out only, so a flag it would ignore
+    # is a usage error even with a valid model
     out = tmp_path / "out"
     own_out = "--out" in argv
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(MODEL))
+            for a in argv]
     try:
         rc = main(argv if own_out else argv + ["--out", str(out)])
     except SystemExit as exc:
@@ -253,3 +266,26 @@ def test_table_envelope_refuses_outside_the_theorem(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("aborted: ") and err.count("\n") == 1
     assert out.read_text() == "kept\n"
+
+
+def test_runs_with_scipy_unimportable(tmp_path):
+    # the runtime needs numpy alone: importing the package loads no scipy,
+    # and every suite runs with scipy made unimportable
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    scipy_keys = ("sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy')")
+    code = ("import sys; import fermidecay.cli; "
+            f"print({scipy_keys})")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+    out = tmp_path / "r.json"
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from fermidecay import cli; "
+            f"rc = cli.main(['verify', '--suite', 'all', '--out', {str(out)!r}]); "
+            f"print(rc, {scipy_keys})")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0 ['scipy']"  # only the blocking None entry
+    assert json.loads(out.read_text())["passed"] is True

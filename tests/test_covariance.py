@@ -81,8 +81,7 @@ def test_cached_arrays_read_only(params, chain4):
     before = covariance_value(cs, a, a)
     table, dts = _covariance_lookup(cs, TimeGrid(params.beta, 1))
     op = fock._mode_operators(chain4.n_modes)[0]
-    for arr in (guarded_dispersions(cs), table, dts, op.data, op.indices,
-                op.indptr):
+    for arr in (guarded_dispersions(cs), table, dts, op.rows, op.cols, op.vals):
         with pytest.raises(ValueError):
             arr += 5
     assert covariance_value(cs, a, a) == before

@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fermidecay.lattice import (
     mode_index,
 )
 from fermidecay.model import (
+    HermiticityError,
     LambdaCoefficients,
     ModelParams,
     density_density_interaction,
@@ -41,12 +43,17 @@ from fermidecay.model import (
 )
 
 
+def to_csr(op: fock.FockOperator) -> sp.csr_matrix:
+    """A FockOperator as a scipy CSR matrix, for sparse algebra in tests."""
+    return sp.csr_matrix((op.vals, (op.rows, op.cols)), shape=op.shape)
+
+
 def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
     """psi_mode ("annihilate") or psi*_mode ("create") from the cached
     Jordan-Wigner operators."""
     if not 0 <= mode < space.n_modes:
         raise ValueError(f"mode {mode} outside 0..{space.n_modes - 1}")
-    a = fock._mode_operators(space.n_modes)[mode]
+    a = to_csr(fock._mode_operators(space.n_modes)[mode])
     if kind == "annihilate":
         return a
     if kind == "create":
@@ -114,7 +121,7 @@ def test_hubbard_atom_spectrum_and_average():
     w = np.sort(np.linalg.eigvalsh(H.toarray()))
     np.testing.assert_allclose(w, sorted([0.0, eps, eps, 2 * eps + U]), atol=1e-12)
     nup = mode_operator(atom, 0, "create") @ mode_operator(atom, 0, "annihilate")
-    avg = thermal_average(atom, H, nup, p.beta)
+    avg = thermal_average(atom, H, nup.toarray(), p.beta)
     Z = 1 + 2 * math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))
     expected = (math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))) / Z
     assert avg.real == pytest.approx(expected, rel=1e-12)
@@ -435,7 +442,7 @@ def _assert_matches_full_space(space, p, u, lam, queries):
                mode_operator(space, mode_index(space.spec, q.y_sites[0],
                                                q.phi_spins[0]), "annihilate"))
         ref = _full_space_expectation(full, hop, p.beta)
-        assert abs(thermal_average(space, H, hop, p.beta) - ref) <= 1e-12
+        assert abs(thermal_average(space, H, hop.toarray(), p.beta) - ref) <= 1e-12
     w = np.linalg.eigvalsh(H.toarray())
     ref = float(-p.beta * w.min() + np.log(np.sum(np.exp(-p.beta * (w - w.min())))))
     assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
@@ -581,6 +588,7 @@ def test_mode_operators_match_state_loop():
     for n in range(2, 13):
         for op, ref in zip(fock._mode_operators(n), mode_operators_reference(n),
                            strict=True):
+            op = to_csr(op)
             for arr, ref_arr in ((op.data, ref.data), (op.indices, ref.indices),
                                  (op.indptr, ref.indptr)):
                 assert arr.dtype == ref_arr.dtype
@@ -610,5 +618,152 @@ def test_assembler_matches_per_term_sums(shape, kind, coupling, t_prime,
         q = query(*data.draw(_points(spec, m)))
         pairs.append((observable_pair(space, q), observable_pair_reference(space, q)))
     for ours, ref in pairs:
-        assert ours.shape == ref.shape and ours.dtype == np.complex128
-        assert abs(ours - ref).max() <= 1e-14
+        assert ours.shape == ref.shape and ours.vals.dtype == np.complex128
+        assert abs(to_csr(ours) - ref).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the COO operator paths against the CSR code they replaced
+# ---------------------------------------------------------------------------
+
+def csr_sum_reference(dim, rows, cols, vals):
+    """Reference: duplicates summed by the CSR constructor, then explicit
+    zeros eliminated."""
+    M = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    M.eliminate_zeros()
+    return M
+
+
+def sectors_reference(H):
+    """Reference: the labelling read from the nonzero pattern of a CSR H."""
+    dim = H.shape[0]
+    basis = np.arange(dim)
+    bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
+    n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
+    rows, cols = H.nonzero()
+    for label in (n_up * dim + n_down, n_up + n_down, np.zeros(dim, dtype=int)):
+        if np.array_equal(label[rows], label[cols]):
+            break
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def expectation_reference(eig, O, beta):
+    """Reference: each sector's block of a CSR O, applied to the eigenvectors."""
+    w_min = min(w.min() for _, w, _ in eig)
+    num = den = 0.0
+    for states, w, V in eig:
+        weights = np.exp(-beta * (w - w_min))
+        diag = np.einsum("in,in->n", V.conj(), O[states][:, states] @ V)
+        num += np.sum(weights * diag)
+        den += np.sum(weights)
+    return complex(num / den)
+
+
+def log_partition_reference(H, beta):
+    w = np.concatenate([np.linalg.eigvalsh(H[s][:, s].toarray())
+                        for s in sectors_reference(H)])
+    m = w.min()
+    return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))
+
+
+def _assert_triplets_match(ours, ref):
+    """Same (row, col) pattern in the same order, values within 1e-15."""
+    ref = ref.tocoo()
+    np.testing.assert_array_equal(ours.rows, ref.row)
+    np.testing.assert_array_equal(ours.cols, ref.col)
+    assert ours.vals.dtype == ref.data.dtype
+    assert np.all(np.abs(ours.vals - ref.data) <= 1e-15)
+
+
+def _recording_canonical(calls):
+    real = fock._canonical
+
+    def record(dim, rows, cols, vals):
+        out = real(dim, rows, cols, vals)
+        calls.append(((dim, rows, cols, vals), out))
+        return out
+    return record
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2)]),
+       st.sampled_from(["hubbard", "density_density", "spin_spin",
+                        "field_x", "field_y", "field_z"]),
+       st.floats(0.05, 1.0), st.floats(-0.5, 0.5), st.floats(0.2, 2.0),
+       st.integers(1, 3), st.data())
+def test_coo_paths_match_csr_reference(shape, kind, coupling, t_prime, beta,
+                                       n_lambda, data):
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=t_prime, mu=0.2, beta=beta)
+    u = _example_interaction(kind, spec, coupling)
+    lam = LambdaCoefficients(m_hat=data.draw(st.integers(1, 2)))
+    for _ in range(n_lambda):
+        lam.add(*data.draw(_points(spec, lam.m_hat)),
+                data.draw(st.floats(-0.5, 0.5)))
+    queries = [query(*data.draw(_points(spec, m))) for m in (1, 2)]
+    calls = []
+    with mock.patch.object(fock, "_canonical", _recording_canonical(calls)):
+        H = build_hamiltonian(space, p, u, lam)
+        pairs = [observable_pair(space, q) for q in queries]
+    # every summation: H_0, V, Lambda, their sum and the observables
+    assert len(calls) == 4 + len(queries)
+    for args, ours in calls:
+        _assert_triplets_match(ours, csr_sum_reference(*args))
+    pieces = [to_csr(build_h0(space, p)), to_csr(fock.build_interaction(space, u)),
+              to_csr(fock.build_lambda_term(space, lam))]
+    H_ref = (pieces[0] + pieces[1]) + pieces[2]
+    _assert_triplets_match(H, H_ref)
+    sectors, blocks = fock._blocks(H)
+    ref_sectors = sectors_reference(H_ref)
+    assert len(sectors) == len(ref_sectors)
+    for s, ref_s, block in zip(sectors, ref_sectors, blocks):
+        np.testing.assert_array_equal(s, ref_s)
+        assert np.max(np.abs(block - H_ref[s][:, s].toarray())) <= 1e-15
+    eig = diagonalize(H)
+    hop = (mode_operator(space, 0, "create") @
+           mode_operator(space, space.n_modes - 1, "annihilate"))
+    for ours, ref in [(O, to_csr(O)) for O in pairs] + [(hop.toarray(), hop)]:
+        assert abs(fock._expectation(eig, ours, p.beta) -
+                   expectation_reference(eig, ref, p.beta)) <= 1e-12
+    assert abs(fock.log_partition(H, p.beta) -
+               log_partition_reference(H_ref, p.beta)) <= 1e-12
+
+
+def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
+    # a transverse field flips spins at site 0; a lambda entry of opposite
+    # sign cancels those entries exactly, so they are dropped and the
+    # (N_up, N_down) labelling holds again
+    spec = LatticeSpec(d=1, L=2)
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    b = 0.6
+    fld = spin_field_interaction({(0,): (b, 0.0, 0.0)})
+    lam = LambdaCoefficients(m_hat=1)
+    lam.add(((0,),), ((0,),), (UP,), (DOWN,), -0.5 * b)
+    assert len(diagonalize(build_hamiltonian(space, p, fld))) == 5
+    H = build_hamiltonian(space, p, fld, lam)
+    H0 = build_h0(space, p)
+    for ours, ref in ((H.rows, H0.rows), (H.cols, H0.cols), (H.vals, H0.vals)):
+        np.testing.assert_array_equal(ours, ref)
+    H_ref = (to_csr(H0) + to_csr(fock.build_interaction(space, fld))) + \
+        to_csr(fock.build_lambda_term(space, lam))
+    _assert_triplets_match(H, H_ref)
+    assert len(diagonalize(H)) == (spec.n_sites + 1) ** 2
+    for s, ref_s in zip(fock._sectors(H), sectors_reference(H_ref), strict=True):
+        np.testing.assert_array_equal(s, ref_s)
+
+
+@pytest.mark.parametrize("as_dense", [False, True])
+@pytest.mark.parametrize("trace", [diagonalize,
+                                   lambda H: fock.log_partition(H, 1.0)])
+def test_exact_trace_refuses_non_hermitian(trace, as_dense):
+    # psi*_{0 up} psi_{1 up} keeps N_up and N_down: its entries lie inside
+    # the (N_up, N_down) blocks, and nothing stores their adjoint
+    space = FockSpace(LatticeSpec(d=1, L=2))
+    H = fock._assemble(space.n_modes, [(0.5, (0,), (2,)), (1.0, (1,), (1,))])
+    with pytest.raises(HermiticityError, match="not hermitian") as exc:
+        trace(H.toarray() if as_dense else H)
+    assert isinstance(exc.value, ValueError)
+    assert "defect 5.000e-01" in str(exc.value)
