@@ -160,18 +160,16 @@ def theorem_envelope(sum_diff, spec: LatticeSpec, params: ModelParams,
 
 def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
                          grid: TimeGrid, u: InteractionCoefficients,
-                         q, m_max: int, det_bound_B: float = 4.0) -> dict:
+                         q, m_max: int) -> dict:
     """|b_m| against the generic coefficient bound; for the on-site model also
     |c_m| (both the full-lattice and the pinned-site interaction variants)
     against the sharper binomial bound."""
     cs = CovarianceSpec(spec, params)
     D = covariance_l1_D(cs, grid)
-    ctx = BoundContext(params=params, spec=spec, det_bound_B=det_bound_B,
-                       l1_integral_D=D)
+    ctx = BoundContext(params=params, spec=spec, l1_integral_D=D)
     norms = {l: interaction_norm(u, l, spec) for l in u.orders}
     engine = SchwingerEngine(spec, params, grid, u)
-    series = engine.schwinger_series(q.x_sites, q.y_sites, q.xi_spins,
-                                     q.phi_spins, m_max)
+    series = engine.schwinger_series(q, m_max)
     rows = []
     for m in range(m_max + 1):
         bound = prop41_bound(m, q.m_hat, ctx, norms)
@@ -187,8 +185,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
         pinned = SchwingerEngine(spec, params, grid, u,
                                  interaction_sites=set(origin))
         for label, eng in (("full", engine), ("pinned", pinned)):
-            ser = eng.schwinger_series(q.x_sites, q.y_sites, q.xi_spins,
-                                       q.phi_spins, m_max)
+            ser = eng.schwinger_series(q, m_max)
             for m in range(m_max + 1):
                 bound = prop42_bound(m, ctx, U)
                 cm = abs(ser[m])
@@ -225,9 +222,7 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     if radius is None:
         radius = contour_radius(params, spec.d, n)
     engine = SchwingerEngine(spec, params, grid, u)
-    obs = (q.x_sites, q.y_sites, q.xi_spins, q.phi_spins)
-    rhs = (chord(spec.L, _sum_diff(q)[axis])**n
-           * engine.schwinger_value(*obs, eta))
+    rhs = chord(spec.L, _sum_diff(q)[axis])**n * engine.schwinger_value(q, eta)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
     cs = CovarianceSpec(spec, params)
@@ -235,7 +230,7 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     for b in range(0, len(total_shift), DET_BLOCK):
         G = covariance_matrix(cs, grid,
                               extra_axis_shift=(axis, total_shift[b:b + DET_BLOCK]))
-        lhs += total_w[b:b + DET_BLOCK] @ engine.schwinger_value(*obs, eta, G=G)
+        lhs += total_w[b:b + DET_BLOCK] @ engine.schwinger_value(q, eta, G=G)
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "deviation": abs(lhs - rhs), "radius": radius}
 

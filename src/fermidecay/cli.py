@@ -463,7 +463,7 @@ def cmd_verify(args) -> int:
         fn = SUITES.get(name, suite_exact if name == "exact" else None)
         try:
             all_checks.extend(fn(spec, params, u, args))
-        except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             all_checks.append(Check(f"{name}_aborted", str(exc), None, False))
     passed = all(c.passed for c in all_checks)
     payload = {
@@ -528,16 +528,13 @@ def cmd_table(args) -> int:
                 for r in bounds.verify_theorem_envelope(
                     spec, params, u, _separation_queries(spec),
                     variant="hubbard")]
-    elif args.kind == "taylor":
+    else:  # taylor
         s, p, hub, grid = _taylor_case(params)
         rep = bounds.verify_taylor_bounds(s, p, grid, hub, _PAIR_QUERY,
                                           args.m_max)
         rows = [{"m": r["m"], "abs_bm": r["abs_coefficient"], "bound": r["bound"],
                  "ratio": r["abs_coefficient"] / r["bound"]} for r in rep["b_rows"]]
         fields = ["m", "abs_bm", "bound", "ratio"]
-    else:
-        print(f"error: unknown table kind {args.kind}", file=sys.stderr)
-        return 2
     if args.format == "json":
         _write_report(args, {"kind": args.kind, "rows": rows})
     else:
@@ -595,9 +592,7 @@ def main(argv=None) -> int:
     pv.add_argument("--model", help="model description JSON")
     pv.add_argument("--out", help="output path (default stdout)")
     ps = sub.add_parser("verify", help="run a verification suite")
-    ps.add_argument("--suite", required=True,
-                    choices=("covariance", "detbound", "grassmann", "taylor",
-                             "theorem", "all"))
+    ps.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     _add_common(ps)
     pt = sub.add_parser("table", help="emit CSV/JSON data tables")
     pt.add_argument("--kind", required=True,

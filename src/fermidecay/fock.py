@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, canonical_site, mode_index
+from .lattice import LatticeSpec, mode_index
 from .model import (
     HermiticityError,
     InteractionCoefficients,
@@ -153,8 +153,8 @@ def _mode_operators(n_modes: int):
 
 def _normal_ordered(space: FockSpace, entries) -> FockOperator:
     """Sum of coeff psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}
-    over the entries (X, Y, Xi, Phi, coeff)."""
-    mode = lambda x, s: mode_index(space.spec, canonical_site(space.spec, x), s)
+    over the entries (X, Y, Xi, Phi, coeff); sites are reduced mod L."""
+    mode = functools.partial(mode_index, space.spec)
     return _assemble(space.n_modes, [
         (coeff, [mode(x, s) for x, s in zip(X, Xi)],
          [mode(y, s) for y, s in zip(reversed(Y), reversed(Phi))])
@@ -170,8 +170,8 @@ def build_h0(space: FockSpace, params: ModelParams) -> FockOperator:
 def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOperator:
     """V = sum over orders and lattice sites of
     U_{L,l} psi*_{x1 xi1}..psi*_{xl xil} psi_{xl phil}..psi_{x1 phi1}."""
-    terms = lattice_terms(restrict_interaction(u, space.spec), space.spec)
-    return _normal_ordered(space, [(X, X, Xi, Phi, c) for _, X, Xi, Phi, c in terms])
+    return _normal_ordered(
+        space, lattice_terms(restrict_interaction(u, space.spec), space.spec))
 
 
 def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> FockOperator:

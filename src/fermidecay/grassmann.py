@@ -290,46 +290,39 @@ class VertexSet:
         return len(self.monomials)
 
 
+def _time_slices(space: GrassmannIndexSpace, X, Y, Xi, Phi, coeff):
+    """For each grid time t, the row indices (x_j, xi_j, t) and column indices
+    (y_j, phi_j, t) of the term, and the canonical monomial of
+    -(coeff/h) psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t},
+    None when a generator repeats."""
+    for t in range(space.grid.n_points):
+        rows = [space.index(x, s, t) for x, s in zip(X, Xi)]
+        cols = [space.index(y, s, t) for y, s in zip(Y, Phi)]
+        yield rows, cols, monomial(rows, cols[::-1], -coeff / space.grid.h)
+
+
 def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
                    u: InteractionCoefficients | None,
                    lam: LambdaCoefficients | None = None,
                    interaction_sites=None) -> VertexSet:
-    """One vertex per interaction term and grid time.
-
-    The vertex with coefficient c is c * V where V = -(1/h) sum_t
-    psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t};
-    here the time sum is unrolled into separate instances.
-    """
-    spec, grid = space.spec, space.grid
+    """One vertex per interaction or lambda term (X, Y, Xi, Phi, c) and grid
+    time: the time slices of c * V, V = -(1/h) sum_t
+    psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
     vs = VertexSet(space)
-    term_list = []
+    terms = []
     if u is not None:
-        fin = restrict_interaction(u, spec)
-        for l, X, Xi, Phi, coeff in lattice_terms(fin, spec):
-            if interaction_sites is not None and any(
-                    tuple(x) not in interaction_sites for x in X):
-                continue
-            term_list.append((X, X, Xi, Phi, coeff))
+        terms = [term for term in lattice_terms(
+                     restrict_interaction(u, space.spec), space.spec)
+                 if interaction_sites is None
+                 or all(x in interaction_sites for x in term[0])]
     if lam is not None:
-        for X, Y, Xi, Phi, coeff in lam.symmetrized_terms():
-            Xc = tuple(tuple(int(c) % spec.L for c in x) for x in X)
-            Yc = tuple(tuple(int(c) % spec.L for c in y) for y in Y)
-            term_list.append((Xc, Yc, Xi, Phi, coeff))
-    for X, Y, Xi, Phi, coeff in term_list:
+        terms += lam.symmetrized_terms()
+    for X, Y, Xi, Phi, coeff in terms:
         vs.term_weight += abs(coeff) * 4.0 ** len(X)
-        for t in range(grid.n_points):
-            barred = [space.index(x, s, t) for x, s in zip(X, Xi)]
-            unbarred = [space.index(y, s, t)
-                        for y, s in zip(reversed(Y), reversed(Phi))]
-            mono = monomial(barred, unbarred, -coeff / grid.h)
-            rows = [space.index(x, s, t) for x, s in zip(X, Xi)]
-            cols = [space.index(y, s, t) for y, s in zip(Y, Phi)]
-            if mono is not None:
-                vs.monomials.append(mono)
-            else:
-                # vanishing vertex (repeated generator); keep the det block,
-                # whose determinant is then identically zero as well
-                vs.monomials.append((0, 0, 0.0))
+        for rows, cols, mono in _time_slices(space, X, Y, Xi, Phi, coeff):
+            # a repeated generator makes the vertex vanish; its det block
+            # then repeats a row or a column, so its determinant vanishes too
+            vs.monomials.append((0, 0, 0.0) if mono is None else mono)
             vs.blocks.append((rows, cols, coeff))
     if len(vs.blocks) > MAX_INSTANCES:
         raise ValueError(
@@ -338,21 +331,12 @@ def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
     return vs
 
 
-def observable_monomials(space: GrassmannIndexSpace, x_sites, y_sites,
-                         xi_spins, phi_spins) -> list:
-    """The canonical monomials of V^{m}_{h, X, Y, Xi, Phi}: one per grid time,
-    each weighted by -1/h."""
-    spec, grid = space.spec, space.grid
-    out = []
-    for t in range(grid.n_points):
-        barred = [space.index(tuple(int(c) % spec.L for c in x), s, t)
-                  for x, s in zip(x_sites, xi_spins)]
-        unbarred = [space.index(tuple(int(c) % spec.L for c in y), s, t)
-                    for y, s in zip(reversed(y_sites), reversed(phi_spins))]
-        mono = monomial(barred, unbarred, -1.0 / grid.h)
-        if mono is not None:
-            out.append(mono)
-    return out
+def observable_monomials(space: GrassmannIndexSpace, q) -> list:
+    """The canonical monomials of V^{m}_{h, X, Y, Xi, Phi} of the query q: one
+    per grid time, each weighted by -1/h."""
+    return [mono for _, _, mono in _time_slices(
+        space, q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, 1.0)
+        if mono is not None]
 
 
 @dataclass(frozen=True)
@@ -450,15 +434,18 @@ class SchwingerEngine:
         self._plans = {}
         self._denominator = None
 
-    def _plan(self, key, seeds):
-        if key not in self._plans:
-            self._plans[key] = _subset_plan(seeds, self.vertices.monomials)
-        return self._plans[key]
+    def _plan(self, q=None):
+        """The compiled plan of the denominator, or of the query q."""
+        if q not in self._plans:
+            seeds = ([(0, 0, 1.0 + 0.0j)] if q is None
+                     else observable_monomials(self.space, q))
+            self._plans[q] = _subset_plan(seeds, self.vertices.monomials)
+        return self._plans[q]
 
     def denominator(self, G: np.ndarray | None = None) -> EtaSeries:
         """The partition-function series at the engine's covariance (computed
         once, read-only), or one series per covariance of a stack G."""
-        plan = self._plan(None, [(0, 0, 1.0 + 0.0j)])
+        plan = self._plan()
         if G is not None:
             return EtaSeries(_evaluate_plan(plan, G))
         if self._denominator is None:
@@ -467,29 +454,27 @@ class SchwingerEngine:
             self._denominator = EtaSeries(coeffs)
         return self._denominator
 
-    def numerator(self, x_sites, y_sites, xi_spins, phi_spins,
-                  G: np.ndarray | None = None) -> EtaSeries:
-        """The observable series at the engine's covariance, or one series
-        per covariance of a stack G; all observable seeds share one plan."""
-        key = (tuple(x_sites), tuple(y_sites), tuple(xi_spins), tuple(phi_spins))
-        plan = self._plan(key, observable_monomials(self.space, *key))
-        return EtaSeries(_evaluate_plan(plan, self.G if G is None else G))
+    def numerator(self, q, G: np.ndarray | None = None) -> EtaSeries:
+        """The series of the query q at the engine's covariance, or one
+        series per covariance of a stack G; all observable seeds of q share
+        one plan."""
+        return EtaSeries(_evaluate_plan(self._plan(q), self.G if G is None else G))
 
-    def schwinger_series(self, x_sites, y_sites, xi_spins, phi_spins,
-                         m_max: int) -> EtaSeries:
-        """Taylor coefficients b_m of the Schwinger function around eta = 0,
-        by exact power-series division of the numerator by the denominator."""
-        num = self.numerator(x_sites, y_sites, xi_spins, phi_spins)
+    def schwinger_series(self, q, m_max: int) -> EtaSeries:
+        """Taylor coefficients b_m of the Schwinger function of the query q
+        around eta = 0, by exact power-series division of the numerator by
+        the denominator."""
+        num = self.numerator(q)
         den = self.denominator()
         quot = _series_divide(num.coefficients, den.coefficients, m_max)
-        return EtaSeries([-q / self.params.beta for q in quot])
+        return EtaSeries([-c / self.params.beta for c in quot])
 
-    def schwinger_value(self, x_sites, y_sites, xi_spins, phi_spins,
-                        eta: complex = 1.0, G: np.ndarray | None = None):
-        """The Schwinger function at eta: a complex, or one value per
-        covariance of a stack G.  Every covariance must keep its denominator
-        away from zero."""
-        num = self.numerator(x_sites, y_sites, xi_spins, phi_spins, G)
+    def schwinger_value(self, q, eta: complex = 1.0,
+                        G: np.ndarray | None = None):
+        """The Schwinger function of the query q at eta: a complex, or one
+        value per covariance of a stack G.  Every covariance must keep its
+        denominator away from zero."""
+        num = self.numerator(q, G)
         d = self.denominator(G).value_at(eta)
         small = np.abs(d) < 1e-12
         if np.any(small):
@@ -502,9 +487,7 @@ class SchwingerEngine:
     def correlation(self, q) -> complex:
         """The symmetrized correlation S_{X,Y,Xi,Phi} + S_{Y,X,Phi,Xi} at
         eta = 1 (the -1/beta prefactor lives inside the Schwinger function)."""
-        s1 = self.schwinger_value(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins)
-        s2 = self.schwinger_value(q.y_sites, q.x_sites, q.phi_spins, q.xi_spins)
-        return s1 + s2
+        return self.schwinger_value(q) + self.schwinger_value(q.swapped())
 
 
 def _series_divide(num, den, m_max: int) -> list:
@@ -605,8 +588,7 @@ def schwinger_taylor(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
     the interaction may be pinned through interaction_sites."""
     engine = SchwingerEngine(spec, params, grid, u,
                              interaction_sites=interaction_sites)
-    return engine.schwinger_series(q.x_sites, q.y_sites, q.xi_spins,
-                                   q.phi_spins, m_max)
+    return engine.schwinger_series(q, m_max)
 
 
 def correlation_via_grassmann(spec: LatticeSpec, params: ModelParams,

@@ -1,9 +1,10 @@
 """Model parameters, hopping matrix, dispersion, interactions and their norms.
 
-Interactions are stored in anchored form: an order-l coefficient (l >= 2) is a
-sparse map keyed by (X, Xi, Phi) with the last site of X pinned at the origin;
-translation invariance is then structural rather than validated.  Order-1
-coefficients keep their absolute site (they need not be translation invariant).
+Interactions are stored as sparse maps keyed by (X, Xi, Phi) at every order l,
+with X a tuple of l sites.  An order-l coefficient (l >= 2) is anchored: the
+last site of X is pinned at the origin, so translation invariance is structural
+rather than validated.  Order-1 coefficients keep their absolute site (they
+need not be translation invariant).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .lattice import (
     SPINS,
     UP,
     LatticeSpec,
-    canonical_site,
     enumerate_sites,
     mode_index,
     momentum_grid,
@@ -64,9 +64,6 @@ def _as_site_tuple(x) -> tuple[int, ...]:
 
 
 def _entry_name(l: int, key) -> str:
-    if l == 1:
-        x, xi, phi = key
-        return f"order 1 entry at x={x}, xi={_SPIN_NAMES[xi]}, phi={_SPIN_NAMES[phi]}"
     X, Xi, Phi = key
     return (f"order {l} entry at X={X}, "
             f"Xi={tuple(_SPIN_NAMES[s] for s in Xi)}, "
@@ -76,9 +73,9 @@ def _entry_name(l: int, key) -> str:
 class InteractionCoefficients:
     """Sparse multi-body coefficients U_l, hermitian and translation anchored.
 
-    orders maps l -> {key: complex}.  Keys: for l == 1, (x, xi, phi) with x an
-    integer site tuple; for l >= 2, (X, Xi, Phi) with X a tuple of l site
-    tuples whose last element is the origin.
+    orders maps l -> {(X, Xi, Phi): complex} with X a tuple of l integer site
+    tuples and Xi, Phi tuples of l spins; for l >= 2 the last site of X is
+    the origin.
     """
 
     def __init__(self, orders: dict[int, dict] | None = None):
@@ -94,19 +91,15 @@ class InteractionCoefficients:
             return
         if l < 1:
             raise ValueError(f"interaction order must be >= 1, got {l}")
-        if l == 1:
-            x, xi, phi = key
-            key = (_as_site_tuple(x), int(xi), int(phi))
-        else:
-            X, Xi, Phi = key
-            X = tuple(_as_site_tuple(x) for x in X)
-            if len(X) != l or len(Xi) != l or len(Phi) != l:
-                raise ValueError(f"order {l} entry must carry l sites and spins")
-            if any(c != 0 for c in X[-1]):
-                raise ValueError(
-                    f"order {l} entries must be anchored: last site of X is "
-                    f"{X[-1]}, expected the origin")
-            key = (X, tuple(int(s) for s in Xi), tuple(int(s) for s in Phi))
+        X, Xi, Phi = key
+        X = tuple(_as_site_tuple(x) for x in X)
+        if len(X) != l or len(Xi) != l or len(Phi) != l:
+            raise ValueError(f"order {l} entry must carry l sites and spins")
+        if l >= 2 and any(c != 0 for c in X[-1]):
+            raise ValueError(
+                f"order {l} entries must be anchored: last site of X is "
+                f"{X[-1]}, expected the origin")
+        key = (X, tuple(int(s) for s in Xi), tuple(int(s) for s in Phi))
         table = self.orders.setdefault(l, {})
         table[key] = table.get(key, 0.0 + 0.0j) + value
         if table[key] == 0:
@@ -121,17 +114,11 @@ class InteractionCoefficients:
     def validate_hermiticity(self, tol: float = 0.0):
         """Check conj(U_l(X,Xi,Phi)) == U_l(X,Phi,Xi) entry by entry."""
         for l, table in self.orders.items():
-            for key, value in table.items():
-                if l == 1:
-                    x, xi, phi = key
-                    partner = (x, phi, xi)
-                else:
-                    X, Xi, Phi = key
-                    partner = (X, Phi, Xi)
-                pv = table.get(partner, 0.0 + 0.0j)
+            for (X, Xi, Phi), value in table.items():
+                pv = table.get((X, Phi, Xi), 0.0 + 0.0j)
                 if abs(value.conjugate() - pv) > tol:
                     raise HermiticityError(
-                        f"{_entry_name(l, key)}: conjugate value "
+                        f"{_entry_name(l, (X, Xi, Phi))}: conjugate value "
                         f"{value.conjugate()} does not match the swapped-spin "
                         f"entry value {pv}")
 
@@ -162,12 +149,8 @@ def restrict_interaction(u: InteractionCoefficients,
     for l, table in u.orders.items():
         seen = {}
         for key, value in table.items():
-            if l == 1:
-                x, xi, phi = key
-                red = (periodic_reduce(x, spec.L), xi, phi)
-            else:
-                X, Xi, Phi = key
-                red = (tuple(periodic_reduce(x, spec.L) for x in X), Xi, Phi)
+            X, Xi, Phi = key
+            red = (tuple(periodic_reduce(x, spec.L) for x in X), Xi, Phi)
             if red in seen and seen[red] != key:
                 raise ValueError(
                     f"{_entry_name(l, key)} aliases {_entry_name(l, seen[red])} "
@@ -180,20 +163,19 @@ def restrict_interaction(u: InteractionCoefficients,
 def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
     """Expand a restricted interaction into per-lattice-site terms.
 
-    Yields (l, X_sites, Xi, Phi, coeff) with X_sites canonical Gamma
-    coordinates; order >= 2 anchors are translated over the whole lattice.
+    Returns (X, X, Xi, Phi, coeff), the term shape of
+    LambdaCoefficients.symmetrized_terms, with X in canonical Gamma
+    coordinates; order >= 2 anchors are translated over the whole lattice,
+    order-1 entries stay at their site.
     """
     terms = []
     for l, table in sorted(u.orders.items()):
-        if l == 1:
-            for (x, xi, phi), value in sorted(table.items()):
-                terms.append((1, (canonical_site(spec, x),), (xi,), (phi,), value))
-        else:
-            for (X, Xi, Phi), value in sorted(table.items()):
-                for y in enumerate_sites(spec):
-                    shifted = tuple(
-                        tuple((c + yc) % spec.L for c, yc in zip(x, y)) for x in X)
-                    terms.append((l, shifted, Xi, Phi, value))
+        shifts = enumerate_sites(spec) if l >= 2 else [(0,) * spec.d]
+        for (X, Xi, Phi), value in sorted(table.items()):
+            for y in shifts:
+                shifted = tuple(
+                    tuple((c + yc) % spec.L for c, yc in zip(x, y)) for x in X)
+                terms.append((shifted, shifted, Xi, Phi, value))
     return terms
 
 
@@ -213,7 +195,7 @@ def interaction_norm(u: InteractionCoefficients, l: int,
     if l == 1:
         best = 0.0
         sums: dict[tuple, float] = {}
-        for (x, xi, _phi), value in table.items():
+        for ((x,), (xi,), _Phi), value in table.items():
             sums[(x, xi)] = sums.get((x, xi), 0.0) + abs(value)
         for total in sums.values():
             best = max(best, total)
@@ -352,7 +334,7 @@ def spin_field_interaction(B: dict) -> InteractionCoefficients:
         mat = 0.5 * sum(vec.real[a] * PAULI[a] for a in range(3))
         for xi in SPINS:
             for phi in SPINS:
-                u.add(1, (tuple(x), xi, phi), mat[xi, phi])
+                u.add(1, ((tuple(x),), (xi,), (phi,)), mat[xi, phi])
     return u
 
 
@@ -381,7 +363,7 @@ def spin_spin_interaction(w: dict, d: int = 1,
         for site in itertools.product(window, repeat=d):
             for xi in SPINS:
                 for phi in SPINS:
-                    u.add(1, (site, xi, phi), quad[xi, phi])
+                    u.add(1, ((site,), (xi,), (phi,)), quad[xi, phi])
     # quartic part, anchored at x2 = 0; displacement x1 - x2 runs over supp(w)
     for disp, val in w.items():
         val = float(val)
@@ -402,26 +384,21 @@ def spin_spin_interaction(w: dict, d: int = 1,
 def density_density_interaction(tables: dict[int, dict]) -> InteractionCoefficients:
     """Density-density interaction from real tables U^dd_l keyed by (X, Xi).
 
-    Order-1 keys are (x, xi); order >= 2 keys are (X, Xi) with X anchored at the
-    origin in its last slot.  The normal form inserts prod_j delta_{xi_j,phi_j}.
+    X is a tuple of l sites, anchored at the origin in its last slot when
+    l >= 2.  The normal form inserts prod_j delta_{xi_j,phi_j}.
     """
     u = InteractionCoefficients()
     for l, table in tables.items():
-        for key, value in table.items():
+        for (X, Xi), value in table.items():
             value = complex(value)
             if value.imag != 0:
                 raise ValueError("density-density coefficients must be real")
-            if l == 1:
-                x, xi = key
-                u.add(1, (x, xi, xi), value.real)
-            else:
-                X, Xi = key
-                if any((tuple(X[j]), Xi[j]) == (tuple(X[k]), Xi[k])
-                       for j in range(l) for k in range(j + 1, l)):
-                    raise ValueError(
-                        "density-density tables must vanish on coinciding "
-                        f"(site, spin) pairs, got X={X}, Xi={Xi}")
-                u.add(l, (X, Xi, Xi), value.real)
+            if any((tuple(X[j]), Xi[j]) == (tuple(X[k]), Xi[k])
+                   for j in range(l) for k in range(j + 1, l)):
+                raise ValueError(
+                    "density-density tables must vanish on coinciding "
+                    f"(site, spin) pairs, got X={X}, Xi={Xi}")
+            u.add(l, (X, Xi, Xi), value.real)
     return u
 
 
@@ -608,12 +585,7 @@ def model_to_dict(spec: LatticeSpec, params: ModelParams,
     interaction = []
     for l, table in sorted(u.orders.items()):
         entries = []
-        for key, value in sorted(table.items()):
-            if l == 1:
-                x, xi, phi = key
-                X, Xi, Phi = (x,), (xi,), (phi,)
-            else:
-                X, Xi, Phi = key
+        for (X, Xi, Phi), value in sorted(table.items()):
             entries.append({
                 "X": [list(x) for x in X],
                 "Xi": [_SPIN_NAMES[s] for s in Xi],
@@ -650,10 +622,7 @@ def model_from_dict(data: dict):
                 Xi = tuple(_SPIN_FROM_NAME[s] for s in entry["Xi"])
                 Phi = tuple(_SPIN_FROM_NAME[s] for s in entry["Phi"])
                 value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-                if l == 1:
-                    u.add(1, (X[0], Xi[0], Phi[0]), value)
-                else:
-                    u.add(l, (X, Xi, Phi), value)
+                u.add(l, (X, Xi, Phi), value)
     except HermiticityError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -123,6 +123,8 @@ def test_verify_deterministic_reports(tmp_path):
     (["model-validate", "--model", "{model}", "--format", "csv", "--L", "9"], 2),
     (["model-validate", "--model", "{model}", "--trials", "5"], 2),
     (["model-validate", "--model", "{model}", "--beta", "2"], 2),
+    (["table", "--kind", "bogus"], 2),
+    (["verify", "--suite", "exact"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     # out-of-range or non-finite flags are usage errors (exit 2, at parse

@@ -343,7 +343,7 @@ def test_density_density_interaction_operator_identity():
     from fermidecay.model import density_density_interaction
     from fermidecay.lattice import mode_index
     tables = {2: {(((1,), (0,)), (UP, DOWN)): 0.4},
-              1: {((0,), UP): -0.2}}
+              1: {(((0,),), (UP,)): -0.2}}
     ours = fock.build_interaction(space,
                                   density_density_interaction(tables)).toarray()
 
@@ -419,7 +419,7 @@ def _example_interaction(kind, spec, coupling):
     if kind == "density_density":
         return density_density_interaction(
             {2: {((step, origin), (UP, DOWN)): coupling},
-             1: {(origin, DOWN): -0.5 * coupling}})
+             1: {((origin,), (DOWN,)): -0.5 * coupling}})
     if kind == "spin_spin":
         return spin_spin_interaction({step: coupling}, d=spec.d)
     vec = [0.0, 0.0, 0.0]
@@ -555,7 +555,7 @@ def h0_reference(space, params):
 def interaction_reference(space, u):
     spec = space.spec
     H = _zero(space)
-    for l, X, Xi, Phi, coeff in lattice_terms(restrict_interaction(u, spec), spec):
+    for X, _, Xi, Phi, coeff in lattice_terms(restrict_interaction(u, spec), spec):
         create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
         annih = [mode_index(spec, x, s) for x, s in zip(reversed(X), reversed(Phi))]
         H = H + coeff * operator_product_reference(space, create, annih)

@@ -270,7 +270,7 @@ def test_b0_bounded_by_four_power(rng, params):
         ys = tuple((int(rng.integers(2)),) for _ in range(m_hat))
         xi = tuple(int(rng.integers(2)) for _ in range(m_hat))
         phi = tuple(int(rng.integers(2)) for _ in range(m_hat))
-        ser = eng.schwinger_series(xs, ys, xi, phi, 0)
+        ser = eng.schwinger_series(fock.query(xs, ys, xi, phi), 0)
         assert abs(ser[0]) <= 4.0**m_hat + 1e-12
 
 
@@ -312,7 +312,8 @@ def test_schwinger_denominator_zero_detected(atom, params):
     coeffs = eng.denominator().coefficients
     root = complex(np.roots(list(reversed(coeffs)))[0])
     with pytest.raises(ZeroDivisionError):
-        eng.schwinger_value(((0,),), ((0,),), (UP,), (UP,), eta=root)
+        eng.schwinger_value(fock.query(((0,),), ((0,),), (UP,), (UP,)),
+                            eta=root)
 
 
 def test_eta_series_evaluation():
@@ -320,6 +321,36 @@ def test_eta_series_evaluation():
     assert s.value_at(1.0) == pytest.approx(6.0)
     assert s.value_at(0.0) == pytest.approx(1.0)
     assert len(s) == 3 and s[1] == 2.0
+
+
+@pytest.mark.parametrize("d,L", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("k", [1, -1])
+def test_sites_outside_window_match_reduced_sites(d, L, k, params):
+    # both oracles reduce a site mod L only through lattice.site_index
+    spec = LatticeSpec(d=d, L=L)
+    x, y, o = (L - 1,) + (0,) * (d - 1), (0,) * (d - 1) + (1,), (0,) * d
+    out = lambda s, j: tuple(c + j * k * L for c in s)
+    inside = ((x, y), (y, o), (UP, DOWN), (DOWN, DOWN))
+    outside = ((out(x, 1), out(y, -1)), (out(y, -1), out(o, 1))) + inside[2:]
+    fspace = fock.FockSpace(spec)
+    gspace = GrassmannIndexSpace(spec, TimeGrid(1.0, 1))
+    results = []
+    for X, Y, Xi, Phi in (inside, outside):
+        q = fock.query(X, Y, Xi, Phi)
+        lam = LambdaCoefficients(m_hat=2)
+        lam.add(X, Y, Xi, Phi, 0.3)
+        vs = build_vertices(gspace, params, None, lam)
+        results.append((
+            [(op.rows, op.cols, op.vals) for op in (
+                fock.observable_pair(fspace, q), fock.build_lambda_term(fspace, lam))],
+            observable_monomials(gspace, q),
+            sorted(map(repr, zip(vs.monomials, vs.blocks))), vs.term_weight))
+    (ref_ops, *ref), (ops, *got) = results
+    assert len(ref[0]) == 2 and len(ref[1]) == 4
+    assert got == ref
+    for op, ref_op in zip(ops, ref_ops, strict=True):
+        for arr, ref_arr in zip(op, ref_op, strict=True):
+            np.testing.assert_array_equal(arr, ref_arr)
 
 
 def test_pinned_interaction_sites(params):
@@ -385,7 +416,8 @@ def test_taylor_coefficient_against_berezin_derivative(atom, params):
     space = GrassmannIndexSpace(atom, grid)
     G = space.covariance(params)
     vs = build_vertices(space, params, hub)
-    obs = observable_monomials(space, ((0,),), ((0,),), (UP,), (UP,))
+    obs = observable_monomials(space,
+                               fock.query(((0,),), ((0,),), (UP,), (UP,)))
 
     def schwinger_berezin(eta):
         expw = GrassmannPolynomial.one()
@@ -445,8 +477,8 @@ def _vertex_case(draw):
     # a vanishing vertex, as build_vertices emits for repeated generators
     monomials.insert(draw(st.integers(0, len(monomials))), (0, 0, 0.0))
     m = draw(st.integers(1, 2))
-    obs = observable_monomials(space, *[[draw(f) for _ in range(m)]
-                                        for f in (site, site, spin, spin)])
+    obs = observable_monomials(space, fock.query(*[[draw(f) for _ in range(m)]
+                                                   for f in (site, site, spin, spin)]))
     a, b, c = draw(st.permutations(range(space.n)))[:3]
     mismatched = monomial([a], [b, c], 0.7)
     seeds = [(0, 0, 1.0 + 0.0j)] + obs + [mismatched]

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fermidecay.model import (
     check_fourier_consistency,
     check_smallness,
     decay_base,
+    density_density_interaction,
     dispersion_grid,
     hopping_matrix,
     hubbard_antisymmetric_tensor,
@@ -167,16 +169,16 @@ def test_hermiticity_validation():
 
 def test_restrict_interaction_reduces_and_rejects_aliases():
     u = InteractionCoefficients()
-    u.add(1, ((3,), UP, UP), 1.0)
+    u.add(1, (((3,),), (UP,), (UP,)), 1.0)
     r = restrict_interaction(u, LatticeSpec(d=1, L=4))
-    assert ((-1,), UP, UP) in r.orders[1]
+    assert (((-1,),), (UP,), (UP,)) in r.orders[1]
     u2 = InteractionCoefficients()
     u2.add(2, (((5,), (0,)), (UP, UP), (UP, UP)), 1.0)
     r2 = restrict_interaction(u2, LatticeSpec(d=1, L=4))
     assert (((1,), (0,)), (UP, UP), (UP, UP)) in r2.orders[2]
     u3 = InteractionCoefficients()
-    u3.add(1, ((1,), UP, UP), 1.0)
-    u3.add(1, ((5,), UP, UP), 1.0)
+    u3.add(1, (((1,),), (UP,), (UP,)), 1.0)
+    u3.add(1, (((5,),), (UP,), (UP,)), 1.0)
     with pytest.raises(ValueError):
         restrict_interaction(u3, LatticeSpec(d=1, L=4))
 
@@ -191,7 +193,7 @@ def test_restrict_hubbard_is_L_independent():
 def test_interaction_norms():
     # single order-1 term: norm is |c|
     u = InteractionCoefficients()
-    u.add(1, ((0,), UP, UP), -2.5)
+    u.add(1, (((0,),), (UP,), (UP,)), -2.5)
     assert interaction_norm(u, 1) == 2.5
     assert interaction_norm(InteractionCoefficients(), 2) == 0.0
     # hubbard as stored: pinned spin up on slot 1 collects the single entry
@@ -204,9 +206,9 @@ def test_spin_field_interaction():
     b = 0.8
     u = spin_field_interaction({(0,): (0.0, 0.0, b)})
     table = u.orders[1]
-    assert table[((0,), UP, UP)] == pytest.approx(b / 2)
-    assert table[((0,), DOWN, DOWN)] == pytest.approx(-b / 2)
-    assert ((0,), UP, DOWN) not in table
+    assert table[(((0,),), (UP,), (UP,))] == pytest.approx(b / 2)
+    assert table[(((0,),), (DOWN,), (DOWN,))] == pytest.approx(-b / 2)
+    assert (((0,),), (UP,), (DOWN,)) not in table
     u.validate_hermiticity()
     ux = spin_field_interaction({(0,): (0.3, 0.4, 0.0)})
     ux.validate_hermiticity()
@@ -220,8 +222,8 @@ def test_spin_spin_interaction_structure():
     # quadratic correction: (w0/4) sum_a (P^a P^a) = (3 w0/4) Id in spin
     # space, one entry per window site since it is site-independent
     for site in ((0,), (1,), (-1,), (-2,)):
-        assert u.orders[1][(site, UP, UP)] == pytest.approx(3 * w0 / 4)
-        assert u.orders[1][(site, DOWN, DOWN)] == pytest.approx(3 * w0 / 4)
+        assert u.orders[1][((site,), (UP,), (UP,))] == pytest.approx(3 * w0 / 4)
+        assert u.orders[1][((site,), (DOWN,), (DOWN,))] == pytest.approx(3 * w0 / 4)
     with pytest.raises(ValueError):
         spin_spin_interaction({(0,): w0}, d=1)
     # quartic term present with both diagonal and spin-flip components
@@ -331,13 +333,27 @@ def test_smallness_threshold_beta_scaling():
 
 # --- model files -------------------------------------------------------------
 
-def test_model_roundtrip(tmp_path, params, chain4):
-    u = hubbard_interaction(0.25, d=1)
+@pytest.mark.parametrize("u", [
+    hubbard_interaction(0.25, d=1),
+    # order 1 at a non-origin and at a negative site
+    spin_field_interaction({(1,): (0.3, -0.2, 0.5), (-1,): (0.0, 0.4, -0.1)}),
+    density_density_interaction({1: {(((2,),), (UP,)): -0.3},
+                                 2: {(((1,), (0,)), (UP, DOWN)): 0.4}}),
+    spin_spin_interaction({(0,): 0.3, (1,): -0.2}, d=1, L=4),
+], ids=["hubbard", "spin_field", "density_density", "spin_spin_w0"])
+def test_model_roundtrip(u, tmp_path, params, chain4):
     path = tmp_path / "model.json"
     save_model(path, chain4, params, u)
     spec2, params2, u2 = load_model(path)
     assert spec2 == chain4 and params2 == params
     assert u2.orders == u.orders
+
+
+def test_model_file_resave_is_byte_identical(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "models" / "hubbard_chain_L4.json"
+    out = tmp_path / "resaved.json"
+    save_model(out, *load_model(src))
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_model_file_rejects_hermiticity_violation(tmp_path, params, chain4):
@@ -348,6 +364,17 @@ def test_model_file_rejects_hermiticity_violation(tmp_path, params, chain4):
     with pytest.raises(HermiticityError) as err:
         load_model(path)
     assert "order 2 entry" in str(err.value)
+
+
+def test_model_file_rejects_order1_entry_with_two_sites(params, chain4):
+    # an order-1 entry carries one site and one spin pair, like any order l
+    # carries l; extra sites are refused, not dropped
+    data = model_to_dict(chain4, params,
+                         spin_field_interaction({(1,): (0.0, 0.0, 0.4)}))
+    entry = data["interaction"][0]["entries"][0]
+    entry["X"].append([2])
+    with pytest.raises(ModelFileError, match="order 1 entry must carry"):
+        model_from_dict(data)
 
 
 def test_model_file_errors(tmp_path):
@@ -385,7 +412,7 @@ def test_restrict_pointwise_convergence():
     # finite support: once the window contains it, restriction is the identity
     u = InteractionCoefficients()
     u.add(2, (((2,), (0,)), (UP, DOWN), (UP, DOWN)), 0.4)
-    u.add(1, ((-1,), UP, UP), 0.7)
+    u.add(1, (((-1,),), (UP,), (UP,)), 0.7)
     for L in (6, 8, 12):
         r = restrict_interaction(u, LatticeSpec(d=1, L=L))
         assert r.orders == u.orders
