@@ -25,15 +25,11 @@ from .model import (
 from .covariance import CovarianceSpec, covariance_matrix, covariance_value
 from .fock import CorrelationQuery, FockSpace, correlation, query, thermal_average
 from .grassmann import (
-    EtaSeries,
     GrassmannIndexSpace,
     GrassmannPolynomial,
     SchwingerEngine,
     berezin_gaussian,
-    correlation_via_grassmann,
     discrete_partition,
-    partition_via_exponential,
-    schwinger_taylor,
     wick_expectation,
 )
 from .bounds import (

@@ -245,23 +245,23 @@ def wick_vs_berezin(seed, max_degree):
 
 
 def partition_and_h_convergence(spec, params, u, half_steps):
-    """Criterion 03: partition routes agree; grid correlations converge."""
-    checks = []
+    """Criterion 03: partition routes agree; grid correlations converge.  One
+    engine per grid gives both the partition series and the correlation."""
+    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+    checks, rows = [], []
     for hs in half_steps:
         grid = TimeGrid(params.beta, hs)
+        engine = grassmann.SchwingerEngine(spec, params, grid, u)
         dp = grassmann.discrete_partition(spec, params, grid, u)
-        pe = grassmann.partition_via_exponential(spec, params, grid, u)
-        checks.append(Check(f"partition_equivalence_bh{2*hs}",
-                            abs(dp["value"] - pe), 1e-10, h=grid.h,
-                            partition=dp["value"]))
-    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+        pe = engine.partition()
+        checks.append(Check(f"partition_equivalence_bh{2*hs}", abs(dp - pe),
+                            1e-10, h=grid.h, partition=dp))
+        rows.append({"h": grid.h, "correlation": engine.correlation(q)})
     exact = fock.correlation(fock.FockSpace(spec), params, u, q).real
-    conv = grassmann.correlation_via_grassmann(spec, params, u, q, half_steps)
-    errors = [abs(r["value"].real - exact) for r in conv]
+    errors = [abs(r["correlation"].real - exact) for r in rows]
     decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     checks.append(Check("h_convergence_monotone", errors, None, decreasing,
-                        rows=[{"h": r["h"], "correlation": r["value"]}
-                              for r in conv], exact=exact))
+                        rows=rows, exact=exact))
     checks.append(Check("h_convergence_final_error", errors[-1], 5e-2,
                         errors[-1] < 5e-2))
     return checks
@@ -269,10 +269,10 @@ def partition_and_h_convergence(spec, params, u, half_steps):
 
 def schwinger_series_b0(spec, params, u, m_max):
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
-    ser = grassmann.schwinger_taylor(spec, params, TimeGrid(params.beta, 1), u,
-                                     q, m_max)
+    engine = grassmann.SchwingerEngine(spec, params, TimeGrid(params.beta, 1), u)
+    ser = engine.schwinger_series(q, m_max)
     return [Check("schwinger_series_b0_bound", abs(ser[0]), 4.0,
-                  b_m=[abs(c) for c in ser.coefficients])]
+                  b_m=[abs(c) for c in ser])]
 
 
 _PAIR_QUERY = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))

@@ -207,15 +207,6 @@ def observable_pair(space: FockSpace, q: CorrelationQuery) -> FockOperator:
                                     p.phi_spins, 1.0) for p in (q, q.swapped())])
 
 
-def _as_operator(A) -> FockOperator:
-    """A FockOperator as it is, or the nonzero entries of a dense matrix."""
-    if isinstance(A, FockOperator):
-        return A
-    A = np.asarray(A)
-    rows, cols = np.nonzero(A)
-    return _canonical(A.shape[0], rows, cols, A[rows, cols])
-
-
 def _sectors(H: FockOperator) -> list[np.ndarray]:
     """The basis states in the finest conserved-number blocks that H keeps:
     (N_up, N_down), else the total N, else a single block.
@@ -245,11 +236,10 @@ def _state_map(sectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return sector, local
 
 
-def _blocks(H) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _blocks(H: FockOperator) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The sectors of H and its dense block on each, filled by one scatter of
     the stored entries, all of which lie inside a block; a block that is not
     hermitian is refused."""
-    H = _as_operator(H)
     sectors = _sectors(H)
     sector, local = _state_map(sectors, H.dim)
     sizes = np.array([len(s) for s in sectors])
@@ -266,21 +256,20 @@ def _blocks(H) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return sectors, blocks
 
 
-def diagonalize(H) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def diagonalize(H: FockOperator) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Eigenpairs of H, one (states, eigenvalues, eigenvectors) triple per
     conserved-number sector; the eigenvectors are in the sector's basis."""
     sectors, blocks = _blocks(H)
     return [(s, *np.linalg.eigh(B)) for s, B in zip(sectors, blocks)]
 
 
-def _expectation(eig, O, beta: float) -> complex:
+def _expectation(eig, O: FockOperator, beta: float) -> complex:
     """Tr(e^{-beta H} O) / Tr e^{-beta H} from the sector eigenpairs of H.
 
     e^{-beta H} is block diagonal, so the entries of O between sectors add
     nothing to the trace, and sector s contributes
     sum_n weight_n sum_{(r, c, o) in s} conj(V[r, n]) o V[c, n].
     """
-    O = _as_operator(O)
     sector, local = _state_map([states for states, _, _ in eig], O.dim)
     which = np.where(sector[O.rows] == sector[O.cols], sector[O.rows], -1)
     rows, cols = local[O.rows], local[O.cols]
@@ -295,13 +284,13 @@ def _expectation(eig, O, beta: float) -> complex:
     return complex(num / den)
 
 
-def thermal_average(space: FockSpace, H, O, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H; H and O
-    are FockOperators or dense matrices."""
+def thermal_average(space: FockSpace, H: FockOperator, O: FockOperator,
+                    beta: float) -> complex:
+    """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H."""
     return _expectation(diagonalize(H), O, beta)
 
 
-def log_partition(H, beta: float) -> float:
+def log_partition(H: FockOperator, beta: float) -> float:
     w = np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]])
     m = w.min()
     return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))

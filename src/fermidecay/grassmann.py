@@ -63,10 +63,6 @@ class GrassmannIndexSpace:
     def index(self, site, spin: int, time_idx: int) -> int:
         return spacetime_index(self.spec, self.grid, site, spin, time_idx)
 
-    def covariance(self, params: ModelParams, shifts=()) -> np.ndarray:
-        return covariance_matrix(CovarianceSpec(self.spec, params, tuple(shifts)),
-                                 self.grid)
-
 
 # ---------------------------------------------------------------------------
 # canonical monomials as (barred mask, unbarred mask, coefficient)
@@ -135,16 +131,10 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def _generator_count(space) -> int:
-    """Either a lattice-backed index space or a bare generator count; the
-    bare form serves abstract covariances (e.g. random G in cross-checks)."""
-    return space if isinstance(space, int) else space.n
-
-
-def wick_expectation(space, barred, unbarred, G: np.ndarray) -> complex:
-    """Gaussian expectation det(G(j_u, p_v)) of the reversed-barred monomial;
-    mismatched degrees and repeated generators integrate to zero."""
-    n = _generator_count(space)
+def wick_expectation(n: int, barred, unbarred, G: np.ndarray) -> complex:
+    """Gaussian expectation det(G(j_u, p_v)) of the reversed-barred monomial
+    over n generators; mismatched degrees and repeated generators integrate
+    to zero."""
     for i in list(barred) + list(unbarred):
         if not 0 <= i < n:
             raise ValueError(f"generator index {i} outside 0..{n - 1}")
@@ -173,11 +163,8 @@ def wick_canonical(term, G: np.ndarray) -> complex:
 class GrassmannPolynomial:
     """Sparse polynomial over canonical monomials, keyed by mask pairs."""
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, c in terms.items():
-                self.add(key[0], key[1], c)
 
     def add(self, bmask: int, umask: int, coeff):
         coeff = complex(coeff)
@@ -213,12 +200,6 @@ class GrassmannPolynomial:
                     out.add(t[0], t[1], t[2])
         return out
 
-    def plus(self, other):
-        out = GrassmannPolynomial(dict(self.terms))
-        for (b, u), c in other.terms.items():
-            out.add(b, u, c)
-        return out
-
     def exp_nilpotent(self):
         """exp of an even polynomial: product over terms of (1 + term)."""
         out = GrassmannPolynomial.one()
@@ -234,14 +215,15 @@ class GrassmannPolynomial:
         return self.terms.get((bmask, umask), 0.0 + 0.0j)
 
 
-def berezin_gaussian(space, f: GrassmannPolynomial, G: np.ndarray) -> complex:
-    """Normalized Gaussian integral of f by literal nilpotent expansion of the
-    weight exp(-<psi^t, G^{-1} psibar^t>).
+def berezin_gaussian(n: int, f: GrassmannPolynomial, G: np.ndarray) -> complex:
+    """Normalized Gaussian integral of f over n generators by literal
+    nilpotent expansion of the weight exp(-<psi^t, G^{-1} psibar^t>).
 
     Deliberately independent of Wick determinants: the weight is multiplied
-    out monomial by monomial and the top coefficient extracted.
+    out monomial by monomial, and the top coefficient of f times it is read
+    off.  Only the weight term at the complement (full^b, full^u) of a term
+    (b, u) of f reaches the top, so each term of f meets that one term.
     """
-    n = _generator_count(space)
     if n > MAX_BEREZIN_GENERATORS:
         raise ValueError(f"Berezin engine limited to {MAX_BEREZIN_GENERATORS} "
                          f"generators, got {n}")
@@ -250,7 +232,10 @@ def berezin_gaussian(space, f: GrassmannPolynomial, G: np.ndarray) -> complex:
     if denom == 0:
         raise ZeroDivisionError("singular Gaussian weight")
     full = (1 << n) - 1
-    num = (f * expw).coefficient(full, full)
+    num = sum((monomial_product((b, u, c), (full ^ b, full ^ u, w))[2]
+               for (b, u), c in f.terms.items()
+               if (w := expw.terms.get((full ^ b, full ^ u))) is not None),
+              0.0 + 0.0j)
     return complex(num / denom)
 
 
@@ -284,7 +269,6 @@ class VertexSet:
     space: GrassmannIndexSpace
     monomials: list = field(default_factory=list)   # canonical (b, u, c)
     blocks: list = field(default_factory=list)      # (row idx list, col idx list, coeff)
-    term_weight: float = 0.0                        # sum_terms |coeff| 4^l
 
     def __len__(self):
         return len(self.monomials)
@@ -318,7 +302,6 @@ def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
     if lam is not None:
         terms += lam.symmetrized_terms()
     for X, Y, Xi, Phi, coeff in terms:
-        vs.term_weight += abs(coeff) * 4.0 ** len(X)
         for rows, cols, mono in _time_slices(space, X, Y, Xi, Phi, coeff):
             # a repeated generator makes the vertex vanish; its det block
             # then repeats a row or a column, so its determinant vanishes too
@@ -384,38 +367,27 @@ def _subset_plan(seeds, monomials) -> _SubsetPlan:
 
 def _evaluate_plan(plan: _SubsetPlan, G: np.ndarray) -> np.ndarray:
     """coefficients[..., m]: the planned subset sums of size m at G of shape
-    (n, n), or at each covariance of a stack of shape (B, n, n)."""
+    (n, n), or at each covariance of a stack of shape (B, n, n); read-only."""
     out = np.zeros(G.shape[:-2] + (plan.depths,), dtype=np.complex128)
     for depth, rows, cols, coeffs in plan.groups:
         sub = G[..., rows[:, :, None], cols[:, None, :]]
         out[..., depth] += np.linalg.det(sub) @ coeffs
+    out.flags.writeable = False
     return out
 
 
-@dataclass
-class EtaSeries:
-    """Truncated power series in the coupling strength eta; the coefficient
-    axis is the last one, so an array of shape (B, M) holds B series."""
-
-    coefficients: list | np.ndarray
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __getitem__(self, m):
-        return self.coefficients[m]
-
-    def value_at(self, eta: complex):
-        """The series at eta: a complex, or one value per series of a stack."""
-        c = np.asarray(self.coefficients)
-        value = c @ np.power(complex(eta), np.arange(c.shape[-1]))
-        return complex(value) if c.ndim == 1 else value
+def _series_value(c: np.ndarray, eta: complex):
+    """The power series in eta with coefficients c on the last axis, at eta:
+    a complex, or one value per series of a stack."""
+    value = c @ np.power(complex(eta), np.arange(c.shape[-1]))
+    return complex(value) if c.ndim == 1 else value
 
 
 class SchwingerEngine:
     """Numerator/denominator of the Schwinger function as exact polynomials in
     eta; one engine serves the partition checks, the Taylor coefficients and
-    the correlation values.
+    the correlation values.  Every series is a read-only array whose last
+    axis holds the coefficients of eta^0, eta^1, ...
 
     The subset structure of the vertices is compiled into plans once per
     engine (one for the denominator, one per observable) and evaluated at the
@@ -424,11 +396,10 @@ class SchwingerEngine:
     """
 
     def __init__(self, spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
-                 u: InteractionCoefficients | None, shifts=(),
-                 interaction_sites=None):
+                 u: InteractionCoefficients | None, interaction_sites=None):
         self.spec, self.params, self.grid = spec, params, grid
         self.space = GrassmannIndexSpace(spec, grid)
-        self.G = self.space.covariance(params, shifts)
+        self.G = covariance_matrix(CovarianceSpec(spec, params), grid)
         self.vertices = build_vertices(self.space, params, u,
                                        interaction_sites=interaction_sites)
         self._plans = {}
@@ -442,32 +413,35 @@ class SchwingerEngine:
             self._plans[q] = _subset_plan(seeds, self.vertices.monomials)
         return self._plans[q]
 
-    def denominator(self, G: np.ndarray | None = None) -> EtaSeries:
+    def denominator(self, G: np.ndarray | None = None) -> np.ndarray:
         """The partition-function series at the engine's covariance (computed
-        once, read-only), or one series per covariance of a stack G."""
-        plan = self._plan()
+        once), or one series per covariance of a stack G."""
         if G is not None:
-            return EtaSeries(_evaluate_plan(plan, G))
+            return _evaluate_plan(self._plan(), G)
         if self._denominator is None:
-            coeffs = _evaluate_plan(plan, self.G)
-            coeffs.flags.writeable = False
-            self._denominator = EtaSeries(coeffs)
+            self._denominator = _evaluate_plan(self._plan(), self.G)
         return self._denominator
 
-    def numerator(self, q, G: np.ndarray | None = None) -> EtaSeries:
+    def partition(self, eta: complex = 1.0, G: np.ndarray | None = None):
+        """The discretized partition-function ratio at eta: the denominator
+        series evaluated, a complex, or one value per covariance of a stack G."""
+        return _series_value(self.denominator(G), eta)
+
+    def numerator(self, q, G: np.ndarray | None = None) -> np.ndarray:
         """The series of the query q at the engine's covariance, or one
         series per covariance of a stack G; all observable seeds of q share
         one plan."""
-        return EtaSeries(_evaluate_plan(self._plan(q), self.G if G is None else G))
+        return _evaluate_plan(self._plan(q), self.G if G is None else G)
 
-    def schwinger_series(self, q, m_max: int) -> EtaSeries:
-        """Taylor coefficients b_m of the Schwinger function of the query q
-        around eta = 0, by exact power-series division of the numerator by
-        the denominator."""
-        num = self.numerator(q)
-        den = self.denominator()
-        quot = _series_divide(num.coefficients, den.coefficients, m_max)
-        return EtaSeries([-c / self.params.beta for c in quot])
+    def schwinger_series(self, q, m_max: int) -> np.ndarray:
+        """Taylor coefficients b_0..b_{m_max} of the Schwinger function of the
+        query q around eta = 0 (sites of the interaction may be pinned through
+        the engine's interaction_sites), by exact power-series division of
+        the numerator by the denominator."""
+        quot = _series_divide(self.numerator(q), self.denominator(), m_max)
+        series = np.array([-c / self.params.beta for c in quot])
+        series.flags.writeable = False
+        return series
 
     def schwinger_value(self, q, eta: complex = 1.0,
                         G: np.ndarray | None = None):
@@ -475,14 +449,14 @@ class SchwingerEngine:
         value per covariance of a stack G.  Every covariance must keep its
         denominator away from zero."""
         num = self.numerator(q, G)
-        d = self.denominator(G).value_at(eta)
+        d = self.partition(eta, G)
         small = np.abs(d) < 1e-12
         if np.any(small):
             bad = d if G is None else d[np.argmax(small)]
             raise ZeroDivisionError(
                 f"Schwinger denominator {bad} too small at eta={eta}; "
                 "the grid is too coarse for the positivity lemma")
-        return -num.value_at(eta) / (self.params.beta * d)
+        return -_series_value(num, eta) / (self.params.beta * d)
 
     def correlation(self, q) -> complex:
         """The symmetrized correlation S_{X,Y,Xi,Phi} + S_{Y,X,Phi,Xi} at
@@ -509,22 +483,19 @@ def _series_divide(num, den, m_max: int) -> list:
 
 def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
                        u: InteractionCoefficients | None,
-                       lam: LambdaCoefficients | None = None,
-                       m_max: int | None = None) -> dict:
+                       lam: LambdaCoefficients | None = None) -> complex:
     """The discretized expansion of Tr e^{-beta H_lambda} / Tr e^{-beta H_0}:
 
         1 + sum over nonempty subsets S of (vertex, time) instances of
         (-1)^{|S|} prod(coeff/h) det(C_h(row args, col args)).
 
     The ordered m-fold products of the printed series collapse to subsets
-    because repeated instances give repeated determinant rows.  With m_max the
-    sum is truncated at |S| <= m_max and a rigorous tail bound from the
-    4^n determinant estimate is reported alongside.
+    because repeated instances give repeated determinant rows.  This is the
+    independent cross-check of the engine's denominator at eta = 1.
     """
     space = GrassmannIndexSpace(spec, grid)
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    vs = build_vertices(space, params, u, lam)
-    blocks = vs.blocks
+    blocks = build_vertices(space, params, u, lam).blocks
     V = len(blocks)
     h = grid.h
     total = 0.0 + 0.0j
@@ -539,7 +510,6 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
         sub = G[np.ix_(rows, cols)]
         return coeff * complex(np.linalg.det(sub))
 
-    depth_cap = V if m_max is None else min(m_max, V)
     stack = [([], 0)]
     while stack:
         selection, start = stack.pop()
@@ -547,59 +517,6 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
             total += (-1) ** len(selection) * det_of(selection)
         else:
             total += 1.0
-        if len(selection) < depth_cap:
-            for i in range(start, V):
-                stack.append((selection + [i], i + 1))
-
-    result = {"value": total, "instances": V, "truncated_at": m_max}
-    if m_max is not None:
-        W = params.beta * vs.term_weight
-        tail = 0.0
-        term = 1.0
-        for m in range(1, m_max + 1):
-            term *= W / m
-        # sum_{m > m_max} W^m / m!
-        m = m_max + 1
-        term *= W / m
-        while term > 1e-300:
-            tail += term
-            m += 1
-            term *= W / m
-            if m > m_max + 10000:
-                break
-        result["tail_bound"] = tail
-    return result
-
-
-def partition_via_exponential(spec: LatticeSpec, params: ModelParams,
-                              grid: TimeGrid,
-                              u: InteractionCoefficients | None,
-                              eta: complex = 1.0) -> complex:
-    """int exp(eta sum U V) dmu_{C_h}, by expanding the nilpotent exponential
-    into subset products of vertex monomials and Wick-evaluating each."""
-    engine = SchwingerEngine(spec, params, grid, u)
-    return engine.denominator().value_at(eta)
-
-
-def schwinger_taylor(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
-                     u: InteractionCoefficients | None, q, m_max: int,
-                     interaction_sites=None) -> EtaSeries:
-    """Taylor coefficients b_m of the Schwinger function of the query; sites of
-    the interaction may be pinned through interaction_sites."""
-    engine = SchwingerEngine(spec, params, grid, u,
-                             interaction_sites=interaction_sites)
-    return engine.schwinger_series(q, m_max)
-
-
-def correlation_via_grassmann(spec: LatticeSpec, params: ModelParams,
-                              u: InteractionCoefficients | None, q,
-                              half_steps_list) -> list[dict]:
-    """The correlation from the Grassmann side at a sequence of grids; the
-    values converge to the exact trace as h grows."""
-    out = []
-    for hs in half_steps_list:
-        grid = TimeGrid(beta=params.beta, half_steps=int(hs))
-        engine = SchwingerEngine(spec, params, grid, u)
-        out.append({"half_steps": int(hs), "h": grid.h,
-                    "value": engine.correlation(q)})
-    return out
+        for i in range(start, V):
+            stack.append((selection + [i], i + 1))
+    return total

@@ -57,10 +57,6 @@ def site_index(spec: LatticeSpec, site) -> int:
     return idx
 
 
-def canonical_site(spec: LatticeSpec, site) -> Site:
-    return tuple(int(c) % spec.L for c in site)
-
-
 def mode_index(spec: LatticeSpec, site, spin: int) -> int:
     """Global one-particle mode index: site lex-rank * 2 + spin (up=0, down=1)."""
     if spin not in SPINS:

@@ -550,18 +550,18 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
     general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1);
     hubbard: |U| <= (108 beta)^{-1} K^{-d}.
     """
-    K = geometric_sum_factor(params, spec.d)
     if variant == "general":
+        K = geometric_sum_factor(params, spec.d)
         if R is None or not 0.0 < R < 1.0:
             raise ValueError("general variant needs R in (0, 1)")
         lhs = sum(l * 16.0**l * interaction_norm(u, l) for l in u.orders)
         rhs = R / (params.beta * K)
         return SmallnessReport("general", lhs, rhs, lhs < rhs, R)
     if variant == "hubbard":
+        rhs = hubbard_threshold(params, spec.d)
         U = u.hubbard_coupling()
         if U is None:
             raise ValueError("hubbard variant requires a pure on-site interaction")
-        rhs = 1.0 / (108.0 * params.beta * K)
         return SmallnessReport("hubbard", abs(U), rhs, abs(U) <= rhs)
     raise ValueError(f"unknown smallness variant {variant!r}")
 

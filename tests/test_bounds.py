@@ -377,12 +377,13 @@ def test_schwinger_contour_guard_per_node(params):
     shifts, _ = contour_nodes(spec.L, 1, radius, 4, 128)
     assert len(shifts) == 2 * DET_BLOCK
     node = DET_BLOCK + 17
-    shifted = SchwingerEngine(spec, params, grid, hub,
-                              shifts=((complex(shifts[node]), 0),))
-    eta = complex(np.roots(shifted.denominator().coefficients[::-1])[0])
-    assert abs(shifted.denominator().value_at(eta)) < 1e-12
-    base = SchwingerEngine(spec, params, grid, hub)
-    assert abs(base.denominator().value_at(eta)) > 1e-6
+    engine = SchwingerEngine(spec, params, grid, hub)
+    G = covariance_matrix(CovarianceSpec(spec, params), grid,
+                          extra_axis_shift=(0, shifts[node:node + 1]))
+    shifted = engine.denominator(G)[0]
+    eta = complex(np.roots(shifted[::-1])[0])
+    assert abs(engine.partition(eta, G)[0]) < 1e-12
+    assert abs(engine.partition(eta)) > 1e-6
     with pytest.raises(ZeroDivisionError, match="too small"):
         schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
                                 circle_nodes=128, theta_nodes=4,

@@ -25,7 +25,6 @@ from fermidecay.lattice import (
     DOWN,
     UP,
     LatticeSpec,
-    canonical_site,
     enumerate_sites,
     mode_index,
 )
@@ -46,6 +45,12 @@ from fermidecay.model import (
 def to_csr(op: fock.FockOperator) -> sp.csr_matrix:
     """A FockOperator as a scipy CSR matrix, for sparse algebra in tests."""
     return sp.csr_matrix((op.vals, (op.rows, op.cols)), shape=op.shape)
+
+
+def from_matrix(M) -> fock.FockOperator:
+    """The FockOperator of the nonzero entries of a dense or scipy matrix."""
+    M = sp.coo_matrix(M)
+    return fock._canonical(M.shape[0], M.row, M.col, M.data)
 
 
 def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
@@ -121,7 +126,7 @@ def test_hubbard_atom_spectrum_and_average():
     w = np.sort(np.linalg.eigvalsh(H.toarray()))
     np.testing.assert_allclose(w, sorted([0.0, eps, eps, 2 * eps + U]), atol=1e-12)
     nup = mode_operator(atom, 0, "create") @ mode_operator(atom, 0, "annihilate")
-    avg = thermal_average(atom, H, nup.toarray(), p.beta)
+    avg = thermal_average(atom, H, from_matrix(nup), p.beta)
     Z = 1 + 2 * math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))
     expected = (math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))) / Z
     assert avg.real == pytest.approx(expected, rel=1e-12)
@@ -133,7 +138,7 @@ def test_thermal_average_identity_and_ground_state():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     H = build_hamiltonian(atom, p, hubbard_interaction(0.3, d=1))
     ident = np.eye(atom.dimension)
-    assert thermal_average(atom, H, ident, p.beta) == pytest.approx(1.0)
+    assert thermal_average(atom, H, from_matrix(ident), p.beta) == pytest.approx(1.0)
     # beta -> large: average approaches the ground-state expectation
     states, w, V = min(diagonalize(H), key=lambda sector: sector[1][0])
     g = np.zeros(atom.dimension, dtype=complex)
@@ -141,7 +146,7 @@ def test_thermal_average_identity_and_ground_state():
     nup = (mode_operator(atom, 0, "create") @
            mode_operator(atom, 0, "annihilate")).toarray()
     ground = g.conj() @ nup @ g
-    avg = thermal_average(atom, H, nup, 50.0)
+    avg = thermal_average(atom, H, from_matrix(nup), 50.0)
     assert avg.real == pytest.approx(ground.real, abs=1e-10)
 
 
@@ -442,7 +447,7 @@ def _assert_matches_full_space(space, p, u, lam, queries):
                mode_operator(space, mode_index(space.spec, q.y_sites[0],
                                                q.phi_spins[0]), "annihilate"))
         ref = _full_space_expectation(full, hop, p.beta)
-        assert abs(thermal_average(space, H, hop.toarray(), p.beta) - ref) <= 1e-12
+        assert abs(thermal_average(space, H, from_matrix(hop), p.beta) - ref) <= 1e-12
     w = np.linalg.eigvalsh(H.toarray())
     ref = float(-p.beta * w.min() + np.log(np.sum(np.exp(-p.beta * (w - w.min())))))
     assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
@@ -566,19 +571,16 @@ def lambda_term_reference(space, lam):
     spec = space.spec
     H = _zero(space)
     for X, Y, Xi, Phi, coeff in lam.symmetrized_terms():
-        create = [mode_index(spec, canonical_site(spec, x), s)
-                  for x, s in zip(X, Xi)]
-        annih = [mode_index(spec, canonical_site(spec, y), s)
-                 for y, s in zip(reversed(Y), reversed(Phi))]
+        create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
+        annih = [mode_index(spec, y, s) for y, s in zip(reversed(Y), reversed(Phi))]
         H = H + coeff * operator_product_reference(space, create, annih)
     return H
 
 
 def observable_pair_reference(space, q):
     spec = space.spec
-    create = [mode_index(spec, canonical_site(spec, x), s)
-              for x, s in zip(q.x_sites, q.xi_spins)]
-    annih = [mode_index(spec, canonical_site(spec, y), s)
+    create = [mode_index(spec, x, s) for x, s in zip(q.x_sites, q.xi_spins)]
+    annih = [mode_index(spec, y, s)
              for y, s in zip(reversed(q.y_sites), reversed(q.phi_spins))]
     O = operator_product_reference(space, create, annih)
     return O + O.conj().T.tocsr()
@@ -724,7 +726,7 @@ def test_coo_paths_match_csr_reference(shape, kind, coupling, t_prime, beta,
     eig = diagonalize(H)
     hop = (mode_operator(space, 0, "create") @
            mode_operator(space, space.n_modes - 1, "annihilate"))
-    for ours, ref in [(O, to_csr(O)) for O in pairs] + [(hop.toarray(), hop)]:
+    for ours, ref in [(O, to_csr(O)) for O in pairs] + [(from_matrix(hop), hop)]:
         assert abs(fock._expectation(eig, ours, p.beta) -
                    expectation_reference(eig, ref, p.beta)) <= 1e-12
     assert abs(fock.log_partition(H, p.beta) -
@@ -760,10 +762,11 @@ def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
                                    lambda H: fock.log_partition(H, 1.0)])
 def test_exact_trace_refuses_non_hermitian(trace, as_dense):
     # psi*_{0 up} psi_{1 up} keeps N_up and N_down: its entries lie inside
-    # the (N_up, N_down) blocks, and nothing stores their adjoint
+    # the (N_up, N_down) blocks, and nothing stores their adjoint; as_dense
+    # rebuilds the operator from its dense matrix, in row-major order
     space = FockSpace(LatticeSpec(d=1, L=2))
     H = fock._assemble(space.n_modes, [(0.5, (0,), (2,)), (1.0, (1,), (1,))])
     with pytest.raises(HermiticityError, match="not hermitian") as exc:
-        trace(H.toarray() if as_dense else H)
+        trace(from_matrix(H.toarray()) if as_dense else H)
     assert isinstance(exc.value, ValueError)
     assert "defect 5.000e-01" in str(exc.value)

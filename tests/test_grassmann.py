@@ -5,25 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermidecay import cli, fock
-from fermidecay.covariance import CovarianceSpec, covariance_value
+from fermidecay.covariance import CovarianceSpec, covariance_matrix, covariance_value
 from fermidecay.grassmann import (
-    EtaSeries,
     GrassmannIndexSpace,
     GrassmannPolynomial,
     SchwingerEngine,
     berezin_gaussian,
     build_vertices,
-    correlation_via_grassmann,
     discrete_partition,
     monomial,
     monomial_product,
     observable_monomials,
-    partition_via_exponential,
-    schwinger_taylor,
     wick_canonical,
     wick_expectation,
 )
-from fermidecay.grassmann import _berezin_weight, _evaluate_plan, _subset_plan
+from fermidecay.grassmann import (
+    _berezin_weight,
+    _evaluate_plan,
+    _series_value,
+    _subset_plan,
+)
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid
 from fermidecay.model import LambdaCoefficients, ModelParams, hubbard_interaction
 
@@ -48,6 +49,28 @@ def subset_scan_reference(seed, monomials, G):
 
     recurse(seed, 0, 0)
     return out
+
+
+def berezin_product_reference(n, f, G):
+    """Reference: the top coefficient of the whole product f * weight, which
+    berezin_gaussian reads one term pair at a time."""
+    G = np.ascontiguousarray(G, dtype=np.complex128)
+    expw, denom = _berezin_weight(n, G.shape, G.tobytes())
+    full = (1 << n) - 1
+    return complex((f * expw).coefficient(full, full) / denom)
+
+
+def one_plus(b, u, c):
+    """The polynomial 1 + c psibar^b psi^u of canonical masks b, u."""
+    p = GrassmannPolynomial.one()
+    p.add(b, u, c)
+    return p
+
+
+def grid_correlations(spec, params, u, q, half_steps):
+    """The engine's correlation of q at beta*h = 2 hs for each hs."""
+    return [SchwingerEngine(spec, params, TimeGrid(params.beta, hs), u).correlation(q)
+            for hs in half_steps]
 
 
 def test_wick_expectation_contract(rng):
@@ -113,6 +136,26 @@ def test_berezin_guard():
         berezin_gaussian(11, GrassmannPolynomial.one(), np.eye(11))
 
 
+@st.composite
+def _berezin_case(draw):
+    """A multi-term polynomial over n <= 6 generators and a random G."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    masks = st.integers(0, (1 << n) - 1)
+    f = GrassmannPolynomial()
+    for _ in range(draw(st.integers(1, 12))):
+        f.add(draw(masks), draw(masks),
+              complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, f, random_g(rng, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_berezin_case())
+def test_berezin_top_coefficient_matches_product(case):
+    n, f, G = case
+    assert berezin_gaussian(n, f, G) == berezin_product_reference(n, f, G)
+
+
 def test_berezin_weight_expanded_once_per_g():
     # criterion 02 integrates 200 monomials against one G
     _berezin_weight.cache_clear()
@@ -159,19 +202,18 @@ def test_index_space_rejects_generator_count_off_four(atom):
 
 def test_partition_free_is_one(atom, params):
     grid = TimeGrid(1.0, 1)
-    assert discrete_partition(atom, params, grid, None)["value"] == pytest.approx(1.0)
-    assert partition_via_exponential(atom, params, grid, None) == pytest.approx(1.0)
-    assert partition_via_exponential(atom, params, grid,
-                                     hubbard_interaction(0.3, d=1),
-                                     eta=0.0) == pytest.approx(1.0)
+    assert discrete_partition(atom, params, grid, None) == pytest.approx(1.0)
+    assert SchwingerEngine(atom, params, grid, None).partition() == pytest.approx(1.0)
+    eng = SchwingerEngine(atom, params, grid, hubbard_interaction(0.3, d=1))
+    assert eng.partition(eta=0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("half_steps", [1, 2, 4])
 def test_partition_equivalence(atom, params, half_steps):
     hub = hubbard_interaction(0.3, d=1)
     grid = TimeGrid(1.0, half_steps)
-    dp = discrete_partition(atom, params, grid, hub)["value"]
-    pe = partition_via_exponential(atom, params, grid, hub)
+    dp = discrete_partition(atom, params, grid, hub)
+    pe = SchwingerEngine(atom, params, grid, hub).partition()
     assert abs(dp - pe) <= 1e-10
 
 
@@ -180,15 +222,13 @@ def test_partition_berezin_oracle(atom, params):
     hub = hubbard_interaction(0.2, d=1)
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
-    G = space.covariance(params)
+    G = covariance_matrix(CovarianceSpec(atom, params), grid)
     vs = build_vertices(space, params, hub)
     poly = GrassmannPolynomial.one()
     for (b, u, c) in vs.monomials:
-        term = GrassmannPolynomial()
-        term.add(b, u, c)
-        poly = poly * GrassmannPolynomial.one().plus(term)
-    ber = berezin_gaussian(space, poly, G)
-    dp = discrete_partition(atom, params, grid, hub)["value"]
+        poly = poly * one_plus(b, u, c)
+    ber = berezin_gaussian(space.n, poly, G)
+    dp = discrete_partition(atom, params, grid, hub)
     assert ber == pytest.approx(dp, abs=1e-12)
 
 
@@ -198,18 +238,9 @@ def test_partition_h_convergence_to_trace(atom, params):
     exact = fock.partition_ratio(space, params, hub)
     errs = []
     for hs in (1, 2, 4):
-        dp = discrete_partition(atom, params, TimeGrid(1.0, hs), hub)["value"]
+        dp = discrete_partition(atom, params, TimeGrid(1.0, hs), hub)
         errs.append(abs(dp - exact))
     assert errs[2] < errs[1] < errs[0]
-
-
-def test_partition_truncation_tail_bound(atom, params):
-    hub = hubbard_interaction(0.2, d=1)
-    grid = TimeGrid(1.0, 2)
-    full = discrete_partition(atom, params, grid, hub)["value"]
-    for m_max in (0, 1, 2):
-        res = discrete_partition(atom, params, grid, hub, m_max=m_max)
-        assert abs(full - res["value"]) <= res["tail_bound"] + 1e-15
 
 
 def test_partition_instance_guard(params):
@@ -231,7 +262,7 @@ def test_lambda_vertices_differentiate_partition(atom, params):
     for s in (eps, -eps):
         lam = LambdaCoefficients(m_hat=1)
         lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, s)
-        vals[s] = discrete_partition(atom, params, grid, hub, lam=lam)["value"]
+        vals[s] = discrete_partition(atom, params, grid, hub, lam=lam)
     fd = -(np.log(vals[eps]) - np.log(vals[-eps])) / (2 * eps * params.beta)
     assert fd == pytest.approx(target.real, abs=1e-7)
 
@@ -242,14 +273,14 @@ def test_b0_equals_covariance_block(chain4, params):
     cs = CovarianceSpec(chain4, params)
     q = fock.query(((0,),), ((2,),), (UP,), (UP,))
     spec2 = LatticeSpec(d=1, L=2)
-    ser = schwinger_taylor(spec2, params, grid, hub,
-                           fock.query(((0,),), ((1,),), (UP,), (UP,)), 2)
+    eng = SchwingerEngine(spec2, params, grid, hub)
+    ser = eng.schwinger_series(fock.query(((0,),), ((1,),), (UP,), (UP,)), 2)
     cs2 = CovarianceSpec(spec2, params)
     expected = covariance_value(cs2, ((0,), UP, 0.0), ((1,), UP, 0.0))
     assert ser[0] == pytest.approx(expected, abs=1e-12)
     # m_hat = 2: b_0 is the 2x2 determinant of the equal-time block
     q2 = fock.query(((0,), (1,)), ((1,), (0,)), (UP, DOWN), (UP, DOWN))
-    ser2 = schwinger_taylor(spec2, params, grid, hub, q2, 1)
+    ser2 = eng.schwinger_series(q2, 1)
     blk = np.array([
         [covariance_value(cs2, ((0,), UP, 0.0), ((1,), UP, 0.0)),
          covariance_value(cs2, ((0,), UP, 0.0), ((0,), DOWN, 0.0))],
@@ -276,19 +307,19 @@ def test_b0_bounded_by_four_power(rng, params):
 
 def test_free_interaction_taylor_vanishes(params):
     spec = LatticeSpec(d=1, L=2)
-    ser = schwinger_taylor(spec, params, TimeGrid(1.0, 1), None,
-                           fock.query(((0,),), ((1,),), (UP,), (UP,)), 3)
+    eng = SchwingerEngine(spec, params, TimeGrid(1.0, 1), None)
+    ser = eng.schwinger_series(fock.query(((0,),), ((1,),), (UP,), (UP,)), 3)
     assert abs(ser[0]) > 0
-    assert all(abs(c) == 0 for c in ser.coefficients[1:])
+    assert all(abs(c) == 0 for c in ser[1:])
 
 
 def test_correlation_free_equals_covariance(atom, params):
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     cs = CovarianceSpec(atom, params)
     free = 2 * covariance_value(cs, ((0,), UP, 0.0), ((0,), UP, 0.0)).real
-    for r in correlation_via_grassmann(atom, params, None, q, (1, 2, 4)):
-        assert r["value"].real == pytest.approx(free, abs=1e-12)
-        assert abs(r["value"].imag) <= 1e-10
+    for value in grid_correlations(atom, params, None, q, (1, 2, 4)):
+        assert value.real == pytest.approx(free, abs=1e-12)
+        assert abs(value.imag) <= 1e-10
 
 
 def test_correlation_h_convergence(atom):
@@ -297,19 +328,19 @@ def test_correlation_h_convergence(atom):
     space = fock.FockSpace(atom)
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     exact = fock.correlation(space, p, hub, q).real
-    conv = correlation_via_grassmann(atom, p, hub, q, (1, 2, 4))
-    errs = [abs(r["value"].real - exact) for r in conv]
+    conv = grid_correlations(atom, p, hub, q, (1, 2, 4))
+    errs = [abs(value.real - exact) for value in conv]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 5e-2
-    for r in conv:
-        assert abs(r["value"].imag) <= 1e-10
+    for value in conv:
+        assert abs(value.imag) <= 1e-10
 
 
 def test_schwinger_denominator_zero_detected(atom, params):
     # evaluate at a root of the denominator polynomial in eta
     grid = TimeGrid(1.0, 1)
     eng = SchwingerEngine(atom, params, grid, hubbard_interaction(1.0, d=1))
-    coeffs = eng.denominator().coefficients
+    coeffs = eng.denominator()
     root = complex(np.roots(list(reversed(coeffs)))[0])
     with pytest.raises(ZeroDivisionError):
         eng.schwinger_value(fock.query(((0,),), ((0,),), (UP,), (UP,)),
@@ -317,10 +348,13 @@ def test_schwinger_denominator_zero_detected(atom, params):
 
 
 def test_eta_series_evaluation():
-    s = EtaSeries([1.0, 2.0, 3.0])
-    assert s.value_at(1.0) == pytest.approx(6.0)
-    assert s.value_at(0.0) == pytest.approx(1.0)
-    assert len(s) == 3 and s[1] == 2.0
+    s = np.array([1.0, 2.0, 3.0])
+    assert _series_value(s, 1.0) == pytest.approx(6.0)
+    assert _series_value(s, 0.0) == pytest.approx(1.0)
+    assert _series_value(s, 2.0) == pytest.approx(17.0)
+    # a stack of series gives one value per series
+    stack = _series_value(np.stack([s, 2 * s]), 1.0)
+    assert stack.shape == (2,) and stack[1] == pytest.approx(12.0)
 
 
 @pytest.mark.parametrize("d,L", [(1, 2), (1, 3), (2, 2)])
@@ -344,7 +378,7 @@ def test_sites_outside_window_match_reduced_sites(d, L, k, params):
             [(op.rows, op.cols, op.vals) for op in (
                 fock.observable_pair(fspace, q), fock.build_lambda_term(fspace, lam))],
             observable_monomials(gspace, q),
-            sorted(map(repr, zip(vs.monomials, vs.blocks))), vs.term_weight))
+            sorted(map(repr, zip(vs.monomials, vs.blocks)))))
     (ref_ops, *ref), (ops, *got) = results
     assert len(ref[0]) == 2 and len(ref[1]) == 4
     assert got == ref
@@ -358,9 +392,9 @@ def test_pinned_interaction_sites(params):
     grid = TimeGrid(1.0, 1)
     hub = hubbard_interaction(0.4, d=1)
     q = fock.query(((0,), (0,)), ((0,), (0,)), (UP, DOWN), (UP, DOWN))
-    full = schwinger_taylor(spec, params, grid, hub, q, 2)
-    pinned = schwinger_taylor(spec, params, grid, hub, q, 2,
-                              interaction_sites={(0,)})
+    full = SchwingerEngine(spec, params, grid, hub).schwinger_series(q, 2)
+    pinned = SchwingerEngine(spec, params, grid, hub,
+                             interaction_sites={(0,)}).schwinger_series(q, 2)
     assert full[0] == pytest.approx(pinned[0])
     assert abs(full[1]) != pytest.approx(abs(pinned[1]))
 
@@ -369,8 +403,8 @@ def test_partition_equivalence_two_sites(params):
     spec = LatticeSpec(d=1, L=2)
     hub = hubbard_interaction(0.25, d=1)
     grid = TimeGrid(1.0, 1)
-    dp = discrete_partition(spec, params, grid, hub)["value"]
-    pe = partition_via_exponential(spec, params, grid, hub)
+    dp = discrete_partition(spec, params, grid, hub)
+    pe = SchwingerEngine(spec, params, grid, hub).partition()
     assert abs(dp - pe) <= 1e-10
     space = fock.FockSpace(spec)
     exact = fock.partition_ratio(space, params, hub)
@@ -390,8 +424,8 @@ def test_correlation_h_convergence_offdiagonal(params):
     space = fock.FockSpace(spec)
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
     exact = fock.correlation(space, params, hub, q).real
-    conv = correlation_via_grassmann(spec, params, hub, q, (1, 2))
-    errs = [abs(r["value"].real - exact) for r in conv]
+    conv = grid_correlations(spec, params, hub, q, (1, 2))
+    errs = [abs(value.real - exact) for value in conv]
     assert errs[1] < errs[0]
 
 
@@ -402,8 +436,8 @@ def test_four_point_correlation_converges(atom):
     space = fock.FockSpace(atom)
     q = fock.query(((0,), (0,)), ((0,), (0,)), (UP, DOWN), (UP, DOWN))
     exact = fock.correlation(space, p, hub, q).real
-    conv = correlation_via_grassmann(atom, p, hub, q, (1, 2, 4))
-    errs = [abs(r["value"].real - exact) for r in conv]
+    conv = grid_correlations(atom, p, hub, q, (1, 2, 4))
+    errs = [abs(value.real - exact) for value in conv]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 5e-2
 
@@ -414,7 +448,7 @@ def test_taylor_coefficient_against_berezin_derivative(atom, params):
     hub = hubbard_interaction(0.2, d=1)
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
-    G = space.covariance(params)
+    G = covariance_matrix(CovarianceSpec(atom, params), grid)
     vs = build_vertices(space, params, hub)
     obs = observable_monomials(space,
                                fock.query(((0,),), ((0,),), (UP,), (UP,)))
@@ -422,19 +456,17 @@ def test_taylor_coefficient_against_berezin_derivative(atom, params):
     def schwinger_berezin(eta):
         expw = GrassmannPolynomial.one()
         for (b, u, c) in vs.monomials:
-            term = GrassmannPolynomial()
-            term.add(b, u, c * eta)
-            expw = expw * GrassmannPolynomial.one().plus(term)
-        den = berezin_gaussian(space, expw, G)
+            expw = expw * one_plus(b, u, c * eta)
+        den = berezin_gaussian(space.n, expw, G)
         num = 0.0 + 0.0j
         for (b, u, c) in obs:
             mono = GrassmannPolynomial()
             mono.add(b, u, c)
-            num += berezin_gaussian(space, mono * expw, G)
+            num += berezin_gaussian(space.n, mono * expw, G)
         return -num / (params.beta * den)
 
-    ser = schwinger_taylor(atom, params, grid, hub,
-                           fock.query(((0,),), ((0,),), (UP,), (UP,)), 2)
+    ser = SchwingerEngine(atom, params, grid, hub).schwinger_series(
+        fock.query(((0,),), ((0,),), (UP,), (UP,)), 2)
     eps = 1e-3
     b0 = schwinger_berezin(0.0)
     b1_fd = (schwinger_berezin(eps) - schwinger_berezin(-eps)) / (2 * eps)
@@ -508,11 +540,31 @@ def test_engine_denominator_computed_once(atom, params):
                           hubbard_interaction(0.3, d=1))
     den = eng.denominator()
     assert eng.denominator() is den
-    assert not den.coefficients.flags.writeable
+    assert not den.flags.writeable
     ref = subset_scan_reference((0, 0, 1.0 + 0.0j), eng.vertices.monomials,
                                 eng.G)
-    assert np.abs(den.coefficients - ref).max() <= 1e-12
+    assert np.abs(den - ref).max() <= 1e-12
     # a stack of one covariance gives the same series as the engine's own
     stacked = eng.denominator(eng.G[None])
-    assert stacked.coefficients.shape == (1, len(den))
-    assert np.abs(stacked.coefficients[0] - den.coefficients).max() <= 1e-15
+    assert stacked.shape == (1, len(den))
+    assert np.abs(stacked[0] - den).max() <= 1e-15
+    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+    for series in (stacked, eng.numerator(q), eng.schwinger_series(q, 2)):
+        assert not series.flags.writeable
+
+
+def test_suite_grassmann_builds_one_engine_per_grid(monkeypatch):
+    # three grids for criterion 03 share their engine between the partition
+    # and the correlation; the b0 series needs a fourth
+    builds = []
+    init = SchwingerEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[2].half_steps)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchwingerEngine, "__init__", counting)
+    checks = cli.suite_grassmann(None, None, None,
+                                 SimpleNamespace(seed=0, m_max=3))
+    assert all(c.passed for c in checks)
+    assert builds == [1, 2, 4, 1]
