@@ -33,7 +33,6 @@ from .grassmann import (
     wick_expectation,
 )
 from .bounds import (
-    BoundContext,
     covariance_l1_D,
     det_bound_sample,
     prop41_bound,

@@ -9,7 +9,6 @@ Euclidean exponent reported alongside for reference).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,23 +34,7 @@ from .model import (
 )
 
 DET_BLOCK = 256  # trials or contour nodes per stacked evaluation
-
-
-@dataclass
-class BoundContext:
-    """Determinant-bound constant (default 4) and the l1 integral of the grid
-    covariance, the two inputs of every perturbative coefficient bound."""
-
-    params: ModelParams
-    spec: LatticeSpec
-    det_bound_B: float = 4.0
-    l1_integral_D: float = 0.0
-
-    def __post_init__(self):
-        if self.det_bound_B < 1.0:
-            raise ValueError("determinant-bound constant must be >= 1")
-        if self.l1_integral_D < 0.0:
-            raise ValueError("l1 integral must be nonnegative")
+DET_BOUND_B = 4.0  # B of the 4^n determinant bound, in every coefficient bound
 
 
 def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
@@ -108,24 +91,26 @@ def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
     return float(np.max(np.convolve(per_dt, np.ones(T), "valid"))) / grid.h
 
 
-def prop41_bound(m: int, m_hat: int, ctx: BoundContext,
+def prop41_bound(m: int, m_hat: int, D: float,
                  norms: dict[int, float]) -> float:
-    """Bound on |b_m|: B^m for m=0, else
+    """Bound on |b_m| with B = DET_BOUND_B and D the l1 integral of the grid
+    covariance: B^m_hat for m=0, else
     (m_hat 4^m_hat B^m_hat / m) (sum_l l 4^l B^{l-1} ||U_l|| D)^m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    B, D = ctx.det_bound_B, ctx.l1_integral_D
+    B = DET_BOUND_B
     if m == 0:
         return B**m_hat
     rate = sum(l * 4.0**l * B ** (l - 1) * norm * D for l, norm in norms.items())
     return (m_hat * 4.0**m_hat * B**m_hat / m) * rate**m
 
 
-def prop42_bound(m: int, ctx: BoundContext, U: float) -> float:
-    """On-site bound on |c_m|: (4 B^2/(3m+4)) C(3m+4, m) (D B |U|)^m."""
+def prop42_bound(m: int, D: float, U: float) -> float:
+    """On-site bound on |c_m| with B = DET_BOUND_B and D the l1 integral:
+    (4 B^2/(3m+4)) C(3m+4, m) (D B |U|)^m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    B, D = ctx.det_bound_B, ctx.l1_integral_D
+    B = DET_BOUND_B
     return (4.0 * B**2 / (3 * m + 4)) * math.comb(3 * m + 4, m) * (D * B * abs(U))**m
 
 
@@ -166,13 +151,12 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
     against the sharper binomial bound."""
     cs = CovarianceSpec(spec, params)
     D = covariance_l1_D(cs, grid)
-    ctx = BoundContext(params=params, spec=spec, l1_integral_D=D)
     norms = {l: interaction_norm(u, l, spec) for l in u.orders}
     engine = SchwingerEngine(spec, params, grid, u)
     series = engine.schwinger_series(q, m_max)
     rows = []
     for m in range(m_max + 1):
-        bound = prop41_bound(m, q.m_hat, ctx, norms)
+        bound = prop41_bound(m, q.m_hat, D, norms)
         bm = abs(series[m])
         rows.append({"m": m, "abs_coefficient": bm, "bound": bound,
                      "passed": bm <= bound + 1e-15})
@@ -187,7 +171,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
         for label, eng in (("full", engine), ("pinned", pinned)):
             ser = eng.schwinger_series(q, m_max)
             for m in range(m_max + 1):
-                bound = prop42_bound(m, ctx, U)
+                bound = prop42_bound(m, D, U)
                 cm = abs(ser[m])
                 c_rows.append({"variant": label, "m": m, "abs_coefficient": cm,
                                "bound": bound, "passed": cm <= bound + 1e-15})

@@ -162,7 +162,7 @@ def _normal_ordered(space: FockSpace, entries) -> FockOperator:
 
 
 def build_h0(space: FockSpace, params: ModelParams) -> FockOperator:
-    T = hopping_matrix(space.spec, params, require_hopping=False)
+    T = hopping_matrix(space.spec, params)
     return _assemble(space.n_modes, [(T[i, j], (i,), (j,))
                                      for i, j in zip(*np.nonzero(T))])
 
@@ -284,8 +284,7 @@ def _expectation(eig, O: FockOperator, beta: float) -> complex:
     return complex(num / den)
 
 
-def thermal_average(space: FockSpace, H: FockOperator, O: FockOperator,
-                    beta: float) -> complex:
+def thermal_average(H: FockOperator, O: FockOperator, beta: float) -> complex:
     """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H."""
     return _expectation(diagonalize(H), O, beta)
 

@@ -270,9 +270,6 @@ class VertexSet:
     monomials: list = field(default_factory=list)   # canonical (b, u, c)
     blocks: list = field(default_factory=list)      # (row idx list, col idx list, coeff)
 
-    def __len__(self):
-        return len(self.monomials)
-
 
 def _time_slices(space: GrassmannIndexSpace, X, Y, Xi, Phi, coeff):
     """For each grid time t, the row indices (x_j, xi_j, t) and column indices
@@ -285,7 +282,7 @@ def _time_slices(space: GrassmannIndexSpace, X, Y, Xi, Phi, coeff):
         yield rows, cols, monomial(rows, cols[::-1], -coeff / space.grid.h)
 
 
-def build_vertices(space: GrassmannIndexSpace, params: ModelParams,
+def build_vertices(space: GrassmannIndexSpace,
                    u: InteractionCoefficients | None,
                    lam: LambdaCoefficients | None = None,
                    interaction_sites=None) -> VertexSet:
@@ -400,7 +397,7 @@ class SchwingerEngine:
         self.spec, self.params, self.grid = spec, params, grid
         self.space = GrassmannIndexSpace(spec, grid)
         self.G = covariance_matrix(CovarianceSpec(spec, params), grid)
-        self.vertices = build_vertices(self.space, params, u,
+        self.vertices = build_vertices(self.space, u,
                                        interaction_sites=interaction_sites)
         self._plans = {}
         self._denominator = None
@@ -495,7 +492,7 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
     """
     space = GrassmannIndexSpace(spec, grid)
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    blocks = build_vertices(space, params, u, lam).blocks
+    blocks = build_vertices(space, u, lam).blocks
     V = len(blocks)
     h = grid.h
     total = 0.0 + 0.0j

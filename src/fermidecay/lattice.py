@@ -118,11 +118,6 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         return np.arange(self.n_points) / self.h
 
-    @property
-    def points_double(self) -> np.ndarray:
-        """The 2*beta*h points of [-beta, beta)_h."""
-        return np.arange(-self.n_points, self.n_points) / self.h
-
 
 def spacetime_index(spec: LatticeSpec, grid: TimeGrid, site, spin: int,
                     time_idx: int) -> int:

@@ -107,16 +107,12 @@ class InteractionCoefficients:
         if not table:
             del self.orders[l]
 
-    @property
-    def max_order(self) -> int:
-        return max(self.orders) if self.orders else 0
-
-    def validate_hermiticity(self, tol: float = 0.0):
+    def validate_hermiticity(self):
         """Check conj(U_l(X,Xi,Phi)) == U_l(X,Phi,Xi) entry by entry."""
         for l, table in self.orders.items():
             for (X, Xi, Phi), value in table.items():
                 pv = table.get((X, Phi, Xi), 0.0 + 0.0j)
-                if abs(value.conjugate() - pv) > tol:
+                if value.conjugate() != pv:
                     raise HermiticityError(
                         f"{_entry_name(l, (X, Xi, Phi))}: conjugate value "
                         f"{value.conjugate()} does not match the swapped-spin "
@@ -215,15 +211,12 @@ def interaction_norm(u: InteractionCoefficients, l: int,
 # hopping matrix and dispersion relation
 # ---------------------------------------------------------------------------
 
-def hopping_matrix(spec: LatticeSpec, params: ModelParams,
-                   require_hopping: bool = True) -> np.ndarray:
+def hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
     """Spin-diagonal hermitian hopping matrix T on (Gamma x spin)^2.
 
     Built literally from the delta-function formula, so coincidences on small
     lattices (L <= 2, where x+e_j = x-e_j) accumulate automatically.
     """
-    if require_hopping and not params.has_hopping(spec.d):
-        raise ValueError("hopping amplitudes vanish: |t| + |t'|*1_{d>=2} == 0")
     n = spec.n_modes
     T = np.zeros((n, n), dtype=complex)
     sites = enumerate_sites(spec)
@@ -298,7 +291,7 @@ def check_fourier_consistency(spec: LatticeSpec, params: ModelParams) -> float:
     E_k must be the Fourier symbol of the hopping matrix; this ties the two
     independent implementations together.
     """
-    T = hopping_matrix(spec, params, require_hopping=False)
+    T = hopping_matrix(spec, params)
     sites = enumerate_sites(spec)
     origin = (0,) * spec.d
     col = np.array([T[mode_index(spec, x, UP), mode_index(spec, origin, UP)]
@@ -608,12 +601,20 @@ def save_model(path, spec, params, u):
         fh.write("\n")
 
 
+def _finite(value) -> float:
+    """float(value), refusing the NaN and Infinity that json.load accepts."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value}")
+    return value
+
+
 def model_from_dict(data: dict):
     try:
         spec = LatticeSpec(d=int(data["d"]), L=int(data["L"]))
-        params = ModelParams(t=float(data["t"]),
-                             t_prime=float(data.get("t_prime", 0.0)),
-                             mu=float(data["mu"]), beta=float(data["beta"]))
+        params = ModelParams(t=_finite(data["t"]),
+                             t_prime=_finite(data.get("t_prime", 0.0)),
+                             mu=_finite(data["mu"]), beta=_finite(data["beta"]))
         u = InteractionCoefficients()
         for block in data.get("interaction", []):
             l = int(block["order"])
@@ -621,7 +622,8 @@ def model_from_dict(data: dict):
                 X = tuple(tuple(int(c) for c in x) for x in entry["X"])
                 Xi = tuple(_SPIN_FROM_NAME[s] for s in entry["Xi"])
                 Phi = tuple(_SPIN_FROM_NAME[s] for s in entry["Phi"])
-                value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+                value = complex(_finite(entry["re"]),
+                                _finite(entry.get("im", 0.0)))
                 u.add(l, (X, Xi, Phi), value)
     except HermiticityError:
         raise

@@ -36,7 +36,7 @@ from test_fock import operator_product_reference
 def _report(num, name, checks, start, budget):
     elapsed = time.perf_counter() - start
     failed = [c.name for c in checks if not c.passed]
-    rows = [c.row() for c in checks if c.direction == "<="]
+    rows = [c.row() for c in checks]
     ratios = [(r["ratio"], r["quantity"]) for r in rows if r["ratio"] is not None]
     detail = f"{len(checks)} checks"
     if ratios:
@@ -99,7 +99,7 @@ def test_criterion_07_u1_shift_identity():
     start = time.perf_counter()
     p = ModelParams(t=1.0, t_prime=0.2, mu=0.2, beta=1.0)
     lattices = [(d, L) for d in (1, 2) for L in (2, 4)]
-    checks = cli.u1_shift_identity(p, lattices, axes=(0, 1))
+    checks = cli.u1_shift_identity(p, lattices)
     _report(7, "U(1) shift identity", checks, start, 5.0)
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from fermidecay import bounds, fock
 from fermidecay.bounds import (
     DET_BLOCK,
-    BoundContext,
     covariance_l1_D,
     det_bound_sample,
     prop41_bound,
@@ -188,35 +187,29 @@ def test_covariance_l1_D_above_matrix_size_limit(params):
     assert D <= l1_bound_check(cs, grid)["lhs"]
 
 
-def test_prop41_bound_values(params, chain4):
-    ctx = BoundContext(params=params, spec=chain4, det_bound_B=4.0,
-                       l1_integral_D=1.0)
-    assert prop41_bound(0, 1, ctx, {}) == 4.0
-    assert prop41_bound(0, 3, ctx, {}) == 64.0
+def test_prop41_bound_values():
+    assert prop41_bound(0, 1, 1.0, {}) == 4.0
+    assert prop41_bound(0, 3, 1.0, {}) == 64.0
     # m=1, m_hat=1, single l=2 norm: 16 * (2 * 16 * 4 * norm * D)
-    val = prop41_bound(1, 1, ctx, {2: 0.5})
+    val = prop41_bound(1, 1, 1.0, {2: 0.5})
     assert val == pytest.approx(16.0 * (2 * 16 * 4 * 0.5 * 1.0))
-    assert prop41_bound(2, 1, ctx, {2: 0.0}) == 0.0
+    assert prop41_bound(2, 1, 1.0, {2: 0.0}) == 0.0
     with pytest.raises(ValueError):
-        prop41_bound(-1, 1, ctx, {})
+        prop41_bound(-1, 1, 1.0, {})
 
 
-def test_prop41_growth_rate(params, chain4):
-    ctx = BoundContext(params=params, spec=chain4, det_bound_B=4.0,
-                       l1_integral_D=0.7)
+def test_prop41_growth_rate():
     norms = {2: 0.3}
     rate = 2 * 16 * 4 * 0.3 * 0.7
     for m in range(2, 6):
-        ratio = prop41_bound(m, 1, ctx, norms) / prop41_bound(m - 1, 1, ctx, norms)
+        ratio = prop41_bound(m, 1, 0.7, norms) / prop41_bound(m - 1, 1, 0.7, norms)
         assert ratio == pytest.approx(rate * (m - 1) / m)
 
 
-def test_prop42_bound_values(params, chain4):
-    ctx = BoundContext(params=params, spec=chain4, det_bound_B=4.0,
-                       l1_integral_D=0.6)
-    assert prop42_bound(0, ctx, 0.5) == pytest.approx(16.0)
+def test_prop42_bound_values():
+    assert prop42_bound(0, 0.6, 0.5) == pytest.approx(16.0)
     # m=1: (4 B^2 / 7) * C(7,1) * (D B |U|) = 4 B^3 D |U|
-    assert prop42_bound(1, ctx, 0.5) == pytest.approx(4 * 4**3 * 0.6 * 0.5)
+    assert prop42_bound(1, 0.6, 0.5) == pytest.approx(4 * 4**3 * 0.6 * 0.5)
 
 
 def coefficient_series_partial(x: float, m_terms: int) -> float:
@@ -307,13 +300,6 @@ def test_verify_theorem_envelope_refuses_large_coupling(params):
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     with pytest.raises(ValueError, match="smallness"):
         verify_theorem_envelope(spec, params, hub, [q], variant="hubbard")
-
-
-def test_bound_context_validation(params, chain4):
-    with pytest.raises(ValueError):
-        BoundContext(params=params, spec=chain4, det_bound_B=0.5)
-    with pytest.raises(ValueError):
-        BoundContext(params=params, spec=chain4, l1_integral_D=-1.0)
 
 
 def test_verify_theorem_envelope_general_variant(params):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from fermidecay import cli
 from fermidecay.cli import main
 from fermidecay.lattice import LatticeSpec
 from fermidecay.model import (
+    ModelFileError,
     ModelParams,
     hubbard_interaction,
+    load_model,
     model_to_dict,
     save_model,
     spin_spin_interaction,
@@ -113,7 +117,7 @@ def test_verify_deterministic_reports(tmp_path):
     (["verify", "--suite", "covariance", "--t-prime", "nan"], 2),
     (["verify", "--suite", "covariance", "--mu", "inf"], 2),
     (["verify", "--suite", "covariance", "--mu=-inf"], 2),
-    (["verify", "--suite", "covariance", "--tol", "nan"], 2),
+    (["verify", "--suite", "covariance", "--tol", "1e-3"], 2),
     (["verify", "--suite", "theorem", "--coupling-fraction", "nan"], 2),
     (["table", "--kind", "taylor", "--t", "inf"], 2),
     (["verify", "--suite", "taylor", "--out", "{tmp}/missing/r.json"], 2),
@@ -125,13 +129,15 @@ def test_verify_deterministic_reports(tmp_path):
     (["model-validate", "--model", "{model}", "--beta", "2"], 2),
     (["table", "--kind", "bogus"], 2),
     (["verify", "--suite", "exact"], 2),
+    (["table", "--kind", "taylor", "--seed", "1"], 2),
+    (["table", "--kind", "covariance_decay", "--trials", "5"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     # out-of-range or non-finite flags are usage errors (exit 2, at parse
     # time), and so is an --out that cannot be written (one error line); a
-    # guard that refuses a table's size is a failed check (exit 1);
-    # model-validate takes --model and --out only, so a flag it would ignore
-    # is a usage error even with a valid model
+    # guard that refuses a table's size is a failed check (exit 1); a flag
+    # a subcommand would ignore is a usage error: model-validate takes
+    # --model and --out only, and table takes no --trials or --seed
     out = tmp_path / "out"
     own_out = "--out" in argv
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(MODEL))
@@ -146,6 +152,59 @@ def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     assert not out.exists()
     if own_out:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_MODEL_FLAGS = ["--model", "--d", "--L", "--t", "--t-prime", "--mu", "--beta",
+                "--half-steps", "--m-max", "--out", "--format",
+                "--coupling-fraction"]
+
+
+def test_subcommand_option_sets():
+    # adding or dropping a flag is a deliberate edit of this table
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(o for a in p._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert options == {
+        "model-validate": ["--model", "--out"],
+        "verify": sorted(_MODEL_FLAGS + ["--suite", "--trials", "--seed"]),
+        "table": sorted(_MODEL_FLAGS + ["--kind"]),
+    }
+    assert [len(options[c]) for c in ("verify", "table", "model-validate")] \
+        == [15, 13, 2]
+
+
+@pytest.mark.parametrize("path,value", [
+    (("beta",), math.nan),
+    (("interaction", 0, "entries", 0, "re"), math.nan),
+    (("mu",), math.inf),
+], ids=["beta_nan", "re_nan", "mu_inf"])
+def test_model_file_refuses_non_finite(path, value, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity and json.load accepts them; a model
+    # file carrying one is a usage error, as a non-finite flag is
+    data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
+                         hubbard_interaction(0.1, d=1))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model_file = tmp_path / "nonfinite.json"
+    model_file.write_text(json.dumps(data))
+    with pytest.raises(ModelFileError, match="non-finite"):
+        load_model(model_file)
+    assert main(["model-validate", "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_det_decay_determinant_nonzero():
+    # the b-spins permute the a-spins, so no spin mismatch zeroes the det
+    spec = LatticeSpec(d=1, L=4)
+    params = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
+    for seed in range(50):
+        (check,) = cli.det_decay(spec, params, seed)
+        assert 0.0 < check.computed and check.passed, seed
 
 
 def test_verify_csv_format(tmp_path):

@@ -329,7 +329,7 @@ def l1_bound_reference(cs, grid):
     sites = np.array(enumerate_sites(spec), dtype=float)
     phases = np.exp(1j * (-sites @ ks.T))  # C(x.., 0..): phase e^{i<k, 0-x>}
     total = 0.0
-    for t in grid.points_double:
+    for t in np.arange(-grid.n_points, grid.n_points) / grid.h:
         vals = _fermi_factor(E, -float(t), cs.params.beta)
         total += float(np.sum(np.abs(phases @ vals))) / spec.n_sites
     return total / grid.h

@@ -126,7 +126,7 @@ def test_hubbard_atom_spectrum_and_average():
     w = np.sort(np.linalg.eigvalsh(H.toarray()))
     np.testing.assert_allclose(w, sorted([0.0, eps, eps, 2 * eps + U]), atol=1e-12)
     nup = mode_operator(atom, 0, "create") @ mode_operator(atom, 0, "annihilate")
-    avg = thermal_average(atom, H, from_matrix(nup), p.beta)
+    avg = thermal_average(H, from_matrix(nup), p.beta)
     Z = 1 + 2 * math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))
     expected = (math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))) / Z
     assert avg.real == pytest.approx(expected, rel=1e-12)
@@ -138,7 +138,7 @@ def test_thermal_average_identity_and_ground_state():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     H = build_hamiltonian(atom, p, hubbard_interaction(0.3, d=1))
     ident = np.eye(atom.dimension)
-    assert thermal_average(atom, H, from_matrix(ident), p.beta) == pytest.approx(1.0)
+    assert thermal_average(H, from_matrix(ident), p.beta) == pytest.approx(1.0)
     # beta -> large: average approaches the ground-state expectation
     states, w, V = min(diagonalize(H), key=lambda sector: sector[1][0])
     g = np.zeros(atom.dimension, dtype=complex)
@@ -146,7 +146,7 @@ def test_thermal_average_identity_and_ground_state():
     nup = (mode_operator(atom, 0, "create") @
            mode_operator(atom, 0, "annihilate")).toarray()
     ground = g.conj() @ nup @ g
-    avg = thermal_average(atom, H, from_matrix(nup), 50.0)
+    avg = thermal_average(H, from_matrix(nup), 50.0)
     assert avg.real == pytest.approx(ground.real, abs=1e-10)
 
 
@@ -447,7 +447,7 @@ def _assert_matches_full_space(space, p, u, lam, queries):
                mode_operator(space, mode_index(space.spec, q.y_sites[0],
                                                q.phi_spins[0]), "annihilate"))
         ref = _full_space_expectation(full, hop, p.beta)
-        assert abs(thermal_average(space, H, from_matrix(hop), p.beta) - ref) <= 1e-12
+        assert abs(thermal_average(H, from_matrix(hop), p.beta) - ref) <= 1e-12
     w = np.linalg.eigvalsh(H.toarray())
     ref = float(-p.beta * w.min() + np.log(np.sum(np.exp(-p.beta * (w - w.min())))))
     assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
@@ -548,7 +548,7 @@ def _zero(space):
 
 
 def h0_reference(space, params):
-    T = hopping_matrix(space.spec, params, require_hopping=False)
+    T = hopping_matrix(space.spec, params)
     H = _zero(space)
     for i in range(space.n_modes):
         for j in range(space.n_modes):

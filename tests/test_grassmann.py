@@ -223,7 +223,7 @@ def test_partition_berezin_oracle(atom, params):
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
     G = covariance_matrix(CovarianceSpec(atom, params), grid)
-    vs = build_vertices(space, params, hub)
+    vs = build_vertices(space, hub)
     poly = GrassmannPolynomial.one()
     for (b, u, c) in vs.monomials:
         poly = poly * one_plus(b, u, c)
@@ -373,7 +373,7 @@ def test_sites_outside_window_match_reduced_sites(d, L, k, params):
         q = fock.query(X, Y, Xi, Phi)
         lam = LambdaCoefficients(m_hat=2)
         lam.add(X, Y, Xi, Phi, 0.3)
-        vs = build_vertices(gspace, params, None, lam)
+        vs = build_vertices(gspace, None, lam)
         results.append((
             [(op.rows, op.cols, op.vals) for op in (
                 fock.observable_pair(fspace, q), fock.build_lambda_term(fspace, lam))],
@@ -449,7 +449,7 @@ def test_taylor_coefficient_against_berezin_derivative(atom, params):
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
     G = covariance_matrix(CovarianceSpec(atom, params), grid)
-    vs = build_vertices(space, params, hub)
+    vs = build_vertices(space, hub)
     obs = observable_monomials(space,
                                fock.query(((0,),), ((0,),), (UP,), (UP,)))
 
@@ -494,7 +494,6 @@ def _vertex_case(draw):
     L, half_steps = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
     spec = LatticeSpec(d=1, L=L)
     space = GrassmannIndexSpace(spec, TimeGrid(1.0, half_steps))
-    p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
     site = st.integers(0, L - 1).map(lambda x: (x,))
     spin = st.sampled_from((UP, DOWN))
     lam = None
@@ -505,7 +504,7 @@ def _vertex_case(draw):
                   for f in (site, site, spin, spin)],
                 draw(st.floats(0.05, 0.5)))
     hub = hubbard_interaction(draw(st.floats(0.05, 1.0)), d=1)
-    monomials = list(build_vertices(space, p, hub, lam).monomials)
+    monomials = list(build_vertices(space, hub, lam).monomials)
     # a vanishing vertex, as build_vertices emits for repeated generators
     monomials.insert(draw(st.integers(0, len(monomials))), (0, 0, 0.0))
     m = draw(st.integers(1, 2))

@@ -71,7 +71,6 @@ def test_time_grid_examples():
     g = TimeGrid(1.0, 2)
     assert g.h == 4.0
     np.testing.assert_allclose(g.points, [0.0, 0.25, 0.5, 0.75])
-    assert len(g.points_double) == 2 * g.n_points
 
 
 def test_time_grid_rejects_zero_half_steps():

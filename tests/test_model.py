@@ -57,10 +57,11 @@ def test_hopping_matrix_hermitian_and_guard():
     spec = LatticeSpec(d=2, L=3)
     T = hopping_matrix(spec, ModelParams(t=0.7, t_prime=-0.3, mu=0.1))
     np.testing.assert_allclose(T, T.conj().T)
-    with pytest.raises(ValueError):
-        hopping_matrix(LatticeSpec(d=1, L=4), ModelParams(t=0.0, t_prime=1.0))
-    # t' alone is fine in d >= 2
-    hopping_matrix(LatticeSpec(d=2, L=2), ModelParams(t=0.0, t_prime=1.0))
+    # the model-validate invariant: t' alone gives no hopping in d = 1 only
+    p = ModelParams(t=0.0, t_prime=1.0, mu=0.2)
+    assert not p.has_hopping(1) and p.has_hopping(2)
+    T = hopping_matrix(LatticeSpec(d=1, L=4), p)
+    np.testing.assert_array_equal(T, -0.2 * np.eye(8))
 
 
 def dispersion_reference(k, params: ModelParams, d: int, shifts=()) -> complex:
@@ -423,5 +424,4 @@ def test_cancelling_entries_prune_order():
     u.add(2, ((((0,), (0,))), (UP, DOWN), (UP, DOWN)), 1.0)
     u.add(2, ((((0,), (0,))), (UP, DOWN), (UP, DOWN)), -1.0)
     assert u.orders == {}
-    assert u.max_order == 0
     assert u.hubbard_coupling() is None

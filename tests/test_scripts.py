@@ -18,17 +18,6 @@ def _run(monkeypatch, name, argv):
     return module.main()
 
 
-def test_run_all_checks(tmp_path, monkeypatch):
-    out = tmp_path / "results"
-    assert _run(monkeypatch, "run_all_checks",
-                ["--seed", "0", "--out-dir", str(out)]) == 0
-    names = sorted(p.name for p in out.iterdir())
-    assert names == sorted(
-        [f"verify_{s}.json" for s in ("covariance", "detbound", "grassmann",
-                                      "taylor", "theorem", "all")]
-        + [f"table_{k}.csv" for k in ("covariance_decay", "envelope", "taylor")])
-
-
 def test_decay_sweep(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert _run(monkeypatch, "decay_sweep", ["--L", "4", "--out", str(out)]) == 0
