@@ -74,8 +74,7 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
         C = np.where(spins[:, :n, None] == spins[:, None, n:], C, 0.0)
         M = np.einsum("tjm,tkm->tjk", U, V.conj()).conj() * C
         worst = max(worst, float(np.abs(np.linalg.det(M)).max()) / 4.0**n)
-    return {"worst_ratio": worst, "n": n, "vec_dim": vec_dim, "trials": trials,
-            "shifts": list(cs.shifts)}
+    return {"worst_ratio": worst, "n": n, "vec_dim": vec_dim, "trials": trials}
 
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
@@ -209,11 +208,11 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     rhs = chord(spec.L, _sum_diff(q)[axis])**n * engine.schwinger_value(q, eta)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
+    shifts = np.outer(total_shift, np.eye(spec.d)[axis])
     cs = CovarianceSpec(spec, params)
     lhs = 0.0 + 0.0j
-    for b in range(0, len(total_shift), DET_BLOCK):
-        G = covariance_matrix(cs, grid,
-                              extra_axis_shift=(axis, total_shift[b:b + DET_BLOCK]))
+    for b in range(0, len(shifts), DET_BLOCK):
+        G = covariance_matrix(cs, grid, shifts[b:b + DET_BLOCK])
         lhs += total_w[b:b + DET_BLOCK] @ engine.schwinger_value(q, eta, G=G)
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "deviation": abs(lhs - rhs), "radius": radius}

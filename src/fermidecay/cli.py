@@ -120,7 +120,7 @@ def det_identity(params, sizes, half_steps):
     checks = []
     for L in sizes:
         for hs in half_steps:
-            for shift in ((), ((0.1j, 0),)):
+            for shift in (None, (0.1j,)):
                 cs = covariance.CovarianceSpec(LatticeSpec(d=1, L=L), params,
                                                shift)
                 res = covariance.det_identity_check(cs, TimeGrid(params.beta, hs))
@@ -217,7 +217,8 @@ def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
     shift, with an imaginary shift at the analyticity radius and with
     real_shift minus that; call (n, i) is seeded seed + seed_stride n + i."""
     radius = covariance.contour_radius(params, spec.d)
-    shift_choices = [(), ((1j * radius, 0),), ((real_shift - 1j * radius, 0),)]
+    shift_choices = [(z,) + (0,) * (spec.d - 1)
+                     for z in (0, 1j * radius, real_shift - 1j * radius)]
     worst, total = 0.0, 0
     for n in range(1, 7):
         for i, shift in enumerate(shift_choices):

@@ -6,10 +6,11 @@ The covariance is the momentum sum
                          * ( 1_{t-s <= 0} / (1 + e^{beta E_k})
                            - 1_{t-s  > 0} / (1 + e^{-beta E_k}) )
 
-with the dispersion optionally shifted by complex multiples of coordinate
-axes.  The two branches are evaluated in the exponentially safe arrangement
-(splitting on the sign of Re E), which is exactly the rearrangement used to
-prove the determinant bound, so no overflow occurs for any beta in range.
+with the dispersion optionally shifted off the real momentum grid, E_k ->
+E_{k+z} for one complex vector z.  The two branches are evaluated in the
+exponentially safe arrangement (splitting on the sign of Re E), which is
+exactly the rearrangement used to prove the determinant bound, so no
+overflow occurs for any beta in range.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .model import (
     theorem_decay_base,
 )
 
-E_CONST = math.e
-
 MATRIX_SIZE_LIMIT = 4096
 
 
@@ -47,16 +46,19 @@ class CovarianceGuardError(ValueError):
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Lattice + parameters + a tuple of complex momentum shifts (z, axis)."""
+    """Lattice + parameters + one complex momentum shift z, a d-tuple (zero
+    when None), stored as complex numbers so equal shifts are equal keys."""
 
     spec: LatticeSpec
     params: ModelParams
-    shifts: tuple = ()
+    shift: tuple | None = None
 
     def __post_init__(self):
-        for z, p in self.shifts:
-            if not 0 <= int(p) < self.spec.d:
-                raise ValueError(f"shift axis {p} outside 0..{self.spec.d - 1}")
+        shift = (0,) * self.spec.d if self.shift is None else tuple(self.shift)
+        if len(shift) != self.spec.d:
+            raise ValueError(f"shift {shift} has {len(shift)} components, "
+                             f"expected d = {self.spec.d}")
+        object.__setattr__(self, "shift", tuple(complex(z) for z in shift))
 
 
 def shift_radius(params: ModelParams, d: int, r: float) -> float:
@@ -65,45 +67,39 @@ def shift_radius(params: ModelParams, d: int, r: float) -> float:
 
 
 def contour_radius(params: ModelParams, d: int, n: int = 1) -> float:
-    """log F / (2n) at F = F(pi/(2 beta)): the default circle radius of the
-    n-fold contour checks; n = 1 is the shift radius at pi/(2 beta)."""
-    return math.log(theorem_decay_base(params, d)) / (2.0 * n)
+    """The shift radius at pi/(2 beta) over n: the default circle radius of
+    the n-fold contour checks."""
+    return shift_radius(params, d, math.pi / (2.0 * params.beta)) / n
 
 
 @functools.lru_cache(maxsize=128)
 def _dispersions(cs: CovarianceSpec) -> np.ndarray:
-    E = dispersion_grid(cs.spec, cs.params, cs.shifts)
+    E = dispersion_grid(cs.spec, cs.params, cs.shift)
     E.flags.writeable = False  # shared by every caller of the cache
     return E
 
 
-def guarded_dispersions(cs: CovarianceSpec,
-                        extra_axis_shift=None) -> np.ndarray:
+def guarded_dispersions(cs: CovarianceSpec, stack=None) -> np.ndarray:
     """Dispersion over the momentum grid, failing loudly when the imaginary
-    part guard |Im E_k| < pi/beta is violated (names the offending k).
+    part guard |Im E_k| < pi/beta is violated (names the offending k and
+    the whole shift).
 
-    With extra_axis_shift = (axis, w) for a 1-d array w (the convention of
-    model.dispersion_grid), E is shifted further by each w e_axis and has
-    shape (len(w), L^d); every row passes the guard.
+    With stack, a complex (B, d) array of further shifts added to cs.shift,
+    E has shape (B, L^d); every row passes the guard.
     """
-    if extra_axis_shift is None:
-        E = _dispersions(cs)
-    else:
-        axis, w = extra_axis_shift
-        E = dispersion_grid(cs.spec, cs.params, cs.shifts,
-                            extra_axis_shift=(axis, np.ravel(w))).T
+    shift = cs.shift if stack is None else np.add(cs.shift, stack)
+    E = (_dispersions(cs) if stack is None
+         else dispersion_grid(cs.spec, cs.params, shift))
     limit = math.pi / cs.params.beta
     bad = np.abs(E.imag) >= limit
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), E.shape)
         k = momentum_grid(cs.spec)[idx[-1]]
-        where = f"shifts {cs.shifts}"
-        if extra_axis_shift is not None:
-            where += f" + {complex(np.ravel(w)[idx[0]]):.6g} e_{axis}"
+        z = ", ".join(f"{complex(c):.6g}" for c in np.asarray(shift)[idx[:-1]])
         raise CovarianceGuardError(
             f"|Im E_k| = {abs(E.imag[idx]):.6g} >= pi/beta = {limit:.6g} "
-            f"at k = {tuple(k.tolist())} ({where}): outside the analyticity "
-            "strip, reduce the shift radius")
+            f"at k = {tuple(k.tolist())} (shift ({z})): outside the "
+            "analyticity strip, reduce the shift radius")
     return E
 
 
@@ -140,29 +136,27 @@ def covariance_value(cs: CovarianceSpec, a, b) -> complex:
                                       float(tb) - float(ta)))
 
 
-def covariance_entries(cs: CovarianceSpec, dx, dt,
-                       extra_axis_shift=None) -> np.ndarray:
+def covariance_entries(cs: CovarianceSpec, dx, dt, stack=None) -> np.ndarray:
     """Equal-spin C for arrays of site differences dx = x_b - x_a (last axis
     of length d) and time differences dt = t_b - t_a; dx[..., 0] and dt
     broadcast against each other.  This is the one evaluation of the
-    momentum sum; with extra_axis_shift = (axis, w), see guarded_dispersions,
-    the result gains a leading axis of len(w)."""
+    momentum sum; with a (B, d) stack of further shifts, see
+    guarded_dispersions, the result gains a leading axis of length B."""
     dx = np.asarray(dx, dtype=float)
     dt = np.reshape(dt, (1,) * (dx.ndim - 1 - np.ndim(dt)) + np.shape(dt))
     phase = np.exp(1j * (dx @ momentum_grid(cs.spec).T))
-    vals = _fermi_factor(guarded_dispersions(cs, extra_axis_shift), dt,
+    vals = _fermi_factor(guarded_dispersions(cs, stack), dt,
                          cs.params.beta)
     return np.einsum("...k,...k->...", phase, vals) / cs.spec.n_sites
 
 
-def _covariance_table(cs: CovarianceSpec, grid: TimeGrid,
-                      extra_axis_shift=None):
+def _covariance_table(cs: CovarianceSpec, grid: TimeGrid, stack=None):
     """C[site_diff_rank, time_diff_idx] over canonical site differences and
     all grid time differences in (-beta, beta], and those differences."""
     n = grid.n_points
     dts = np.arange(-(n - 1), n + 1) / grid.h  # time differences t_b - t_a
     diffs = np.array(enumerate_sites(cs.spec), dtype=float)[:, None, :]
-    return covariance_entries(cs, diffs, dts, extra_axis_shift), dts
+    return covariance_entries(cs, diffs, dts, stack), dts
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,19 +169,19 @@ def _covariance_lookup(cs: CovarianceSpec, grid: TimeGrid):
 
 
 def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid,
-                      extra_axis_shift=None) -> np.ndarray:
+                      stack=None) -> np.ndarray:
     """The full N x N covariance matrix in the global (site, spin, time) order,
     N = 2 L^d beta h (time is the slowest index).
 
-    With extra_axis_shift = (axis, w) for a 1-d array w, the result is the
-    (len(w), N, N) stack of the matrices at the further shifts w e_axis.
+    With a complex (B, d) stack, the result is the (B, N, N) stack of the
+    matrices at the shifts cs.shift + stack[b].
     """
     spec = cs.spec
     N = spec.n_modes * grid.n_points
     if N > MATRIX_SIZE_LIMIT:
         raise ValueError(f"covariance matrix size {N} exceeds {MATRIX_SIZE_LIMIT}")
-    table, _ = (_covariance_lookup(cs, grid) if extra_axis_shift is None
-                else _covariance_table(cs, grid, extra_axis_shift))
+    table, _ = (_covariance_lookup(cs, grid) if stack is None
+                else _covariance_table(cs, grid, stack))
     sites = np.array(enumerate_sites(spec))
     # lexicographic rank (lattice.site_index) of (site_b - site_a) mod L
     weights = spec.L ** np.arange(spec.d - 1, -1, -1)
@@ -256,12 +250,12 @@ def matsubara_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
 
 
 def u1_shift_identity_check(cs: CovarianceSpec, grid: TimeGrid, axis: int) -> float:
-    """Max deviation of e^{i 2pi <x-y, e_q>/L} C(x,y)(shifts) from
-    C(x,y)(shifts + (2pi/L) e_q), entrywise over the full matrix."""
+    """Max deviation of e^{i 2pi <x-y, e_q>/L} C(x,y)(shift) from
+    C(x,y)(shift + (2pi/L) e_q), entrywise over the full matrix."""
     spec = cs.spec
     M0 = covariance_matrix(cs, grid)
     M1 = covariance_matrix(cs, grid,
-                           extra_axis_shift=(axis, [2.0 * math.pi / spec.L]))[0]
+                           np.eye(1, spec.d, axis) * (2.0 * math.pi / spec.L))[0]
     sites = np.array(enumerate_sites(spec), dtype=float)
     comp = np.repeat(sites[:, axis], 2)
     comp = np.tile(comp, grid.n_points)
@@ -288,12 +282,12 @@ def chord_components(spec: LatticeSpec, dvec) -> list[float]:
 
 
 def chord_exponent(spec: LatticeSpec, dvec) -> float:
-    return sum(chord_components(spec, dvec)) / (4.0 * E_CONST * spec.d)
+    return sum(chord_components(spec, dvec)) / (4.0 * math.e * spec.d)
 
 
 def reduced_exponent(spec: LatticeSpec, dvec) -> float:
     red = periodic_reduce(tuple(int(c) for c in dvec), spec.L)
-    return sum(abs(c) for c in red) / (2.0 * E_CONST * math.pi * spec.d)
+    return sum(abs(c) for c in red) / (2.0 * math.e * math.pi * spec.d)
 
 
 def contour_nodes(L: int, n: int, radius: float, theta_nodes: int,
@@ -326,8 +320,8 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
                           radius: float | None = None) -> dict:
     """Iterated contour representation of the chord-weighted covariance.
 
-    lhs: the n-fold contour_nodes quadrature of C(shifts + sum_j w_j e_axis);
-    rhs: chord^n * C(shifts).
+    lhs: the n-fold contour_nodes quadrature of C(shift + sum_j w_j e_axis);
+    rhs: chord^n * C(shift).
     """
     spec = cs.spec
     if radius is None:
@@ -338,7 +332,7 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
     cw = covariance_entries(cs, np.subtract(xb, xa), float(tb) - float(ta),
-                            extra_axis_shift=(axis, total_shift))
+                            np.outer(total_shift, np.eye(spec.d)[axis]))
     lhs = complex(np.sum(cw * total_w)) if sa == sb else 0.0 + 0.0j
     return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs), "radius": radius}
 

@@ -9,6 +9,7 @@ space-time index = time_idx*(2*L^d) + mode index (time slowest).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,8 @@ class TimeGrid:
     half_steps: int
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.half_steps < 1:
             raise ValueError(f"half_steps must be >= 1, got {self.half_steps}")
 

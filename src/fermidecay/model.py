@@ -47,8 +47,12 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name, value in (("t", self.t), ("t_prime", self.t_prime),
+                            ("mu", self.mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def has_hopping(self, d: int) -> bool:
         return abs(self.t) + abs(self.t_prime) * (1 if d >= 2 else 0) != 0.0
@@ -248,33 +252,16 @@ def hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
     return T
 
 
-def dispersion_grid(spec: LatticeSpec, params: ModelParams, shifts=(),
-                    extra_axis_shift=None) -> np.ndarray:
-    """The dispersion E_k over the full momentum grid, the one used everywhere.
+def dispersion_grid(spec: LatticeSpec, params: ModelParams,
+                    shift=None) -> np.ndarray:
+    """The dispersion E_{k+z} over the full momentum grid, the one used
+    everywhere.
 
-    shifts is a sequence of (z, axis) pairs adding z e_axis to k; several
-    shifts on one axis accumulate, which the iterated contour formula needs.
-    extra_axis_shift = (axis, w_array) evaluates E_{k + shifts + w e_axis} for a
-    whole array of w at once; the result then has shape (L^d,) + w.shape.
+    shift is a complex array z of shape (..., d), zero when None; the result
+    has shape (..., L^d), one grid of E per leading index of z.
     """
-    ks = momentum_grid(spec)  # (n, d)
-    args = ks.astype(complex)
-    for z, p in shifts:
-        if not 0 <= p < spec.d:
-            raise ValueError(f"shift axis {p} outside 0..{spec.d - 1}")
-        args[:, p] += complex(z)
-    if extra_axis_shift is None:
-        cos = np.cos(args)
-    else:
-        axis, w = extra_axis_shift
-        if not 0 <= axis < spec.d:
-            raise ValueError(f"shift axis {axis} outside 0..{spec.d - 1}")
-        w = np.asarray(w, dtype=complex)
-        full = np.broadcast_to(
-            args.reshape(args.shape[0], *(1,) * w.ndim, spec.d),
-            (args.shape[0], *w.shape, spec.d)).copy()
-        full[..., axis] += w
-        cos = np.cos(full)
+    z = np.zeros(spec.d) if shift is None else np.asarray(shift)
+    cos = np.cos(momentum_grid(spec) + z.astype(complex)[..., None, :])
     E = -2.0 * params.t * cos.sum(axis=-1)
     if spec.d >= 2 and params.t_prime != 0.0:
         cross = np.zeros_like(E)
@@ -609,17 +596,25 @@ def _finite(value) -> float:
     return value
 
 
+def _integer(value) -> int:
+    """int(value), refusing the bools and non-integral numbers int() truncates."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"non-integral number {value!r}")
+    return int(value)
+
+
 def model_from_dict(data: dict):
     try:
-        spec = LatticeSpec(d=int(data["d"]), L=int(data["L"]))
+        spec = LatticeSpec(d=_integer(data["d"]), L=_integer(data["L"]))
         params = ModelParams(t=_finite(data["t"]),
                              t_prime=_finite(data.get("t_prime", 0.0)),
                              mu=_finite(data["mu"]), beta=_finite(data["beta"]))
         u = InteractionCoefficients()
         for block in data.get("interaction", []):
-            l = int(block["order"])
+            l = _integer(block["order"])
             for i, entry in enumerate(block.get("entries", [])):
-                X = tuple(tuple(int(c) for c in x) for x in entry["X"])
+                X = tuple(tuple(_integer(c) for c in x) for x in entry["X"])
                 Xi = tuple(_SPIN_FROM_NAME[s] for s in entry["Xi"])
                 Phi = tuple(_SPIN_FROM_NAME[s] for s in entry["Phi"])
                 value = complex(_finite(entry["re"]),

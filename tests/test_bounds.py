@@ -48,8 +48,7 @@ def test_det_bound_one_by_one(params, chain4):
 @pytest.mark.parametrize("shifted", [False, True])
 def test_det_bound_randomized(params, chain4, shifted):
     rad = shift_radius(params, 1, math.pi / (2 * params.beta))
-    shifts = ((0.4 + 1j * rad, 0),) if shifted else ()
-    cs = CovarianceSpec(chain4, params, shifts)
+    cs = CovarianceSpec(chain4, params, (0.4 + 1j * rad if shifted else 0,))
     res = det_bound_sample(cs, 4, 4, 120, seed=5)
     assert res["worst_ratio"] <= 1.0
 
@@ -92,7 +91,7 @@ def test_det_bound_sample_matches_loop(n, data, choice, seed):
     block = data.draw(st.integers(1, 64))
     p = ModelParams(t=1.0, t_prime=0.0, mu=0.2, beta=1.0)
     rad = shift_radius(p, 1, math.pi / (2 * p.beta))
-    shift = [(), ((1j * rad, 0),), ((0.7 - 1j * rad, 0),)][choice]
+    shift = [(0,), (1j * rad,), (0.7 - 1j * rad,)][choice]
     cs = CovarianceSpec(LatticeSpec(d=1, L=4), p, shift)
     with mock.patch.object(bounds, "DET_BLOCK", block):
         got = det_bound_sample(cs, n, vec_dim, 40, seed)["worst_ratio"]
@@ -145,8 +144,8 @@ def test_covariance_l1_D_matches_matrix_sums(d, L):
     p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.5)
     rad = shift_radius(p, d, math.pi / (2 * p.beta))
     for hs in (1, 2, 3):
-        for shifts in ((), ((0.4 + 0.7j * rad, d - 1),)):
-            cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+        for z in (0, 0.4 + 0.7j * rad):
+            cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, (0,) * (d - 1) + (z,))
             grid = TimeGrid(p.beta, hs)
             assert covariance_l1_D(cs, grid) == pytest.approx(
                 covariance_l1_D_reference(cs, grid), rel=1e-12, abs=0.0)
@@ -162,13 +161,13 @@ def test_covariance_l1_D_is_half_the_l1_sum(shape, hs, beta, mu, shifted, data):
     # differences holds half of the doubled-grid l1 sum
     d, L = shape
     p = ModelParams(t=1.0, t_prime=0.2, mu=mu, beta=beta)
-    shifts = ()
+    shift = [0] * d
     if shifted:
         rad = shift_radius(p, d, math.pi / (2 * beta))
-        shifts = ((data.draw(st.floats(-1.0, 1.0))
-                   + 1j * rad * data.draw(st.floats(-0.9, 0.9)),
-                   data.draw(st.integers(0, d - 1))),)
-    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+        z = (data.draw(st.floats(-1.0, 1.0))
+             + 1j * rad * data.draw(st.floats(-0.9, 0.9)))
+        shift[data.draw(st.integers(0, d - 1))] = z
+    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shift)
     grid = TimeGrid(beta, hs)
     assert covariance_l1_D(cs, grid) == pytest.approx(
         0.5 * l1_bound_check(cs, grid)["lhs"], rel=1e-12, abs=0.0)
@@ -319,8 +318,7 @@ def test_covariance_l1_D_shifted_below_closed_form(params):
     rad = shift_radius(params, 1, math.pi / (2 * params.beta))
     for L, hs in ((2, 1), (4, 2), (8, 2)):
         for im in (0.0, 0.5 * rad, rad):
-            cs = CovarianceSpec(LatticeSpec(d=1, L=L), params,
-                                ((1j * im, 0),) if im else ())
+            cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, (1j * im,))
             assert covariance_l1_D(cs, TimeGrid(params.beta, hs)) <= closed
 
 
@@ -328,7 +326,7 @@ def test_det_bound_two_axis_shifts():
     p = ModelParams(t=1.0, t_prime=0.3, mu=0.1, beta=1.0)
     spec = LatticeSpec(d=2, L=2)
     rad = shift_radius(p, 2, math.pi / (2 * p.beta))
-    cs = CovarianceSpec(spec, p, ((1j * rad, 0), (0.2 - 1j * rad, 1)))
+    cs = CovarianceSpec(spec, p, (1j * rad, 0.2 - 1j * rad))
     res = det_bound_sample(cs, 5, 3, 100, seed=13)
     assert res["worst_ratio"] <= 1.0
 
@@ -365,7 +363,7 @@ def test_schwinger_contour_guard_per_node(params):
     node = DET_BLOCK + 17
     engine = SchwingerEngine(spec, params, grid, hub)
     G = covariance_matrix(CovarianceSpec(spec, params), grid,
-                          extra_axis_shift=(0, shifts[node:node + 1]))
+                          shifts[node:node + 1, None])
     shifted = engine.denominator(G)[0]
     eta = complex(np.roots(shifted[::-1])[0])
     assert abs(engine.partition(eta, G)[0]) < 1e-12

@@ -16,6 +16,7 @@ from fermidecay.model import (
     ModelParams,
     hubbard_interaction,
     load_model,
+    model_from_dict,
     model_to_dict,
     save_model,
     spin_spin_interaction,
@@ -183,15 +184,41 @@ def test_subcommand_option_sets():
 def test_model_file_refuses_non_finite(path, value, tmp_path, capsys):
     # json.dumps writes NaN and Infinity and json.load accepts them; a model
     # file carrying one is a usage error, as a non-finite flag is
+    _assert_model_file_refused(path, value, "non-finite", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("L",), 4.7),
+    (("L",), True),
+    (("d",), 1.5),
+    (("interaction", 0, "order"), 2.9),
+    (("interaction", 0, "entries", 0, "X", 0, 0), 0.5),
+], ids=["L_fraction", "L_bool", "d_fraction", "order_fraction",
+        "site_fraction"])
+def test_model_file_refuses_non_integral(path, value, tmp_path, capsys):
+    # int() would truncate these: L 4.7 to 4, true to 1, order 2.9 to 2
+    _assert_model_file_refused(path, value, "non-integral", tmp_path, capsys)
+
+
+def test_model_file_accepts_integral_floats():
+    data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
+                         hubbard_interaction(0.1, d=1))
+    data["L"] = 4.0
+    data["interaction"][0]["order"] = 2.0
+    spec, _, u = model_from_dict(data)
+    assert spec == LatticeSpec(d=1, L=4) and set(u.orders) == {2}
+
+
+def _assert_model_file_refused(path, value, reason, tmp_path, capsys):
     data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
                          hubbard_interaction(0.1, d=1))
     node = data
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    model_file = tmp_path / "nonfinite.json"
+    model_file = tmp_path / "refused.json"
     model_file.write_text(json.dumps(data))
-    with pytest.raises(ModelFileError, match="non-finite"):
+    with pytest.raises(ModelFileError, match=reason):
         load_model(model_file)
     assert main(["model-validate", "--model", str(model_file)]) == 2
     captured = capsys.readouterr()

@@ -9,6 +9,7 @@ from fermidecay.covariance import (
     CovarianceGuardError,
     CovarianceSpec,
     _covariance_lookup,
+    _dispersions,
     _fermi_factor,
     chord_components,
     contour_formula_check,
@@ -98,23 +99,24 @@ def test_covariance_matrix_not_hermitian(params):
 @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2))
 def test_stacked_covariance_matrix_matches_per_shift_loop(data, d, hs, n_base):
     # one stacked call against one covariance_matrix per shift, each with the
-    # extra shift appended to the base shifts
+    # stack row added to the base shift
     p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
     L = data.draw(st.integers(1, 4 if d == 1 else 3))
     spec = LatticeSpec(d=d, L=L)
     rad = shift_radius(p, d, math.pi / (2.0 * p.beta)) / (n_base + 1)
     shift = st.tuples(st.floats(-math.pi, math.pi), st.floats(-rad, rad))
-    base = tuple((complex(re, im), data.draw(st.integers(0, d - 1)))
-                 for re, im in data.draw(st.lists(shift, min_size=n_base,
-                                                  max_size=n_base)))
+    base = np.zeros(d, dtype=complex)
+    for re, im in data.draw(st.lists(shift, min_size=n_base, max_size=n_base)):
+        base[data.draw(st.integers(0, d - 1))] += complex(re, im)
     axis = data.draw(st.integers(0, d - 1))
     w = np.array([complex(re, im) for re, im in
                   data.draw(st.lists(shift, min_size=1, max_size=6))])
-    cs = CovarianceSpec(spec, p, base)
+    stack = np.outer(w, np.eye(d)[axis])
+    cs = CovarianceSpec(spec, p, tuple(base))
     grid = TimeGrid(p.beta, hs)
-    stacked = covariance_matrix(cs, grid, extra_axis_shift=(axis, w))
+    stacked = covariance_matrix(cs, grid, stack)
     loop = np.stack([covariance_matrix(
-        CovarianceSpec(spec, p, base + ((z, axis),)), grid) for z in w])
+        CovarianceSpec(spec, p, tuple(base + row)), grid) for row in stack])
     assert stacked.shape == loop.shape
     np.testing.assert_allclose(stacked, loop, rtol=1e-13, atol=1e-13)
 
@@ -124,19 +126,34 @@ def test_stacked_guard_checks_every_node(params, chain4):
     # refuses the whole stack and names that node
     grid = TimeGrid(params.beta, 1)
     big = 2.0 * shift_radius(params, 1, math.pi / params.beta)
-    w = np.full(8, 0.1j)
-    w[5] = 0.05 + 1.2j * big
+    w = np.full((8, 1), 0.1j)
+    w[5, 0] = 0.05 + 1.2j * big
     with pytest.raises(CovarianceGuardError, match="k =") as err:
-        covariance_matrix(CovarianceSpec(chain4, params), grid,
-                          extra_axis_shift=(0, w))
-    assert f"{complex(w[5]):.6g}" in str(err.value)
+        covariance_matrix(CovarianceSpec(chain4, params), grid, w)
+    assert f"shift ({complex(w[5, 0]):.6g})" in str(err.value)
     ok = covariance_matrix(CovarianceSpec(chain4, params), grid,
-                           extra_axis_shift=(0, np.delete(w, 5)))
+                           np.delete(w, 5, axis=0))
     assert ok.shape == (7, 16, 16)
-    for axis in (-1, 1):
-        with pytest.raises(ValueError, match="axis"):
-            covariance_matrix(CovarianceSpec(chain4, params), grid,
-                              extra_axis_shift=(axis, np.delete(w, 5)))
+
+
+@pytest.mark.parametrize("d,shift", [(1, ()), (1, (0.1j, 0.0)), (2, (0.1j,)),
+                                     (2, (0.0, 0.1j, 0.0))])
+def test_shift_of_wrong_length_refused(params, d, shift):
+    with pytest.raises(ValueError, match=f"expected d = {d}"):
+        CovarianceSpec(LatticeSpec(d=d, L=2), params, shift)
+
+
+def test_default_shift_is_the_zero_vector():
+    # equal shifts are equal cache keys: one _dispersions entry serves both
+    spec = LatticeSpec(d=2, L=3)
+    p = ModelParams(t=0.9, t_prime=0.1, mu=0.37, beta=1.3)
+    default, zero = CovarianceSpec(spec, p), CovarianceSpec(spec, p, (0, 0.0))
+    assert default == zero and hash(default) == hash(zero)
+    assert default.shift == (0j, 0j)
+    before = _dispersions.cache_info()
+    assert guarded_dispersions(default) is guarded_dispersions(zero)
+    after = _dispersions.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_covariance_matrix_size_guard(params):
@@ -147,10 +164,24 @@ def test_covariance_matrix_size_guard(params):
 
 def test_guard_reports_offending_momentum(params, chain4):
     big = 2.0 * shift_radius(params, 1, math.pi / params.beta)
-    cs = CovarianceSpec(chain4, params, ((1j * big, 0),))
+    cs = CovarianceSpec(chain4, params, (1j * big,))
     with pytest.raises(CovarianceGuardError) as err:
         covariance_value(cs, ((0,), UP, 0.0), ((0,), UP, 0.0))
     assert "k =" in str(err.value)
+
+
+def test_guard_names_the_whole_shift(params):
+    # every component of the offending shift, base plus stack row, in .6g
+    big = 2.4 * shift_radius(params, 2, math.pi / params.beta)
+    spec = LatticeSpec(d=2, L=4)
+    cs = CovarianceSpec(spec, params, (0.1, 1j * big))
+    with pytest.raises(CovarianceGuardError) as err:
+        guarded_dispersions(cs)
+    assert f"shift ({0.1 + 0j:.6g}, {1j * big:.6g})" in str(err.value)
+    stack = np.array([[0.0, 0.0], [0.2 + 0.3j, 1j * big]])
+    with pytest.raises(CovarianceGuardError) as err:
+        guarded_dispersions(CovarianceSpec(spec, params, (0.1, 0.0)), stack)
+    assert f"shift ({0.3 + 0.3j:.6g}, {1j * big:.6g})" in str(err.value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +208,7 @@ def test_covariance_bounded_by_one(re_z, im_frac, sa, sb, ta, tb):
     # |C| <= 1 whenever |Im z| <= (1/2) log F(pi/(2 beta))
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     rad = shift_radius(p, 1, math.pi / (2.0 * p.beta))
-    cs = CovarianceSpec(LatticeSpec(d=1, L=4), p, ((complex(re_z, im_frac * rad), 0),))
+    cs = CovarianceSpec(LatticeSpec(d=1, L=4), p, (complex(re_z, im_frac * rad),))
     v = covariance_value(cs, ((sa,), UP, ta * p.beta), ((sb,), UP, tb * p.beta))
     assert abs(v) <= 1.0 + 1e-12
 
@@ -187,8 +218,7 @@ def test_covariance_bounded_by_one(re_z, im_frac, sa, sb, ta, tb):
     (1, 1, 0.1j), (2, 2, 0.1j),
 ])
 def test_det_identity(params, L, half_steps, shift):
-    shifts = ((shift, 0),) if shift else ()
-    cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, shifts)
+    cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, (shift or 0,))
     res = det_identity_check(cs, TimeGrid(params.beta, half_steps))
     assert res["relative_error"] <= 1e-8
 
@@ -201,7 +231,7 @@ def test_det_identity_closed_form_atom(params, atom):
 
 def test_det_nonzero_within_radius(params):
     rad = shift_radius(params, 1, math.pi / params.beta)
-    cs = CovarianceSpec(LatticeSpec(d=1, L=2), params, ((0.95j * rad, 0),))
+    cs = CovarianceSpec(LatticeSpec(d=1, L=2), params, (0.95j * rad,))
     res = det_identity_check(cs, TimeGrid(1.0, 2))
     assert abs(res["lhs"]) > 1e-300
 
@@ -217,8 +247,7 @@ def test_matsubara_frequencies_count():
 
 @pytest.mark.parametrize("L,shift", [(1, None), (2, None), (2, 0.05j)])
 def test_matsubara_diagonalization(params, L, shift):
-    shifts = ((shift, 0),) if shift else ()
-    cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, shifts)
+    cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, (shift or 0,))
     res = matsubara_check(cs, TimeGrid(1.0, 1))
     assert res["unitarity_defect"] <= 1e-12
     assert res["max_offdiagonal"] <= 1e-12
@@ -233,7 +262,7 @@ def test_u1_shift_identity(params, d, L, axis):
 
 
 def test_u1_shift_identity_with_base_shift(params):
-    cs = CovarianceSpec(LatticeSpec(d=2, L=2), params, ((0.1 + 0.05j, 0),))
+    cs = CovarianceSpec(LatticeSpec(d=2, L=2), params, (0.1 + 0.05j, 0))
     dev = u1_shift_identity_check(cs, TimeGrid(1.0, 1), 1)
     assert dev <= 1e-12
 
@@ -273,7 +302,7 @@ def test_contour_formula_n2(params, chain4):
 
 def test_contour_formula_with_base_shift(params, chain4):
     rad = 0.5 * shift_radius(params, 1, math.pi / (2 * params.beta))
-    cs = CovarianceSpec(chain4, params, ((1j * rad, 0),))
+    cs = CovarianceSpec(chain4, params, (1j * rad,))
     res = contour_formula_check(cs, ((1,), UP, 0.0), ((3,), UP, 0.6),
                                 axis=0, n=1, circle_nodes=512,
                                 radius=0.25 * rad)
@@ -304,7 +333,7 @@ def test_decay_envelope_chain16():
 def test_decay_envelope_with_shift():
     p = ModelParams(t=1.0, mu=0.1, beta=1.0)
     rad = shift_radius(p, 1, math.pi / (2 * p.beta))
-    cs = CovarianceSpec(LatticeSpec(d=1, L=8), p, ((1j * rad, 0),))
+    cs = CovarianceSpec(LatticeSpec(d=1, L=8), p, (1j * rad,))
     res = decay_envelope_check(cs, TimeGrid(1.0, 2))
     assert res["worst_ratio_chord"] <= 1.0
 
@@ -316,7 +345,7 @@ def test_l1_bound(params):
     assert res["satisfied"]
     # the bound also holds at the maximal allowed imaginary shift
     rad = shift_radius(p, 1, math.pi / (2 * p.beta))
-    cs2 = CovarianceSpec(LatticeSpec(d=1, L=8), p, ((1j * rad, 0),))
+    cs2 = CovarianceSpec(LatticeSpec(d=1, L=8), p, (1j * rad,))
     res2 = l1_bound_check(cs2, TimeGrid(1.0, 2))
     assert res2["satisfied"]
 
@@ -341,8 +370,8 @@ def l1_bound_reference(cs, grid):
 def test_l1_bound_matches_time_loop(d, L, hs, shifted):
     p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.5)
     rad = shift_radius(p, d, math.pi / (2 * p.beta))
-    shifts = ((0.4 + 0.7j * rad, d - 1),) if shifted else ()
-    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shifts)
+    shift = (0,) * (d - 1) + (0.4 + 0.7j * rad if shifted else 0,)
+    cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, shift)
     grid = TimeGrid(p.beta, hs)
     assert l1_bound_check(cs, grid)["lhs"] == pytest.approx(
         l1_bound_reference(cs, grid), rel=1e-12, abs=0.0)
@@ -413,7 +442,7 @@ def test_dispersion_imaginary_lemma_thousand_samples():
 def test_det_identity_two_axis_shifts(params):
     # z e_p + w e_q with p != q in d = 2
     spec = LatticeSpec(d=2, L=2)
-    cs = CovarianceSpec(spec, params, ((0.1j, 0), (0.2 - 0.05j, 1)))
+    cs = CovarianceSpec(spec, params, (0.1j, 0.2 - 0.05j))
     res = det_identity_check(cs, TimeGrid(params.beta, 1))
     assert res["relative_error"] <= 1e-8
     res2 = matsubara_check(cs, TimeGrid(params.beta, 1))

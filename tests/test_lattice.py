@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +78,12 @@ def test_time_grid_examples():
 def test_time_grid_rejects_zero_half_steps():
     with pytest.raises(ValueError):
         TimeGrid(beta=1.0, half_steps=0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_time_grid_refuses_beta_outside_zero_to_inf(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        TimeGrid(beta, 1)
 
 
 def test_global_index_order():

@@ -64,6 +64,17 @@ def test_hopping_matrix_hermitian_and_guard():
     np.testing.assert_array_equal(T, -0.2 * np.eye(8))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"beta": math.nan}, {"beta": math.inf}, {"beta": 0.0}, {"t": math.inf},
+    {"t_prime": math.nan}, {"mu": -math.inf},
+], ids=["beta_nan", "beta_inf", "beta_zero", "t_inf", "t_prime_nan",
+        "mu_minus_inf"])
+def test_model_params_refuse_non_finite(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ModelParams(**kwargs)
+
+
 def dispersion_reference(k, params: ModelParams, d: int, shifts=()) -> complex:
     """Scalar E at one momentum k, with complex shifts z*e_p added in, by
     cmath: the independent reference for model.dispersion_grid.
@@ -113,7 +124,7 @@ _SHIFT = st.builds(complex, st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0))
 def test_dispersion_grid_matches_scalar_reference(shape, t, t_prime, mu, data):
     # the vectorized dispersion behind every covariance, strip guard and
     # contour node against the scalar cmath reference, unshifted, with
-    # several shifts on one axis and with a stack of extra shifts on it
+    # several shifts summed on one axis and with a stack of shifts on it
     d, L = shape
     spec = LatticeSpec(d=d, L=L)
     p = ModelParams(t=t, t_prime=t_prime, mu=mu,
@@ -122,19 +133,21 @@ def test_dispersion_grid_matches_scalar_reference(shape, t, t_prime, mu, data):
     shifts = ([(z, axis) for z in data.draw(st.lists(_SHIFT, max_size=2))]
               + data.draw(st.lists(st.tuples(_SHIFT, st.integers(0, d - 1)),
                                    max_size=2)))
+    shift = np.zeros(d, dtype=complex)
+    for z, p_ax in shifts:
+        shift[p_ax] += z
     w = data.draw(st.lists(_SHIFT, min_size=1, max_size=3))
     ks = momentum_grid(spec)
-    for s in ((), shifts):
+    for z, s in ((None, ()), (shift, shifts)):
         np.testing.assert_allclose(
-            dispersion_grid(spec, p, s),
+            dispersion_grid(spec, p, z),
             [dispersion_reference(k, p, d, s) for k in ks], rtol=1e-14,
             atol=1e-14)
-    stacked = dispersion_grid(spec, p, shifts,
-                              extra_axis_shift=(axis, np.array(w)))
-    assert stacked.shape == (len(ks), len(w))
+    stacked = dispersion_grid(spec, p, shift + np.outer(w, np.eye(d)[axis]))
+    assert stacked.shape == (len(w), len(ks))
     for j, wj in enumerate(w):
         np.testing.assert_allclose(
-            stacked[:, j],
+            stacked[j],
             [dispersion_reference(k, p, d, shifts + [(wj, axis)]) for k in ks],
             rtol=1e-14, atol=1e-14)
 
