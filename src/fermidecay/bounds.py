@@ -42,29 +42,24 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
     """Randomized scan of |det(<u_j, v_k> C(x_j.., y_k..))| / 4^n.
 
     Points are uniform over sites, spins and continuous times in [0, beta);
-    u_j, v_k are unit vectors in C^m.  Per-trial RNG streams are split off the
-    seed deterministically, so results are reproducible.  Trials are evaluated
-    DET_BLOCK at a time, each block with every covariance entry in one array
-    expression and one stacked det, so memory does not grow with `trials`.
+    u_j, v_k are unit vectors in C^m.  Trials are evaluated DET_BLOCK at a
+    time, each block from its own RNG stream split off the seed, so results are
+    reproducible and a block's draws do not depend on `trials`.  Each block
+    draws its values as arrays, puts every covariance entry in one array
+    expression and takes one stacked det, so memory does not grow with `trials`.
     """
     sites = np.array(enumerate_sites(cs.spec))
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // DET_BLOCK))
     worst = 0.0
-    for b in range(0, trials, DET_BLOCK):
-        block = streams[b:b + DET_BLOCK]
-        site_idx = np.empty((len(block), 2 * n), dtype=int)
-        spins = np.empty((len(block), 2 * n), dtype=int)
-        times = np.empty((len(block), 2 * n))
-        U = np.empty((len(block), n, vec_dim), dtype=complex)
-        V = np.empty((len(block), n, vec_dim), dtype=complex)
-        for t, ss in enumerate(block):
-            rng = np.random.default_rng(ss)
-            for p in range(2 * n):
-                site_idx[t, p] = rng.integers(len(sites))
-                spins[t, p] = rng.integers(2)
-                times[t, p] = rng.uniform(0.0, cs.params.beta)
-            U[t] = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
-            V[t] = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
+    for b, ss in zip(range(0, trials, DET_BLOCK), streams):
+        rng = np.random.default_rng(ss)
+        shape = (min(DET_BLOCK, trials - b), 2 * n)
+        site_idx = rng.integers(len(sites), size=shape)
+        spins = rng.integers(2, size=shape)
+        times = rng.uniform(0.0, cs.params.beta, size=shape)
+        # real and imaginary parts of U, then of V
+        g = rng.normal(size=(2, 2, shape[0], n, vec_dim))
+        U, V = g[:, 0] + 1j * g[:, 1]
         U /= np.linalg.norm(U, axis=2, keepdims=True)
         V /= np.linalg.norm(V, axis=2, keepdims=True)
         # C(left_j, right_k) with the first n points on the left, the last n right

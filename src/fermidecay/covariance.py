@@ -87,6 +87,9 @@ def guarded_dispersions(cs: CovarianceSpec, stack=None) -> np.ndarray:
     With stack, a complex (B, d) array of further shifts added to cs.shift,
     E has shape (B, L^d); every row passes the guard.
     """
+    if stack is not None and np.shape(stack)[1:] != (cs.spec.d,):
+        raise ValueError(f"shift stack has shape {np.shape(stack)}, "
+                         f"expected d = {cs.spec.d} columns")
     shift = cs.shift if stack is None else np.add(cs.shift, stack)
     E = (_dispersions(cs) if stack is None
          else dispersion_grid(cs.spec, cs.params, shift))

@@ -589,18 +589,19 @@ def save_model(path, spec, params, u):
 
 
 def _finite(value) -> float:
-    """float(value), refusing the NaN and Infinity that json.load accepts."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {value}")
-    return value
+    """float(value), refusing the NaN and Infinity that json.load accepts and
+    the bools and numeric strings float() would read as numbers."""
+    if isinstance(value, (bool, str)) or not math.isfinite(float(value)):
+        raise ValueError(f"non-finite or non-numeric value {value!r}")
+    return float(value)
 
 
 def _integer(value) -> int:
-    """int(value), refusing the bools and non-integral numbers int() truncates."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"non-integral number {value!r}")
+    """int(value), refusing the bools, numeric strings and non-integral
+    numbers int() would read or truncate."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
+        raise ValueError(f"non-integral or non-numeric value {value!r}")
     return int(value)
 
 

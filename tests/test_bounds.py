@@ -60,24 +60,46 @@ def test_det_bound_reproducible(params, chain4):
     assert a["worst_ratio"] == b["worst_ratio"]
 
 
-def _det_bound_sample_loop(cs, n, vec_dim, trials, seed):
-    """Reference: the trial-by-trial, entry-by-entry form of det_bound_sample."""
+def test_det_bound_block_independent_of_trial_count(params, chain4):
+    # each block draws from its own spawned stream, and spawned streams do not
+    # depend on how many are spawned, so doubling the trials keeps the first
+    # block's samples and the worst ratio cannot fall
+    cs = CovarianceSpec(chain4, params)
+    for n in (1, 2, 3):
+        one = det_bound_sample(cs, n, n, DET_BLOCK, seed=17)["worst_ratio"]
+        two = det_bound_sample(cs, n, n, 2 * DET_BLOCK, seed=17)["worst_ratio"]
+        assert one <= two
+
+
+def _det_bound_sample_loop(cs, n, vec_dim, trials, seed, block):
+    """Reference: the trial-by-trial, entry-by-entry form of det_bound_sample.
+
+    It draws from the same streams, one per `block` trials in the order
+    sites, spins, times, then the real and imaginary parts of U and V.
+    """
     sites = enumerate_sites(cs.spec)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // block))
     worst = 0.0
-    for ss in np.random.SeedSequence(seed).spawn(trials):
+    for b, ss in zip(range(0, trials, block), streams):
         rng = np.random.default_rng(ss)
-        # (site, spin, time) per point; tuple items are drawn left to right
-        pts = [(sites[int(rng.integers(len(sites)))], int(rng.integers(2)),
-                float(rng.uniform(0.0, cs.params.beta))) for _ in range(2 * n)]
-        left, right = pts[:n], pts[n:]
-        U = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
-        V = rng.normal(size=(n, vec_dim)) + 1j * rng.normal(size=(n, vec_dim))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        M = np.array([[(U[j] @ V[k].conj()).conjugate()
-                       * covariance_value(cs, left[j], right[k])
-                       for k in range(n)] for j in range(n)])
-        worst = max(worst, abs(complex(np.linalg.det(M))) / 4.0**n)
+        shape = (min(block, trials - b), 2 * n)
+        site_idx = rng.integers(len(sites), size=shape)
+        spins = rng.integers(2, size=shape)
+        times = rng.uniform(0.0, cs.params.beta, size=shape)
+        g = rng.normal(size=(2, 2, shape[0], n, vec_dim))
+        for t in range(shape[0]):
+            # (site, spin, time) per point
+            pts = [(sites[int(site_idx[t, p])], int(spins[t, p]),
+                    float(times[t, p])) for p in range(2 * n)]
+            left, right = pts[:n], pts[n:]
+            U = g[0, 0, t] + 1j * g[0, 1, t]
+            V = g[1, 0, t] + 1j * g[1, 1, t]
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            M = np.array([[(U[j] @ V[k].conj()).conjugate()
+                           * covariance_value(cs, left[j], right[k])
+                           for k in range(n)] for j in range(n)])
+            worst = max(worst, abs(complex(np.linalg.det(M))) / 4.0**n)
     return worst
 
 
@@ -95,8 +117,8 @@ def test_det_bound_sample_matches_loop(n, data, choice, seed):
     cs = CovarianceSpec(LatticeSpec(d=1, L=4), p, shift)
     with mock.patch.object(bounds, "DET_BLOCK", block):
         got = det_bound_sample(cs, n, vec_dim, 40, seed)["worst_ratio"]
-    assert got == pytest.approx(_det_bound_sample_loop(cs, n, vec_dim, 40, seed),
-                                rel=1e-12, abs=0.0)
+    ref = _det_bound_sample_loop(cs, n, vec_dim, 40, seed, block)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_det_bound_sample_memory_bounded(params):

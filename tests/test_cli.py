@@ -180,10 +180,13 @@ def test_subcommand_option_sets():
     (("beta",), math.nan),
     (("interaction", 0, "entries", 0, "re"), math.nan),
     (("mu",), math.inf),
-], ids=["beta_nan", "re_nan", "mu_inf"])
+    (("beta",), True),
+    (("mu",), "0.2"),
+], ids=["beta_nan", "re_nan", "mu_inf", "beta_bool", "mu_string"])
 def test_model_file_refuses_non_finite(path, value, tmp_path, capsys):
     # json.dumps writes NaN and Infinity and json.load accepts them; a model
-    # file carrying one is a usage error, as a non-finite flag is
+    # file carrying one is a usage error, as a non-finite flag is; so is a
+    # bool or a string, which float() would read as 1.0 or 0.2
     _assert_model_file_refused(path, value, "non-finite", tmp_path, capsys)
 
 
@@ -193,10 +196,12 @@ def test_model_file_refuses_non_finite(path, value, tmp_path, capsys):
     (("d",), 1.5),
     (("interaction", 0, "order"), 2.9),
     (("interaction", 0, "entries", 0, "X", 0, 0), 0.5),
+    (("L",), "4"),
 ], ids=["L_fraction", "L_bool", "d_fraction", "order_fraction",
-        "site_fraction"])
+        "site_fraction", "L_string"])
 def test_model_file_refuses_non_integral(path, value, tmp_path, capsys):
-    # int() would truncate these: L 4.7 to 4, true to 1, order 2.9 to 2
+    # int() would truncate or read these: L 4.7 to 4, true to 1, order 2.9
+    # to 2, "4" to 4
     _assert_model_file_refused(path, value, "non-integral", tmp_path, capsys)
 
 

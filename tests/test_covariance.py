@@ -136,11 +136,16 @@ def test_stacked_guard_checks_every_node(params, chain4):
     assert ok.shape == (7, 16, 16)
 
 
-@pytest.mark.parametrize("d,shift", [(1, ()), (1, (0.1j, 0.0)), (2, (0.1j,)),
-                                     (2, (0.0, 0.1j, 0.0))])
-def test_shift_of_wrong_length_refused(params, d, shift):
+@pytest.mark.parametrize("d,shift,stack", [
+    (1, (), None), (1, (0.1j, 0.0), None), (2, (0.1j,), None),
+    (2, (0.0, 0.1j, 0.0), None),
+    # a width-1 stack would broadcast over every axis
+    (2, None, [[0.1j]]),
+], ids=["1-shift0", "1-shift1", "2-shift2", "2-shift3", "2-stack_width1"])
+def test_shift_of_wrong_length_refused(params, d, shift, stack):
     with pytest.raises(ValueError, match=f"expected d = {d}"):
-        CovarianceSpec(LatticeSpec(d=d, L=2), params, shift)
+        cs = CovarianceSpec(LatticeSpec(d=d, L=2), params, shift)
+        covariance_matrix(cs, TimeGrid(params.beta, 1), stack)
 
 
 def test_default_shift_is_the_zero_vector():
