@@ -22,6 +22,7 @@ from .covariance import (
     covariance_entries,
     covariance_matrix,
     l1_time_sums,
+    site_sum_diff,
 )
 from .grassmann import SchwingerEngine
 from .lattice import LatticeSpec, TimeGrid, enumerate_sites
@@ -153,7 +154,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
         bound = prop41_bound(m, q.m_hat, D, norms)
         bm = abs(series[m])
         rows.append({"m": m, "abs_coefficient": bm, "bound": bound,
-                     "passed": bm <= bound + 1e-15})
+                     "passed": bm <= bound})
     out = {"D": D, "b_rows": rows}
 
     U = u.hubbard_coupling()
@@ -162,21 +163,15 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
         origin = ((0,) * spec.d,)
         pinned = SchwingerEngine(spec, params, grid, u,
                                  interaction_sites=set(origin))
-        for label, eng in (("full", engine), ("pinned", pinned)):
-            ser = eng.schwinger_series(q, m_max)
+        for label, ser in (("full", series),
+                           ("pinned", pinned.schwinger_series(q, m_max))):
             for m in range(m_max + 1):
                 bound = prop42_bound(m, D, U)
                 cm = abs(ser[m])
                 c_rows.append({"variant": label, "m": m, "abs_coefficient": cm,
-                               "bound": bound, "passed": cm <= bound + 1e-15})
+                               "bound": bound, "passed": cm <= bound})
         out["c_rows"] = c_rows
     return out
-
-
-def _sum_diff(q) -> np.ndarray:
-    """sum(x) - sum(y) over the sites of a correlation query."""
-    return (np.sum(np.array(q.x_sites, dtype=int), axis=0)
-            - np.sum(np.array(q.y_sites, dtype=int), axis=0))
 
 
 def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
@@ -200,7 +195,8 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     if radius is None:
         radius = contour_radius(params, spec.d, n)
     engine = SchwingerEngine(spec, params, grid, u)
-    rhs = chord(spec.L, _sum_diff(q)[axis])**n * engine.schwinger_value(q, eta)
+    dsum = site_sum_diff(q.x_sites, q.y_sites)
+    rhs = chord(spec.L, dsum[axis])**n * engine.schwinger_value(q, eta)
     total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
                                          circle_nodes)
     shifts = np.outer(total_shift, np.eye(spec.d)[axis])
@@ -229,7 +225,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
     rows = []
     for q in queries:
         value = fock.correlation(space, params, u, q, eig=eig)
-        sum_diff = _sum_diff(q)
+        sum_diff = site_sum_diff(q.x_sites, q.y_sites)
         env = theorem_envelope(sum_diff, spec, params, variant=variant, R=R,
                                m_hat=q.m_hat, distance_mode="chord_L")
         env_euclid = theorem_envelope(sum_diff, spec, params, variant=variant,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -171,9 +172,9 @@ def covariance_decay(spec, params, grid):
 
 def l1_integral(spec, params, grid):
     """Criteria 09 and 10: the l1 integral D against its closed form."""
-    D = bounds.covariance_l1_D(covariance.CovarianceSpec(spec, params), grid)
-    closed = 4.0 * params.beta * model.geometric_sum_factor(params, spec.d)
-    return [Check("l1_integral_vs_closed_form", D, closed)]
+    cs = covariance.CovarianceSpec(spec, params)
+    return [Check("l1_integral_vs_closed_form", bounds.covariance_l1_D(cs, grid),
+                  covariance.l1_bound_check(cs, grid)["rhs"])]
 
 
 def det_decay(spec, params, seed):
@@ -298,8 +299,7 @@ def taylor_bounds(spec, params, u, grid, m_max):
              + [(f"prop42_{r['variant']}_m{r['m']}", r)
                 for r in rep["c_rows"]]
              + [(f"prop41_mhat1_m{r['m']}", r) for r in rep1["b_rows"]])
-    return [Check(name, r["abs_coefficient"], r["bound"], r["passed"])
-            for name, r in named]
+    return [Check(name, r["abs_coefficient"], r["bound"]) for name, r in named]
 
 
 def _separation_queries(spec):
@@ -315,7 +315,7 @@ def smallness(spec, params, u):
         rep = model.check_smallness(u, params, spec, variant="hubbard")
     except ValueError as exc:
         return [Check("smallness_applicable", str(exc), None, False)]
-    return [Check("smallness_hubbard", rep.lhs, rep.rhs, rep.satisfied)]
+    return [Check("smallness_hubbard", rep.lhs, rep.rhs)]
 
 
 def theorem_envelope(spec, params, u, queries):
@@ -323,7 +323,7 @@ def theorem_envelope(spec, params, u, queries):
     rows = bounds.verify_theorem_envelope(spec, params, u, queries,
                                           variant="hubbard")
     return [Check(f"envelope_sep{row['sum_diff']}", row["abs_correlation"],
-                  row["envelope_chord"], row["passed"],
+                  row["envelope_chord"],
                   envelope_euclidean=row["envelope_euclidean"])
             for row in rows]
 
@@ -530,6 +530,23 @@ def cmd_table(args) -> int:
                 for r in bounds.verify_theorem_envelope(
                     spec, params, u, _separation_queries(spec),
                     variant="hubbard")]
+    elif args.kind == "beta_sweep":
+        fields = ["beta", "worst_envelope_ratio", "l1_sum", "l1_bound", "D",
+                  "hubbard_threshold", "scaled_threshold"]
+        for factor in (1, 2, 4, 8):
+            p = dataclasses.replace(params, beta=params.beta * factor)
+            cs = covariance.CovarianceSpec(spec, p)
+            grid = TimeGrid(p.beta, max(args.half_steps, 2))
+            l1 = covariance.l1_bound_check(cs, grid)
+            threshold = model.hubbard_threshold(p, spec.d)
+            rows.append({
+                "beta": p.beta,
+                "worst_envelope_ratio": covariance.decay_envelope_check(
+                    cs, grid)["worst_ratio_chord"],
+                "l1_sum": l1["lhs"], "l1_bound": l1["rhs"],
+                "D": bounds.covariance_l1_D(cs, grid),
+                "hubbard_threshold": threshold,
+                "scaled_threshold": threshold * p.beta ** (spec.d + 1)})
     else:  # taylor
         s, p, hub, grid = _taylor_case(params)
         rep = bounds.verify_taylor_bounds(s, p, grid, hub, _PAIR_QUERY,
@@ -598,7 +615,8 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     pt = sub.add_parser("table", help="emit CSV/JSON data tables")
     pt.add_argument("--kind", required=True,
-                    choices=("covariance_decay", "envelope", "taylor"))
+                    choices=("covariance_decay", "envelope", "taylor",
+                             "beta_sweep"))
     _add_model_flags(pt, default_format="csv")
     return parser
 

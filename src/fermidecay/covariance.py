@@ -376,15 +376,19 @@ def l1_bound_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
 
 
+def site_sum_diff(x_sites, y_sites) -> np.ndarray:
+    """sum(x) - sum(y) over two lists of lattice sites."""
+    return (np.sum(np.array(x_sites, dtype=int), axis=0)
+            - np.sum(np.array(y_sites, dtype=int), axis=0))
+
+
 def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
     """|det(C(a_j, b_k))| against 2 * 4^n * F^{-chord exponent of (sum x - sum y)}."""
     n = len(pairs)
     M = np.array([[covariance_value(cs, a, b) for (_, b) in pairs]
                   for (a, _) in pairs], dtype=complex)
     lhs = abs(complex(np.linalg.det(M)))
-    dsum = np.zeros(cs.spec.d, dtype=int)
-    for (xa, _, _), (xb, _, _) in pairs:
-        dsum += np.array([int(p) - int(q) for p, q in zip(xa, xb)])
+    dsum = site_sum_diff([a[0] for a, _ in pairs], [b[0] for _, b in pairs])
     F = theorem_decay_base(cs.params, cs.spec.d)
     bound = 2.0 * 4.0**n * F ** (-chord_exponent(cs.spec, dsum))
     return {"abs_det": lhs, "bound": bound, "ratio": lhs / bound,

@@ -621,8 +621,6 @@ def model_from_dict(data: dict):
                 value = complex(_finite(entry["re"]),
                                 _finite(entry.get("im", 0.0)))
                 u.add(l, (X, Xi, Phi), value)
-    except HermiticityError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"malformed model description: {exc}") from exc
     u.validate_hermiticity()

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -132,6 +133,8 @@ def test_verify_deterministic_reports(tmp_path):
     (["verify", "--suite", "exact"], 2),
     (["table", "--kind", "taylor", "--seed", "1"], 2),
     (["table", "--kind", "covariance_decay", "--trials", "5"], 2),
+    (["table", "--kind", "beta_sweep", "--L", "0"], 2),
+    (["table", "--kind", "beta_sweep", "--out", "{tmp}/missing/s.csv"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     # out-of-range or non-finite flags are usage errors (exit 2, at parse
@@ -291,11 +294,28 @@ def test_table_envelope_monotone(tmp_path):
     out = tmp_path / "envelope.csv"
     rc = main(["table", "--kind", "envelope", "--out", str(out)])
     assert rc == 0
-    import csv as csvmod
     with open(out) as fh:
-        rows = list(csvmod.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     env = [float(r["envelope_euclidean"]) for r in rows]
     assert all(b < a for a, b in zip(env, env[1:]))
+
+
+def test_table_beta_sweep(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["table", "--kind", "beta_sweep", "--L", "4", "--mu", "0",
+                 "--half-steps", "4", "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["beta"]) for r in rows] == [1.0, 2.0, 4.0, 8.0]
+    assert list(rows[0]) == ["beta", "worst_envelope_ratio", "l1_sum",
+                             "l1_bound", "D", "hubbard_threshold",
+                             "scaled_threshold"]
+    for r in rows:
+        assert float(r["worst_envelope_ratio"]) <= 1.0
+        assert float(r["l1_sum"]) <= float(r["l1_bound"])
+        assert float(r["D"]) == pytest.approx(float(r["l1_sum"]) / 2, rel=1e-12)
+        assert float(r["scaled_threshold"]) == pytest.approx(
+            float(r["hubbard_threshold"]) * float(r["beta"]) ** 2, rel=1e-12)
 
 
 def test_shipped_model_file_validates():
