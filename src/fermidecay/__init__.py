@@ -37,7 +37,6 @@ from .bounds import (
     det_bound_sample,
     prop41_bound,
     prop42_bound,
-    theorem_envelope,
     verify_taylor_bounds,
     verify_theorem_envelope,
 )

@@ -1,9 +1,11 @@
 """Closed-form analytic bounds evaluated as numbers, next to computed values.
 
-Covers the 4^n determinant bound on inner-product-weighted covariance blocks,
-the l1 covariance integral, the two Taylor-coefficient bounds, and the decay
-envelopes of the two main theorems (chord-distance exponent at finite L, the
-Euclidean exponent reported alongside for reference).
+Covers the 4^n determinant bound (base DET_BOUND_B) on inner-product-weighted
+covariance blocks, the l1 covariance integral, the two Taylor-coefficient
+bounds, and the decay envelopes of the two main theorems, written once in
+verify_theorem_envelope after model.check_smallness has checked their
+hypothesis (chord-distance exponent at finite L, the Euclidean exponent
+reported alongside for reference).
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
                                times[:, None, n:] - times[:, :n, None])
         C = np.where(spins[:, :n, None] == spins[:, None, n:], C, 0.0)
         M = np.einsum("tjm,tkm->tjk", U, V.conj()).conj() * C
-        worst = max(worst, float(np.abs(np.linalg.det(M)).max()) / 4.0**n)
-    return {"worst_ratio": worst, "n": n, "vec_dim": vec_dim, "trials": trials}
+        worst = max(worst, float(np.abs(np.linalg.det(M)).max()))
+    return {"worst_ratio": worst / DET_BOUND_B**n, "n": n, "vec_dim": vec_dim,
+            "trials": trials}
 
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
@@ -107,35 +110,6 @@ def prop42_bound(m: int, D: float, U: float) -> float:
         raise ValueError("m must be nonnegative")
     B = DET_BOUND_B
     return (4.0 * B**2 / (3 * m + 4)) * math.comb(3 * m + 4, m) * (D * B * abs(U))**m
-
-
-def theorem_envelope(sum_diff, spec: LatticeSpec, params: ModelParams,
-                     variant: str = "general", R: float | None = None,
-                     m_hat: int | None = None,
-                     distance_mode: str = "chord_L") -> float:
-    """Decay envelope of the main theorems for a given sum(x) - sum(y) vector.
-
-    chord_L uses the finite-lattice chord exponent (what the proofs establish
-    before the infinite-volume limit); euclidean uses the printed limit form.
-    """
-    dvec = np.array([int(c) for c in sum_diff])
-    if distance_mode == "chord_L":
-        expo = chord_exponent(spec, dvec)
-    elif distance_mode == "euclidean":
-        expo = float(np.linalg.norm(dvec)) / (4.0 * math.e * spec.d)
-    else:
-        raise ValueError(f"unknown distance mode {distance_mode!r}")
-    if variant == "hubbard":
-        prefactor = 324.0
-    elif variant == "general":
-        if R is None or not 0.0 < R < 1.0:
-            raise ValueError("general variant needs R in (0,1)")
-        if m_hat is None:
-            raise ValueError("general variant needs m_hat")
-        prefactor = 4.0 ** (m_hat + 1) - m_hat * 4.0 ** (2 * m_hat + 1) * math.log(1.0 - R)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return prefactor * theorem_decay_base(params, spec.d) ** (-expo)
 
 
 def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
@@ -209,12 +183,24 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
             "deviation": abs(lhs - rhs), "radius": radius}
 
 
+def _envelope_prefactor(variant: str, R: float | None, m_hat: int) -> float:
+    """The envelope at zero distance: 324 for the on-site theorem, else
+    4^(m_hat+1) - m_hat 4^(2 m_hat+1) log(1 - R)."""
+    if variant == "hubbard":
+        return 324.0
+    return 4.0 ** (m_hat + 1) - m_hat * 4.0 ** (2 * m_hat + 1) * math.log(1.0 - R)
+
+
 def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
                             u: InteractionCoefficients, queries,
                             variant: str = "hubbard",
                             R: float | None = None) -> list[dict]:
-    """Exact-trace correlations against the finite-L decay envelope for every
-    query.  Refuses to run when the smallness hypothesis fails."""
+    """Exact-trace correlations against the envelope prefactor * F^(-distance),
+    F = F(pi/(2 beta)), for every query.  A row passes against the finite-L
+    chord distance of sum(x) - sum(y), what the proofs establish before the
+    infinite-volume limit; the printed limit form |sum(x) - sum(y)|/(4 e d)
+    is reported alongside.  Refuses to run when the smallness hypothesis
+    fails."""
     report = check_smallness(u, params, spec, variant=variant, R=R)
     if not report.satisfied:
         raise ValueError(
@@ -222,15 +208,13 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
             f"rhs {report.rhs:.6g} ({variant})")
     space = fock.FockSpace(spec)
     eig = fock.diagonalize(fock.build_hamiltonian(space, params, u))
+    F = theorem_decay_base(params, spec.d)
     rows = []
     for q in queries:
         value = fock.correlation(space, params, u, q, eig=eig)
         sum_diff = site_sum_diff(q.x_sites, q.y_sites)
-        env = theorem_envelope(sum_diff, spec, params, variant=variant, R=R,
-                               m_hat=q.m_hat, distance_mode="chord_L")
-        env_euclid = theorem_envelope(sum_diff, spec, params, variant=variant,
-                                      R=R, m_hat=q.m_hat,
-                                      distance_mode="euclidean")
+        pre = _envelope_prefactor(variant, R, q.m_hat)
+        env = pre * F ** (-chord_exponent(spec, sum_diff))
         rows.append({
             "x_sites": q.x_sites, "y_sites": q.y_sites,
             "sum_diff": tuple(int(c) for c in sum_diff),
@@ -238,7 +222,8 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
             "abs_correlation": abs(value),
             "imag_defect": abs(value.imag),
             "envelope_chord": env,
-            "envelope_euclidean": env_euclid,
+            "envelope_euclidean": pre * F ** (
+                -float(np.linalg.norm(sum_diff)) / (4.0 * math.e * spec.d)),
             "passed": abs(value) <= env,
         })
     return rows

@@ -22,19 +22,24 @@ from . import bounds, covariance, fock, grassmann, lattice, model
 from .lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from .model import ModelParams
 
-DEFAULTS = dict(d=1, L=4, t=1.0, t_prime=0.0, mu=0.2, beta=1.0, half_steps=1,
-                m_max=3, trials=1000, seed=0)
+DEFAULTS = dict(d=1, L=4, t=1.0, t_prime=0.0, mu=0.2, beta=1.0,
+                coupling_fraction=0.9, half_steps=1, m_max=3, trials=1000,
+                seed=0)
+# the flags of the default model: unset unless given, and refused with --model
+MODEL_FLAGS = ("--d", "--L", "--t", "--t-prime", "--mu", "--beta",
+               "--coupling-fraction")
 
 
 def _load_or_default(args):
-    """Model from --model, else the on-site Hubbard at 90% of its decay
-    threshold with the flag parameters."""
+    """Model from --model, else the on-site Hubbard at a fraction (default
+    90%) of its decay threshold with the flag parameters."""
     if args.model:
         return model.load_model(args.model)
-    spec = LatticeSpec(d=args.d, L=args.L)
-    params = ModelParams(t=args.t, t_prime=args.t_prime, mu=args.mu,
-                         beta=args.beta)
-    U = args.coupling_fraction * model.hubbard_threshold(params, spec.d)
+    v = {**DEFAULTS, **vars(args)}
+    spec = LatticeSpec(d=v["d"], L=v["L"])
+    params = ModelParams(t=v["t"], t_prime=v["t_prime"], mu=v["mu"],
+                         beta=v["beta"])
+    U = v["coupling_fraction"] * model.hubbard_threshold(params, spec.d)
     return spec, params, model.hubbard_interaction(U, d=spec.d)
 
 
@@ -275,8 +280,9 @@ def schwinger_series_b0(spec, params, u, m_max):
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     engine = grassmann.SchwingerEngine(spec, params, TimeGrid(params.beta, 1), u)
     ser = engine.schwinger_series(q, m_max)
-    return [Check("schwinger_series_b0_bound", abs(ser[0]), 4.0,
-                  b_m=[abs(c) for c in ser])]
+    # |b_0| <= B^m_hat, the m = 0 case of prop41_bound
+    return [Check("schwinger_series_b0_bound", abs(ser[0]),
+                  bounds.DET_BOUND_B**q.m_hat, b_m=[abs(c) for c in ser])]
 
 
 _PAIR_QUERY = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
@@ -401,7 +407,7 @@ def suite_covariance(spec, params, u, args):
     grid = TimeGrid(params.beta, max(args.half_steps, 2))
     checks += covariance_decay(spec, params, grid)
     checks += det_decay(spec, params, args.seed)
-    if spec.n_modes <= 12:
+    if spec.n_modes <= fock.MAX_MODES:
         checks += free_fermion_consistency(spec, params, (UP,))
     return checks
 
@@ -484,9 +490,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_model_validate(args) -> int:
-    if not args.model:
-        print("error: --model is required", file=sys.stderr)
-        return 2
     spec, params, u = model.load_model(args.model)
     issues = []
     if not params.has_hopping(spec.d):
@@ -581,20 +584,22 @@ _FINITE_FLOAT = _checked(float, math.isfinite, "finite")
 
 def _add_model_flags(p, default_format):
     """The flags verify and table share: the model, the grid, the output."""
-    p.add_argument("--model", help="model description JSON")
-    p.add_argument("--d", type=_POSITIVE_INT, default=DEFAULTS["d"])
-    p.add_argument("--L", type=_POSITIVE_INT, default=DEFAULTS["L"])
-    p.add_argument("--t", type=_FINITE_FLOAT, default=DEFAULTS["t"])
-    p.add_argument("--t-prime", type=_FINITE_FLOAT, default=DEFAULTS["t_prime"])
-    p.add_argument("--mu", type=_FINITE_FLOAT, default=DEFAULTS["mu"])
-    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULTS["beta"])
+    p.add_argument("--model", help="model description JSON; excludes "
+                   + ", ".join(MODEL_FLAGS))
+    unset = argparse.SUPPRESS  # MODEL_FLAGS: DEFAULTS fill in the unset
+    p.add_argument("--d", type=_POSITIVE_INT, default=unset)
+    p.add_argument("--L", type=_POSITIVE_INT, default=unset)
+    p.add_argument("--t", type=_FINITE_FLOAT, default=unset)
+    p.add_argument("--t-prime", type=_FINITE_FLOAT, default=unset)
+    p.add_argument("--mu", type=_FINITE_FLOAT, default=unset)
+    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=unset)
     p.add_argument("--half-steps", type=_POSITIVE_INT,
                    default=DEFAULTS["half_steps"],
                    help="grid frequency h = 2*half_steps/beta")
     p.add_argument("--m-max", type=_NONNEGATIVE_INT, default=DEFAULTS["m_max"])
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
-    p.add_argument("--coupling-fraction", type=_FINITE_FLOAT, default=0.9,
+    p.add_argument("--coupling-fraction", type=_FINITE_FLOAT, default=unset,
                    help="default-model |U| as a fraction of the decay threshold")
 
 
@@ -606,7 +611,7 @@ def _parser() -> argparse.ArgumentParser:
                     "mu=0.2, beta=1).")
     sub = parser.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("model-validate", help="parse and validate a model file")
-    pv.add_argument("--model", help="model description JSON")
+    pv.add_argument("--model", required=True, help="model description JSON")
     pv.add_argument("--out", help="output path (default stdout)")
     ps = sub.add_parser("verify", help="run a verification suite")
     ps.add_argument("--suite", required=True, choices=(*SUITES, "all"))
@@ -623,6 +628,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    given = [f for f in MODEL_FLAGS if hasattr(args, f[2:].replace("-", "_"))]
+    if args.model and given:
+        print(f"error: --model excludes {' '.join(given)}", file=sys.stderr)
+        return 2
     command = {"model-validate": cmd_model_validate, "verify": cmd_verify,
                "table": cmd_table}[args.command]
     try:

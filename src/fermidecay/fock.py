@@ -9,7 +9,8 @@ reproducible.  Thermal averages go through the eigendecomposition of H one
 conserved-number sector at a time: (N_up, N_down) when H keeps both counts,
 else the total N, else the whole space.  Each sector block is filled densely
 and diagonalized; observables are contracted entry by entry against the
-eigenvectors of their sector; sizes are desk scale by design.
+eigenvectors of their sector; sizes are desk scale by design, and FockSpace,
+which refuses more than MAX_MODES modes, is the one size guard.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .model import (
     restrict_interaction,
 )
 
-MAX_MODES = 24
-MAX_DENSE_DIM = 4096
+MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,6 @@ def _sectors(H: FockOperator) -> list[np.ndarray]:
     stored entry of H joins two states of equal label.
     """
     dim = H.dim
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {dim} exceeds dense-trace guard")
     basis = np.arange(dim)
     bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
     n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)

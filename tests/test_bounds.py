@@ -15,7 +15,6 @@ from fermidecay.bounds import (
     prop41_bound,
     prop42_bound,
     schwinger_contour_check,
-    theorem_envelope,
     verify_taylor_bounds,
     verify_theorem_envelope,
 )
@@ -256,17 +255,26 @@ def test_coefficient_series_sums_to_81_16():
 
 
 def test_theorem_envelope_values(params, chain4):
+    from fermidecay.model import InteractionCoefficients
+    hub = hubbard_interaction(0.9 * hubbard_threshold(params, 1), d=1)
+    pair = fock.query(((0,), (0,)), ((0,), (0,)), (UP, DOWN), (UP, DOWN))
     # zero separation: the bare prefactor
-    assert theorem_envelope((0,), chain4, params, variant="hubbard") == 324.0
-    v = theorem_envelope((0,), chain4, params, variant="general", R=0.5, m_hat=2)
+    (row,) = verify_theorem_envelope(chain4, params, hub, [pair])
+    assert row["sum_diff"] == (0,) and row["envelope_chord"] == 324.0
+    (row,) = verify_theorem_envelope(chain4, params, InteractionCoefficients(),
+                                     [pair], variant="general", R=0.5)
+    v = row["envelope_chord"]
+    assert v == row["envelope_euclidean"]
     assert v == pytest.approx(4**3 - 2 * 4**5 * math.log(0.5), rel=1e-12)
     assert v == pytest.approx(1483.5654257867680, rel=1e-12)
     # envelopes decrease with separation (within the chord monotone range)
-    e1 = theorem_envelope((1,), chain4, params, variant="hubbard")
-    e2 = theorem_envelope((2,), chain4, params, variant="hubbard")
+    singles = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in (1, 2)]
+    e1, e2 = (r["envelope_chord"] for r in
+              verify_theorem_envelope(chain4, params, hub, singles))
     assert 324.0 > e1 > e2
     with pytest.raises(ValueError):
-        theorem_envelope((1,), chain4, params, variant="general", R=1.5, m_hat=1)
+        verify_theorem_envelope(chain4, params, InteractionCoefficients(),
+                                singles, variant="general", R=1.5)
 
 
 def test_verify_taylor_bounds_criterion_config():

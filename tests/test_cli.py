@@ -81,10 +81,6 @@ def test_model_validate_missing_file(tmp_path):
     assert main(["model-validate", "--model", str(tmp_path / "nope.json")]) == 2
 
 
-def test_model_validate_requires_model():
-    assert main(["model-validate"]) == 2
-
-
 def test_verify_covariance_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "covariance", "--seed", "3",
@@ -135,13 +131,21 @@ def test_verify_deterministic_reports(tmp_path):
     (["table", "--kind", "covariance_decay", "--trials", "5"], 2),
     (["table", "--kind", "beta_sweep", "--L", "0"], 2),
     (["table", "--kind", "beta_sweep", "--out", "{tmp}/missing/s.csv"], 2),
+    (["model-validate"], 2),
+    (["verify", "--suite", "theorem", "--model", "{model}", "--L", "9"], 2),
+    (["verify", "--suite", "covariance", "--model", "{model}",
+      "--coupling-fraction", "0.5"], 2),
+    (["table", "--kind", "beta_sweep", "--model", "{model}", "--beta", "5",
+      "--L", "9", "--mu", "3"], 2),
+    (["table", "--kind", "envelope", "--model", "{model}", "--t", "1"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     # out-of-range or non-finite flags are usage errors (exit 2, at parse
     # time), and so is an --out that cannot be written (one error line); a
     # guard that refuses a table's size is a failed check (exit 1); a flag
     # a subcommand would ignore is a usage error: model-validate takes
-    # --model and --out only, and table takes no --trials or --seed
+    # --model and --out only, table takes no --trials or --seed, and
+    # --model excludes the flags of the default model, even at their defaults
     out = tmp_path / "out"
     own_out = "--out" in argv
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(MODEL))
@@ -154,7 +158,7 @@ def test_bad_inputs_exit_without_traceback(argv, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
     assert not out.exists()
-    if own_out:
+    if own_out or (argv[0] != "model-validate" and "--model" in argv):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -263,6 +267,20 @@ def test_verify_theorem_refuses_oversized_coupling(tmp_path):
     names = [c["quantity"] for c in payload["checks"]]
     assert "smallness_hubbard" in names
     assert not any(n.startswith("envelope_sep") for n in names)
+
+
+def test_verify_theorem_refuses_oversized_lattice_before_assembly(
+        tmp_path, monkeypatch):
+    # L = 9 is 18 modes: FockSpace refuses it before any operator is built
+    from fermidecay import fock
+    assembled = []
+    monkeypatch.setattr(fock, "_assemble", lambda *a, **k: assembled.append(a))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "theorem", "--L", "9", "--out", str(out)])
+    assert rc == 1 and assembled == []
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["quantity"] == "theorem_aborted"
+    assert check["computed"] == "18 modes exceed the 12-mode guard"
 
 
 def test_verify_grassmann(tmp_path):

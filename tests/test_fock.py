@@ -101,8 +101,12 @@ def test_adjoint_and_guards(space2):
         mode_operator(space2, 99, "annihilate")
     with pytest.raises(ValueError):
         mode_operator(space2, 0, "destroy")
-    with pytest.raises(ValueError):
-        FockSpace(LatticeSpec(d=1, L=13))  # 26 modes
+    # the one size guard: 12 modes, dimension 4096
+    assert FockSpace(LatticeSpec(d=1, L=6)).dimension == 4096
+    for spec in (LatticeSpec(d=1, L=7), LatticeSpec(d=2, L=3),
+                 LatticeSpec(d=1, L=13)):  # 14, 18 and 26 modes
+        with pytest.raises(ValueError, match="12-mode guard"):
+            FockSpace(spec)
 
 
 def test_h0_mu_only_is_number_operator():
