@@ -1,11 +1,11 @@
 """Closed-form analytic bounds evaluated as numbers, next to computed values.
 
 Covers the 4^n determinant bound (base DET_BOUND_B) on inner-product-weighted
-covariance blocks, the l1 covariance integral, the two Taylor-coefficient
-bounds, and the decay envelopes of the two main theorems, written once in
-verify_theorem_envelope after model.check_smallness has checked their
-hypothesis (chord-distance exponent at finite L, the Euclidean exponent
-reported alongside for reference).
+covariance blocks and its decaying form on point pairs, the l1 covariance
+integral, the two Taylor-coefficient bounds, and the decay envelopes of the
+two main theorems, written once in verify_theorem_envelope after
+model.check_smallness has checked their hypothesis (chord-distance exponent at
+finite L, the Euclidean exponent reported alongside for reference).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .covariance import (
     contour_radius,
     covariance_entries,
     covariance_matrix,
+    covariance_value,
     l1_time_sums,
     site_sum_diff,
 )
@@ -74,6 +75,19 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
         worst = max(worst, float(np.abs(np.linalg.det(M)).max()))
     return {"worst_ratio": worst / DET_BOUND_B**n, "n": n, "vec_dim": vec_dim,
             "trials": trials}
+
+
+def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
+    """|det(C(a_j, b_k))| against 2 * B^n * F^{-chord exponent of (sum x - sum y)}."""
+    n = len(pairs)
+    M = np.array([[covariance_value(cs, a, b) for (_, b) in pairs]
+                  for (a, _) in pairs], dtype=complex)
+    lhs = abs(complex(np.linalg.det(M)))
+    dsum = site_sum_diff([a[0] for a, _ in pairs], [b[0] for _, b in pairs])
+    F = theorem_decay_base(cs.params, cs.spec.d)
+    bound = 2.0 * DET_BOUND_B**n * F ** (-chord_exponent(cs.spec, dsum))
+    return {"abs_det": lhs, "bound": bound, "ratio": lhs / bound,
+            "satisfied": lhs <= bound}
 
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:

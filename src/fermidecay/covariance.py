@@ -380,16 +380,3 @@ def site_sum_diff(x_sites, y_sites) -> np.ndarray:
     """sum(x) - sum(y) over two lists of lattice sites."""
     return (np.sum(np.array(x_sites, dtype=int), axis=0)
             - np.sum(np.array(y_sites, dtype=int), axis=0))
-
-
-def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
-    """|det(C(a_j, b_k))| against 2 * 4^n * F^{-chord exponent of (sum x - sum y)}."""
-    n = len(pairs)
-    M = np.array([[covariance_value(cs, a, b) for (_, b) in pairs]
-                  for (a, _) in pairs], dtype=complex)
-    lhs = abs(complex(np.linalg.det(M)))
-    dsum = site_sum_diff([a[0] for a, _ in pairs], [b[0] for _, b in pairs])
-    F = theorem_decay_base(cs.params, cs.spec.d)
-    bound = 2.0 * 4.0**n * F ** (-chord_exponent(cs.spec, dsum))
-    return {"abs_det": lhs, "bound": bound, "ratio": lhs / bound,
-            "satisfied": lhs <= bound}

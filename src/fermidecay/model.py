@@ -54,9 +54,6 @@ class ModelParams:
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
-    def has_hopping(self, d: int) -> bool:
-        return abs(self.t) + abs(self.t_prime) * (1 if d >= 2 else 0) != 0.0
-
 
 class HermiticityError(ValueError):
     """An interaction entry violates conj(U(X,Xi,Phi)) = U(X,Phi,Xi), or a

@@ -266,21 +266,99 @@ def test_verify_theorem_refuses_oversized_coupling(tmp_path):
     assert payload["passed"] is False
     names = [c["quantity"] for c in payload["checks"]]
     assert "smallness_hubbard" in names
+    assert "theorem_envelope_aborted" in names
     assert not any(n.startswith("envelope_sep") for n in names)
 
 
 def test_verify_theorem_refuses_oversized_lattice_before_assembly(
         tmp_path, monkeypatch):
-    # L = 9 is 18 modes: FockSpace refuses it before any operator is built
+    # L = 9 is 18 modes: FockSpace refuses the envelope check before any
+    # operator is built, and the suite's other checks still run
     from fermidecay import fock
-    assembled = []
-    monkeypatch.setattr(fock, "_assemble", lambda *a, **k: assembled.append(a))
+    modes, assemble = [], fock._assemble
+
+    def recording(n_modes, *args, **kwargs):
+        modes.append(n_modes)
+        return assemble(n_modes, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "_assemble", recording)
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "theorem", "--L", "9", "--out", str(out)])
-    assert rc == 1 and assembled == []
-    (check,) = json.loads(out.read_text())["checks"]
-    assert check["quantity"] == "theorem_aborted"
-    assert check["computed"] == "18 modes exceed the 12-mode guard"
+    assert rc == 1 and all(m <= fock.MAX_MODES for m in modes)
+    checks = json.loads(out.read_text())["checks"]
+    (aborted,) = [c for c in checks if not c["pass"]]
+    assert aborted["quantity"] == "theorem_envelope_aborted"
+    assert aborted["computed"] == "18 modes exceed the 12-mode guard"
+    assert aborted["bound"] is None
+    assert len(checks) == 8
+
+
+def test_verify_refusal_aborts_one_check(tmp_path, monkeypatch):
+    # a check that refuses its input gives one <check>_aborted row, and the
+    # other checks of its suite still run
+    def det_decay(*args):
+        raise ValueError("probe")
+
+    monkeypatch.setattr(cli, "det_decay", det_decay)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 20
+    (aborted,) = [c for c in checks if not c["pass"]]
+    assert aborted == {"quantity": "det_decay_aborted", "computed": "probe",
+                       "bound": None, "ratio": None, "pass": False}
+    assert checks[-2] is aborted
+
+
+def test_verify_covariance_underflow_aborts_det_identity_alone(tmp_path):
+    # at beta = 250 det C_h underflows: the det identity refuses, and the
+    # twelve other covariance rows are still computed
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", "--beta", "250",
+                 "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    names = [c["quantity"] for c in checks]
+    assert len(names) == 13 and names[:2] == ["fourier_consistency",
+                                              "det_identity_aborted"]
+    assert checks[1]["computed"].startswith("determinant underflow")
+    assert names[-1] == "free_fermion_consistency"
+
+
+def test_verify_theorem_outside_the_hubbard_theorem(tmp_path):
+    # a spin-spin model: the on-site smallness condition and the envelope
+    # refuse it, the checks on their own fixed models still pass
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(model_to_dict(
+        LatticeSpec(d=1, L=4), ModelParams(),
+        spin_spin_interaction({(1,): 1e-4}, d=1))))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "theorem", "--model", str(path),
+               "--out", str(out)])
+    assert rc == 1
+    checks = {c["quantity"]: c for c in json.loads(out.read_text())["checks"]}
+    failed = [name for name, c in checks.items() if not c["pass"]]
+    assert failed == ["smallness_aborted", "theorem_envelope_aborted"]
+    assert list(checks)[2:] == [
+        "schwinger_contour_identity", "trivial_hopping_vanishing",
+        "antisym_hubbard_tensor", "antisym_hubbard_norm",
+        "antisym_norm_inequality", "lambda_derivative"]
+
+
+def test_verify_covariance_reports_the_fock_skip(tmp_path):
+    # at L = 7 (14 modes) the Fock trace is refused: the free-fermion row
+    # passes and names the refusal, so the row count matches L = 6
+    counts = {}
+    for L in (6, 7):
+        out = tmp_path / f"L{L}.json"
+        assert main(["verify", "--suite", "covariance", "--L", str(L),
+                     "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        counts[L] = len(checks)
+    assert counts == {6: 20, 7: 20}
+    assert checks[-1] == {
+        "quantity": "free_fermion_consistency", "computed": None,
+        "bound": 1e-10, "ratio": None, "pass": True,
+        "details": {"skipped": "14 modes exceed the 12-mode guard"}}
 
 
 def test_verify_grassmann(tmp_path):
@@ -342,12 +420,25 @@ def test_shipped_model_file_validates():
     assert main(["model-validate", "--model", str(path)]) == 0
 
 
+def test_model_validate_refuses_vanishing_hopping(tmp_path, capsys):
+    # t = t' = 0 leaves the decay base of the smallness conditions undefined
+    data = json.loads(MODEL.read_text())
+    data["t"] = 0.0
+    path = tmp_path / "no_hopping.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "validate.json"
+    assert main(["model-validate", "--model", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "aborted: decay base undefined: |t| + 2(d-1)|t'| == 0\n")
+    assert not out.exists()
+
+
 def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     ran = []
     for name in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, name,
                             lambda *a, name=name: ran.append(name) or [])
-    monkeypatch.setattr(cli, "suite_exact", lambda *a: ran.append("exact") or [])
     for out in (tmp_path / "missing" / "r.json", tmp_path):
         assert main(["verify", "--suite", "all", "--out", str(out)]) == 2
         err = capsys.readouterr().err

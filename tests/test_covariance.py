@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermidecay import fock
+from fermidecay.bounds import det_decay_check
 from fermidecay.covariance import (
     CovarianceGuardError,
     CovarianceSpec,
@@ -16,7 +17,6 @@ from fermidecay.covariance import (
     covariance_matrix,
     covariance_value,
     decay_envelope_check,
-    det_decay_check,
     det_identity_check,
     guarded_dispersions,
     l1_bound_check,

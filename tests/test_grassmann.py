@@ -563,7 +563,8 @@ def test_suite_grassmann_builds_one_engine_per_grid(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SchwingerEngine, "__init__", counting)
-    checks = cli.suite_grassmann(None, None, None,
-                                 SimpleNamespace(seed=0, m_max=3))
+    calls = cli.suite_grassmann(None, None, None,
+                                SimpleNamespace(seed=0, m_max=3))
+    checks = [c for call in calls for c in call()]
     assert all(c.passed for c in checks)
     assert builds == [1, 2, 4, 1]
