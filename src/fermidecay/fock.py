@@ -7,10 +7,12 @@ applies its normal-ordered operator strings to all basis states at once with
 the Jordan-Wigner sign in the global mode order, so every sign is
 reproducible.  Thermal averages go through the eigendecomposition of H one
 conserved-number sector at a time: (N_up, N_down) when H keeps both counts,
-else the total N, else the whole space.  Each sector block is filled densely
-and diagonalized; observables are contracted entry by entry against the
-eigenvectors of their sector; sizes are desk scale by design, and FockSpace,
-which refuses more than MAX_MODES modes, is the one size guard.
+else the total N, else the whole space.  Each sector block is filled densely,
+real when H has no imaginary entry, and diagonalized.  Per beta the
+Eigensystem keeps the thermal state e^{-beta H} as flattened sector blocks,
+so an expectation is one gather of it at the in-sector entries of the
+observable.  Sizes are desk scale by design, and FockSpace, which refuses
+more than MAX_MODES modes, is the one size guard.
 """
 
 from __future__ import annotations
@@ -225,61 +227,95 @@ def _sectors(H: FockOperator) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _state_map(sectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every basis state, its sector and its index inside that sector."""
+def _layout(sectors, dim: int):
+    """For every basis state its sector and its index inside that sector,
+    and the size and flat offset of each sector block, the blocks stored
+    row-major one after another."""
     sector, local = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
     for i, states in enumerate(sectors):
         sector[states] = i
         local[states] = np.arange(len(states))
-    return sector, local
-
-
-def _blocks(H: FockOperator) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The sectors of H and its dense block on each, filled by one scatter of
-    the stored entries, all of which lie inside a block; a block that is not
-    hermitian is refused."""
-    sectors = _sectors(H)
-    sector, local = _state_map(sectors, H.dim)
     sizes = np.array([len(s) for s in sectors])
-    offsets = np.concatenate([[0], np.cumsum(sizes**2)])
-    flat = np.zeros(offsets[-1], dtype=H.vals.dtype)
+    return sector, local, sizes, np.concatenate([[0], np.cumsum(sizes**2)])
+
+
+def _flat_at(layout, which, rows, cols) -> np.ndarray:
+    """Flat positions of the (row, col) entries of the blocks `which`."""
+    _, local, sizes, offsets = layout
+    return offsets[which] + local[rows] * sizes[which] + local[cols]
+
+
+def _blocks(H: FockOperator):
+    """The sectors of H, its dense block on each and their _layout; the
+    blocks are filled by one scatter of the stored entries, all of which lie
+    inside a block, and are real when no entry of H has an imaginary part,
+    else complex.  A block that is not hermitian is refused: each stored
+    entry is compared with the adjoint of the block entry at its transposed
+    place, which is 0 when unstored."""
+    sectors = _sectors(H)
+    layout = _layout(sectors, H.dim)
+    sector, _, sizes, offsets = layout
+    is_complex = np.iscomplexobj(H.vals) and bool(np.any(H.vals.imag))
+    flat = np.zeros(offsets[-1], dtype=complex if is_complex else float)
     which = sector[H.rows]
-    flat[offsets[which] + local[H.rows] * sizes[which] + local[H.cols]] = H.vals
-    blocks = [flat[offsets[i]:offsets[i + 1]].reshape(n, n)
-              for i, n in enumerate(sizes)]
-    herm_defect = max(np.abs(B - B.conj().T).max() for B in blocks)
+    flat[_flat_at(layout, which, H.rows, H.cols)] = \
+        H.vals if is_complex else H.vals.real
+    transposed = flat[_flat_at(layout, which, H.cols, H.rows)]
+    herm_defect = np.abs(H.vals - transposed.conj()).max(initial=0.0)
     if herm_defect > 1e-10:
         raise HermiticityError(
             f"matrix is not hermitian (defect {herm_defect:.3e})")
-    return sectors, blocks
+    return sectors, [flat[offsets[i]:offsets[i + 1]].reshape(n, n)
+                     for i, n in enumerate(sizes)], layout
 
 
-def diagonalize(H: FockOperator) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigenpairs of H, one (states, eigenvalues, eigenvectors) triple per
-    conserved-number sector; the eigenvectors are in the sector's basis."""
-    sectors, blocks = _blocks(H)
-    return [(s, *np.linalg.eigh(B)) for s, B in zip(sectors, blocks)]
+class Eigensystem:
+    """The eigenpairs of H by conserved-number sector.  It iterates as one
+    (states, eigenvalues, eigenvectors) triple per sector, the eigenvectors
+    in the sector's basis, and keeps the sector layout and, per beta, the
+    thermal state of H."""
+
+    def __init__(self, sectors, pairs, layout):
+        self.sectors, self.pairs, self.layout = sectors, pairs, layout
+        self._thermal_states = {}
+
+    def __iter__(self):
+        return ((s, w, V) for s, (w, V) in zip(self.sectors, self.pairs))
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+    def _thermal(self, beta: float) -> tuple[np.ndarray, float]:
+        """The blocks rho_s = V_s diag(e^{-beta (w - w_min)}) V_s^dagger in
+        the flat layout, read-only, and their trace sum Z, the sum of the
+        weights; computed once per beta."""
+        if beta not in self._thermal_states:
+            w_min = min(w.min() for w, _ in self.pairs)
+            weights = [np.exp(-beta * (w - w_min)) for w, _ in self.pairs]
+            rho = np.concatenate([((V * wt) @ V.conj().T).ravel()
+                                  for (_, V), wt in zip(self.pairs, weights)])
+            rho.flags.writeable = False
+            self._thermal_states[beta] = rho, float(sum(map(np.sum, weights)))
+        return self._thermal_states[beta]
 
 
-def _expectation(eig, O: FockOperator, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H} from the sector eigenpairs of H.
+def diagonalize(H: FockOperator) -> Eigensystem:
+    """Eigenpairs of H, one dense eigh per sector block, real on real
+    blocks."""
+    sectors, blocks, layout = _blocks(H)
+    return Eigensystem(sectors, [np.linalg.eigh(B) for B in blocks], layout)
 
-    e^{-beta H} is block diagonal, so the entries of O between sectors add
-    nothing to the trace, and sector s contributes
-    sum_n weight_n sum_{(r, c, o) in s} conj(V[r, n]) o V[c, n].
-    """
-    sector, local = _state_map([states for states, _, _ in eig], O.dim)
-    which = np.where(sector[O.rows] == sector[O.cols], sector[O.rows], -1)
-    rows, cols = local[O.rows], local[O.cols]
-    w_min = min(w.min() for _, w, _ in eig)
-    num = den = 0.0
-    for i, (_, w, V) in enumerate(eig):
-        weights = np.exp(-beta * (w - w_min))
-        e = which == i
-        diag = np.einsum("en,e,en->n", V[rows[e]].conj(), O.vals[e], V[cols[e]])
-        num += np.sum(weights * diag)
-        den += np.sum(weights)
-    return complex(num / den)
+
+def _expectation(eig: Eigensystem, O: FockOperator, beta: float) -> complex:
+    """Tr(e^{-beta H} O) / Tr e^{-beta H}, one gather: sum_e o_e rho[c_e, r_e]
+    / Z over the entries o_e of O at (r_e, c_e) inside a sector.  e^{-beta H}
+    is block diagonal, so the entries of O between sectors add nothing."""
+    rho, Z = eig._thermal(beta)
+    sector = eig.layout[0]
+    which = sector[O.rows]
+    inside = which == sector[O.cols]
+    at = _flat_at(eig.layout, which[inside], O.cols[inside], O.rows[inside])
+    return complex(O.vals[inside] @ rho[at] / Z)
 
 
 def thermal_average(H: FockOperator, O: FockOperator, beta: float) -> complex:

@@ -363,6 +363,10 @@ def density_density_interaction(tables: dict[int, dict]) -> InteractionCoefficie
 
     X is a tuple of l sites, anchored at the origin in its last slot when
     l >= 2.  The normal form inserts prod_j delta_{xi_j,phi_j}.
+
+    No check of the package calls it; it is kept as API because it is the
+    builder of the density-density example interaction, which reaches the
+    command line only as a model file written by save_model.
     """
     u = InteractionCoefficients()
     for l, table in tables.items():

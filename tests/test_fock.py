@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -452,10 +453,14 @@ def _assert_matches_full_space(space, p, u, lam, queries):
                                                q.phi_spins[0]), "annihilate"))
         ref = _full_space_expectation(full, hop, p.beta)
         assert abs(thermal_average(H, from_matrix(hop), p.beta) - ref) <= 1e-12
-    w = np.linalg.eigvalsh(H.toarray())
-    ref = float(-p.beta * w.min() + np.log(np.sum(np.exp(-p.beta * (w - w.min())))))
+    ref = _full_space_log_partition(full[0], p.beta)
     assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
     return eig
+
+
+def _full_space_log_partition(w, beta):
+    """Reference: log Tr e^{-beta H} from the eigenvalues w of the whole space."""
+    return float(-beta * w.min() + np.log(np.sum(np.exp(-beta * (w - w.min())))))
 
 
 @st.composite
@@ -492,6 +497,45 @@ def test_sectors_match_full_space(shape, kind, coupling, mu, beta, n_lambda,
         n = spec.n_sites
         spin_flips = kind in ("field_x", "field_y")
         assert len(eig) == (2 * n + 1 if spin_flips else (n + 1) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["hubbard", "spin_spin", "field_z",
+                                  "field_x", "field_y"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]),
+       st.floats(0.05, 1.0), st.floats(0.2, 2.0), st.floats(0.2, 2.0),
+       st.data())
+def test_real_blocks_and_thermal_states_match_full_space(kind, shape, coupling,
+                                                          beta, beta2, data):
+    # every H here is real but the sigma_y field's: its blocks alone stay
+    # complex; one diagonalization serves both betas, each with its own
+    # cached, read-only thermal state
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=0.2, mu=0.2, beta=beta)
+    u = _example_interaction(kind, spec, coupling)
+    H = build_hamiltonian(space, p, u)
+    dtype = np.complex128 if kind == "field_y" else np.float64
+    assert all(B.dtype == dtype for B in fock._blocks(H)[1])
+    eig = diagonalize(H)
+    assert all(V.dtype == dtype for _, _, V in eig)
+    full = np.linalg.eigh(H.toarray())
+    queries = [query(*data.draw(_points(spec, m))) for m in (1, 2)]
+    for b in (beta, beta2):
+        pb = dataclasses.replace(p, beta=b)
+        for q in queries:
+            ref = _full_space_expectation(full, observable_pair(space, q), b)
+            assert abs(correlation(space, pb, u, q, eig=eig) - ref) <= 1e-12
+        assert abs(fock.log_partition(H, b) -
+                   _full_space_log_partition(full[0], b)) <= 1e-12
+        rho, Z = eig._thermal(b)
+        assert eig._thermal(b)[0] is rho and rho.dtype == dtype
+        _, _, sizes, offsets = eig.layout
+        assert Z == pytest.approx(sum(np.trace(rho[o:o + n * n].reshape(n, n))
+                                      for o, n in zip(offsets, sizes)).real,
+                                  rel=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0] = 0.0
 
 
 def test_sector_counts_and_L5():
@@ -721,7 +765,7 @@ def test_coo_paths_match_csr_reference(shape, kind, coupling, t_prime, beta,
               to_csr(fock.build_lambda_term(space, lam))]
     H_ref = (pieces[0] + pieces[1]) + pieces[2]
     _assert_triplets_match(H, H_ref)
-    sectors, blocks = fock._blocks(H)
+    sectors, blocks, _ = fock._blocks(H)
     ref_sectors = sectors_reference(H_ref)
     assert len(sectors) == len(ref_sectors)
     for s, ref_s, block in zip(sectors, ref_sectors, blocks):
