@@ -30,6 +30,7 @@ from .covariance import (
 from .grassmann import SchwingerEngine
 from .lattice import LatticeSpec, TimeGrid, enumerate_sites
 from .model import (
+    GuardError,
     InteractionCoefficients,
     ModelParams,
     check_smallness,
@@ -217,7 +218,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
     fails."""
     report = check_smallness(u, params, spec, variant=variant, R=R)
     if not report.satisfied:
-        raise ValueError(
+        raise GuardError(
             f"smallness hypothesis violated: lhs {report.lhs:.6g} vs "
             f"rhs {report.rhs:.6g} ({variant})")
     space = fock.FockSpace(spec)

@@ -1,7 +1,8 @@
 """Command-line entry point: model validation, verification suites, tables.
 
-Exit codes: 0 all checks pass, 1 a check or invariant fails, 2 usage or
-parse errors.  Same seed and configuration produce byte-identical reports.
+Exit codes: 0 all checks pass, 1 a check or invariant fails or a guard
+refuses its input (model.GuardError), 2 usage or parse errors.  Same seed
+and configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def free_fermion_consistency(spec, params, spins):
     passing row that names the refusal when the Fock guard refuses spec."""
     try:
         space = fock.FockSpace(spec)
-    except ValueError as exc:
+    except model.GuardError as exc:
         return [Check("free_fermion_consistency", None, 1e-10, True,
                       skipped=str(exc))]
     cs = covariance.CovarianceSpec(spec, params)
@@ -443,7 +444,7 @@ def suite_theorem(spec, params, u, args):
             partial(schwinger_contour_identity, LatticeSpec(d=1, L=2), params,
                     model.hubbard_interaction(0.1, d=1)),
             partial(trivial_hopping_vanishing,
-                    LatticeSpec(d=1, L=min(spec.L, 4)), p0,
+                    LatticeSpec(d=1, L=min(max(spec.L, 2), 4)), p0,
                     model.hubbard_interaction(0.5, d=1),
                     [fock.query(((0,),), ((1,),), (UP,), (UP,))]),
             partial(antisymmetrization, LatticeSpec(d=1, L=2), 0.7, args.seed),
@@ -468,7 +469,7 @@ def cmd_verify(args) -> int:
     for call in calls:  # a guard's refusal aborts its own check alone
         try:
             all_checks.extend(call())
-        except (ValueError, ArithmeticError) as exc:
+        except model.GuardError as exc:
             all_checks.append(Check(f"{call.func.__name__}_aborted", str(exc),
                                     None, False))
     passed = all(c.passed for c in all_checks)
@@ -637,7 +638,7 @@ def main(argv=None) -> int:
     except model.HermiticityError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:  # a guard refused the input
+    except model.GuardError as exc:  # a guard refused the input
         print(f"aborted: {exc}", file=sys.stderr)
         return 1
 

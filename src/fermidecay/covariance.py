@@ -30,6 +30,7 @@ from .lattice import (
     periodic_reduce,
 )
 from .model import (
+    GuardError,
     ModelParams,
     decay_base,
     dispersion_grid,
@@ -38,10 +39,6 @@ from .model import (
 )
 
 MATRIX_SIZE_LIMIT = 4096
-
-
-class CovarianceGuardError(ValueError):
-    """A shifted dispersion violates |Im E_k| < pi/beta at some momentum."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def guarded_dispersions(cs: CovarianceSpec, stack=None) -> np.ndarray:
         idx = np.unravel_index(np.argmax(bad), E.shape)
         k = momentum_grid(cs.spec)[idx[-1]]
         z = ", ".join(f"{complex(c):.6g}" for c in np.asarray(shift)[idx[:-1]])
-        raise CovarianceGuardError(
+        raise GuardError(
             f"|Im E_k| = {abs(E.imag[idx]):.6g} >= pi/beta = {limit:.6g} "
             f"at k = {tuple(k.tolist())} (shift ({z})): outside the "
             "analyticity strip, reduce the shift radius")
@@ -182,7 +179,7 @@ def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid,
     spec = cs.spec
     N = spec.n_modes * grid.n_points
     if N > MATRIX_SIZE_LIMIT:
-        raise ValueError(f"covariance matrix size {N} exceeds {MATRIX_SIZE_LIMIT}")
+        raise GuardError(f"covariance matrix size {N} exceeds {MATRIX_SIZE_LIMIT}")
     table, _ = (_covariance_lookup(cs, grid) if stack is None
                 else _covariance_table(cs, grid, stack))
     sites = np.array(enumerate_sites(spec))
@@ -210,7 +207,7 @@ def det_identity_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
                          -np.log1p(np.exp(beta * np.where(pos, 0, E))))
     rhs = complex(np.exp(2.0 * np.sum(log_terms)))
     if abs(lhs) < 1e-300 or abs(rhs) < 1e-300:
-        raise ArithmeticError(
+        raise GuardError(
             f"determinant underflow: |det C_h| = {abs(lhs)}, "
             f"closed form = {abs(rhs)}")
     rel = abs(lhs - rhs) / abs(rhs)

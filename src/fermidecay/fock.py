@@ -24,6 +24,7 @@ import numpy as np
 
 from .lattice import LatticeSpec, mode_index
 from .model import (
+    GuardError,
     HermiticityError,
     InteractionCoefficients,
     LambdaCoefficients,
@@ -42,7 +43,7 @@ class FockSpace:
 
     def __post_init__(self):
         if self.spec.n_modes > MAX_MODES:
-            raise ValueError(
+            raise GuardError(
                 f"{self.spec.n_modes} modes exceed the {MAX_MODES}-mode guard")
 
     @property
@@ -356,19 +357,19 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
                             u: InteractionCoefficients | None,
                             q: CorrelationQuery, step: float = 1e-4) -> dict:
     """Central finite difference of -(1/beta) log(Tr e^{-beta H_lambda} / Tr
-    e^{-beta H_0}) in a single lambda entry, against the direct correlation."""
+    e^{-beta H_0}) in a single lambda entry, against the direct correlation.
+    H_0 carries no lambda, so log Tr e^{-beta H_0} cancels exactly in the
+    difference and only log Tr e^{-beta H_lambda} is computed."""
     if step <= 0:
         raise ValueError("step must be positive")
-    H0 = build_h0(space, params)
-    HV = _add_terms(space, H0, u)
+    HV = build_hamiltonian(space, params, u)
     direct = correlation(space, params, u, q, eig=diagonalize(HV))
     logs = {}
-    lz0 = log_partition(H0, params.beta)
     for eps in (step, -step):
         lam = LambdaCoefficients(m_hat=q.m_hat)
         lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, eps)
         H = _add_terms(space, HV, lam=lam)
-        logs[eps] = log_partition(H, params.beta) - lz0
+        logs[eps] = log_partition(H, params.beta)
     fd = -(logs[step] - logs[-step]) / (2.0 * step * params.beta)
     return {"finite_difference": fd, "direct": direct,
             "deviation": abs(fd - direct)}

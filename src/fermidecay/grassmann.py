@@ -26,6 +26,7 @@ import numpy as np
 from .covariance import CovarianceSpec, covariance_matrix
 from .lattice import LatticeSpec, TimeGrid, spacetime_index
 from .model import (
+    GuardError,
     InteractionCoefficients,
     LambdaCoefficients,
     ModelParams,
@@ -48,12 +49,12 @@ class GrassmannIndexSpace:
 
     def __post_init__(self):
         if self.n > MAX_WICK_GENERATORS:
-            raise ValueError(f"{self.n} generators exceed the "
+            raise GuardError(f"{self.n} generators exceed the "
                              f"{MAX_WICK_GENERATORS}-generator guard")
         # beta*h even and 2L^d even make N = 0 mod 4, so the Gaussian
         # normalization sign (-1)^{N(N-1)/2} is +1.
         if self.n % 4:
-            raise ValueError(f"{self.n} generators: the index space needs a "
+            raise GuardError(f"{self.n} generators: the index space needs a "
                              "multiple of 4 (even beta*h)")
 
     @property
@@ -225,12 +226,12 @@ def berezin_gaussian(n: int, f: GrassmannPolynomial, G: np.ndarray) -> complex:
     (b, u) of f reaches the top, so each term of f meets that one term.
     """
     if n > MAX_BEREZIN_GENERATORS:
-        raise ValueError(f"Berezin engine limited to {MAX_BEREZIN_GENERATORS} "
+        raise GuardError(f"Berezin engine limited to {MAX_BEREZIN_GENERATORS} "
                          f"generators, got {n}")
     G = np.ascontiguousarray(G, dtype=np.complex128)
     expw, denom = _berezin_weight(n, G.shape, G.tobytes())
     if denom == 0:
-        raise ZeroDivisionError("singular Gaussian weight")
+        raise GuardError("singular Gaussian weight")
     full = (1 << n) - 1
     num = sum((monomial_product((b, u, c), (full ^ b, full ^ u, w))[2]
                for (b, u), c in f.terms.items()
@@ -305,7 +306,7 @@ def build_vertices(space: GrassmannIndexSpace,
             vs.monomials.append((0, 0, 0.0) if mono is None else mono)
             vs.blocks.append((rows, cols, coeff))
     if len(vs.blocks) > MAX_INSTANCES:
-        raise ValueError(
+        raise GuardError(
             f"{len(vs.blocks)} interaction instances exceed the subset-sum "
             f"guard of {MAX_INSTANCES}; shrink the grid or the support")
     return vs
@@ -450,7 +451,7 @@ class SchwingerEngine:
         small = np.abs(d) < 1e-12
         if np.any(small):
             bad = d if G is None else d[np.argmax(small)]
-            raise ZeroDivisionError(
+            raise GuardError(
                 f"Schwinger denominator {bad} too small at eta={eta}; "
                 "the grid is too coarse for the positivity lemma")
         return -_series_value(num, eta) / (self.params.beta * d)
@@ -463,7 +464,7 @@ class SchwingerEngine:
 
 def _series_divide(num, den, m_max: int) -> list:
     if den[0] == 0:
-        raise ZeroDivisionError("denominator series starts at zero")
+        raise GuardError("denominator series starts at zero")
     out = []
     for m in range(m_max + 1):
         acc = num[m] if m < len(num) else 0.0 + 0.0j

@@ -60,6 +60,11 @@ class HermiticityError(ValueError):
     matrix handed to the exact trace is not hermitian."""
 
 
+class GuardError(ValueError):
+    """An input a check cannot run on: past a size cap, outside a theorem's
+    hypothesis, or past the precision of a closed form."""
+
+
 def _as_site_tuple(x) -> tuple[int, ...]:
     return tuple(int(c) for c in x)
 
@@ -498,9 +503,13 @@ def decay_base(params: ModelParams, d: int, r: float) -> float:
     """F_{t,t',d}(r) = r/(2A) + sqrt(r^2/(4A^2) + 1), A = |t| + 2(d-1)|t'|."""
     A = abs(params.t) + 2.0 * (d - 1) * abs(params.t_prime)
     if A == 0.0:
-        raise ZeroDivisionError("decay base undefined: |t| + 2(d-1)|t'| == 0")
+        raise GuardError("decay base undefined: |t| + 2(d-1)|t'| == 0")
     x = r / (2.0 * A)
-    return x + math.sqrt(x * x + 1.0)
+    F = x + math.sqrt(x * x + 1.0)
+    if F == math.inf:
+        raise GuardError(f"decay base overflows: r/(2A) = {x:.6g} with "
+                         f"A = |t| + 2(d-1)|t'| = {A:.6g}")
+    return F
 
 
 def theorem_decay_base(params: ModelParams, d: int) -> float:
@@ -511,6 +520,9 @@ def theorem_decay_base(params: ModelParams, d: int) -> float:
 def geometric_sum_factor(params: ModelParams, d: int) -> float:
     """((F^{1/(2 e pi d)} + 1)/(F^{1/(2 e pi d)} - 1))^d at F = F(pi/(2 beta))."""
     g = theorem_decay_base(params, d) ** (1.0 / (2.0 * math.e * math.pi * d))
+    if g == 1.0:
+        raise GuardError("geometric sum factor undefined: g = F(pi/(2 beta))"
+                         f"^(1/(2 e pi d)) rounds to {g}")
     return ((g + 1.0) / (g - 1.0)) ** d
 
 
@@ -542,7 +554,7 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
         rhs = hubbard_threshold(params, spec.d)
         U = u.hubbard_coupling()
         if U is None:
-            raise ValueError("hubbard variant requires a pure on-site interaction")
+            raise GuardError("hubbard variant requires a pure on-site interaction")
         return SmallnessReport("hubbard", abs(U), rhs, abs(U) <= rhs)
     raise ValueError(f"unknown smallness variant {variant!r}")
 
@@ -622,6 +634,7 @@ def model_from_dict(data: dict):
                 value = complex(_finite(entry["re"]),
                                 _finite(entry.get("im", 0.0)))
                 u.add(l, (X, Xi, Phi), value)
+        restrict_interaction(u, spec)  # refuses entries that alias mod L
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"malformed model description: {exc}") from exc
     u.validate_hermiticity()

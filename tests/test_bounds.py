@@ -30,6 +30,7 @@ from fermidecay.covariance import (
 from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from fermidecay.model import (
+    GuardError,
     ModelParams,
     geometric_sum_factor,
     hubbard_interaction,
@@ -398,7 +399,7 @@ def test_schwinger_contour_guard_per_node(params):
     eta = complex(np.roots(shifted[::-1])[0])
     assert abs(engine.partition(eta, G)[0]) < 1e-12
     assert abs(engine.partition(eta)) > 1e-6
-    with pytest.raises(ZeroDivisionError, match="too small"):
+    with pytest.raises(GuardError, match="too small"):
         schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
                                 circle_nodes=128, theta_nodes=4,
                                 radius=radius, eta=eta)

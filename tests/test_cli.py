@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fermidecay import cli
 from fermidecay.cli import main
 from fermidecay.lattice import LatticeSpec
 from fermidecay.model import (
+    GuardError,
     ModelFileError,
     ModelParams,
     hubbard_interaction,
@@ -212,6 +214,25 @@ def test_model_file_refuses_non_integral(path, value, tmp_path, capsys):
     _assert_model_file_refused(path, value, "non-integral", tmp_path, capsys)
 
 
+def test_model_file_refuses_aliasing_entries(tmp_path, capsys):
+    # order-1 entries at x = 0 and x = 2 are one site of the L = 2 chain
+    data = model_to_dict(LatticeSpec(d=1, L=2), ModelParams(),
+                         hubbard_interaction(0.1, d=1))
+    entry = {"Xi": ["up"], "Phi": ["up"], "re": 0.01, "im": 0.0}
+    data["interaction"] = [{"order": 1, "entries": [
+        {"X": [[0]], **entry}, {"X": [[2]], **entry}]}]
+    model_file = tmp_path / "alias.json"
+    model_file.write_text(json.dumps(data))
+    with pytest.raises(ModelFileError, match="aliases"):
+        load_model(model_file)
+    for argv in (["model-validate"], ["verify", "--suite", "theorem"]):
+        assert main([*argv, "--model", str(model_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "X=((2,),)" in captured.err and "X=((0,),)" in captured.err
+
+
 def test_model_file_accepts_integral_floats():
     data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
                          hubbard_interaction(0.1, d=1))
@@ -297,7 +318,7 @@ def test_verify_refusal_aborts_one_check(tmp_path, monkeypatch):
     # a check that refuses its input gives one <check>_aborted row, and the
     # other checks of its suite still run
     def det_decay(*args):
-        raise ValueError("probe")
+        raise GuardError("probe")
 
     monkeypatch.setattr(cli, "det_decay", det_decay)
     out = tmp_path / "report.json"
@@ -308,6 +329,60 @@ def test_verify_refusal_aborts_one_check(tmp_path, monkeypatch):
     assert aborted == {"quantity": "det_decay_aborted", "computed": "probe",
                        "bound": None, "ratio": None, "pass": False}
     assert checks[-2] is aborted
+
+
+@pytest.mark.parametrize("fault", [ValueError, np.linalg.LinAlgError])
+def test_verify_fault_is_not_a_refusal(fault, tmp_path, monkeypatch):
+    # only a GuardError is a refusal: any other exception in a check, a
+    # plain ValueError or a LinAlgError (a ValueError subclass) alike, is a
+    # fault that leaves main, and no report with an _aborted row is written
+    def det_decay(*args):
+        raise fault("probe")
+
+    monkeypatch.setattr(cli, "det_decay", det_decay)
+    out = tmp_path / "report.json"
+    with pytest.raises(fault, match="probe"):
+        main(["verify", "--suite", "covariance", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--t", "--beta"])
+def test_decay_base_rounding_to_one_aborts(flag, tmp_path, capsys):
+    # at t or beta = 1e300, F(pi/(2 beta)) rounds to 1 and the geometric sum
+    # factor (g + 1)/(g - 1) has no value: one aborted line, no report
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", flag, "1e300",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: geometric sum factor undefined")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_model_file_decay_base_overflow_aborts_its_checks(tmp_path):
+    # t = 1e-300 in a file: F(pi/(2 beta)) overflows, and each check that
+    # reads F gives its aborted row where a float division failed before
+    data = json.loads(MODEL.read_text())
+    data["t"] = 1e-300
+    path = tmp_path / "tiny_t.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", "--model", str(path),
+                 "--out", str(out)]) == 1
+    checks = {c["quantity"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["covariance_decay_aborted"]["computed"].startswith(
+        "decay base overflows")
+
+
+@pytest.mark.parametrize("argv", [["--suite", "theorem", "--L", "1"],
+                                  ["--suite", "all", "--d", "3", "--L", "1"]])
+def test_verify_one_site_lattice(argv, tmp_path):
+    # on one site the query from site 0 to site 1 would be the site-0
+    # density, which is balanced: the trivial-hopping check runs on L >= 2
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    (row,) = [c for c in json.loads(out.read_text())["checks"]
+              if c["quantity"] == "trivial_hopping_vanishing"]
+    assert row["pass"] and row["computed"] <= 1e-12
 
 
 def test_verify_covariance_underflow_aborts_det_identity_alone(tmp_path):

@@ -246,7 +246,11 @@ def test_lambda_derivative_matches_correlation():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     u = hubbard_interaction(0.1, d=1)
     q = query(((0,),), ((0,),), (UP,), (UP,))
-    res = lambda_derivative_check(atom, p, u, q, step=1e-4)
+    # log Tr e^{-beta H_0} cancels in the difference: two spectra, H_lambda's
+    with mock.patch.object(fock, "log_partition",
+                           wraps=fock.log_partition) as spectra:
+        res = lambda_derivative_check(atom, p, u, q, step=1e-4)
+    assert spectra.call_count == 2
     assert res["deviation"] <= 1e-6
     # second-order central difference: halving the step shrinks the error ~4x
     res2 = lambda_derivative_check(atom, p, u, q, step=5e-5)

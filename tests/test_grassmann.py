@@ -26,7 +26,12 @@ from fermidecay.grassmann import (
     _subset_plan,
 )
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid
-from fermidecay.model import LambdaCoefficients, ModelParams, hubbard_interaction
+from fermidecay.model import (
+    GuardError,
+    LambdaCoefficients,
+    ModelParams,
+    hubbard_interaction,
+)
 
 
 def random_g(rng, n):
@@ -342,7 +347,7 @@ def test_schwinger_denominator_zero_detected(atom, params):
     eng = SchwingerEngine(atom, params, grid, hubbard_interaction(1.0, d=1))
     coeffs = eng.denominator()
     root = complex(np.roots(list(reversed(coeffs)))[0])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(GuardError):
         eng.schwinger_value(fock.query(((0,),), ((0,),), (UP,), (UP,)),
                             eta=root)
 

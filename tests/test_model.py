@@ -16,6 +16,7 @@ from fermidecay.lattice import (
     momentum_grid,
 )
 from fermidecay.model import (
+    GuardError,
     HermiticityError,
     InteractionCoefficients,
     ModelFileError,
@@ -27,6 +28,7 @@ from fermidecay.model import (
     decay_base,
     density_density_interaction,
     dispersion_grid,
+    geometric_sum_factor,
     hopping_matrix,
     hubbard_antisymmetric_tensor,
     hubbard_interaction,
@@ -314,8 +316,14 @@ def test_decay_base_values(params):
     rs = np.linspace(0.1, 3.0, 15)
     vals = [decay_base(params, 1, r) for r in rs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(GuardError):
         decay_base(ModelParams(t=0.0), 1, 1.0)
+    # r/(2A) past 1e154 squares to inf: F would read inf
+    with pytest.raises(GuardError, match="decay base overflows"):
+        decay_base(ModelParams(t=1e-300), 1, 1.0)
+    # F(pi/(2 beta)) = 1 + 1e-300 rounds to 1: K has no floating value
+    with pytest.raises(GuardError, match="rounds to 1.0"):
+        geometric_sum_factor(ModelParams(t=1e300), 1)
 
 
 def test_check_smallness_zero_interaction(params, chain4):
