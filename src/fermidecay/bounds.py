@@ -16,11 +16,11 @@ import numpy as np
 
 from . import fock
 from .covariance import (
+    DET_BLOCK,
     CovarianceSpec,
     chord,
     chord_exponent,
-    contour_nodes,
-    contour_radius,
+    contour_sum,
     covariance_entries,
     covariance_matrix,
     covariance_value,
@@ -38,7 +38,6 @@ from .model import (
     theorem_decay_base,
 )
 
-DET_BLOCK = 256  # trials or contour nodes per stacked evaluation
 DET_BOUND_B = 4.0  # B of the 4^n determinant bound, in every coefficient bound
 
 
@@ -165,8 +164,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
 
 def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
                             grid: TimeGrid, u: InteractionCoefficients, q,
-                            axis: int, n: int = 1, circle_nodes: int = 128,
-                            theta_nodes: int = 8, radius: float | None = None,
+                            axis: int, n: int = 1, radius: float | None = None,
                             eta: complex = 1.0) -> dict:
     """The contour representation of the chord-weighted Schwinger function,
     the mechanism behind the decay theorem, checked at one value of eta:
@@ -175,27 +173,18 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
                               oint dw_j (w_j - theta_j)^{-2} S(C_h(sum w_j e_p), eta).
 
     Every quadrature node costs one Schwinger evaluation at a shifted
-    covariance.  One covariance_matrix call builds the shifted covariances of
-    DET_BLOCK nodes as a stack, and one engine, which compiles the subset
-    plans once, evaluates them together, so memory does not grow with the
-    node count.  The circle rule is spectrally accurate and the identity
-    holds to near machine precision.
+    covariance.  contour_sum hands over DET_BLOCK nodes at a time; one
+    covariance_matrix call builds their shifted covariances as a stack, and
+    one engine, which compiles the subset plans once, evaluates them
+    together.
     """
-    if radius is None:
-        radius = contour_radius(params, spec.d, n)
     engine = SchwingerEngine(spec, params, grid, u)
     dsum = site_sum_diff(q.x_sites, q.y_sites)
     rhs = chord(spec.L, dsum[axis])**n * engine.schwinger_value(q, eta)
-    total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
-                                         circle_nodes)
-    shifts = np.outer(total_shift, np.eye(spec.d)[axis])
     cs = CovarianceSpec(spec, params)
-    lhs = 0.0 + 0.0j
-    for b in range(0, len(shifts), DET_BLOCK):
-        G = covariance_matrix(cs, grid, shifts[b:b + DET_BLOCK])
-        lhs += total_w[b:b + DET_BLOCK] @ engine.schwinger_value(q, eta, G=G)
-    return {"lhs": complex(lhs), "rhs": complex(rhs),
-            "deviation": abs(lhs - rhs), "radius": radius}
+    lhs = contour_sum(lambda stack: engine.schwinger_value(
+        q, eta, G=covariance_matrix(cs, grid, stack)), cs, axis, n, radius)
+    return {"lhs": lhs, "rhs": complex(rhs), "deviation": abs(lhs - rhs)}
 
 
 def _envelope_prefactor(variant: str, R: float | None, m_hat: int) -> float:

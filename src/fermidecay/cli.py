@@ -162,8 +162,8 @@ def contour_formula(spec, params, separations):
     cs = covariance.CovarianceSpec(spec, params)
     origin = (0,) * spec.d
     worst = max(covariance.contour_formula_check(
-        cs, ((dist,) + origin[1:], UP, 0.0), (origin, UP, dt), axis=0, n=1,
-        circle_nodes=512)["deviation"] for dist, dt in separations)
+        cs, ((dist,) + origin[1:], UP, 0.0), (origin, UP, dt), axis=0,
+        n=1)["deviation"] for dist, dt in separations)
     return [Check("contour_formula_n1", worst, 1e-6)]
 
 
@@ -341,8 +341,7 @@ def schwinger_contour_identity(spec, params, u):
     """The contour mechanism behind the envelope, at the grid level."""
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
     res = bounds.schwinger_contour_check(spec, params, TimeGrid(params.beta, 1),
-                                         u, q, axis=0, n=1, circle_nodes=128,
-                                         theta_nodes=16)
+                                         u, q, axis=0, n=1)
     return [Check("schwinger_contour_identity", res["deviation"], 1e-6)]
 
 

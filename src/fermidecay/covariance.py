@@ -39,6 +39,14 @@ from .model import (
 )
 
 MATRIX_SIZE_LIMIT = 4096
+DET_BLOCK = 256  # trials or contour nodes per stacked evaluation
+# contour_nodes takes THETA_NODES_MIN + THETA_NODES_PER_RATIO * (pi/L)/radius
+# Gauss-Legendre nodes per theta segment and CIRCLE_NODES trapezoid nodes per
+# circle, at most MAX_CONTOUR_NODES in all
+THETA_NODES_MIN = 16
+THETA_NODES_PER_RATIO = 5
+CIRCLE_NODES = 32
+MAX_CONTOUR_NODES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -290,24 +298,56 @@ def reduced_exponent(spec: LatticeSpec, dvec) -> float:
     return sum(abs(c) for c in red) / (2.0 * math.e * math.pi * spec.d)
 
 
-def contour_nodes(L: int, n: int, radius: float, theta_nodes: int,
-                  circle_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the m-point Gauss-Legendre rule on
+    [-1, 1], by Newton's method on the three-term recurrence of P_m from the
+    asymptotic roots.
+
+    Memory is O(m) and time O(m^2).  numpy's leggauss diagonalizes an m x m
+    companion matrix, O(m^2) memory and O(m^3) time, which the contour rule
+    reaches at low temperature (m = 5016 at beta = 250).
+    """
+    x = -np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    dx = np.ones(m)
+    for _ in range(20):  # 3 steps reach 1e-14 from these starting points
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (x * p1 - p0) / (x * x - 1.0)  # P_m'(x)
+        if np.max(np.abs(dx)) <= 1e-14:
+            break  # x converged, and dp is taken at it
+        dx = p1 / dp
+        x = x - dx
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def contour_nodes(L: int, n: int,
+                  radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Shifts sum_j w_j and weights of the n-fold contour quadrature
 
         prod_j (L/2pi) int_0^{2pi/L} dtheta_j (2pi i)^{-1} oint dw_j (w_j - theta_j)^{-2}
 
     over the circles |w_j - theta_j| = radius.  The theta segments use
-    Gauss-Legendre; the circles use the composite trapezoid rule (spectrally
-    accurate since the integrand is periodic).
+    Gauss-Legendre, whose error falls at a rate set by the radius of
+    analyticity around the segment, so the node count grows with the
+    segment's half-length over the radius, (pi/L)/radius.  The circles use
+    the periodic trapezoid rule, whose error falls geometrically in a fixed
+    count.  Refuses more than MAX_CONTOUR_NODES nodes.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
+    theta_nodes = THETA_NODES_MIN + math.ceil(
+        THETA_NODES_PER_RATIO * (math.pi / L) / radius)
+    if (theta_nodes * CIRCLE_NODES) ** n > MAX_CONTOUR_NODES:
+        raise GuardError(
+            f"contour quadrature needs ({theta_nodes} x {CIRCLE_NODES})^{n} "
+            f"nodes, over the cap of {MAX_CONTOUR_NODES}")
+    nodes, weights = gauss_legendre(theta_nodes)
     seg = 2.0 * math.pi / L
     thetas = 0.5 * seg * (nodes + 1.0)
     th_w = 0.5 * seg * weights * (L / (2.0 * math.pi))
-    phis = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
+    phis = 2.0 * math.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
     w1 = (thetas[:, None] + radius * np.exp(1j * phis)[None, :]).reshape(-1)
     wt1 = (th_w[:, None] * (np.exp(-1j * phis) /
-                            (radius * circle_nodes))[None, :]).reshape(-1)
+                            (radius * CIRCLE_NODES))[None, :]).reshape(-1)
     total_shift, total_w = w1, wt1
     for _ in range(n - 1):
         total_shift = (total_shift[:, None] + w1[None, :]).reshape(-1)
@@ -315,26 +355,38 @@ def contour_nodes(L: int, n: int, radius: float, theta_nodes: int,
     return total_shift, total_w
 
 
+def contour_sum(value_at, cs: CovarianceSpec, axis: int, n: int = 1,
+                radius: float | None = None) -> complex:
+    """The n-fold contour quadrature sum_b w_b value_at(stack_b), with the
+    nodes shifting the momenta along axis (radius contour_radius by
+    default).  value_at takes a (B, d) stack of shifts, DET_BLOCK nodes at a
+    time, and returns the B values, so memory does not grow with the node
+    count."""
+    if radius is None:
+        radius = contour_radius(cs.params, cs.spec.d, n)
+    shifts, weights = contour_nodes(cs.spec.L, n, radius)
+    e_axis = np.eye(cs.spec.d)[axis]
+    total = 0.0 + 0.0j
+    for b in range(0, len(shifts), DET_BLOCK):
+        stack = np.outer(shifts[b:b + DET_BLOCK], e_axis)
+        total += weights[b:b + DET_BLOCK] @ value_at(stack)
+    return complex(total)
+
+
 def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
-                          circle_nodes: int = 512, theta_nodes: int = 24,
                           radius: float | None = None) -> dict:
     """Iterated contour representation of the chord-weighted covariance.
 
-    lhs: the n-fold contour_nodes quadrature of C(shift + sum_j w_j e_axis);
+    lhs: the n-fold contour_sum of C(shift + sum_j w_j e_axis);
     rhs: chord^n * C(shift).
     """
-    spec = cs.spec
-    if radius is None:
-        radius = contour_radius(cs.params, spec.d, n)
     (xa, sa, ta), (xb, sb, tb) = a, b
     m = int(xa[axis]) - int(xb[axis])
-    rhs = chord(spec.L, m)**n * covariance_value(cs, a, b)
-    total_shift, total_w = contour_nodes(spec.L, n, radius, theta_nodes,
-                                         circle_nodes)
-    cw = covariance_entries(cs, np.subtract(xb, xa), float(tb) - float(ta),
-                            np.outer(total_shift, np.eye(spec.d)[axis]))
-    lhs = complex(np.sum(cw * total_w)) if sa == sb else 0.0 + 0.0j
-    return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs), "radius": radius}
+    rhs = chord(cs.spec.L, m)**n * covariance_value(cs, a, b)
+    dx, dt = np.subtract(xb, xa), float(tb) - float(ta)
+    lhs = contour_sum(lambda stack: covariance_entries(cs, dx, dt, stack),
+                      cs, axis, n, radius) if sa == sb else 0.0 + 0.0j
+    return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs)}
 
 
 def decay_envelope_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:

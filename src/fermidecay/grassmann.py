@@ -267,7 +267,6 @@ def _berezin_weight(n: int, shape: tuple, data: bytes):
 class VertexSet:
     """Grassmann interaction monomials, one per (lattice term, grid time)."""
 
-    space: GrassmannIndexSpace
     monomials: list = field(default_factory=list)   # canonical (b, u, c)
     blocks: list = field(default_factory=list)      # (row idx list, col idx list, coeff)
 
@@ -290,7 +289,7 @@ def build_vertices(space: GrassmannIndexSpace,
     """One vertex per interaction or lambda term (X, Y, Xi, Phi, c) and grid
     time: the time slices of c * V, V = -(1/h) sum_t
     psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
-    vs = VertexSet(space)
+    vs = VertexSet()
     terms = []
     if u is not None:
         terms = [term for term in lattice_terms(

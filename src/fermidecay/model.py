@@ -629,6 +629,11 @@ def model_from_dict(data: dict):
             l = _integer(block["order"])
             for i, entry in enumerate(block.get("entries", [])):
                 X = tuple(tuple(_integer(c) for c in x) for x in entry["X"])
+                for x in X:
+                    if len(x) != spec.d:
+                        raise ValueError(
+                            f"order {l} entry {i} (X={X}): site {x} has "
+                            f"{len(x)} coordinates, expected d = {spec.d}")
                 Xi = tuple(_SPIN_FROM_NAME[s] for s in entry["Xi"])
                 Phi = tuple(_SPIN_FROM_NAME[s] for s in entry["Phi"])
                 value = complex(_finite(entry["re"]),

@@ -20,8 +20,11 @@ from fermidecay.bounds import (
 )
 from fermidecay.covariance import (
     MATRIX_SIZE_LIMIT,
+    MAX_CONTOUR_NODES,
     CovarianceSpec,
+    contour_formula_check,
     contour_nodes,
+    contour_radius,
     covariance_matrix,
     covariance_value,
     l1_bound_check,
@@ -363,21 +366,13 @@ def test_det_bound_two_axis_shifts():
 
 
 def test_schwinger_contour_identity(params):
-    # the chord-weighted Schwinger function equals its iterated contour
-    # average over shifted covariances (the engine of the decay theorem)
-    from fermidecay.bounds import schwinger_contour_check
-    spec = LatticeSpec(d=1, L=2)
-    hub = hubbard_interaction(0.1, d=1)
-    grid = TimeGrid(1.0, 1)
-    q = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    res = schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
-                                  circle_nodes=128, theta_nodes=16)
-    assert res["deviation"] <= 1e-6
-    # degenerate chord: the summed separation wraps to zero and both sides vanish
-    q2 = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-    res2 = schwinger_contour_check(spec, params, grid, hub, q2, axis=0, n=1,
-                                   circle_nodes=32, theta_nodes=4)
-    assert abs(res2["rhs"]) <= 1e-15 and abs(res2["lhs"]) <= 1e-10
+    # degenerate chord: the summed separation wraps to zero and both sides
+    # vanish (the nondegenerate case is in the beta sweep below)
+    q = fock.query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
+    res = schwinger_contour_check(LatticeSpec(d=1, L=2), params,
+                                  TimeGrid(1.0, 1), hubbard_interaction(0.1, d=1),
+                                  q, axis=0, n=1)
+    assert abs(res["rhs"]) <= 1e-15 and abs(res["lhs"]) <= 1e-10
 
 
 def test_schwinger_contour_guard_per_node(params):
@@ -389,9 +384,9 @@ def test_schwinger_contour_guard_per_node(params):
     grid = TimeGrid(1.0, 1)
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
     radius = 0.3
-    shifts, _ = contour_nodes(spec.L, 1, radius, 4, 128)
-    assert len(shifts) == 2 * DET_BLOCK
-    node = DET_BLOCK + 17
+    shifts, _ = contour_nodes(spec.L, 1, radius)
+    node = DET_BLOCK + 17  # past the first block
+    assert node < len(shifts)
     engine = SchwingerEngine(spec, params, grid, hub)
     G = covariance_matrix(CovarianceSpec(spec, params), grid,
                           shifts[node:node + 1, None])
@@ -401,8 +396,46 @@ def test_schwinger_contour_guard_per_node(params):
     assert abs(engine.partition(eta)) > 1e-6
     with pytest.raises(GuardError, match="too small"):
         schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
-                                circle_nodes=128, theta_nodes=4,
                                 radius=radius, eta=eta)
+
+
+def test_contour_checks_hold_from_high_to_low_temperature():
+    # the strip of analyticity narrows like 1/beta, and contour_nodes sizes
+    # the theta rule from it: both contour identities hold from beta = 0.05
+    # to 30, on chains and on the d = 2 and d = 3 tori with t' != 0
+    lattices = [(1, 2, 0.0, 30), (1, 4, 0.0, 30), (1, 16, 0.0, 30),
+                (2, 4, 0.3, 20), (3, 3, 0.3, 5)]
+    for beta in (0.05, 0.25, 1, 2, 5, 10, 20, 30):
+        for d, L, t_prime, beta_max in lattices:
+            if beta > beta_max:
+                continue
+            p = ModelParams(t=1.0, t_prime=t_prime, mu=0.2, beta=beta)
+            origin = (0,) * d
+            res = contour_formula_check(
+                CovarianceSpec(LatticeSpec(d=d, L=L), p),
+                ((1,) + origin[1:], UP, 0.0), (origin, UP, 0.25 * beta),
+                axis=0)
+            assert res["deviation"] <= 1e-12, (beta, d, L)
+    # the case of verify's schwinger_contour_identity row
+    spec = LatticeSpec(d=1, L=2)
+    q = fock.query(((0,),), ((1,),), (UP,), (UP,))
+    for beta in (0.05, 1, 2, 5, 10, 20, 30):
+        p = ModelParams(t=1.0, mu=0.2, beta=beta)
+        res = schwinger_contour_check(spec, p, TimeGrid(beta, 1),
+                                      hubbard_interaction(0.1, d=1), q, axis=0)
+        assert res["deviation"] <= 1e-7, beta
+
+
+def test_contour_nodes_guard():
+    # the node count grows with beta: (theta x circle)^n past
+    # MAX_CONTOUR_NODES is refused before any node is built
+    cs = CovarianceSpec(LatticeSpec(d=1, L=4),
+                        ModelParams(t=1.0, mu=0.2, beta=5.0))
+    with pytest.raises(GuardError, match="cap"):
+        contour_formula_check(cs, ((2,), UP, 0.0), ((0,), UP, 0.1),
+                              axis=0, n=2)
+    shifts, _ = contour_nodes(4, 2, contour_radius(ModelParams(), 1, 2))
+    assert len(shifts) <= MAX_CONTOUR_NODES
 
 
 def test_verify_theorem_envelope_d2():

@@ -214,6 +214,15 @@ def test_model_file_refuses_non_integral(path, value, tmp_path, capsys):
     _assert_model_file_refused(path, value, "non-integral", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("site", [[0, 1], []], ids=["two", "none"])
+def test_model_file_refuses_site_of_wrong_length(site, tmp_path, capsys):
+    # on the d = 1 chain a site carries one coordinate; lattice_terms would
+    # zip a longer one against the shift and place the term at its first
+    _assert_model_file_refused(("interaction", 0, "entries", 0, "X", 0), site,
+                               r"order 2 entry 0 .* expected d = 1",
+                               tmp_path, capsys)
+
+
 def test_model_file_refuses_aliasing_entries(tmp_path, capsys):
     # order-1 entries at x = 0 and x = 2 are one site of the L = 2 chain
     data = model_to_dict(LatticeSpec(d=1, L=2), ModelParams(),

@@ -17,6 +17,7 @@ from fermidecay.covariance import (
     covariance_value,
     decay_envelope_check,
     det_identity_check,
+    gauss_legendre,
     guarded_dispersions,
     l1_bound_check,
     matsubara_check,
@@ -271,36 +272,33 @@ def test_u1_shift_identity_with_base_shift(params):
     assert dev <= 1e-12
 
 
-def test_contour_formula_n1(params, chain4):
-    cs = CovarianceSpec(chain4, params)
-    res = contour_formula_check(cs, ((1,), UP, 0.0), ((0,), UP, 0.25),
-                                axis=0, n=1, circle_nodes=512)
-    assert res["deviation"] <= 1e-6
-
-
 def test_contour_formula_zero_chord(params, chain4):
     cs = CovarianceSpec(chain4, params)
     res = contour_formula_check(cs, ((0,), UP, 0.0), ((0,), UP, 0.25),
-                                axis=0, n=1, circle_nodes=256)
+                                axis=0, n=1)
     assert res["rhs"] == 0.0
     assert abs(res["lhs"]) <= 1e-6
 
 
-def test_contour_formula_convergence(params, chain4):
-    cs = CovarianceSpec(chain4, params)
-    devs = []
-    for nodes in (8, 16, 32):
-        res = contour_formula_check(cs, ((2,), UP, 0.0), ((0,), UP, 0.4),
-                                    axis=0, n=1, circle_nodes=nodes,
-                                    theta_nodes=4)
-        devs.append(res["deviation"] + 1e-18)
-    assert devs[2] < devs[0]
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 38, 100, 2516])
+def test_gauss_legendre(m):
+    # against numpy's companion-matrix leggauss where that is cheap; exact
+    # on x^(2k) up to degree 2m - 2, also at m = 2516, the theta rule of the
+    # L = 4 chain at beta = 250
+    x, w = gauss_legendre(m)
+    if m <= 100:
+        ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        assert np.max(np.abs(w - ref_w)) <= 1e-14
+    for k in (0, m // 2, m - 1):
+        assert w @ x ** (2 * k) == pytest.approx(2.0 / (2 * k + 1),
+                                                 rel=1e-12, abs=0.0)
 
 
 def test_contour_formula_n2(params, chain4):
     cs = CovarianceSpec(chain4, params)
     res = contour_formula_check(cs, ((2,), UP, 0.0), ((0,), UP, 0.1),
-                                axis=0, n=2, circle_nodes=96, theta_nodes=12)
+                                axis=0, n=2)
     assert res["deviation"] <= 1e-6
 
 
@@ -308,8 +306,7 @@ def test_contour_formula_with_base_shift(params, chain4):
     rad = 0.5 * shift_radius(params, 1, math.pi / (2 * params.beta))
     cs = CovarianceSpec(chain4, params, (1j * rad,))
     res = contour_formula_check(cs, ((1,), UP, 0.0), ((3,), UP, 0.6),
-                                axis=0, n=1, circle_nodes=512,
-                                radius=0.25 * rad)
+                                axis=0, n=1, radius=0.25 * rad)
     assert res["deviation"] <= 1e-6
 
 
@@ -493,4 +490,4 @@ def test_contour_guard_rejects_oversized_radius(params, chain4):
     cs = CovarianceSpec(chain4, params)
     with pytest.raises(GuardError, match="radius"):
         contour_formula_check(cs, ((1,), UP, 0.0), ((0,), UP, 0.2),
-                              axis=0, n=1, circle_nodes=32, radius=1.5)
+                              axis=0, n=1, radius=1.5)

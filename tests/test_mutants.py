@@ -1,0 +1,94 @@
+"""Mutant catalogue: each case plants one known fault with monkeypatch and
+asserts that its named killer passes on the code as it is and fails under
+the mutant.  A killer is a `verify` suite that must exit 0, or a Tier-1
+test function."""
+
+import sys
+from functools import partial
+
+import numpy as np
+import pytest
+
+import test_bounds
+import test_model
+from fermidecay import bounds, covariance, fock, model
+from fermidecay.cli import main
+from fermidecay.lattice import LatticeSpec
+from fermidecay.model import ModelParams
+
+
+def _mutate(monkeypatch, module, name, make):
+    """Replace module.name by make(original) in every package and test
+    module that holds it, the defining one and those that imported it."""
+    original = getattr(module, name)
+    mutant = make(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith(("fermidecay", "test_"))
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, mutant)
+
+
+def _assert_killed(monkeypatch, module, name, make, killer):
+    killer()
+    _mutate(monkeypatch, module, name, make)
+    with pytest.raises(AssertionError):
+        killer()
+
+
+def _verify(tmp_path, *argv):
+    assert main(["verify", *argv, "--out", str(tmp_path / "r.json")]) == 0
+
+
+# the values of the params and chain4 fixtures
+_threshold_value = partial(test_model.test_check_smallness_hubbard_rhs,
+                           ModelParams(), LatticeSpec(d=1, L=4))
+
+
+def test_decay_base_squared(monkeypatch):
+    _assert_killed(monkeypatch, model, "theorem_decay_base",
+                   lambda F: lambda params, d: F(params, d) ** 2,
+                   _threshold_value)
+
+
+def test_l1_window_one_step_short(monkeypatch):
+    def short_window(_):
+        def covariance_l1_D(cs, grid):
+            T = grid.n_points
+            per_dt = covariance.l1_time_sums(cs, grid)[:2 * T - 1]
+            return float(np.max(np.convolve(per_dt, np.ones(T - 1),
+                                            "valid"))) / grid.h
+        return covariance_l1_D
+
+    _assert_killed(monkeypatch, bounds, "covariance_l1_D", short_window,
+                   partial(test_bounds.test_covariance_l1_D_matches_matrix_sums,
+                           1, 4))
+
+
+def test_hubbard_threshold_times_ten(monkeypatch):
+    _assert_killed(monkeypatch, model, "hubbard_threshold",
+                   lambda thr: lambda params, d: 10.0 * thr(params, d),
+                   _threshold_value)
+
+
+def test_prop42_bound_over_hundred(monkeypatch):
+    _assert_killed(monkeypatch, bounds, "prop42_bound",
+                   lambda bound: lambda m, D, U: bound(m, D, U) / 100.0,
+                   test_bounds.test_prop42_bound_values)
+
+
+def test_observable_without_adjoint(monkeypatch, tmp_path):
+    def o_only(_):
+        return lambda space, q: fock._normal_ordered(
+            space, [(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, 1.0)])
+
+    _assert_killed(monkeypatch, fock, "observable_pair", o_only,
+                   partial(_verify, tmp_path, "--suite", "theorem"))
+
+
+def test_fixed_theta_rule(monkeypatch, tmp_path):
+    # without its (pi/L)/radius term the rule gives 16 theta nodes at any beta
+    for killer in (partial(_verify, tmp_path, "--suite", "theorem", "--beta", "2"),
+                   test_bounds.test_contour_checks_hold_from_high_to_low_temperature):
+        with monkeypatch.context() as mp:
+            _assert_killed(mp, covariance, "THETA_NODES_PER_RATIO",
+                           lambda _: 0, killer)
