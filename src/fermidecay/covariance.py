@@ -28,6 +28,7 @@ from .lattice import (
     enumerate_sites,
     momentum_grid,
     periodic_reduce,
+    site_ranks,
 )
 from .model import (
     GuardError,
@@ -191,9 +192,7 @@ def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid,
     table, _ = (_covariance_lookup(cs, grid) if stack is None
                 else _covariance_table(cs, grid, stack))
     sites = np.array(enumerate_sites(spec))
-    # lexicographic rank (lattice.site_index) of (site_b - site_a) mod L
-    weights = spec.L ** np.arange(spec.d - 1, -1, -1)
-    rank = ((sites[None, :, :] - sites[:, None, :]) % spec.L) @ weights
+    rank = site_ranks(spec, sites[None, :, :] - sites[:, None, :])  # site_b - site_a
     tidx = np.arange(grid.n_points)
     dt_idx = tidx[None, :] - tidx[:, None] + grid.n_points - 1  # into dts
     M = table[..., rank[None, :, None, :], dt_idx[:, None, :, None]]

@@ -271,20 +271,14 @@ def _blocks(H: FockOperator):
 
 
 class Eigensystem:
-    """The eigenpairs of H by conserved-number sector.  It iterates as one
-    (states, eigenvalues, eigenvectors) triple per sector, the eigenvectors
-    in the sector's basis, and keeps the sector layout and, per beta, the
-    thermal state of H."""
+    """The eigenpairs of H by conserved-number sector: sectors[i] holds the
+    basis states of sector i and pairs[i] its (eigenvalues, eigenvectors),
+    the eigenvectors in the sector's basis.  It keeps the sector layout and,
+    per beta, the thermal state of H."""
 
     def __init__(self, sectors, pairs, layout):
         self.sectors, self.pairs, self.layout = sectors, pairs, layout
         self._thermal_states = {}
-
-    def __iter__(self):
-        return ((s, w, V) for s, (w, V) in zip(self.sectors, self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.sectors)
 
     def _thermal(self, beta: float) -> tuple[np.ndarray, float]:
         """The blocks rho_s = V_s diag(e^{-beta (w - w_min)}) V_s^dagger in
@@ -331,11 +325,10 @@ def log_partition(H: FockOperator, beta: float) -> float:
 
 
 def partition_ratio(space: FockSpace, params: ModelParams,
-                    u: InteractionCoefficients | None,
-                    lam: LambdaCoefficients | None = None) -> float:
-    """Tr e^{-beta H_lambda} / Tr e^{-beta H_0}."""
+                    u: InteractionCoefficients | None) -> float:
+    """Tr e^{-beta (H_0 + V)} / Tr e^{-beta H_0}."""
     H0 = build_h0(space, params)
-    H = _add_terms(space, H0, u, lam)
+    H = _add_terms(space, H0, u)
     return float(np.exp(log_partition(H, params.beta) -
                         log_partition(H0, params.beta)))
 

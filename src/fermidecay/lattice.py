@@ -58,6 +58,11 @@ def site_index(spec: LatticeSpec, site) -> int:
     return idx
 
 
+def site_ranks(spec: LatticeSpec, sites) -> np.ndarray:
+    """site_index over an integer array of sites of shape (..., d)."""
+    return (np.asarray(sites) % spec.L) @ spec.L ** np.arange(spec.d - 1, -1, -1)
+
+
 def mode_index(spec: LatticeSpec, site, spin: int) -> int:
     """Global one-particle mode index: site lex-rank * 2 + spin (up=0, down=1)."""
     if spin not in SPINS:

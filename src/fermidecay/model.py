@@ -25,6 +25,7 @@ from .lattice import (
     mode_index,
     momentum_grid,
     periodic_reduce,
+    site_ranks,
 )
 
 _SPIN_NAMES = {UP: "up", DOWN: "down"}
@@ -84,12 +85,8 @@ class InteractionCoefficients:
     the origin.
     """
 
-    def __init__(self, orders: dict[int, dict] | None = None):
+    def __init__(self):
         self.orders: dict[int, dict] = {}
-        if orders:
-            for l, table in sorted(orders.items()):
-                for key, value in table.items():
-                    self.add(l, key, value)
 
     def add(self, l: int, key, value):
         value = complex(value)
@@ -217,40 +214,40 @@ def interaction_norm(u: InteractionCoefficients, l: int,
 # hopping matrix and dispersion relation
 # ---------------------------------------------------------------------------
 
-def hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
-    """Spin-diagonal hermitian hopping matrix T on (Gamma x spin)^2.
+def site_hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
+    """The hopping on sites as a sum of lattice shifts S_v, (S_v)[x, y] = 1
+    when x = y + v mod L: -t (S_{-e_j} + S_{+e_j}) for each axis j, -t' S_v
+    for each of the four v = +-e_j +-e_k of each axis pair j < k, then -mu 1.
 
-    Built literally from the delta-function formula, so coincidences on small
-    lattices (L <= 2, where x+e_j = x-e_j) accumulate automatically.
+    Shifts that coincide on small lattices (L <= 2, where x+e_j = x-e_j)
+    add up.
     """
-    n = spec.n_modes
-    T = np.zeros((n, n), dtype=complex)
-    sites = enumerate_sites(spec)
-    d, L = spec.d, spec.L
+    sites = np.array(enumerate_sites(spec))
+    n = len(sites)
 
-    def delta(x, y) -> bool:
-        return all((a - b) % L == 0 for a, b in zip(x, y))
+    def shift(v) -> np.ndarray:
+        S = np.zeros((n, n))
+        S[site_ranks(spec, sites + v), np.arange(n)] = 1.0
+        return S
 
-    for x in sites:
-        for y in sites:
-            val = 0.0
-            for j in range(d):
-                ym = tuple(c - (1 if a == j else 0) for a, c in enumerate(y))
-                yp = tuple(c + (1 if a == j else 0) for a, c in enumerate(y))
-                val += -params.t * (delta(x, ym) + delta(x, yp))
-            if d >= 2 and params.t_prime != 0.0:
-                for j in range(d):
-                    for k in range(j + 1, d):
-                        for sj, sk in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-                            yy = tuple(
-                                c + (sj if a == j else 0) + (sk if a == k else 0)
-                                for a, c in enumerate(y))
-                            val += -params.t_prime * delta(x, yy)
-            if delta(x, y):
-                val += -params.mu
-            if val != 0.0:
-                for spin in SPINS:
-                    T[mode_index(spec, x, spin), mode_index(spec, y, spin)] = val
+    steps = np.eye(spec.d, dtype=int)
+    H = np.zeros((n, n))
+    for e in steps:
+        H += -params.t * (shift(-e) + shift(e))
+    for ej, ek in itertools.combinations(steps, 2):
+        for sj, sk in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            H += -params.t_prime * shift(sj * ej + sk * ek)
+    H += -params.mu * np.eye(n)
+    return H
+
+
+def hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
+    """Spin-diagonal hermitian hopping matrix T on (Gamma x spin)^2: the
+    site_hopping_matrix on each spin, mode = 2 * site + spin."""
+    H = site_hopping_matrix(spec, params)
+    T = np.zeros((spec.n_modes,) * 2, dtype=complex)
+    for spin in SPINS:
+        T[spin::2, spin::2] = H
     return T
 
 
@@ -275,16 +272,13 @@ def dispersion_grid(spec: LatticeSpec, params: ModelParams,
 
 
 def check_fourier_consistency(spec: LatticeSpec, params: ModelParams) -> float:
-    """Max over k of |E_k - sum_x T(x xi, 0 xi) e^{-i<k,x>}|.
+    """Max over k of |E_k - sum_x T(x, 0) e^{-i<k,x>}|, T the site hopping.
 
     E_k must be the Fourier symbol of the hopping matrix; this ties the two
     independent implementations together.
     """
-    T = hopping_matrix(spec, params)
+    col = site_hopping_matrix(spec, params)[:, 0]  # the origin has rank 0
     sites = enumerate_sites(spec)
-    origin = (0,) * spec.d
-    col = np.array([T[mode_index(spec, x, UP), mode_index(spec, origin, UP)]
-                    for x in sites])
     ks = momentum_grid(spec)
     xs = np.array(sites, dtype=float).reshape(len(sites), spec.d)
     phases = np.exp(-1j * (ks @ xs.T))  # (n_k, n_x)
@@ -401,8 +395,10 @@ class LambdaCoefficients:
     entries: dict = field(default_factory=dict)
 
     def add(self, X, Y, Xi, Phi, value: float):
-        if len(X) != self.m_hat:
-            raise ValueError("lambda entry order mismatch")
+        lengths = tuple(map(len, (X, Y, Xi, Phi)))
+        if lengths != (self.m_hat,) * 4:
+            raise ValueError(f"lambda entry of order m_hat = {self.m_hat} has "
+                             f"X, Y, Xi, Phi of lengths {lengths}")
         key = (tuple(_as_site_tuple(x) for x in X),
                tuple(_as_site_tuple(y) for y in Y),
                tuple(int(s) for s in Xi), tuple(int(s) for s in Phi))

@@ -145,7 +145,9 @@ def test_thermal_average_identity_and_ground_state():
     ident = np.eye(atom.dimension)
     assert thermal_average(H, from_matrix(ident), p.beta) == pytest.approx(1.0)
     # beta -> large: average approaches the ground-state expectation
-    states, w, V = min(diagonalize(H), key=lambda sector: sector[1][0])
+    eig = diagonalize(H)
+    states, (w, V) = min(zip(eig.sectors, eig.pairs),
+                         key=lambda sector: sector[1][0][0])
     g = np.zeros(atom.dimension, dtype=complex)
     g[states] = V[:, 0]
     nup = (mode_operator(atom, 0, "create") @
@@ -444,7 +446,7 @@ def _example_interaction(kind, spec, coupling):
 def _assert_matches_full_space(space, p, u, lam, queries):
     H = build_hamiltonian(space, p, u, lam)
     eig = diagonalize(H)
-    assert sorted(np.concatenate([s for s, _, _ in eig]).tolist()) == \
+    assert sorted(np.concatenate(eig.sectors).tolist()) == \
         list(range(space.dimension))
     full = np.linalg.eigh(H.toarray())
     for q in queries:
@@ -500,7 +502,7 @@ def test_sectors_match_full_space(shape, kind, coupling, mu, beta, n_lambda,
     if lam is None:
         n = spec.n_sites
         spin_flips = kind in ("field_x", "field_y")
-        assert len(eig) == (2 * n + 1 if spin_flips else (n + 1) ** 2)
+        assert len(eig.sectors) == (2 * n + 1 if spin_flips else (n + 1) ** 2)
 
 
 @pytest.mark.parametrize("kind", ["hubbard", "spin_spin", "field_z",
@@ -522,7 +524,7 @@ def test_real_blocks_and_thermal_states_match_full_space(kind, shape, coupling,
     dtype = np.complex128 if kind == "field_y" else np.float64
     assert all(B.dtype == dtype for B in fock._blocks(H)[1])
     eig = diagonalize(H)
-    assert all(V.dtype == dtype for _, _, V in eig)
+    assert all(V.dtype == dtype for _, V in eig.pairs)
     full = np.linalg.eigh(H.toarray())
     queries = [query(*data.draw(_points(spec, m))) for m in (1, 2)]
     for b in (beta, beta2):
@@ -546,17 +548,19 @@ def test_sector_counts_and_L5():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     chain = LatticeSpec(d=1, L=4)
     hub = hubbard_interaction(0.3, d=1)
-    assert len(diagonalize(build_hamiltonian(FockSpace(chain), p, hub))) == 25
+    eig = diagonalize(build_hamiltonian(FockSpace(chain), p, hub))
+    assert len(eig.sectors) == 25
     square = LatticeSpec(d=2, L=2)
     fld = _example_interaction("field_x", square, 0.4)
     assert FockSpace(square).dimension == 256
-    assert len(diagonalize(build_hamiltonian(FockSpace(square), p, fld))) == 9
+    eig = diagonalize(build_hamiltonian(FockSpace(square), p, fld))
+    assert len(eig.sectors) == 9
     # dimension 1024: (N_up, N_down) blocks, a spin-flip query among them
     big = FockSpace(LatticeSpec(d=1, L=5))
     queries = [query(((0,), (0,)), ((2,), (2,)), (UP, DOWN), (UP, DOWN)),
                query(((0,),), ((1,),), (UP,), (DOWN,))]
     eig = _assert_matches_full_space(big, p, hub, None, queries)
-    assert len(eig) == 36
+    assert len(eig.sectors) == 36
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +708,9 @@ def sectors_reference(H):
 
 def expectation_reference(eig, O, beta):
     """Reference: each sector's block of a CSR O, applied to the eigenvectors."""
-    w_min = min(w.min() for _, w, _ in eig)
+    w_min = min(w.min() for w, _ in eig.pairs)
     num = den = 0.0
-    for states, w, V in eig:
+    for states, (w, V) in zip(eig.sectors, eig.pairs):
         weights = np.exp(-beta * (w - w_min))
         diag = np.einsum("in,in->n", V.conj(), O[states][:, states] @ V)
         num += np.sum(weights * diag)
@@ -796,7 +800,7 @@ def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
     fld = spin_field_interaction({(0,): (b, 0.0, 0.0)})
     lam = LambdaCoefficients(m_hat=1)
     lam.add(((0,),), ((0,),), (UP,), (DOWN,), -0.5 * b)
-    assert len(diagonalize(build_hamiltonian(space, p, fld))) == 5
+    assert len(diagonalize(build_hamiltonian(space, p, fld)).sectors) == 5
     H = build_hamiltonian(space, p, fld, lam)
     H0 = build_h0(space, p)
     for ours, ref in ((H.rows, H0.rows), (H.cols, H0.cols), (H.vals, H0.vals)):
@@ -804,7 +808,7 @@ def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
     H_ref = (to_csr(H0) + to_csr(fock.build_interaction(space, fld))) + \
         to_csr(fock.build_lambda_term(space, lam))
     _assert_triplets_match(H, H_ref)
-    assert len(diagonalize(H)) == (spec.n_sites + 1) ** 2
+    assert len(diagonalize(H).sectors) == (spec.n_sites + 1) ** 2
     for s, ref_s in zip(fock._sectors(H), sectors_reference(H_ref), strict=True):
         np.testing.assert_array_equal(s, ref_s)
 

@@ -12,6 +12,7 @@ from fermidecay.lattice import (
     mode_index,
     periodic_reduce,
     site_index,
+    site_ranks,
     spacetime_index,
 )
 
@@ -43,6 +44,17 @@ def test_periodic_reduce_window_and_idempotence(x, L):
     assert -half <= r <= -half + L - 1
     assert (r - x) % L == 0
     assert periodic_reduce(r, L) == r
+
+
+@given(st.integers(1, 3), st.integers(1, 4),
+       st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+def test_site_ranks_is_site_index(d, L, coords):
+    spec = LatticeSpec(d=d, L=L)
+    sites = np.array(enumerate_sites(spec)) + coords[:d]
+    assert site_ranks(spec, sites).tolist() == \
+        [site_index(spec, x) for x in sites]
+    assert site_ranks(spec, sites - sites[:, None, :]).tolist() == \
+        [[site_index(spec, y - x) for y in sites] for x in sites]
 
 
 @pytest.mark.parametrize("d,L", [(1, 3), (2, 3), (1, 8), (3, 2)])

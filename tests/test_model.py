@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermidecay.lattice import (
     DOWN,
+    SPINS,
     UP,
     LatticeSpec,
     enumerate_sites,
@@ -19,6 +20,7 @@ from fermidecay.model import (
     GuardError,
     HermiticityError,
     InteractionCoefficients,
+    LambdaCoefficients,
     ModelFileError,
     ModelParams,
     antisym_pinned_norm,
@@ -43,6 +45,59 @@ from fermidecay.model import (
     spin_spin_interaction,
     table_pinned_norm,
 )
+
+
+def hopping_reference(spec, params):
+    """The hopping matrix from the delta-function formula, one site pair at a
+    time, so coincidences at L <= 2 (x+e_j = x-e_j) accumulate; the slow
+    reference of model.hopping_matrix."""
+    n = spec.n_modes
+    T = np.zeros((n, n), dtype=complex)
+    sites = enumerate_sites(spec)
+    d, L = spec.d, spec.L
+
+    def delta(x, y) -> bool:
+        return all((a - b) % L == 0 for a, b in zip(x, y))
+
+    for x in sites:
+        for y in sites:
+            val = 0.0
+            for j in range(d):
+                ym = tuple(c - (1 if a == j else 0) for a, c in enumerate(y))
+                yp = tuple(c + (1 if a == j else 0) for a, c in enumerate(y))
+                val += -params.t * (delta(x, ym) + delta(x, yp))
+            if d >= 2 and params.t_prime != 0.0:
+                for j in range(d):
+                    for k in range(j + 1, d):
+                        for sj, sk in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+                            yy = tuple(
+                                c + (sj if a == j else 0) + (sk if a == k else 0)
+                                for a, c in enumerate(y))
+                            val += -params.t_prime * delta(x, yy)
+            if delta(x, y):
+                val += -params.mu
+            if val != 0.0:
+                for spin in SPINS:
+                    T[mode_index(spec, x, spin), mode_index(spec, y, spin)] = val
+    return T
+
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([(d, L) for d in (1, 2, 3)
+                        for L in range(1, 6 if d < 3 else 5)]),
+       _COUPLING, _COUPLING, _COUPLING)
+def test_hopping_matrix_matches_delta_loop(shape, t, t_prime, mu):
+    # the sum of lattice shifts adds the terms of each entry in the order of
+    # the delta loop, so the two agree bit for bit, signed zeros included
+    d, L = shape
+    spec = LatticeSpec(d=d, L=L)
+    p = ModelParams(t=t, t_prime=t_prime, mu=mu)
+    T, ref = hopping_matrix(spec, p), hopping_reference(spec, p)
+    assert T.dtype == ref.dtype == np.complex128
+    assert np.array_equal(T, ref) and T.tobytes() == ref.tobytes()
 
 
 def test_hopping_matrix_entries():
@@ -171,6 +226,21 @@ def test_fourier_consistency_single_mode():
     p = ModelParams(t=0.7, mu=0.4)
     T = hopping_matrix(spec, p)
     assert abs(T[0, 0] - (-2 * 0.7 - 0.4)) < 1e-14
+
+
+@pytest.mark.parametrize("X,Y,Xi,Phi", [
+    (((0,),), ((0,), (1,)), (UP,), (UP, DOWN)),
+    (((0,),), ((0,),), (UP, DOWN), (UP,)),
+    (((0,),), ((0,),), (UP,), ()),
+    (((0,), (1,)), ((0,),), (UP,), (UP,)),
+])
+def test_lambda_entry_refuses_lists_of_other_lengths(X, Y, Xi, Phi):
+    # every list must carry m_hat entries, as fock.query demands of the same
+    # lists, or the lambda term would be built from zipped, truncated lists
+    lam = LambdaCoefficients(m_hat=1)
+    with pytest.raises(ValueError, match="m_hat = 1"):
+        lam.add(X, Y, Xi, Phi, 0.1)
+    assert lam.entries == {}
 
 
 def test_hermiticity_validation():

@@ -3,6 +3,7 @@ asserts that its named killer passes on the code as it is and fails under
 the mutant.  A killer is a `verify` suite that must exit 0, or a Tier-1
 test function."""
 
+import dataclasses
 import sys
 from functools import partial
 
@@ -92,3 +93,14 @@ def test_fixed_theta_rule(monkeypatch, tmp_path):
         with monkeypatch.context() as mp:
             _assert_killed(mp, covariance, "THETA_NODES_PER_RATIO",
                            lambda _: 0, killer)
+
+
+def test_hopping_without_t_prime(monkeypatch, tmp_path):
+    # the Fourier row compares the site hopping with E_k, which keeps t'
+    def nearest_only(hopping):
+        return lambda spec, params: hopping(
+            spec, dataclasses.replace(params, t_prime=0.0))
+
+    _assert_killed(monkeypatch, model, "site_hopping_matrix", nearest_only,
+                   partial(_verify, tmp_path, "--suite", "covariance", "--d",
+                           "2", "--L", "4", "--t-prime", "0.3"))
