@@ -23,7 +23,7 @@ from .model import (
     save_model,
 )
 from .covariance import CovarianceSpec, covariance_matrix, covariance_value
-from .fock import CorrelationQuery, FockSpace, correlation, query, thermal_average
+from .fock import CorrelationQuery, FockSpace, correlation, query
 from .grassmann import (
     GrassmannIndexSpace,
     GrassmannPolynomial,

@@ -51,6 +51,8 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
     reproducible and a block's draws do not depend on `trials`.  Each block
     draws its values as arrays, puts every covariance entry in one array
     expression and takes one stacked det, so memory does not grow with `trials`.
+    A non-finite determinant, which LAPACK returns on blocks with denormal
+    entries, is refused with a GuardError.
     """
     sites = np.array(enumerate_sites(cs.spec))
     streams = np.random.SeedSequence(seed).spawn(-(-trials // DET_BLOCK))
@@ -72,7 +74,12 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
                                times[:, None, n:] - times[:, :n, None])
         C = np.where(spins[:, :n, None] == spins[:, None, n:], C, 0.0)
         M = np.einsum("tjm,tkm->tjk", U, V.conj()).conj() * C
-        worst = max(worst, float(np.abs(np.linalg.det(M)).max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dets = np.abs(np.linalg.det(M))
+        if not np.all(np.isfinite(dets)):
+            raise GuardError(f"non-finite determinant at n = {n}, shift "
+                             f"{cs.shift}: covariance entries near underflow")
+        worst = max(worst, float(dets.max()))
     return {"worst_ratio": worst / DET_BOUND_B**n, "n": n, "vec_dim": vec_dim,
             "trials": trials}
 

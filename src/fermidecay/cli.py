@@ -151,8 +151,8 @@ def u1_shift_identity(params, lattices):
     checks = []
     for d, L in lattices:
         cs = covariance.CovarianceSpec(LatticeSpec(d=d, L=L), params)
-        dev = max(covariance.u1_shift_identity_check(
-            cs, TimeGrid(params.beta, 1), axis) for axis in range(d))
+        dev = float(np.max([covariance.u1_shift_identity_check(
+            cs, TimeGrid(params.beta, 1), axis) for axis in range(d)]))
         checks.append(Check(f"u1_shift_identity_d{d}_L{L}", dev, 1e-12))
     return checks
 
@@ -161,9 +161,9 @@ def contour_formula(spec, params, separations):
     """Criterion 08: the n = 1 contour formula, worst over (dist, dt) pairs."""
     cs = covariance.CovarianceSpec(spec, params)
     origin = (0,) * spec.d
-    worst = max(covariance.contour_formula_check(
+    worst = float(np.max([covariance.contour_formula_check(
         cs, ((dist,) + origin[1:], UP, 0.0), (origin, UP, dt), axis=0,
-        n=1)["deviation"] for dist, dt in separations)
+        n=1)["deviation"] for dist, dt in separations]))
     return [Check("contour_formula_n1", worst, 1e-6)]
 
 
@@ -212,7 +212,7 @@ def free_fermion_consistency(spec, params, spins):
     cs = covariance.CovarianceSpec(spec, params)
     eig = fock.diagonalize(fock.build_hamiltonian(space, params, None))
     sites = enumerate_sites(spec)
-    worst = 0.0
+    devs = []
     for xa in sites:
         for xb in sites:
             for spin in spins:
@@ -220,8 +220,8 @@ def free_fermion_consistency(spec, params, spins):
                 v = fock.correlation(space, params, None, q, eig=eig)
                 ref = covariance.covariance_value(cs, (xa, spin, 0.0), (xb, spin, 0.0)) \
                     + covariance.covariance_value(cs, (xb, spin, 0.0), (xa, spin, 0.0))
-                worst = max(worst, abs(v - ref))
-    return [Check("free_fermion_consistency", worst, 1e-10)]
+                devs.append(abs(v - ref))
+    return [Check("free_fermion_consistency", float(np.max(devs)), 1e-10)]
 
 
 def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
@@ -231,15 +231,15 @@ def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
     radius = covariance.contour_radius(params, spec.d)
     shift_choices = [(z,) + (0,) * (spec.d - 1)
                      for z in (0, 1j * radius, real_shift - 1j * radius)]
-    worst, total = 0.0, 0
+    ratios, total = [], 0
     for n in range(1, 7):
         for i, shift in enumerate(shift_choices):
             cs = covariance.CovarianceSpec(spec, params, shift)
             res = bounds.det_bound_sample(cs, n, n, trials_per_call,
                                           seed + seed_stride * n + i)
-            worst = max(worst, res["worst_ratio"])
+            ratios.append(res["worst_ratio"])
             total += res["trials"]
-    return [Check("det_bound_worst_ratio", worst, 1.0, trials=total)]
+    return [Check("det_bound_worst_ratio", float(np.max(ratios)), 1.0, trials=total)]
 
 
 def wick_vs_berezin(seed, max_degree):
@@ -247,7 +247,7 @@ def wick_vs_berezin(seed, max_degree):
     rng = np.random.default_rng(seed)
     n = 6
     G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-    worst = 0.0
+    devs = []
     for _ in range(200):
         k = int(rng.integers(1, max_degree + 1))
         barred = list(rng.permutation(n)[:k])
@@ -255,8 +255,8 @@ def wick_vs_berezin(seed, max_degree):
         ref = grassmann.wick_canonical(grassmann.monomial(barred, unbarred), G)
         via_berezin = grassmann.berezin_gaussian(
             n, grassmann.GrassmannPolynomial.from_monomial(barred, unbarred), G)
-        worst = max(worst, abs(ref - via_berezin))
-    return [Check("wick_vs_berezin", worst, 1e-12)]
+        devs.append(abs(ref - via_berezin))
+    return [Check("wick_vs_berezin", float(np.max(devs)), 1e-12)]
 
 
 def partition_and_h_convergence(spec, params, u, half_steps):
@@ -349,8 +349,8 @@ def trivial_hopping_vanishing(spec, params, u, queries):
     """Criterion 12: with t = t' = 0, unbalanced correlations vanish."""
     space = fock.FockSpace(spec)
     eig = fock.diagonalize(fock.build_hamiltonian(space, params, u))
-    worst = max(abs(fock.correlation(space, params, u, q, eig=eig))
-                for q in queries)
+    worst = float(np.max([abs(fock.correlation(space, params, u, q, eig=eig))
+                          for q in queries]))
     return [Check("trivial_hopping_vanishing", worst, 1e-12)]
 
 
@@ -362,11 +362,12 @@ def antisymmetrization(spec, U, seed):
     dev = float(np.max(np.abs(f - model.hubbard_antisymmetric_tensor(U, spec))))
     norm = model.antisym_pinned_norm(f, 2)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    excess = []
     for _ in range(50):
         g = _random_order2_table(spec, rng)
         lhs = model.antisym_pinned_norm(model.antisymmetrize(g, spec, 2), 2)
-        worst = max(worst, lhs - model.table_pinned_norm(g, 2))
+        excess.append(lhs - model.table_pinned_norm(g, 2))
+    worst = float(np.max(excess, initial=0.0))
     return [Check("antisym_hubbard_tensor", dev, 1e-14),
             Check("antisym_hubbard_norm", norm, abs(U) / 2, norm == abs(U) / 2),
             Check("antisym_norm_inequality", worst, 0.0, worst <= 1e-12)]

@@ -394,19 +394,17 @@ def decay_envelope_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     spec = cs.spec
     F = theorem_decay_base(cs.params, spec.d)
     table, _ = _covariance_lookup(cs, grid)
-    worst_chord = 0.0
-    worst_reduced = 0.0
-    rows = []
+    chord_ratios, reduced_ratios, rows = [], [], []
     for rank, dvec in enumerate(enumerate_sites(spec)):
         cmax = float(np.max(np.abs(table[rank])))
         env_chord = 2.0 * F ** (-chord_exponent(spec, dvec))
         env_reduced = 2.0 * F ** (-reduced_exponent(spec, dvec))
-        worst_chord = max(worst_chord, cmax / env_chord)
-        worst_reduced = max(worst_reduced, cmax / env_reduced)
+        chord_ratios.append(cmax / env_chord)
+        reduced_ratios.append(cmax / env_reduced)
         rows.append({"diff": dvec, "max_abs_c": cmax,
                      "envelope_chord": env_chord, "envelope_reduced": env_reduced})
-    return {"worst_ratio_chord": worst_chord, "worst_ratio_reduced": worst_reduced,
-            "rows": rows}
+    return {"worst_ratio_chord": float(np.max(chord_ratios)),
+            "worst_ratio_reduced": float(np.max(reduced_ratios)), "rows": rows}
 
 
 def l1_time_sums(cs: CovarianceSpec, grid: TimeGrid) -> np.ndarray:

@@ -22,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, mode_index
+from .lattice import SPINS, LatticeSpec, mode_index
 from .model import (
     GuardError,
     HermiticityError,
     InteractionCoefficients,
     LambdaCoefficients,
     ModelParams,
-    hopping_matrix,
     lattice_terms,
     restrict_interaction,
+    site_hopping_matrix,
 )
 
 MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
@@ -57,7 +57,9 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class CorrelationQuery:
-    """Sites/spins of the symmetrized m_hat-body correlation observable."""
+    """Sites/spins of the symmetrized m_hat-body correlation observable, kept
+    as tuples of Python ints whatever sequences built them, so that equal
+    queries hash alike and serve as cache keys."""
 
     x_sites: tuple
     y_sites: tuple
@@ -65,6 +67,9 @@ class CorrelationQuery:
     phi_spins: tuple
 
     def __post_init__(self):
+        for f in ("x_sites", "y_sites", "xi_spins", "phi_spins"):
+            norm = (lambda x: tuple(map(int, x))) if f.endswith("sites") else int
+            object.__setattr__(self, f, tuple(map(norm, getattr(self, f))))
         m = len(self.x_sites)
         if not (len(self.y_sites) == len(self.xi_spins) == len(self.phi_spins) == m):
             raise ValueError("query lists must all have length m_hat")
@@ -78,11 +83,7 @@ class CorrelationQuery:
                                 self.phi_spins, self.xi_spins)
 
 
-def query(x_sites, y_sites, xi_spins, phi_spins) -> CorrelationQuery:
-    norm = lambda ss: tuple(tuple(int(c) for c in s) for s in ss)
-    return CorrelationQuery(norm(x_sites), norm(y_sites),
-                            tuple(int(s) for s in xi_spins),
-                            tuple(int(s) for s in phi_spins))
+query = CorrelationQuery
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,9 @@ def _assemble(n_modes: int, terms, dtype=complex) -> FockOperator:
 
 @functools.lru_cache(maxsize=8)
 def _mode_operators(n_modes: int):
-    """All annihilation operators psi_q as read-only float operators."""
+    """All annihilation operators psi_q as read-only float operators.  The
+    package does not call it: the benchmark reads its cache_info(), and the
+    tests build their CAR operators from it."""
     return tuple(_assemble(n_modes, [(1.0, (), (q,))], dtype=float)
                  for q in range(n_modes))
 
@@ -165,9 +168,12 @@ def _normal_ordered(space: FockSpace, entries) -> FockOperator:
 
 
 def build_h0(space: FockSpace, params: ModelParams) -> FockOperator:
-    T = hopping_matrix(space.spec, params)
-    return _assemble(space.n_modes, [(T[i, j], (i,), (j,))
-                                     for i, j in zip(*np.nonzero(T))])
+    """sum of h[x, y] psi*_{x s} psi_{y s} over sites x, y and spins s, h the
+    site_hopping_matrix, in row-major order of the modes 2 * site + spin."""
+    h = site_hopping_matrix(space.spec, params)
+    return _assemble(space.n_modes, [(h[x, y], (2 * x + s,), (2 * y + s,))
+                                     for x in range(len(h)) for s in SPINS
+                                     for y in np.flatnonzero(h[x])])
 
 
 def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOperator:
@@ -274,9 +280,12 @@ class Eigensystem:
     """The eigenpairs of H by conserved-number sector: sectors[i] holds the
     basis states of sector i and pairs[i] its (eigenvalues, eigenvectors),
     the eigenvectors in the sector's basis.  It keeps the sector layout and,
-    per beta, the thermal state of H."""
+    per beta, the thermal state of H.  The pairs, the layout and the thermal
+    states are read-only."""
 
     def __init__(self, sectors, pairs, layout):
+        for arr in [a for pair in pairs for a in pair] + list(layout):
+            arr.flags.writeable = False
         self.sectors, self.pairs, self.layout = sectors, pairs, layout
         self._thermal_states = {}
 
@@ -293,6 +302,17 @@ class Eigensystem:
             self._thermal_states[beta] = rho, float(sum(map(np.sum, weights)))
         return self._thermal_states[beta]
 
+    def expectation(self, O: FockOperator, beta: float) -> complex:
+        """Tr(e^{-beta H} O) / Tr e^{-beta H}, one gather: sum_e o_e
+        rho[c_e, r_e] / Z over the entries o_e of O at (r_e, c_e) inside a
+        sector.  e^{-beta H} is block diagonal, so the entries of O between
+        sectors add nothing."""
+        rho, Z = self._thermal(beta)
+        which = self.layout[0][O.rows]
+        inside = which == self.layout[0][O.cols]
+        at = _flat_at(self.layout, which[inside], O.cols[inside], O.rows[inside])
+        return complex(O.vals[inside] @ rho[at] / Z)
+
 
 def diagonalize(H: FockOperator) -> Eigensystem:
     """Eigenpairs of H, one dense eigh per sector block, real on real
@@ -301,24 +321,9 @@ def diagonalize(H: FockOperator) -> Eigensystem:
     return Eigensystem(sectors, [np.linalg.eigh(B) for B in blocks], layout)
 
 
-def _expectation(eig: Eigensystem, O: FockOperator, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H}, one gather: sum_e o_e rho[c_e, r_e]
-    / Z over the entries o_e of O at (r_e, c_e) inside a sector.  e^{-beta H}
-    is block diagonal, so the entries of O between sectors add nothing."""
-    rho, Z = eig._thermal(beta)
-    sector = eig.layout[0]
-    which = sector[O.rows]
-    inside = which == sector[O.cols]
-    at = _flat_at(eig.layout, which[inside], O.cols[inside], O.rows[inside])
-    return complex(O.vals[inside] @ rho[at] / Z)
-
-
-def thermal_average(H: FockOperator, O: FockOperator, beta: float) -> complex:
-    """Tr(e^{-beta H} O) / Tr e^{-beta H} via eigendecomposition of H."""
-    return _expectation(diagonalize(H), O, beta)
-
-
 def log_partition(H: FockOperator, beta: float) -> float:
+    """log Tr e^{-beta H} from the sector spectra alone, apart from
+    diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
     w = np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]])
     m = w.min()
     return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))
@@ -336,14 +341,11 @@ def partition_ratio(space: FockSpace, params: ModelParams,
 def correlation(space: FockSpace, params: ModelParams,
                 u: InteractionCoefficients | None, q: CorrelationQuery,
                 eig=None) -> complex:
-    """Thermal average of the symmetrized correlation observable.
-
-    eig may carry the precomputed sector eigenpairs `diagonalize(H)` of H so
-    that many queries against the same model diagonalize only once.
-    """
+    """Thermal average of the symmetrized correlation observable; eig may
+    carry diagonalize(H) of the model's H, so that its queries share one."""
     if eig is None:
         eig = diagonalize(build_hamiltonian(space, params, u))
-    return _expectation(eig, observable_pair(space, q), params.beta)
+    return eig.expectation(observable_pair(space, q), params.beta)
 
 
 def lambda_derivative_check(space: FockSpace, params: ModelParams,

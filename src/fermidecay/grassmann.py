@@ -397,6 +397,7 @@ class SchwingerEngine:
         self.spec, self.params, self.grid = spec, params, grid
         self.space = GrassmannIndexSpace(spec, grid)
         self.G = covariance_matrix(CovarianceSpec(spec, params), grid)
+        self.G.flags.writeable = False  # the cached denominator reads it
         self.vertices = build_vertices(self.space, u,
                                        interaction_sites=interaction_sites)
         self._plans = {}

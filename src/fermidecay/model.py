@@ -241,16 +241,6 @@ def site_hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
     return H
 
 
-def hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
-    """Spin-diagonal hermitian hopping matrix T on (Gamma x spin)^2: the
-    site_hopping_matrix on each spin, mode = 2 * site + spin."""
-    H = site_hopping_matrix(spec, params)
-    T = np.zeros((spec.n_modes,) * 2, dtype=complex)
-    for spin in SPINS:
-        T[spin::2, spin::2] = H
-    return T
-
-
 def dispersion_grid(spec: LatticeSpec, params: ModelParams,
                     shift=None) -> np.ndarray:
     """The dispersion E_{k+z} over the full momentum grid, the one used

@@ -136,6 +136,17 @@ def test_det_bound_sample_memory_bounded(params):
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_det_bound_sample_refuses_non_finite_determinant():
+    # at mu = 800 the sampled entries reach the denormal range, where LAPACK's
+    # det returns NaN; a running max would have dropped it and passed
+    cs = CovarianceSpec(LatticeSpec(d=1, L=4),
+                        ModelParams(t=1.0, mu=800.0, beta=1.0))
+    assert det_bound_sample(cs, 2, 2, 55, 2002)["worst_ratio"] < 1e-70
+    with pytest.raises(GuardError,
+                       match=r"non-finite determinant at n = 3, shift \(0j,\)"):
+        det_bound_sample(cs, 3, 3, 55, 2003)
+
+
 def test_covariance_l1_D_properties(params):
     spec = LatticeSpec(d=1, L=4)
     grid = TimeGrid(1.0, 2)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermidecay import cli
+from fermidecay import cli, fock
 from fermidecay.cli import main
-from fermidecay.lattice import LatticeSpec
+from fermidecay.lattice import UP, LatticeSpec
 from fermidecay.model import (
     GuardError,
     ModelFileError,
@@ -406,6 +407,70 @@ def test_verify_covariance_underflow_aborts_det_identity_alone(tmp_path):
                                               "det_identity_aborted"]
     assert checks[1]["computed"].startswith("determinant underflow")
     assert names[-1] == "free_fermion_consistency"
+
+
+@pytest.mark.parametrize("argv", [["--mu", "300", "--beta", "3"],
+                                  ["--mu", "800"]])
+def test_verify_detbound_non_finite_determinant_aborts(argv, tmp_path):
+    # NaN determinants of denormal blocks are a refusal, not a passing scan
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "detbound", *argv,
+                 "--out", str(out)]) == 1
+    (row,) = json.loads(out.read_text())["checks"]
+    assert row["quantity"] == "det_bound_aborted"
+    assert row["computed"].startswith("non-finite determinant at n = 2, shift")
+
+
+def _nan_on_call(real, k, key):
+    """real, with NaN for its result (or for the result's entry key) on its
+    k-th call, counted from 0."""
+    calls = itertools.count()
+
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if next(calls) != k:
+            return out
+        return math.nan if key is None else {**out, key: math.nan}
+    return planted
+
+
+_P = ModelParams(t=1.0, mu=0.2, beta=1.0)
+_NAN_SCANS = {
+    "free_fermion_consistency": (
+        lambda: cli.free_fermion_consistency(LatticeSpec(d=1, L=4), _P, (UP,)),
+        cli.covariance, "covariance_value", 5, None),
+    "det_bound": (
+        lambda: cli.det_bound(LatticeSpec(d=1, L=4), _P, 0.7, 4, 0, 1000),
+        cli.bounds, "det_bound_sample", 7, "worst_ratio"),
+    "wick_vs_berezin": (lambda: cli.wick_vs_berezin(0, 3), cli.grassmann,
+                        "berezin_gaussian", 100, None),
+    "antisymmetrization": (
+        lambda: cli.antisymmetrization(LatticeSpec(d=1, L=2), 0.7, 0),
+        cli.model, "table_pinned_norm", 20, None),
+    "u1_shift_identity": (lambda: cli.u1_shift_identity(_P, ((2, 2),)),
+                          cli.covariance, "u1_shift_identity_check", 1, None),
+    "contour_formula": (
+        lambda: cli.contour_formula(LatticeSpec(d=1, L=4), _P,
+                                    [(1, 0.25), (2, 0.5)]),
+        cli.covariance, "contour_formula_check", 1, "deviation"),
+    "trivial_hopping_vanishing": (
+        lambda: cli.trivial_hopping_vanishing(
+            LatticeSpec(d=1, L=4), ModelParams(t=0.0, mu=0.2),
+            hubbard_interaction(0.5, d=1),
+            [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in (1, 2)]),
+        cli.fock, "correlation", 1, None),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_NAN_SCANS))
+def test_nan_mid_scan_fails_the_row(check, monkeypatch):
+    # a NaN planted after the first value of a scan reaches the row and
+    # fails it; max(worst, nan) would keep worst and pass
+    run, module, name, k, key = _NAN_SCANS[check]
+    monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), k, key))
+    (row,) = [c for c in run() if isinstance(c.computed, float)
+              and math.isnan(c.computed)]
+    assert not row.passed
 
 
 def test_verify_theorem_outside_the_hubbard_theorem(tmp_path):

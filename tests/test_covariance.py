@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermidecay import fock
+from fermidecay import covariance, fock
 from fermidecay.bounds import det_decay_check
 from fermidecay.covariance import (
     CovarianceSpec,
@@ -25,6 +25,7 @@ from fermidecay.covariance import (
     shift_radius,
     u1_shift_identity_check,
 )
+from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import (
     DOWN,
     UP,
@@ -76,16 +77,26 @@ def test_covariance_matrix_matches_values(params, chain4):
             assert M[flat(a), flat(b)] == pytest.approx(va, abs=1e-13)
 
 
-def test_cached_arrays_read_only(params, chain4):
+def test_cached_arrays_read_only(params, chain4, atom, hubbard_small):
     cs = CovarianceSpec(chain4, params)
     a = ((0,), UP, 0.0)
     before = covariance_value(cs, a, a)
     table, dts = _covariance_lookup(cs, TimeGrid(params.beta, 1))
     op = fock._mode_operators(chain4.n_modes)[0]
-    for arr in (guarded_dispersions(cs), table, dts, op.rows, op.cols, op.vals):
-        with pytest.raises(ValueError):
-            arr += 5
+    # the engine caches its denominator from G, so a writable G would let
+    # numerators and partition() read two different covariances
+    engine = SchwingerEngine(atom, params, TimeGrid(params.beta, 1),
+                             hubbard_small)
+    Z = engine.partition()
+    eig = fock.diagonalize(fock.build_hamiltonian(
+        fock.FockSpace(LatticeSpec(d=1, L=2)), params, hubbard_small))
+    for arr in [guarded_dispersions(cs), table, dts, op.rows, op.cols, op.vals,
+                engine.G, *eig.layout] + [x for pair in eig.pairs for x in pair]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 0
     assert covariance_value(cs, a, a) == before
+    assert engine.partition() == Z
+    assert engine.partition(G=engine.G[None])[0] == Z
 
 
 def test_covariance_matrix_not_hermitian(params):
@@ -339,6 +350,21 @@ def test_decay_envelope_with_shift():
     assert res["worst_ratio_chord"] <= 1.0
 
 
+def test_decay_envelope_keeps_a_nan_mid_scan(params, monkeypatch):
+    # one NaN entry at a middle site difference must reach both worst
+    # ratios, where a running Python max would drop it
+    cs = CovarianceSpec(LatticeSpec(d=1, L=8), params)
+    grid = TimeGrid(params.beta, 2)
+    table, dts = _covariance_lookup(cs, grid)
+    table = table.copy()
+    table[4, 1] = math.nan
+    monkeypatch.setattr(covariance, "_covariance_lookup",
+                        lambda cs_, grid_: (table, dts))
+    res = decay_envelope_check(cs, grid)
+    assert math.isnan(res["worst_ratio_chord"])
+    assert math.isnan(res["worst_ratio_reduced"])
+
+
 def test_l1_bound(params):
     p = ModelParams(t=1.0, mu=0.0, beta=1.0)
     cs = CovarianceSpec(LatticeSpec(d=1, L=8), p)
@@ -405,21 +431,6 @@ def test_det_decay_check(params, rng):
     a = ((0,), UP, 0.3)
     res = det_decay_check(cs, [(a, a), (a, a)])
     assert res["abs_det"] <= 2.0 * 16.0
-
-
-def test_free_fermion_consistency_with_fock(params):
-    spec = LatticeSpec(d=1, L=4)
-    p = ModelParams(t=1.0, mu=0.3, beta=1.0)
-    cs = CovarianceSpec(spec, p)
-    space = fock.FockSpace(spec)
-    eig = fock.diagonalize(fock.build_hamiltonian(space, p, None))
-    for xa in enumerate_sites(spec):
-        for xb in enumerate_sites(spec):
-            q = fock.query((xa,), (xb,), (UP,), (UP,))
-            v = fock.correlation(space, p, None, q, eig=eig)
-            ref = covariance_value(cs, (xa, UP, 0.0), (xb, UP, 0.0)) + \
-                covariance_value(cs, (xb, UP, 0.0), (xa, UP, 0.0))
-            assert abs(v - ref) <= 1e-10
 
 
 def test_dispersion_imaginary_lemma_thousand_samples():

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fermidecay import fock
+from fermidecay import cli, fock
 from fermidecay.fock import (
     CorrelationQuery,
     FockSpace,
@@ -20,12 +20,13 @@ from fermidecay.fock import (
     observable_pair,
     partition_ratio,
     query,
-    thermal_average,
 )
+from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import (
     DOWN,
     UP,
     LatticeSpec,
+    TimeGrid,
     enumerate_sites,
     mode_index,
 )
@@ -34,13 +35,13 @@ from fermidecay.model import (
     LambdaCoefficients,
     ModelParams,
     density_density_interaction,
-    hopping_matrix,
     hubbard_interaction,
     lattice_terms,
     restrict_interaction,
     spin_field_interaction,
     spin_spin_interaction,
 )
+from test_model import hopping_reference
 
 
 def to_csr(op: fock.FockOperator) -> sp.csr_matrix:
@@ -131,7 +132,7 @@ def test_hubbard_atom_spectrum_and_average():
     w = np.sort(np.linalg.eigvalsh(H.toarray()))
     np.testing.assert_allclose(w, sorted([0.0, eps, eps, 2 * eps + U]), atol=1e-12)
     nup = mode_operator(atom, 0, "create") @ mode_operator(atom, 0, "annihilate")
-    avg = thermal_average(H, from_matrix(nup), p.beta)
+    avg = diagonalize(H).expectation(from_matrix(nup), p.beta)
     Z = 1 + 2 * math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))
     expected = (math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))) / Z
     assert avg.real == pytest.approx(expected, rel=1e-12)
@@ -143,9 +144,9 @@ def test_thermal_average_identity_and_ground_state():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     H = build_hamiltonian(atom, p, hubbard_interaction(0.3, d=1))
     ident = np.eye(atom.dimension)
-    assert thermal_average(H, from_matrix(ident), p.beta) == pytest.approx(1.0)
-    # beta -> large: average approaches the ground-state expectation
     eig = diagonalize(H)
+    assert eig.expectation(from_matrix(ident), p.beta) == pytest.approx(1.0)
+    # beta -> large: average approaches the ground-state expectation
     states, (w, V) = min(zip(eig.sectors, eig.pairs),
                          key=lambda sector: sector[1][0][0])
     g = np.zeros(atom.dimension, dtype=complex)
@@ -153,7 +154,7 @@ def test_thermal_average_identity_and_ground_state():
     nup = (mode_operator(atom, 0, "create") @
            mode_operator(atom, 0, "annihilate")).toarray()
     ground = g.conj() @ nup @ g
-    avg = thermal_average(H, from_matrix(nup), 50.0)
+    avg = eig.expectation(from_matrix(nup), 50.0)
     assert avg.real == pytest.approx(ground.real, abs=1e-10)
 
 
@@ -295,6 +296,29 @@ def test_query_validation():
     assert s.x_sites == q.y_sites and s.xi_spins == q.phi_spins
 
 
+def test_query_from_lists_and_numpy_ints():
+    # one constructor: lists and numpy integers give the query the tuples
+    # give, equal and with the same hash, so both oracles accept it and the
+    # engine's plan cache finds it
+    spec = LatticeSpec(d=1, L=2)
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    u = hubbard_interaction(0.1, d=1)
+    ref = query(((0,),), ((1,),), (UP,), (UP,))
+    eig = diagonalize(build_hamiltonian(space, p, u))
+    engine = SchwingerEngine(spec, p, TimeGrid(p.beta, 1), u)
+    for q in (CorrelationQuery([[0]], [[1]], [UP], [UP]),
+              query([np.array([0])], [np.array([1])], np.array([UP]), [UP]),
+              CorrelationQuery(((np.int64(0),),), ((np.int64(1),),),
+                               (np.int64(UP),), (np.int64(UP),))):
+        assert hash(q) == hash(ref) and q == ref
+        assert all(type(c) is int for x in q.x_sites + q.y_sites for c in x)
+        assert all(type(s) is int for s in q.xi_spins + q.phi_spins)
+        assert correlation(space, p, u, q, eig=eig) == \
+            correlation(space, p, u, ref, eig=eig)
+        assert engine.correlation(q) == engine.correlation(ref)
+
+
 def test_observable_pair_hermitian():
     spec = LatticeSpec(d=1, L=2)
     space = FockSpace(spec)
@@ -393,19 +417,9 @@ def test_hubbard_interaction_operator_identity():
 
 
 def test_free_fermion_consistency_d2():
-    from fermidecay.covariance import CovarianceSpec, covariance_value
-    spec = LatticeSpec(d=2, L=2)
-    space = FockSpace(spec)
     p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
-    cs = CovarianceSpec(spec, p)
-    eig = diagonalize(build_hamiltonian(space, p, None))
-    for xa in enumerate_sites(spec):
-        for xb in enumerate_sites(spec):
-            q = query((xa,), (xb,), (DOWN,), (DOWN,))
-            v = correlation(space, p, None, q, eig=eig)
-            ref = covariance_value(cs, (xa, DOWN, 0.0), (xb, DOWN, 0.0)) + \
-                covariance_value(cs, (xb, DOWN, 0.0), (xa, DOWN, 0.0))
-            assert abs(v - ref) <= 1e-10
+    [row] = cli.free_fermion_consistency(LatticeSpec(2, 2), p, (DOWN,))
+    assert row.passed and row.computed <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +472,7 @@ def _assert_matches_full_space(space, p, u, lam, queries):
                mode_operator(space, mode_index(space.spec, q.y_sites[0],
                                                q.phi_spins[0]), "annihilate"))
         ref = _full_space_expectation(full, hop, p.beta)
-        assert abs(thermal_average(H, from_matrix(hop), p.beta) - ref) <= 1e-12
+        assert abs(eig.expectation(from_matrix(hop), p.beta) - ref) <= 1e-12
     ref = _full_space_log_partition(full[0], p.beta)
     assert abs(fock.log_partition(H, p.beta) - ref) <= 1e-12
     return eig
@@ -604,13 +618,33 @@ def _zero(space):
 
 
 def h0_reference(space, params):
-    T = hopping_matrix(space.spec, params)
+    """Reference: h[x, y] psi*_{x s} psi_{y s} summed term by term over the
+    site pairs of the delta-loop hopping h and both spins, mode 2 x + s."""
+    h = hopping_reference(space.spec, params)
     H = _zero(space)
-    for i in range(space.n_modes):
-        for j in range(space.n_modes):
-            if T[i, j] != 0:
-                H = H + T[i, j] * operator_product_reference(space, [i], [j])
+    for x, y in zip(*np.nonzero(h)):
+        for s in (UP, DOWN):
+            H = H + h[x, y] * operator_product_reference(space, [2 * x + s],
+                                                         [2 * y + s])
     return H
+
+
+@pytest.mark.parametrize("shape", [(1, L) for L in range(1, 7)] + [(2, 2)])
+@pytest.mark.parametrize("t, t_prime, mu", [
+    (1.0, 0.0, 0.2), (0.7, 0.3, -0.4), (1.0, -0.5, 0.0), (0.0, 0.6, 0.3),
+    (-0.8, 0.25, 1.3)])
+def test_build_h0_matches_delta_loop_bitwise(shape, t, t_prime, mu):
+    # the site hopping put on both spins by build_h0 itself gives the same
+    # triplets, bit for bit, as the per-term sum over the delta loop
+    space = FockSpace(LatticeSpec(*shape))
+    p = ModelParams(t=t, t_prime=t_prime, mu=mu)
+    ours, ref = build_h0(space, p), h0_reference(space, p)
+    ref.sum_duplicates()
+    ref = ref.tocoo()
+    np.testing.assert_array_equal(ours.rows, ref.row)
+    np.testing.assert_array_equal(ours.cols, ref.col)
+    assert ours.vals.dtype == ref.data.dtype == np.complex128
+    assert ours.vals.tobytes() == ref.data.tobytes()
 
 
 def interaction_reference(space, u):
@@ -783,7 +817,7 @@ def test_coo_paths_match_csr_reference(shape, kind, coupling, t_prime, beta,
     hop = (mode_operator(space, 0, "create") @
            mode_operator(space, space.n_modes - 1, "annihilate"))
     for ours, ref in [(O, to_csr(O)) for O in pairs] + [(from_matrix(hop), hop)]:
-        assert abs(fock._expectation(eig, ours, p.beta) -
+        assert abs(eig.expectation(ours, p.beta) -
                    expectation_reference(eig, ref, p.beta)) <= 1e-12
     assert abs(fock.log_partition(H, p.beta) -
                log_partition_reference(H_ref, p.beta)) <= 1e-12

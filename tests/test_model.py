@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from fermidecay.lattice import (
     DOWN,
-    SPINS,
     UP,
     LatticeSpec,
     enumerate_sites,
     mode_index,
     momentum_grid,
+    site_index,
 )
 from fermidecay.model import (
     GuardError,
@@ -31,7 +31,6 @@ from fermidecay.model import (
     density_density_interaction,
     dispersion_grid,
     geometric_sum_factor,
-    hopping_matrix,
     hubbard_antisymmetric_tensor,
     hubbard_interaction,
     interaction_norm,
@@ -41,6 +40,7 @@ from fermidecay.model import (
     model_to_dict,
     restrict_interaction,
     save_model,
+    site_hopping_matrix,
     spin_field_interaction,
     spin_spin_interaction,
     table_pinned_norm,
@@ -48,11 +48,11 @@ from fermidecay.model import (
 
 
 def hopping_reference(spec, params):
-    """The hopping matrix from the delta-function formula, one site pair at a
-    time, so coincidences at L <= 2 (x+e_j = x-e_j) accumulate; the slow
-    reference of model.hopping_matrix."""
-    n = spec.n_modes
-    T = np.zeros((n, n), dtype=complex)
+    """The hopping matrix on sites from the delta-function formula, one site
+    pair at a time, so coincidences at L <= 2 (x+e_j = x-e_j) accumulate; the
+    slow reference of model.site_hopping_matrix."""
+    n = spec.n_sites
+    T = np.zeros((n, n))
     sites = enumerate_sites(spec)
     d, L = spec.d, spec.L
 
@@ -77,8 +77,7 @@ def hopping_reference(spec, params):
             if delta(x, y):
                 val += -params.mu
             if val != 0.0:
-                for spin in SPINS:
-                    T[mode_index(spec, x, spin), mode_index(spec, y, spin)] = val
+                T[site_index(spec, x), site_index(spec, y)] = val
     return T
 
 
@@ -95,29 +94,29 @@ def test_hopping_matrix_matches_delta_loop(shape, t, t_prime, mu):
     d, L = shape
     spec = LatticeSpec(d=d, L=L)
     p = ModelParams(t=t, t_prime=t_prime, mu=mu)
-    T, ref = hopping_matrix(spec, p), hopping_reference(spec, p)
-    assert T.dtype == ref.dtype == np.complex128
+    T, ref = site_hopping_matrix(spec, p), hopping_reference(spec, p)
+    assert T.dtype == ref.dtype == np.float64
     assert np.array_equal(T, ref) and T.tobytes() == ref.tobytes()
 
 
 def test_hopping_matrix_entries():
     spec = LatticeSpec(d=1, L=4)
-    T = hopping_matrix(spec, ModelParams(t=1.0, mu=0.0))
-    assert T[mode_index(spec, (0,), UP), mode_index(spec, (1,), UP)] == -1.0
-    assert T[mode_index(spec, (0,), UP), mode_index(spec, (1,), DOWN)] == 0.0
+    T = site_hopping_matrix(spec, ModelParams(t=1.0, mu=0.0))
+    assert T[site_index(spec, (0,)), site_index(spec, (1,))] == -1.0
+    assert T[site_index(spec, (0,)), site_index(spec, (2,))] == 0.0
     s2 = LatticeSpec(d=2, L=4)
-    T2 = hopping_matrix(s2, ModelParams(t=0.0, t_prime=0.5, mu=0.0))
-    assert T2[mode_index(s2, (0, 0), UP), mode_index(s2, (1, 1), UP)] == -0.5
+    T2 = site_hopping_matrix(s2, ModelParams(t=0.0, t_prime=0.5, mu=0.0))
+    assert T2[site_index(s2, (0, 0)), site_index(s2, (1, 1))] == -0.5
 
 
 def test_hopping_matrix_hermitian_and_guard():
     spec = LatticeSpec(d=2, L=3)
-    T = hopping_matrix(spec, ModelParams(t=0.7, t_prime=-0.3, mu=0.1))
-    np.testing.assert_allclose(T, T.conj().T)
+    T = site_hopping_matrix(spec, ModelParams(t=0.7, t_prime=-0.3, mu=0.1))
+    np.testing.assert_allclose(T, T.T)
     # t' alone gives no hopping in d = 1
     p = ModelParams(t=0.0, t_prime=1.0, mu=0.2)
-    T = hopping_matrix(LatticeSpec(d=1, L=4), p)
-    np.testing.assert_array_equal(T, -0.2 * np.eye(8))
+    T = site_hopping_matrix(LatticeSpec(d=1, L=4), p)
+    np.testing.assert_array_equal(T, -0.2 * np.eye(4))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -224,7 +223,7 @@ def test_fourier_consistency_single_mode():
     # L = 1: E_0 = -2t - mu is the whole 1x1 matrix
     spec = LatticeSpec(d=1, L=1)
     p = ModelParams(t=0.7, mu=0.4)
-    T = hopping_matrix(spec, p)
+    T = site_hopping_matrix(spec, p)
     assert abs(T[0, 0] - (-2 * 0.7 - 0.4)) < 1e-14
 
 
