@@ -218,11 +218,10 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
             f"smallness hypothesis violated: lhs {report.lhs:.6g} vs "
             f"rhs {report.rhs:.6g} ({variant})")
     space = fock.FockSpace(spec)
-    eig = fock.diagonalize(fock.build_hamiltonian(space, params, u))
     F = theorem_decay_base(params, spec.d)
     rows = []
     for q in queries:
-        value = fock.correlation(space, params, u, q, eig=eig)
+        value = fock.correlation(space, params, u, q)
         sum_diff = site_sum_diff(q.x_sites, q.y_sites)
         pre = _envelope_prefactor(variant, R, q.m_hat)
         env = pre * F ** (-chord_exponent(spec, sum_diff))

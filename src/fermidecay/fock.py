@@ -13,6 +13,13 @@ Eigensystem keeps the thermal state e^{-beta H} as flattened sector blocks,
 so an expectation is one gather of it at the in-sector entries of the
 observable.  Sizes are desk scale by design, and FockSpace, which refuses
 more than MAX_MODES modes, is the one size guard.
+
+One model slot, model_system(space, params, u), holds H_0, H = H_0 + V and
+the Eigensystem of H for the last model asked for.  Its key is the content
+of the model: the space, the parameters and a snapshot of u's entries, so
+a u changed in place is a new model.  It holds one model at a time and is
+cleared before the next is built, so the envelope, the partition ratio, the
+lambda check and the CLI rows of one model build and diagonalize H once.
 """
 
 from __future__ import annotations
@@ -313,6 +320,10 @@ class Eigensystem:
         at = _flat_at(self.layout, which[inside], O.cols[inside], O.rows[inside])
         return complex(O.vals[inside] @ rho[at] / Z)
 
+    def log_partition(self, beta: float) -> float:
+        """log Tr e^{-beta H} from the eigenvalues of the pairs."""
+        return _log_sum_exp(np.concatenate([w for w, _ in self.pairs]), beta)
+
 
 def diagonalize(H: FockOperator) -> Eigensystem:
     """Eigenpairs of H, one dense eigh per sector block, real on real
@@ -321,30 +332,61 @@ def diagonalize(H: FockOperator) -> Eigensystem:
     return Eigensystem(sectors, [np.linalg.eigh(B) for B in blocks], layout)
 
 
-def log_partition(H: FockOperator, beta: float) -> float:
-    """log Tr e^{-beta H} from the sector spectra alone, apart from
-    diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
-    w = np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]])
+def _log_sum_exp(w: np.ndarray, beta: float) -> float:
+    """log sum_i e^{-beta w_i}, shifted by the smallest w_i."""
     m = w.min()
     return float(-beta * m + np.log(np.sum(np.exp(-beta * (w - m)))))
 
 
+def log_partition(H: FockOperator, beta: float) -> float:
+    """log Tr e^{-beta H} from the sector spectra alone, apart from
+    diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
+    return _log_sum_exp(
+        np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]]), beta)
+
+
+_MODEL: dict = {}  # the model slot: at most one key -> (H_0, H, Eigensystem)
+
+
+def _interaction_key(u: InteractionCoefficients | None):
+    """A hashable snapshot of u: its (order, key, value) entries sorted by
+    order and key, or None."""
+    if u is None:
+        return None
+    return tuple(sorted((l, key, value) for l, table in u.orders.items()
+                        for key, value in table.items()))
+
+
+def model_system(space: FockSpace, params: ModelParams,
+                 u: InteractionCoefficients | None):
+    """(H_0, H_0 + V, diagonalize(H_0 + V)) of the model, from the one-model
+    slot; a model of other content clears the slot before it is built."""
+    key = (space, params, _interaction_key(u))
+    if key not in _MODEL:
+        _MODEL.clear()
+        H0 = build_h0(space, params)
+        H = _add_terms(space, H0, u)
+        _MODEL[key] = H0, H, diagonalize(H)
+    return _MODEL[key]
+
+
 def partition_ratio(space: FockSpace, params: ModelParams,
                     u: InteractionCoefficients | None) -> float:
-    """Tr e^{-beta (H_0 + V)} / Tr e^{-beta H_0}."""
-    H0 = build_h0(space, params)
-    H = _add_terms(space, H0, u)
-    return float(np.exp(log_partition(H, params.beta) -
+    """Tr e^{-beta (H_0 + V)} / Tr e^{-beta H_0}; log Z of H from the
+    model's Eigensystem, that of H_0 from its spectrum."""
+    H0, _, eig = model_system(space, params, u)
+    return float(np.exp(eig.log_partition(params.beta) -
                         log_partition(H0, params.beta)))
 
 
 def correlation(space: FockSpace, params: ModelParams,
                 u: InteractionCoefficients | None, q: CorrelationQuery,
                 eig=None) -> complex:
-    """Thermal average of the symmetrized correlation observable; eig may
-    carry diagonalize(H) of the model's H, so that its queries share one."""
+    """Thermal average of the symmetrized correlation observable, in the
+    model's Eigensystem from the slot unless eig carries diagonalize(H) of
+    the model's H."""
     if eig is None:
-        eig = diagonalize(build_hamiltonian(space, params, u))
+        eig = model_system(space, params, u)[2]
     return eig.expectation(observable_pair(space, q), params.beta)
 
 
@@ -357,8 +399,8 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
     difference and only log Tr e^{-beta H_lambda} is computed."""
     if step <= 0:
         raise ValueError("step must be positive")
-    HV = build_hamiltonian(space, params, u)
-    direct = correlation(space, params, u, q, eig=diagonalize(HV))
+    _, HV, eig = model_system(space, params, u)
+    direct = correlation(space, params, u, q, eig=eig)
     logs = {}
     for eps in (step, -step):
         lam = LambdaCoefficients(m_hat=q.m_hat)

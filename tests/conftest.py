@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from fermidecay import fock
 from fermidecay.lattice import LatticeSpec, TimeGrid
 from fermidecay.model import ModelParams, hubbard_interaction
+
+
+@pytest.fixture(autouse=True)
+def _empty_model_slot():
+    """Every test starts with an empty Fock model slot, so no model leaks
+    from one test into the next."""
+    fock._MODEL.clear()
 
 
 @pytest.fixture

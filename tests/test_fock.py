@@ -1,14 +1,17 @@
+import contextlib
 import dataclasses
 import functools
+import importlib.util
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fermidecay import cli, fock
+from fermidecay import bounds, cli, fock
 from fermidecay.fock import (
     CorrelationQuery,
     FockSpace,
@@ -36,6 +39,7 @@ from fermidecay.model import (
     ModelParams,
     density_density_interaction,
     hubbard_interaction,
+    hubbard_threshold,
     lattice_terms,
     restrict_interaction,
     spin_field_interaction,
@@ -860,3 +864,107 @@ def test_exact_trace_refuses_non_hermitian(trace, as_dense):
         trace(from_matrix(H.toarray()) if as_dense else H)
     assert isinstance(exc.value, ValueError)
     assert "defect 5.000e-01" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the one model slot
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]),
+       st.sampled_from(["hubbard", "density_density", "spin_spin",
+                        "field_x", "field_y", "field_z"]),
+       st.floats(0.05, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 0.5),
+       st.floats(0.2, 2.0))
+@example((1, 4), "field_y", 0.5, 0.2, 0.3, 1.5)
+@example((1, 5), "hubbard", 0.3, 0.0, 0.2, 1.0)
+def test_eigensystem_log_partition_matches_spectrum(shape, kind, coupling,
+                                                    t_prime, mu, beta):
+    # log Z from the eigenpairs and from the spectrum-only path: one
+    # log-sum-exp over eigenvalues from eigh and from eigvalsh
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=t_prime, mu=mu, beta=beta)
+    H = build_hamiltonian(space, p, _example_interaction(kind, spec, coupling))
+    eig = diagonalize(H)
+    dtype = np.complex128 if kind == "field_y" else np.float64
+    assert all(V.dtype == dtype for _, V in eig.pairs)
+    assert abs(eig.log_partition(beta) - fock.log_partition(H, beta)) <= 1e-12
+
+
+def test_correlation_follows_the_interaction():
+    # two models that differ in u alone, then u changed in place: each
+    # correlation from the slot is that of its own H
+    space = FockSpace(LatticeSpec(d=1, L=3))
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    q = query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
+
+    def fresh(u):
+        eig = diagonalize(build_hamiltonian(space, p, u))
+        return eig.expectation(observable_pair(space, q), p.beta)
+
+    weak, strong = hubbard_interaction(0.1, d=1), hubbard_interaction(2.0, d=1)
+    assert abs(fresh(weak) - fresh(strong)) > 1e-3
+    for u in (weak, strong, weak):
+        assert correlation(space, p, u, q) == fresh(u)
+    before = fresh(weak)
+    weak.add(1, (((0,),), (UP,), (UP,)), 0.5)
+    assert abs(fresh(weak) - before) > 1e-3
+    assert correlation(space, p, weak, q) == fresh(weak)
+
+
+def test_slot_holds_one_model():
+    space = FockSpace(LatticeSpec(d=1, L=2))
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    u = hubbard_interaction(0.1, d=1)
+    first = fock.model_system(space, p, u)
+    assert fock.model_system(space, p, hubbard_interaction(0.1, d=1)) is first
+    H0, H, eig = fock.model_system(space, p, None)
+    assert H is H0 and len(fock._MODEL) == 1
+    assert fock.model_system(space, p, u) is not first
+
+
+@contextlib.contextmanager
+def _counting_fock_calls():
+    """Counters of the H_0 builds, diagonalizations and spectrum-only
+    partition functions made inside the block."""
+    names = ("build_h0", "diagonalize", "log_partition")
+    with contextlib.ExitStack() as stack:
+        mocks = {n: stack.enter_context(mock.patch.object(
+            fock, n, wraps=getattr(fock, n))) for n in names}
+        yield lambda: {n: m.call_count for n, m in mocks.items()}
+
+
+def test_one_diagonalize_per_model():
+    # the envelope, the partition ratio and the lambda check share one H and
+    # its Eigensystem; log Z(H_0) and the two H_lambda need spectra alone
+    spec = LatticeSpec(d=1, L=4)
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    u = hubbard_interaction(0.5 * hubbard_threshold(p, 1), d=1)
+    q = query(((0,),), ((1,),), (UP,), (UP,))
+    with _counting_fock_calls() as counts:
+        rows = bounds.verify_theorem_envelope(spec, p, u,
+                                              cli._separation_queries(spec))
+        ratio = partition_ratio(space, p, u)
+        res = lambda_derivative_check(space, p, u, q, step=1e-4)
+        assert counts() == {"build_h0": 1, "diagonalize": 1, "log_partition": 3}
+    assert all(r["passed"] for r in rows)
+    H0, H = build_h0(space, p), build_hamiltonian(space, p, u)
+    assert ratio == pytest.approx(math.exp(fock.log_partition(H, p.beta) -
+                                           fock.log_partition(H0, p.beta)),
+                                  rel=1e-12)
+    assert res["deviation"] <= 1e-6
+
+
+def test_exact_trace_workload_builds_each_model_once(tmp_path):
+    # six models: five envelopes through the slot and the free model's own
+    # diagonalize; four log Z(H_0) and two pairs of H_lambda spectra
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("exact_trace_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    timed = workloads.setup_exact_trace(1801, False, tmp_path)
+    with _counting_fock_calls() as counts:
+        assert timed() == 0
+        assert counts() == {"build_h0": 6, "diagonalize": 6, "log_partition": 8}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import test_bounds
+import test_fock
 import test_model
 from fermidecay import bounds, covariance, fock, model
 from fermidecay.cli import main
@@ -20,13 +21,16 @@ from fermidecay.model import ModelParams
 
 def _mutate(monkeypatch, module, name, make):
     """Replace module.name by make(original) in every package and test
-    module that holds it, the defining one and those that imported it."""
+    module that holds it, the defining one and those that imported it; then
+    empty the Fock model slot, so that no model built before the mutant
+    hides it."""
     original = getattr(module, name)
     mutant = make(original)
     for mod_name, mod in list(sys.modules.items()):
         if (mod_name.startswith(("fermidecay", "test_"))
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, mutant)
+    fock._MODEL.clear()
 
 
 def _assert_killed(monkeypatch, module, name, make, killer):
@@ -104,3 +108,11 @@ def test_hopping_without_t_prime(monkeypatch, tmp_path):
     _assert_killed(monkeypatch, model, "site_hopping_matrix", nearest_only,
                    partial(_verify, tmp_path, "--suite", "covariance", "--d",
                            "2", "--L", "4", "--t-prime", "0.3"))
+
+
+def test_slot_key_without_interaction(monkeypatch):
+    # a slot keyed on the space and parameters alone serves the first u's
+    # model to every later u
+    _assert_killed(monkeypatch, fock, "_interaction_key",
+                   lambda _: lambda u: None,
+                   test_fock.test_correlation_follows_the_interaction)
