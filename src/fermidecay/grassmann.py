@@ -6,19 +6,28 @@ reordering tracked explicitly.  Gaussian expectations of canonical monomials
 are determinants of the covariance sampled at the barred/unbarred indices; the
 Berezin engine below instead expands the Gaussian weight literally and serves
 as the independent cross-check of every sign convention.  The expanded weight
-of a covariance is cached by the content of G, so repeated integrals against
-one G expand it once.
+is a dense array indexed by (barred mask, unbarred mask): each binomial of the
+exponential is one array update whose signs come from a popcount-parity
+table, and G^{-1} is the engine's only linear algebra.  The weight of a
+covariance is cached by the content of G, so repeated integrals against one G
+expand it once.  `GrassmannPolynomial` keeps the monomial-by-monomial product
+that the dense expansion reproduces.
 
 The Schwinger engine sums Gaussian expectations over all vertex subsets.  The
 combinatorics (which subsets survive, with which sign) do not depend on G, so
 they are compiled once into a plan: per (subset size, degree) a row index
 array, a column index array and signed coefficients.  A plan is evaluated with
 one stacked determinant per group, at one covariance or at a stack of them.
+`discrete_partition` assembles the partition sum from the vertex blocks
+directly, one stacked determinant per subset size and degree, without the
+plan or the monomial product, as the plan's cross-check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +44,8 @@ from .model import (
 )
 
 MAX_WICK_GENERATORS = 24
+# the dense Berezin weight holds 4^n complex entries: 16 MiB at the cap, where
+# the nonzero ones are the C(20, 10) = 184756 terms of the polynomial
 MAX_BEREZIN_GENERATORS = 10
 MAX_INSTANCES = 16
 
@@ -218,10 +229,11 @@ class GrassmannPolynomial:
 
 def berezin_gaussian(n: int, f: GrassmannPolynomial, G: np.ndarray) -> complex:
     """Normalized Gaussian integral of f over n generators by literal
-    nilpotent expansion of the weight exp(-<psi^t, G^{-1} psibar^t>).
+    nilpotent expansion of the weight exp(-<psi^t, G^{-1} psibar^t>), G of
+    shape (n, n).
 
     Deliberately independent of Wick determinants: the weight is multiplied
-    out monomial by monomial, and the top coefficient of f times it is read
+    out binomial by binomial, and the top coefficient of f times it is read
     off.  Only the weight term at the complement (full^b, full^u) of a term
     (b, u) of f reaches the top, so each term of f meets that one term.
     """
@@ -229,34 +241,54 @@ def berezin_gaussian(n: int, f: GrassmannPolynomial, G: np.ndarray) -> complex:
         raise GuardError(f"Berezin engine limited to {MAX_BEREZIN_GENERATORS} "
                          f"generators, got {n}")
     G = np.ascontiguousarray(G, dtype=np.complex128)
-    expw, denom = _berezin_weight(n, G.shape, G.tobytes())
+    if G.shape != (n, n):
+        raise ValueError(f"covariance of shape {G.shape} for {n} generators")
+    full = (1 << n) - 1
+    for b, u in f.terms:
+        if (b | u) & ~full:
+            raise ValueError(f"generator index {(b | u).bit_length() - 1} "
+                             f"outside 0..{n - 1}")
+    expw, denom = _berezin_weight(n, G.tobytes())
     if denom == 0:
         raise GuardError("singular Gaussian weight")
-    full = (1 << n) - 1
-    num = sum((monomial_product((b, u, c), (full ^ b, full ^ u, w))[2]
-               for (b, u), c in f.terms.items()
-               if (w := expw.terms.get((full ^ b, full ^ u))) is not None),
-              0.0 + 0.0j)
+    num = sum((monomial_product((b, u, c), (full ^ b, full ^ u,
+                                            complex(expw[full ^ b, full ^ u])))[2]
+               for (b, u), c in f.terms.items()), 0.0 + 0.0j)
     return complex(num / denom)
 
 
-# keyed by the bytes of G, so a G changed in place gets a fresh expansion; at
-# the 10-generator cap one weight holds C(20, 10) terms, hence the small size
+# keyed by the bytes of G, so a G changed in place gets a fresh expansion; one
+# weight takes 16 * 4^n bytes (64 KiB at n = 6, 16 MiB at the 10-generator
+# cap), hence the small size
 @functools.lru_cache(maxsize=4)
-def _berezin_weight(n: int, shape: tuple, data: bytes):
-    """The expanded weight exp(-<psi^t, G^{-1} psibar^t>) and its top
-    coefficient; the polynomial stays inside this module."""
-    G = np.frombuffer(data, dtype=np.complex128).reshape(shape)
-    Ginv = np.linalg.inv(G)
-    # -<psi^t, G^{-1} psibar^t> = sum_{ij} (G^{-1})_{ij} psibar_j psi_i
-    weight = GrassmannPolynomial()
-    for i in range(n):
-        for j in range(n):
-            if Ginv[i, j] != 0:
-                weight.add(1 << j, 1 << i, Ginv[i, j])
-    expw = weight.exp_nilpotent()
-    full = (1 << n) - 1
-    return expw, expw.coefficient(full, full)
+def _berezin_weight(n: int, data: bytes):
+    """The expanded weight exp(-<psi^t, G^{-1} psibar^t>) as a read-only
+    array w[bmask, umask] of shape (2^n, 2^n), and its top coefficient."""
+    Ginv = np.linalg.inv(np.frombuffer(data, dtype=np.complex128).reshape(n, n))
+    masks = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.int64)
+    for bit in range(n):
+        parity ^= (masks >> bit) & 1
+    sign = 1.0 - 2.0 * parity   # (-1)^popcount(mask)
+    w = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    w[0, 0] = 1.0
+    # -<psi^t, G^{-1} psibar^t> = sum_{ij} (G^{-1})_{ij} psibar_j psi_i; the
+    # weight is the product of the commuting binomials 1 + (G^{-1})_{ij}
+    # psibar_j psi_i, taken in the order of GrassmannPolynomial.exp_nilpotent
+    for j in range(n):
+        for i in range(n):
+            # no barred bit above j is set yet, so the rows b < 2^(j+1) split
+            # at bit j hold the whole weight, and the columns split at bit i;
+            # the term moves past the unbarred bits below i
+            v = w[:2 << j].reshape(2, 1 << j, 1 << (n - 1 - i), 2, 1 << i)
+            src, dst = v[0, :, :, 0], v[1, :, :, 1]
+            c = Ginv[i, j] * sign[:1 << i]
+            # the complex product in real arithmetic, as Python's complex
+            # multiply forms it (numpy's may fuse it into FMAs)
+            dst.real += src.real * c.real - src.imag * c.imag
+            dst.imag += src.real * c.imag + src.imag * c.real
+    w.flags.writeable = False
+    return w, complex(w[-1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +366,8 @@ def _subset_plan(seeds, monomials) -> _SubsetPlan:
 
     Each surviving product contributes its coefficient times the canonical
     sign (-1)^{k(k-1)/2} of wick_canonical; products of mismatched barred and
-    unbarred degree integrate to zero and are dropped here.
+    unbarred degree integrate to zero and are dropped here.  The masks of a
+    group become its index arrays at the end, in one array operation each.
     """
     V = len(monomials)
     groups = {}
@@ -343,9 +376,9 @@ def _subset_plan(seeds, monomials) -> _SubsetPlan:
         bm, um, c = state
         k = bm.bit_count()
         if k == um.bit_count():
-            rows, cols, coeffs = groups.setdefault((depth, k), ([], [], []))
-            rows.append(_mask_bits(bm))
-            cols.append(_mask_bits(um))
+            bms, ums, coeffs = groups.setdefault((depth, k), ([], [], []))
+            bms.append(bm)
+            ums.append(um)
             coeffs.append(-c if (k * (k - 1) // 2) % 2 else c)
         for i in range(start, V):
             nxt = monomial_product(state, monomials[i])
@@ -355,11 +388,16 @@ def _subset_plan(seeds, monomials) -> _SubsetPlan:
     for seed in seeds:
         recurse(seed, 0, 0)
     return _SubsetPlan(V + 1, tuple(
-        (depth,
-         np.array(rows, dtype=np.intp).reshape(len(coeffs), k),
-         np.array(cols, dtype=np.intp).reshape(len(coeffs), k),
+        (depth, _mask_indices(bms, k), _mask_indices(ums, k),
          np.array(coeffs, dtype=np.complex128))
-        for (depth, k), (rows, cols, coeffs) in sorted(groups.items())))
+        for (depth, k), (bms, ums, coeffs) in sorted(groups.items())))
+
+
+def _mask_indices(masks: list, k: int) -> np.ndarray:
+    """(len(masks), k) array of the set bits of each k-bit mask, ascending."""
+    masks = np.array(masks, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(int(masks.max()).bit_length())) & 1
+    return np.nonzero(bits)[1].reshape(len(masks), k)
 
 
 def _evaluate_plan(plan: _SubsetPlan, G: np.ndarray) -> np.ndarray:
@@ -488,33 +526,29 @@ def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
         (-1)^{|S|} prod(coeff/h) det(C_h(row args, col args)).
 
     The ordered m-fold products of the printed series collapse to subsets
-    because repeated instances give repeated determinant rows.  This is the
-    independent cross-check of the engine's denominator at eta = 1.
+    because repeated instances give repeated determinant rows.  The subsets
+    of one size and one number of rows share one stacked determinant.  This
+    is the independent cross-check of the engine's denominator at eta = 1: it
+    goes through neither the engine's plan nor the monomial product.
     """
     space = GrassmannIndexSpace(spec, grid)
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
     blocks = build_vertices(space, u, lam).blocks
-    V = len(blocks)
-    h = grid.h
-    total = 0.0 + 0.0j
-
-    def det_of(selection):
-        rows, cols, coeff = [], [], 1.0 + 0.0j
-        for i in selection:
-            r, c, cf = blocks[i]
-            rows.extend(r)
-            cols.extend(c)
-            coeff *= cf / h
-        sub = G[np.ix_(rows, cols)]
-        return coeff * complex(np.linalg.det(sub))
-
-    stack = [([], 0)]
-    while stack:
-        selection, start = stack.pop()
-        if selection:
-            total += (-1) ** len(selection) * det_of(selection)
-        else:
-            total += 1.0
-        for i in range(start, V):
-            stack.append((selection + [i], i + 1))
+    total = 1.0 + 0.0j
+    for size in range(1, len(blocks) + 1):
+        # subsets of one size, grouped by their number of determinant rows
+        groups = {}
+        for subset in itertools.combinations(blocks, size):
+            rows = [r for block in subset for r in block[0]]
+            cols = [c for block in subset for c in block[1]]
+            coeff = math.prod(block[2] / grid.h for block in subset)
+            group = groups.setdefault(len(rows), ([], [], []))
+            group[0].append(rows)
+            group[1].append(cols)
+            group[2].append(coeff)
+        for k, (rows, cols, coeffs) in groups.items():
+            rows = np.array(rows, dtype=np.intp).reshape(len(coeffs), k)
+            cols = np.array(cols, dtype=np.intp).reshape(len(coeffs), k)
+            dets = np.linalg.det(G[rows[:, :, None], cols[:, None, :]])
+            total += (-1) ** size * complex(dets @ np.array(coeffs))
     return total

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermidecay import cli, fock
+from fermidecay import cli, fock, grassmann
 from fermidecay.covariance import CovarianceSpec, covariance_matrix, covariance_value
 from fermidecay.grassmann import (
+    MAX_BEREZIN_GENERATORS,
     GrassmannIndexSpace,
     GrassmannPolynomial,
     SchwingerEngine,
@@ -22,6 +23,7 @@ from fermidecay.grassmann import (
 from fermidecay.grassmann import (
     _berezin_weight,
     _evaluate_plan,
+    _mask_bits,
     _series_value,
     _subset_plan,
 )
@@ -38,29 +40,92 @@ def random_g(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
 
 
+def subset_products(seed, monomials):
+    """(|S|, seed * prod_{v in S} monomial_v) over the subsets S whose product
+    survives, in the order of the plan's recursion."""
+    def recurse(state, start, depth):
+        yield depth, state
+        for i in range(start, len(monomials)):
+            nxt = monomial_product(state, monomials[i])
+            if nxt is not None:
+                yield from recurse(nxt, i + 1, depth + 1)
+
+    return recurse(seed, 0, 0)
+
+
 def subset_scan_reference(seed, monomials, G):
     """Sum of Gaussian expectations of seed * prod_{v in S} monomial_v over all
     subsets S, graded by |S|: one Wick determinant per node of the subset
     recursion.  The compiled plan must reproduce it."""
-    V = len(monomials)
-    out = [0.0 + 0.0j] * (V + 1)
-
-    def recurse(state, start, depth):
+    out = [0.0 + 0.0j] * (len(monomials) + 1)
+    for depth, state in subset_products(seed, monomials):
         out[depth] += wick_canonical(state, G)
-        for i in range(start, V):
-            nxt = monomial_product(state, monomials[i])
-            if nxt is not None:
-                recurse(nxt, i + 1, depth + 1)
-
-    recurse(seed, 0, 0)
     return out
+
+
+def plan_groups_reference(seeds, monomials):
+    """The plan's (depth, rows, cols, coeffs) groups with the index rows built
+    one mask at a time by _mask_bits."""
+    groups = {}
+    for seed in seeds:
+        for depth, (bm, um, c) in subset_products(seed, monomials):
+            k = bm.bit_count()
+            if k == um.bit_count():
+                rows, cols, coeffs = groups.setdefault((depth, k), ([], [], []))
+                rows.append(_mask_bits(bm))
+                cols.append(_mask_bits(um))
+                coeffs.append(-c if (k * (k - 1) // 2) % 2 else c)
+    return [(depth,
+             np.array(rows, dtype=np.intp).reshape(len(coeffs), k),
+             np.array(cols, dtype=np.intp).reshape(len(coeffs), k),
+             np.array(coeffs, dtype=np.complex128))
+            for (depth, k), (rows, cols, coeffs) in sorted(groups.items())]
+
+
+def discrete_partition_reference(spec, params, grid, u, lam=None):
+    """The determinant-assembly partition sum with one determinant per
+    nonempty subset of vertex blocks, walked depth first."""
+    G = covariance_matrix(CovarianceSpec(spec, params), grid)
+    blocks = build_vertices(GrassmannIndexSpace(spec, grid), u, lam).blocks
+    total = 0.0 + 0.0j
+    stack = [([], 0)]
+    while stack:
+        selection, start = stack.pop()
+        if selection:
+            rows, cols, coeff = [], [], 1.0 + 0.0j
+            for i in selection:
+                r, c, cf = blocks[i]
+                rows.extend(r)
+                cols.extend(c)
+                coeff *= cf / grid.h
+            det = complex(np.linalg.det(G[np.ix_(rows, cols)]))
+            total += (-1) ** len(selection) * coeff * det
+        else:
+            total += 1.0
+        for i in range(start, len(blocks)):
+            stack.append((selection + [i], i + 1))
+    return total
+
+
+def weight_polynomial(n, G):
+    """exp(-<psi^t, G^{-1} psibar^t>) multiplied out monomial by monomial:
+    exp_nilpotent of the bilinear form sum_{ij} (G^{-1})_{ij} psibar_j psi_i."""
+    Ginv = np.linalg.inv(G)
+    form = GrassmannPolynomial()
+    for i in range(n):
+        for j in range(n):
+            form.add(1 << j, 1 << i, Ginv[i, j])
+    return form.exp_nilpotent()
 
 
 def berezin_product_reference(n, f, G):
     """Reference: the top coefficient of the whole product f * weight, which
     berezin_gaussian reads one term pair at a time."""
     G = np.ascontiguousarray(G, dtype=np.complex128)
-    expw, denom = _berezin_weight(n, G.shape, G.tobytes())
+    w, denom = _berezin_weight(n, G.tobytes())
+    expw = GrassmannPolynomial()
+    for b, u in zip(*np.nonzero(w)):
+        expw.add(int(b), int(u), w[b, u])
     full = (1 << n) - 1
     return complex((f * expw).coefficient(full, full) / denom)
 
@@ -161,6 +226,89 @@ def test_berezin_top_coefficient_matches_product(case):
     assert berezin_gaussian(n, f, G) == berezin_product_reference(n, f, G)
 
 
+def test_berezin_rejects_mismatched_covariance_and_generators(rng):
+    G = random_g(rng, 6)
+    # a larger G must not be cut down to its top-left corner
+    with pytest.raises(ValueError, match=r"shape \(6, 6\) for 4 generators"):
+        berezin_gaussian(4, GrassmannPolynomial.from_monomial([0], [1]), G)
+    # a generator past n must not integrate to zero; Wick refuses it as well
+    f = GrassmannPolynomial.from_monomial([4], [0])
+    with pytest.raises(ValueError, match=r"generator index 4 outside 0\.\.3"):
+        berezin_gaussian(4, f, G[:4, :4])
+    with pytest.raises(ValueError, match=r"generator index 4 outside 0\.\.3"):
+        wick_expectation(4, [4], [0], G[:4, :4])
+
+
+@st.composite
+def _weight_case(draw):
+    """n in {2, 4, 6, 8} and a random G, block-diagonal up to a permutation
+    when the drawn labels differ, so that G^{-1} has exact zeros."""
+    n = draw(st.sampled_from([2, 4, 6, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = random_g(rng, n)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    G[labels[:, None] != labels] = 0.0
+    return n, G
+
+
+def assert_dense_weight_matches_polynomial(n, G):
+    # both expansions form every coefficient from the same float operations
+    # in the same order, so they agree exactly, not only to round-off
+    w, top = _berezin_weight(n, G.tobytes())
+    ref = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for (b, u), c in weight_polynomial(n, G).terms.items():
+        ref[b, u] = c
+    np.testing.assert_array_equal(w, ref)
+    assert top == w[-1, -1]
+    assert not w.flags.writeable
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(_weight_case())
+def test_dense_weight_matches_polynomial_expansion(case):
+    assert_dense_weight_matches_polynomial(*case)
+
+
+def test_dense_weight_at_eight_generators():
+    # a full G^{-1}, and the spin-block structure of a lattice covariance,
+    # whose G^{-1} has exact zeros
+    rng = np.random.default_rng(8)
+    spin_blocks = np.kron(np.eye(2), random_g(rng, 4))
+    assert np.count_nonzero(np.linalg.inv(spin_blocks) == 0) == 32
+    for G in (random_g(rng, 8), spin_blocks):
+        assert_dense_weight_matches_polynomial(8, G)
+
+
+def test_berezin_expansion_makes_no_det_call(rng, monkeypatch):
+    n = 6
+    G = random_g(rng, n)
+    ref = wick_canonical(monomial([0, 1, 4], [2, 3, 5]), G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("determinant inside the Berezin engine")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    _berezin_weight.cache_clear()
+    via = berezin_gaussian(
+        n, GrassmannPolynomial.from_monomial([0, 1, 4], [2, 3, 5]), G)
+    assert _berezin_weight.cache_info().misses == 1
+    assert via == pytest.approx(ref, rel=1e-12)
+
+
+def test_berezin_at_generator_cap(rng):
+    # random monomials of degree <= 3 in each family, mismatched ones included
+    n = MAX_BEREZIN_GENERATORS
+    G = random_g(rng, n)
+    worst = 0.0
+    for _ in range(100):
+        barred = [int(v) for v in rng.permutation(n)[:rng.integers(0, 4)]]
+        unbarred = [int(v) for v in rng.permutation(n)[:rng.integers(0, 4)]]
+        ref = wick_canonical(monomial(barred, unbarred), G)
+        via = berezin_gaussian(n, GrassmannPolynomial.from_monomial(barred, unbarred), G)
+        worst = max(worst, abs(ref - via))
+    assert worst <= 1e-12
+
+
 def test_berezin_weight_expanded_once_per_g():
     # criterion 02 integrates 200 monomials against one G
     _berezin_weight.cache_clear()
@@ -252,6 +400,45 @@ def test_partition_instance_guard(params):
     hub = hubbard_interaction(0.2, d=1)
     with pytest.raises(ValueError):
         discrete_partition(LatticeSpec(d=1, L=4), params, TimeGrid(1.0, 4), hub)
+
+
+def _lambda(pairs, coeff):
+    """Lambda coefficients with one entry per (x, y, xi, phi) of pairs."""
+    lam = LambdaCoefficients(m_hat=len(pairs))
+    lam.add(*zip(*pairs), coeff)
+    return lam
+
+
+@pytest.mark.parametrize("L,half_steps,lam", [
+    (1, 1, None),
+    (1, 2, None),
+    (1, 4, None),                                              # V = 8
+    (2, 2, None),                                              # V = 8
+    (1, 2, _lambda([((0,), (0,), UP, DOWN)], 0.3)),            # degrees 2, 1
+    (2, 1, _lambda([((0,), (1,), UP, UP), ((1,), (1,), DOWN, UP)], 0.2)),
+    (1, 4, _lambda([((0,), (0,), UP, UP)], -0.25)),            # V = 16
+])
+def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
+    spec = LatticeSpec(d=1, L=L)
+    grid = TimeGrid(1.0, half_steps)
+    hub = hubbard_interaction(0.3, d=1)
+    got = discrete_partition(spec, params, grid, hub, lam)
+    ref = discrete_partition_reference(spec, params, grid, hub, lam)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_discrete_partition_shares_no_code_with_the_plan(atom, params,
+                                                         monkeypatch):
+    hub = hubbard_interaction(0.3, d=1)
+    grid = TimeGrid(1.0, 2)
+    expected = SchwingerEngine(atom, params, grid, hub).partition()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cross-check reached the plan's code")
+
+    monkeypatch.setattr(grassmann, "_subset_plan", refuse)
+    monkeypatch.setattr(grassmann, "monomial_product", refuse)
+    assert abs(discrete_partition(atom, params, grid, hub) - expected) <= 1e-10
 
 
 def test_lambda_vertices_differentiate_partition(atom, params):
@@ -484,12 +671,7 @@ def test_unnormalized_gaussian_sign_at_n4(rng):
     # is +(det G)^{-1} on every lattice-backed index set (N = 0 mod 4)
     n = 4
     G = random_g(rng, n)
-    Ginv = np.linalg.inv(G)
-    weight = GrassmannPolynomial()
-    for i in range(n):
-        for j in range(n):
-            weight.add(1 << j, 1 << i, Ginv[i, j])
-    top = weight.exp_nilpotent().coefficient((1 << n) - 1, (1 << n) - 1)
+    top = weight_polynomial(n, G).coefficient((1 << n) - 1, (1 << n) - 1)
     assert top == pytest.approx(1.0 / complex(np.linalg.det(G)), rel=1e-12)
 
 
@@ -537,6 +719,19 @@ def test_plan_matches_subset_recursion(case):
     assert np.abs(batched - ref).max() <= 1e-12 * scale
     for G, row in zip(stack, ref):
         assert np.abs(_evaluate_plan(plan, G) - row).max() <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_vertex_case())
+def test_plan_indices_match_mask_bits(case):
+    seeds, monomials, _ = case
+    plan = _subset_plan(seeds, monomials)
+    ref = plan_groups_reference(seeds, monomials)
+    assert [group[0] for group in plan.groups] == [group[0] for group in ref]
+    for group, ref_group in zip(plan.groups, ref, strict=True):
+        for arr, ref_arr in zip(group[1:], ref_group[1:], strict=True):
+            assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
+            assert arr.tobytes() == ref_arr.tobytes()
 
 
 def test_engine_denominator_computed_once(atom, params):
