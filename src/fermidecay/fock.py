@@ -8,7 +8,14 @@ the Jordan-Wigner sign in the global mode order, so every sign is
 reproducible.  Thermal averages go through the eigendecomposition of H one
 conserved-number sector at a time: (N_up, N_down) when H keeps both counts,
 else the total N, else the whole space.  Each sector block is filled densely,
-real when H has no imaginary entry, and diagonalized.  Per beta the
+real when H has no imaginary entry, and diagonalized.  Given the lattice,
+diagonalize splits a sector of more than MOMENTUM_MIN_STATES = 25 states
+into lattice-momentum blocks when H commutes with the one-site translation
+along axis 0 (checked once per H on its triplets): from 26 states on,
+LAPACK's eigh wakes OpenBLAS's spinning worker threads, and smaller blocks
+are not worth splitting.  The momentum eigenvectors are mapped back into the
+sector basis, real on a real H, so the rest of the oracle does not see the
+split.  Per beta the
 Eigensystem keeps the thermal state e^{-beta H} as flattened sector blocks,
 so an expectation is one gather of it at the in-sector entries of the
 observable.  Sizes are desk scale by design, and FockSpace, which refuses
@@ -24,6 +31,7 @@ lambda check and the CLI rows of one model build and diagonalize H once.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -42,6 +50,15 @@ from .model import (
 )
 
 MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
+# Sectors of more states are diagonalized by momentum blocks when H commutes
+# with the lattice translation.  From 26 states on, LAPACK's eigh takes its
+# divide-and-conquer path, which wakes OpenBLAS's worker threads, and they
+# then spin for about 0.13 s of CPU; smaller blocks neither wake them nor
+# cost enough to be worth splitting.
+MOMENTUM_MIN_STATES = 25
+# Relative defect up to which H counts as translation invariant: rounding
+# in the sums of its entries, far below what the momentum blocks resolve.
+TRANSLATION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -131,6 +148,14 @@ def _canonical(dim: int, rows, cols, vals) -> FockOperator:
     return FockOperator(*arrays, dim)
 
 
+def _occupations(n_modes: int) -> np.ndarray:
+    """The number of occupied modes of every basis state 0 .. 2^n_modes - 1."""
+    count = np.zeros(1, dtype=int)
+    for _ in range(n_modes):
+        count = np.concatenate([count, count + 1])
+    return count
+
+
 def _assemble(n_modes: int, terms, dtype=complex) -> FockOperator:
     """Sum of coeff * psi*_{c1}..psi*_{ck} psi_{a1}..psi_{al} over the terms
     (coeff, create_modes, annihilate_modes).  Each string acts on all basis
@@ -138,9 +163,7 @@ def _assemble(n_modes: int, terms, dtype=complex) -> FockOperator:
     with mode m occupied (empty), applies the Jordan-Wigner sign
     (-1)^(occupied modes below m) and flips bit m."""
     dim = 2**n_modes
-    jw = np.ones(1)  # jw[s] = (-1)^(number of occupied modes in s)
-    for _ in range(n_modes):
-        jw = np.concatenate([jw, -jw])
+    jw = 1.0 - 2.0 * (_occupations(n_modes) & 1)  # (-1)^(occupied modes in s)
     triplets = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=dtype),)]
     for coeff, create, annihilate in terms:
         start = state = np.arange(dim)
@@ -283,6 +306,136 @@ def _blocks(H: FockOperator):
                      for i, n in enumerate(sizes)], layout
 
 
+def _translation(spec: LatticeSpec):
+    """The one-site shift T along axis 0 on the basis states, as (step,
+    sign) with T|s> = sign[s] |step[s]>.  The shift adds L^(d-1) to every
+    site rank mod L^d, so it moves mode m to m + b mod n_modes, b = 2
+    L^(d-1): a rotation of the bits of s.  The sign is the parity of the
+    permutation that sorts the moved occupied modes (the Jordan-Wigner
+    sign): the p of them that wrap around to the lowest modes pass the k - p
+    others, (-1)^(p (k - p))."""
+    n, b = spec.n_modes, 2 * spec.L ** (spec.d - 1)
+    s = np.arange(2**n)
+    count = _occupations(n)
+    wrapped = count[s >> (n - b)]
+    return (((s << b) | (s >> (n - b))) & (2**n - 1),
+            1 - 2 * ((wrapped * (count - wrapped)) & 1))
+
+
+class _Orbits(collections.namedtuple(
+        "_Orbits", "walk phase rep period carried wave dft")):
+    """The orbits of the basis states under the translation T of a lattice,
+    T of order L; read-only tables indexed by the state s (see _orbits):
+
+    walk[j, s] = T^j s, j = 0 .. L, and T^j |s> = phase[j, s] |walk[j, s]>;
+    rep[s], the orbit minimum, its representative; period[s], the least
+    R > 0 with T^R s = s; carried[s, m], whether the orbit has a state at
+    momentum m, and wave[s, m] the amplitude of s in it;
+    dft[j, m] = e^{-2 pi i j m / L}."""
+
+    __slots__ = ()
+
+
+@functools.lru_cache(maxsize=8)
+def _orbits(spec: LatticeSpec) -> _Orbits:
+    """The orbit tables of the lattice's translation T on every basis state.
+
+    The orbit of a representative r has the momentum state |r, k> = R^{-1/2}
+    sum_{j<R} e^{-ikj} T^j |r> at k = 2 pi m / L.  As T^R |r> = sigma |r>
+    with sigma = +-1, the sum survives only where e^{-ikR} sigma = 1, that
+    is 2 m R = 0 mod 2L for sigma = 1 and L mod 2L for sigma = -1.  The
+    amplitude of s = T^j r in it is e^{-ikj} phase / sqrt(R), 0 where the
+    orbit carries no momentum state."""
+    L = spec.L
+    step, sign = _translation(spec)
+    walk, phase = [np.arange(len(step))], [np.ones(len(step), dtype=int)]
+    for _ in range(L):
+        phase.append(phase[-1] * sign[walk[-1]])
+        walk.append(step[walk[-1]])
+    walk, phase = np.array(walk), np.array(phase)
+    states, m = walk[0], np.arange(L)
+    period = np.argmax(walk[1:] == states, axis=0) + 1
+    sigma = phase[period, states]
+    carried = (2 * m * period[:, None]) % (2 * L) == \
+        np.where(sigma < 0, L, 0)[:, None]
+    rep = walk[:L].min(axis=0)
+    offset = (period - np.argmax(walk[:L] == rep, axis=0)) % period
+    dft = np.exp(-2j * np.pi * (np.outer(m, m) % L) / L)
+    wave = np.where(carried, (phase[offset, rep] / np.sqrt(period))[:, None]
+                    * dft[offset], 0)
+    tables = _Orbits(walk, phase, rep, period, carried, wave, dft)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _commutes(H: FockOperator, orbits: _Orbits) -> bool:
+    """Whether H commutes with the translation T, on its triplets: every
+    stored entry v at (r, c) must be stored again at (T r, T c) as
+    sign_r sign_c v, up to rounding.  T maps the stored entries one to one
+    into themselves, so no other entry needs a look."""
+    if len(H.vals) == 0:
+        return True
+    step, sign = orbits.walk[1], orbits.phase[1]
+    keys = H.rows * H.dim + H.cols
+    moved = step[H.rows] * H.dim + step[H.cols]
+    at = np.minimum(np.searchsorted(keys, moved), len(keys) - 1)
+    if not np.array_equal(keys[at], moved):
+        return False
+    defect = np.abs(H.vals[at] - sign[H.rows] * sign[H.cols] * H.vals).max()
+    return bool(defect <= TRANSLATION_TOL * np.abs(H.vals).max())
+
+
+def _momentum_pairs(B: np.ndarray, states: np.ndarray, local: np.ndarray,
+                    orbits: _Orbits):
+    """The eigenpairs of the sector block B of a translation-invariant H, one
+    eigh per momentum block, the eigenvectors mapped back into the sector
+    basis; the momentum blocks of equal size share one stacked eigh.
+
+    The block at k = 2 pi m / L between the orbits of the representatives
+    a and b is <a, k|H|b, k> = sqrt(R_a) <a|H|b, k>, a gather of the row of
+    a over the orbit of b, summed against e^{-ikj}: for all k at once one
+    product with the dft table.  An eigenvector y of that block is the
+    sector vector wave[s, m] y[orbit of s].  The pairs are real on a real
+    block B, as on the sector path."""
+    walk, L = orbits.walk, len(orbits.dft)
+    reps = states[orbits.rep[states] == states]
+    R = orbits.period[reps]
+    rows = B[local[reps]][:, local[walk[:L, reps].T]] * \
+        (orbits.phase[:L, reps].T * (np.arange(L) < R[:, None]))
+    Hk = (rows.reshape(-1, L) @ orbits.dft).reshape(len(reps), len(reps), L) * \
+        np.sqrt(R[:, None] / R)[:, :, None]
+    carried = orbits.carried[reps]
+    orbit = np.searchsorted(reps, orbits.rep[states])
+    wave = orbits.wave[states]
+    # on a real H the blocks at m and L - m are complex conjugates: m stands
+    # for both and only m <= L/2 is diagonalized; those at 2m = 0 mod L are
+    # real
+    real = not np.iscomplexobj(B)
+    ms = np.arange(L // 2 + 1 if real else L)
+    paired = real & (2 * ms % L != 0)
+    sizes = carried[:, ms].sum(axis=0)
+    values, vectors = [], []
+    for size, pair in sorted(set(zip(sizes.tolist(), paired.tolist()))):
+        if size == 0:
+            continue
+        group = ms[(sizes == size) & (paired == pair)]
+        at = np.nonzero(carried[:, group].T)[1].reshape(len(group), size)
+        blocks = Hk[at[:, :, None], at[:, None, :], group[:, None, None]]
+        w, Y = np.linalg.eigh(blocks.real if real and not pair else blocks)
+        on_orbits = np.zeros((len(group), len(reps), size), dtype=Y.dtype)
+        on_orbits[np.arange(len(group))[:, None], at] = Y
+        V = wave[:, group, None] * on_orbits[:, orbit].swapaxes(0, 1)
+        if pair:
+            # V at m and conj(V) at L - m: sqrt(2) times their real and
+            # imaginary parts are real orthonormal eigenvectors of both
+            w = np.concatenate([w, w])
+            V = np.sqrt(2) * np.concatenate([V.real, V.imag], axis=1)
+        values.append(w.ravel())
+        vectors.append((V.real if real else V).reshape(len(states), -1))
+    return np.concatenate(values), np.hstack(vectors)
+
+
 class Eigensystem:
     """The eigenpairs of H by conserved-number sector: sectors[i] holds the
     basis states of sector i and pairs[i] its (eigenvalues, eigenvectors),
@@ -325,11 +478,23 @@ class Eigensystem:
         return _log_sum_exp(np.concatenate([w for w, _ in self.pairs]), beta)
 
 
-def diagonalize(H: FockOperator) -> Eigensystem:
+def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem:
     """Eigenpairs of H, one dense eigh per sector block, real on real
-    blocks."""
+    blocks.  Given the lattice of H, a sector of more than
+    MOMENTUM_MIN_STATES states is diagonalized by momentum blocks instead
+    (_momentum_pairs) when H commutes with the lattice translation."""
+    if spec is not None and 2**spec.n_modes != H.dim:
+        raise ValueError(f"{spec} has {spec.n_modes} modes, H dimension {H.dim}")
     sectors, blocks, layout = _blocks(H)
-    return Eigensystem(sectors, [np.linalg.eigh(B) for B in blocks], layout)
+    orbits = None
+    if spec is not None and layout[2].max() > MOMENTUM_MIN_STATES:
+        orbits = _orbits(spec)
+        if not _commutes(H, orbits):
+            orbits = None
+    return Eigensystem(sectors, [
+        np.linalg.eigh(B) if orbits is None or len(states) <= MOMENTUM_MIN_STATES
+        else _momentum_pairs(B, states, layout[1], orbits)
+        for states, B in zip(sectors, blocks)], layout)
 
 
 def _log_sum_exp(w: np.ndarray, beta: float) -> float:
@@ -366,7 +531,7 @@ def model_system(space: FockSpace, params: ModelParams,
         _MODEL.clear()
         H0 = build_h0(space, params)
         H = _add_terms(space, H0, u)
-        _MODEL[key] = H0, H, diagonalize(H)
+        _MODEL[key] = H0, H, diagonalize(H, space.spec)
     return _MODEL[key]
 
 

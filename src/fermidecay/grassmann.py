@@ -435,11 +435,12 @@ class SchwingerEngine:
         self.spec, self.params, self.grid = spec, params, grid
         self.space = GrassmannIndexSpace(spec, grid)
         self.G = covariance_matrix(CovarianceSpec(spec, params), grid)
-        self.G.flags.writeable = False  # the cached denominator reads it
+        self.G.flags.writeable = False  # the cached series read it
         self.vertices = build_vertices(self.space, u,
                                        interaction_sites=interaction_sites)
         self._plans = {}
         self._denominator = None
+        self._numerators = {}
 
     def _plan(self, q=None):
         """The compiled plan of the denominator, or of the query q."""
@@ -464,10 +465,14 @@ class SchwingerEngine:
         return _series_value(self.denominator(G), eta)
 
     def numerator(self, q, G: np.ndarray | None = None) -> np.ndarray:
-        """The series of the query q at the engine's covariance, or one
-        series per covariance of a stack G; all observable seeds of q share
-        one plan."""
-        return _evaluate_plan(self._plan(q), self.G if G is None else G)
+        """The series of the query q at the engine's covariance (computed
+        once per query), or one series per covariance of a stack G; all
+        observable seeds of q share one plan."""
+        if G is not None:
+            return _evaluate_plan(self._plan(q), G)
+        if q not in self._numerators:
+            self._numerators[q] = _evaluate_plan(self._plan(q), self.G)
+        return self._numerators[q]
 
     def schwinger_series(self, q, m_max: int) -> np.ndarray:
         """Taylor coefficients b_0..b_{m_max} of the Schwinger function of the
@@ -496,7 +501,9 @@ class SchwingerEngine:
 
     def correlation(self, q) -> complex:
         """The symmetrized correlation S_{X,Y,Xi,Phi} + S_{Y,X,Phi,Xi} at
-        eta = 1 (the -1/beta prefactor lives inside the Schwinger function)."""
+        eta = 1 (the -1/beta prefactor lives inside the Schwinger function);
+        a self-adjoint query, q.swapped() == q, reads its cached numerator
+        twice."""
         return self.schwinger_value(q) + self.schwinger_value(q.swapped())
 
 

@@ -660,3 +660,21 @@ def test_runs_with_scipy_unimportable(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0 ['scipy']"  # only the blocking None entry
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_timed_paths_leave_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call (about 20 ms on
+    # numpy 2.4): neither verify nor the L = 5 Fock model may reach one
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "r.json"
+    code = ("import sys; from fermidecay import cli, fock, model; "
+            "from fermidecay.lattice import LatticeSpec; "
+            f"rc = cli.main(['verify', '--suite', 'all', '--out', {str(out)!r}]); "
+            "fock.model_system(fock.FockSpace(LatticeSpec(d=1, L=5)), "
+            "model.ModelParams(t=1.0, mu=0.2, beta=1.0), "
+            "model.hubbard_interaction(0.3, d=1)); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "0 False"

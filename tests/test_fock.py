@@ -27,6 +27,7 @@ from fermidecay.fock import (
 from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import (
     DOWN,
+    SPINS,
     UP,
     LatticeSpec,
     TimeGrid,
@@ -579,6 +580,159 @@ def test_sector_counts_and_L5():
                query(((0,),), ((1,),), (UP,), (DOWN,))]
     eig = _assert_matches_full_space(big, p, hub, None, queries)
     assert len(eig.sectors) == 36
+
+
+# ---------------------------------------------------------------------------
+# momentum blocks against the full-space reference
+# ---------------------------------------------------------------------------
+
+def translation_reference(spec):
+    """Reference: T|s> for every basis state s, each occupied mode moved one
+    site along axis 0 through mode_index, and the moved creators sorted back
+    into ascending order one transposition at a time."""
+    sites = enumerate_sites(spec)
+    moved = [mode_index(spec, (x[0] + 1,) + x[1:], s) for x in sites for s in SPINS]
+    step, sign = [], []
+    for state in range(2**spec.n_modes):
+        modes = [moved[m] for m in range(spec.n_modes) if state >> m & 1]
+        swaps = sum(a > b for i, a in enumerate(modes) for b in modes[i + 1:])
+        step.append(sum(1 << m for m in modes))
+        sign.append(-1 if swaps % 2 else 1)
+    return np.array(step), np.array(sign)
+
+
+def translation_defect_reference(spec, H):
+    """Reference: max |T H T^dagger - H| with T from translation_reference,
+    one sparse product."""
+    step, sign = translation_reference(spec)
+    T = sp.csr_matrix((sign, (step, np.arange(H.dim))), shape=H.shape)
+    return abs(T @ to_csr(H) @ T.T - to_csr(H)).max()
+
+
+@pytest.mark.parametrize("shape", [(1, L) for L in range(1, 7)] + [(2, 1), (2, 2)])
+def test_translation_matches_mode_loop(shape):
+    spec = LatticeSpec(*shape)
+    for ours, ref in zip(fock._translation(spec), translation_reference(spec),
+                         strict=True):
+        np.testing.assert_array_equal(ours, ref)
+
+
+def _site_field(spec, axis, coupling):
+    """A field along axis x or z whose strength grows with the site rank, so
+    no translation keeps it."""
+    vec = np.zeros(3)
+    vec["xyz".index(axis)] = coupling
+    return spin_field_interaction({x: tuple((1.0 + 0.5 * i) * vec)
+                                   for i, x in enumerate(enumerate_sites(spec))})
+
+
+_INVARIANT_KINDS = ("hubbard", "spin_spin", "field_x", "field_y", "field_z")
+
+
+@st.composite
+def _momentum_case(draw):
+    """(shape, kind, coupling, mu, beta, lambda entries, split_all, query
+    points); the lambda entries, (m_hat, [(points, coefficient)]), are
+    drawn for the kind "lambda", a Hubbard model with lambda terms."""
+    shape = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2)]))
+    spec = LatticeSpec(*shape)
+    kind = draw(st.sampled_from(_INVARIANT_KINDS + (
+        "density_density", "site_field_x", "site_field_z", "lambda")))
+    m_hat = draw(st.integers(1, 2))
+    lam = [(draw(_points(spec, m_hat)), draw(st.floats(0.05, 0.5)))
+           for _ in range(draw(st.integers(1, 2)) if kind == "lambda" else 0)]
+    return (shape, kind, draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
+            draw(st.floats(0.2, 2.0)), (m_hat, lam), draw(st.booleans()),
+            [draw(_points(spec, m)) for m in (1, 2)])
+
+
+_SITE_QUERIES = [(((0,),), ((1,),), (UP,), (UP,)),
+                 (((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_momentum_case())
+@example(((1, 4), "hubbard", 0.5, 0.2, 1.0, (1, []), False, _SITE_QUERIES))
+@example(((1, 5), "hubbard", 0.5, 0.2, 1.0, (1, []), False, _SITE_QUERIES))
+@example(((1, 6), "spin_spin", 0.4, 0.3, 1.5, (1, []), False, _SITE_QUERIES))
+@example(((1, 6), "site_field_z", 0.4, 0.3, 1.5, (1, []), False, _SITE_QUERIES))
+@example(((2, 2), "site_field_x", 0.4, 0.3, 1.5, (1, []), True, _SITE_QUERIES))
+@example(((1, 4), "lambda", 0.4, 0.3, 1.5,
+          (1, [(([(0,)], [(1,)], [UP], [UP]), 0.3)]), True, _SITE_QUERIES))
+def test_momentum_blocks_match_full_space(case):
+    # diagonalize(H, spec) against one eigh of the whole space, or against
+    # the sector path at L = 6, where the whole space has 4096 states; the
+    # drawn cases stay at dimension 256 at most, the L = 5 and L = 6 chains
+    # come as examples; split_all takes the momentum blocks on every
+    # sector, down to the one-state ones
+    shape, kind, coupling, mu, beta, (m_hat, entries), split_all, points = case
+    spec = LatticeSpec(d=shape[0], L=shape[1])
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=0.2, mu=mu, beta=beta)
+    if kind.startswith("site_field"):
+        u = _site_field(spec, kind[-1], coupling)
+    else:
+        u = _example_interaction("hubbard" if entries else kind, spec, coupling)
+    lam = None
+    if entries:
+        lam = LambdaCoefficients(m_hat=m_hat)
+        for pts, value in entries:
+            lam.add(*pts, value)
+    H = build_hamiltonian(space, p, u, lam)
+    invariant = translation_defect_reference(spec, H) <= 1e-12
+    if lam is None:
+        assert invariant == (kind in _INVARIANT_KINDS)
+    threshold = 0 if split_all else fock.MOMENTUM_MIN_STATES
+    with mock.patch.object(fock, "MOMENTUM_MIN_STATES", threshold), \
+            mock.patch.object(fock, "_momentum_pairs",
+                              wraps=fock._momentum_pairs) as split:
+        eig = diagonalize(H, spec)
+    sector = diagonalize(H)
+    assert split.call_count == invariant * sum(
+        len(s) > threshold for s in sector.sectors)
+    dtype = np.complex128 if kind == "field_y" else np.float64
+    assert all(V.dtype == dtype for _, V in eig.pairs)
+    if not invariant:
+        for (w, V), (w_ref, V_ref) in zip(eig.pairs, sector.pairs, strict=True):
+            assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+    if space.dimension <= 1024:
+        full = np.linalg.eigh(H.toarray())
+        expect = functools.partial(_full_space_expectation, full)
+        log_z = _full_space_log_partition(full[0], beta)
+        z = np.sum(np.exp(-beta * (full[0] - full[0].min())))
+    else:
+        expect = sector.expectation
+        log_z, z = sector.log_partition(beta), sector._thermal(beta)[1]
+    hop = from_matrix(mode_operator(space, 0, "create") @
+                      mode_operator(space, 3, "annihilate"))
+    for O in [observable_pair(space, query(*pts)) for pts in points] + [hop]:
+        assert abs(eig.expectation(O, beta) - expect(O, beta)) <= 1e-12
+    assert abs(eig.log_partition(beta) - log_z) <= 1e-12
+    assert eig._thermal(beta)[1] == pytest.approx(z, rel=1e-12)
+
+
+def test_no_eigh_past_the_threshold_on_invariant_models():
+    # the L = 4 chain: its (2, 2) sector holds 36 states, the sector path's
+    # one eigh past 25; the Hubbard, free and t = 0 models split it
+    space = FockSpace(LatticeSpec(d=1, L=4))
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    hub = hubbard_interaction(0.5, d=1)
+    rows, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[-2])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", counting):
+        for params, u in ((p, hub), (p, None),
+                          (dataclasses.replace(p, t=0.0), hub)):
+            fock.model_system(space, params, u)
+        assert rows and max(rows) <= fock.MOMENTUM_MIN_STATES
+        H = fock.model_system(space, p, hub)[1]
+        diagonalize(H)
+    assert max(rows) == 36
+    with pytest.raises(ValueError, match="6 modes, H dimension 256"):
+        diagonalize(H, LatticeSpec(d=1, L=3))
 
 
 # ---------------------------------------------------------------------------

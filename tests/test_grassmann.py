@@ -752,6 +752,28 @@ def test_engine_denominator_computed_once(atom, params):
         assert not series.flags.writeable
 
 
+def test_self_adjoint_correlation_evaluates_its_plan_once(monkeypatch):
+    # criterion 03's query is its own adjoint: per grid the denominator and
+    # one numerator, each read from the engine's cache after its first use
+    plans = []
+    evaluate = grassmann._evaluate_plan
+    monkeypatch.setattr(grassmann, "_evaluate_plan",
+                        lambda plan, G: plans.append(plan) or evaluate(plan, G))
+    q = fock.query(((0,),), ((0,),), (UP,), (UP,))
+    assert q.swapped() == q
+    atom, p = LatticeSpec(d=1, L=1), ModelParams(t=0.5, mu=0.2, beta=1.0)
+    hub = hubbard_interaction(0.3, d=1)
+    checks = cli.partition_and_h_convergence(atom, p, hub, (1, 2, 4))
+    assert all(c.passed for c in checks)
+    assert len(plans) == 6
+    eng = SchwingerEngine(atom, p, TimeGrid(1.0, 2), hub)
+    num = eng.numerator(q)
+    assert eng.numerator(q) is num and not num.flags.writeable
+    value = -_series_value(evaluate(eng._plan(q), eng.G), 1.0) / \
+        (p.beta * eng.partition())
+    assert eng.correlation(q) == value + value
+
+
 def test_suite_grassmann_builds_one_engine_per_grid(monkeypatch):
     # three grids for criterion 03 share their engine between the partition
     # and the correlation; the b0 series needs a fourth

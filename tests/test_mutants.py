@@ -19,11 +19,19 @@ from fermidecay.lattice import LatticeSpec
 from fermidecay.model import ModelParams
 
 
+@pytest.fixture(autouse=True)
+def _no_cached_mutant():
+    """After each case, drop the lattice orbit tables a mutant may have
+    built, so that no later test reads them."""
+    yield
+    fock._orbits.cache_clear()
+
+
 def _mutate(monkeypatch, module, name, make):
     """Replace module.name by make(original) in every package and test
     module that holds it, the defining one and those that imported it; then
-    empty the Fock model slot, so that no model built before the mutant
-    hides it."""
+    empty the Fock model slot and the orbit tables, so that nothing built
+    before the mutant hides it."""
     original = getattr(module, name)
     mutant = make(original)
     for mod_name, mod in list(sys.modules.items()):
@@ -31,6 +39,7 @@ def _mutate(monkeypatch, module, name, make):
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, mutant)
     fock._MODEL.clear()
+    fock._orbits.cache_clear()
 
 
 def _assert_killed(monkeypatch, module, name, make, killer):
@@ -116,3 +125,17 @@ def test_slot_key_without_interaction(monkeypatch):
     _assert_killed(monkeypatch, fock, "_interaction_key",
                    lambda _: lambda u: None,
                    test_fock.test_correlation_follows_the_interaction)
+
+
+def test_translation_sign_without_parity(monkeypatch):
+    # the bare permutation of the modes: H no longer commutes with it (a
+    # hop across the boundary changes sign with the particle number), so
+    # the invariant models fall back to the sector path
+    def no_parity(translation):
+        def bare(spec):
+            step, sign = translation(spec)
+            return step, np.ones_like(sign)
+        return bare
+
+    _assert_killed(monkeypatch, fock, "_translation", no_parity,
+                   test_fock.test_momentum_blocks_match_full_space)
