@@ -11,15 +11,20 @@ else the total N, else the whole space.  Each sector block is filled densely,
 real when H has no imaginary entry, and diagonalized.  Given the lattice,
 diagonalize splits a sector of more than MOMENTUM_MIN_STATES = 25 states
 into lattice-momentum blocks when H commutes with the one-site translation
-along axis 0 (checked once per H on its triplets): from 26 states on,
-LAPACK's eigh wakes OpenBLAS's spinning worker threads, and smaller blocks
-are not worth splitting.  The momentum eigenvectors are mapped back into the
-sector basis, real on a real H, so the rest of the oracle does not see the
-split.  Per beta the
-Eigensystem keeps the thermal state e^{-beta H} as flattened sector blocks,
-so an expectation is one gather of it at the in-sector entries of the
-observable.  Sizes are desk scale by design, and FockSpace, which refuses
-more than MAX_MODES modes, is the one size guard.
+along axis 0 (checked once per H on its triplets); smaller blocks are not
+worth splitting.  The momentum eigenvectors are mapped back into the sector
+basis, real on a real H, so the rest of the oracle does not see the split.
+Per beta the Eigensystem keeps the thermal state e^{-beta H} as flattened
+sector blocks, so an expectation is one gather of it at the in-sector
+entries of the observable.  Sizes are desk scale by design, and FockSpace,
+which refuses more than MAX_MODES modes, is the one size guard.
+
+The dense calls run on one BLAS thread (_serial_blas, scoped to the call
+and restored after it) while every block of the call has at most
+SERIAL_MAX_STATES states, SERIAL_PRODUCT_MAX_STATES for the thermal
+products: on blocks this small OpenBLAS's worker thread does no useful
+work, yet each call that wakes it leaves it spinning for about 0.12 s of
+CPU.
 
 One model slot, model_system(space, params, u), holds H_0, H = H_0 + V and
 the Eigensystem of H for the last model asked for.  Its key is the content
@@ -32,7 +37,10 @@ lambda check and the CLI rows of one model build and diagonalize H once.
 from __future__ import annotations
 
 import collections
+import contextlib
+import ctypes
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +59,33 @@ from .model import (
 
 MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
 # Sectors of more states are diagonalized by momentum blocks when H commutes
-# with the lattice translation.  From 26 states on, LAPACK's eigh takes its
-# divide-and-conquer path, which wakes OpenBLAS's worker threads, and they
-# then spin for about 0.13 s of CPU; smaller blocks neither wake them nor
-# cost enough to be worth splitting.
+# with the lattice translation.  The split costs gathers and a DFT product
+# per sector and pays once the eigh it saves is large: on one BLAS thread,
+# min of repeated calls, the Hubbard chain diagonalizes by momentum blocks
+# in 1.1 ms against 0.85 ms by sectors at L=4 (36-state sectors), in 4.8
+# against 5.9 ms at L=5 and in 31 against 76 ms at L=6.  The value stays
+# where the split was introduced, so the reports keep their bytes.
 MOMENTUM_MIN_STATES = 25
+# A diagonalization or spectrum whose blocks have at most this many states
+# runs on one BLAS thread (_serial_blas): C(6,3)^2, the largest
+# (N_up, N_down) block the mode guard admits.  eigh wakes OpenBLAS's worker
+# from 26 states on and eigvalsh from 70, and the worker then spins for
+# about 0.12 s of CPU.  On a 2-vCPU machine (min to median of repeated
+# calls) eigh takes 0.18-0.21 ms on one thread against 0.24-0.27 ms on two
+# at 36 states, 1.9-2.4 against 2.1-2.9 ms at 150, 20-22 against 16-19 ms
+# at 400, and 167-192 against 121-127 ms at 924, the largest N-sector of a
+# spin-mixing model at L=6, which therefore keeps its threads; its smaller
+# blocks keep them too, as the worker is awake anyway.  Up to about 90
+# states one thread gives the same bytes as two; past that the last bits
+# may differ, and are then the same whatever the machine's core count.
+SERIAL_MAX_STATES = 400
+# Likewise for the thermal products V diag(w) V^dagger.  OpenBLAS threads a
+# product from 41 states when complex, from 81 when real; a complex one of
+# 64-70 states then takes 12-16 ms against 0.06 ms on one thread.  Past 80
+# states one thread sums a real product in another order, which would
+# change the last bits of the thermal states (of the L=6 envelope table),
+# and from about 150 states on the threads pay.
+SERIAL_PRODUCT_MAX_STATES = 80
 # Relative defect up to which H counts as translation invariant: rounding
 # in the sums of its entries, far below what the momentum blocks resolve.
 TRANSLATION_TOL = 1e-13
@@ -244,6 +274,50 @@ def observable_pair(space: FockSpace, q: CorrelationQuery) -> FockOperator:
     adjoint of O is the normal-ordered string of the swapped query."""
     return _normal_ordered(space, [(p.x_sites, p.y_sites, p.xi_spins,
                                     p.phi_spins, 1.0) for p in (q, q.swapped())])
+
+
+@functools.cache
+def _blas_handle():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None when there is none: libscipy_openblas* with the
+    scipy_openblas_*_num_threads64_ calls (numpy 2), else libopenblas64_p*
+    with openblas_*_num_threads64_ (numpy 1).  Looked up once, on first
+    use."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for stem, prefix in (("libscipy_openblas", "scipy_openblas"),
+                         ("libopenblas64_p", "openblas")):
+        for name in (n for n in names if n.startswith(stem)):
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get = getattr(lib, f"{prefix}_get_num_threads64_")
+                put = getattr(lib, f"{prefix}_set_num_threads64_")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _serial_blas(serial: bool):
+    """One BLAS thread for the dense calls inside the scope when `serial`,
+    the earlier thread count restored on leaving, also when a call raises;
+    a no-op when numpy's OpenBLAS is not found.  The count is a process-wide
+    setting: while the scope is open, BLAS calls from other threads run on
+    one thread too."""
+    handle = _blas_handle() if serial else None
+    if handle is None:
+        yield
+        return
+    get, put = handle
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _sectors(H: FockOperator) -> list[np.ndarray]:
@@ -456,8 +530,9 @@ class Eigensystem:
         if beta not in self._thermal_states:
             w_min = min(w.min() for w, _ in self.pairs)
             weights = [np.exp(-beta * (w - w_min)) for w, _ in self.pairs]
-            rho = np.concatenate([((V * wt) @ V.conj().T).ravel()
-                                  for (_, V), wt in zip(self.pairs, weights)])
+            with _serial_blas(self.layout[2].max() <= SERIAL_PRODUCT_MAX_STATES):
+                rho = np.concatenate([((V * wt) @ V.conj().T).ravel()
+                                      for (_, V), wt in zip(self.pairs, weights)])
             rho.flags.writeable = False
             self._thermal_states[beta] = rho, float(sum(map(np.sum, weights)))
         return self._thermal_states[beta]
@@ -491,10 +566,12 @@ def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem
         orbits = _orbits(spec)
         if not _commutes(H, orbits):
             orbits = None
-    return Eigensystem(sectors, [
-        np.linalg.eigh(B) if orbits is None or len(states) <= MOMENTUM_MIN_STATES
-        else _momentum_pairs(B, states, layout[1], orbits)
-        for states, B in zip(sectors, blocks)], layout)
+    with _serial_blas(layout[2].max() <= SERIAL_MAX_STATES):
+        pairs = [np.linalg.eigh(B)
+                 if orbits is None or len(states) <= MOMENTUM_MIN_STATES
+                 else _momentum_pairs(B, states, layout[1], orbits)
+                 for states, B in zip(sectors, blocks)]
+    return Eigensystem(sectors, pairs, layout)
 
 
 def _log_sum_exp(w: np.ndarray, beta: float) -> float:
@@ -506,8 +583,10 @@ def _log_sum_exp(w: np.ndarray, beta: float) -> float:
 def log_partition(H: FockOperator, beta: float) -> float:
     """log Tr e^{-beta H} from the sector spectra alone, apart from
     diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
-    return _log_sum_exp(
-        np.concatenate([np.linalg.eigvalsh(B) for B in _blocks(H)[1]]), beta)
+    _, blocks, layout = _blocks(H)
+    with _serial_blas(layout[2].max() <= SERIAL_MAX_STATES):
+        w = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
+    return _log_sum_exp(w, beta)
 
 
 _MODEL: dict = {}  # the model slot: at most one key -> (H_0, H, Eigensystem)

@@ -41,3 +41,22 @@ def hubbard_small():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def blas_count():
+    """The thread-count getter of numpy's OpenBLAS, with the count raised
+    to at least 2 for the test, so that one thread is told apart from it;
+    the earlier count is restored afterwards."""
+    handle = fock._blas_handle()
+    if handle is None:
+        pytest.skip("numpy's OpenBLAS (numpy.libs/libscipy_openblas* or "
+                    "libopenblas64_p*) was not found: no thread count to read")
+    get, put = handle
+    earlier = get()
+    put(max(earlier, 2))
+    if get() < 2:
+        put(earlier)
+        pytest.skip("this OpenBLAS runs one thread only")
+    yield get
+    put(earlier)

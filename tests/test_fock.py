@@ -736,6 +736,113 @@ def test_no_eigh_past_the_threshold_on_invariant_models():
 
 
 # ---------------------------------------------------------------------------
+# one BLAS thread inside the dense calls
+# ---------------------------------------------------------------------------
+
+def _reading_thread_counts(monkeypatch, get):
+    """Patch np.linalg.eigh and eigvalsh, and fock._serial_blas, to record
+    the thread count that each call, and each scope once open, sees: a
+    list of (name, block size or the scope's flag, count)."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def reading(a, *args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            seen.append((_name, a.shape[-1], get()))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, reading)
+    scope = fock._serial_blas
+
+    @contextlib.contextmanager
+    def reading_scope(serial):
+        with scope(serial):
+            seen.append(("scope", serial, get()))
+            yield
+    monkeypatch.setattr(fock, "_serial_blas", reading_scope)
+    return seen
+
+
+def _thread_cases():
+    """The sigma_x-field square (N-sectors of 28, 56 and 70 states), with
+    and without its lattice, and the free L=4 chain (a 36-state sector)
+    without it; with an observable of each space."""
+    p = ModelParams(t=1.0, mu=0.2, beta=1.0)
+    square, chain = LatticeSpec(d=2, L=2), LatticeSpec(d=1, L=4)
+    field = build_hamiltonian(FockSpace(square), p,
+                              _example_interaction("field_x", square, 0.4))
+    free = build_hamiltonian(FockSpace(chain), p)
+    return p.beta, [
+        (H, spec, observable_pair(FockSpace(shape), query(
+            ((0,) * shape.d,), ((1,) + (0,) * (shape.d - 1),), (UP,), (UP,))))
+        for H, spec, shape in ((field, square, square), (field, None, square),
+                               (free, None, chain))]
+
+
+def test_dense_calls_run_on_one_blas_thread(blas_count, monkeypatch):
+    seen = _reading_thread_counts(monkeypatch, blas_count)
+    earlier = blas_count()
+    beta, cases = _thread_cases()
+    solved = set()
+    for H, spec, O in cases:
+        for call in (lambda: diagonalize(H, spec),
+                     lambda: fock.log_partition(H, beta),
+                     lambda: diagonalize(H, spec).expectation(O, beta)):
+            seen.clear()
+            call()
+            assert seen and all(count == 1 for *_, count in seen), seen
+            assert blas_count() == earlier
+            solved |= {n for name, n, _ in seen if name != "scope"}
+    assert {28, 36, 56, 70} <= solved
+
+
+def test_thread_count_restored_on_error(blas_count, monkeypatch):
+    earlier = blas_count()
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError(f"planted failure at {blas_count()} threads")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    H = build_hamiltonian(FockSpace(LatticeSpec(d=1, L=4)), ModelParams())
+    for call in (diagonalize, functools.partial(fock.log_partition, beta=1.0)):
+        with pytest.raises(np.linalg.LinAlgError, match="at 1 threads"):
+            call(H)
+        assert blas_count() == earlier
+
+
+def test_blocks_past_the_limits_keep_their_threads(blas_count, monkeypatch):
+    # the free L=4 chain's 36-state sector is past both limits set to 30, so
+    # every dense call of the model keeps the earlier count
+    seen = _reading_thread_counts(monkeypatch, blas_count)
+    earlier = blas_count()
+    monkeypatch.setattr(fock, "SERIAL_MAX_STATES", 30)
+    monkeypatch.setattr(fock, "SERIAL_PRODUCT_MAX_STATES", 30)
+    beta, cases = _thread_cases()
+    H, _, O = cases[2]
+    diagonalize(H).expectation(O, beta)
+    fock.log_partition(H, beta)
+    assert ("eigh", 36, earlier) in seen and ("eigvalsh", 36, earlier) in seen
+    assert all(count == earlier for *_, count in seen), seen
+    assert [flag for name, flag, _ in seen if name == "scope"] == [False] * 3
+
+
+def test_pairs_without_the_library_match_the_scoped_ones(monkeypatch):
+    beta, cases = _thread_cases()
+
+    def run():
+        out = []
+        for H, spec, _ in cases:
+            eig = diagonalize(H, spec)
+            out.append(([(w.tobytes(), V.tobytes()) for w, V in eig.pairs],
+                        eig._thermal(beta)[0].tobytes(),
+                        fock.log_partition(H, beta)))
+        return out
+
+    scoped = run()
+    monkeypatch.setattr(fock, "_blas_handle", lambda: None)
+    assert run() == scoped
+
+
+# ---------------------------------------------------------------------------
 # the one assembler against the per-term sums it replaced
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ asserts that its named killer passes on the code as it is and fails under
 the mutant.  A killer is a `verify` suite that must exit 0, or a Tier-1
 test function."""
 
+import contextlib
 import dataclasses
 import sys
 from functools import partial
@@ -139,3 +140,25 @@ def test_translation_sign_without_parity(monkeypatch):
 
     _assert_killed(monkeypatch, fock, "_translation", no_parity,
                    test_fock.test_momentum_blocks_match_full_space)
+
+
+def test_thread_count_restored_only_on_success(monkeypatch, blas_count):
+    # without the finally, an eigensolver that raises leaves the whole
+    # process on one BLAS thread
+    def on_success_only(_):
+        @contextlib.contextmanager
+        def scope(serial):
+            handle = fock._blas_handle() if serial else None
+            if handle is None:
+                yield
+                return
+            get, put = handle
+            before = get()
+            put(1)
+            yield
+            put(before)
+        return scope
+
+    _assert_killed(monkeypatch, fock, "_serial_blas", on_success_only,
+                   partial(test_fock.test_thread_count_restored_on_error,
+                           blas_count, monkeypatch))
