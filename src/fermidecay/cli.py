@@ -385,13 +385,22 @@ def _random_order2_table(s, rng):
     return g
 
 
+LAMBDA_TOL = 1e-6
+
+
 def lambda_derivative(params):
-    """Criterion 14: the coupling derivative of the free energy, on one site."""
+    """Criterion 14: the coupling derivative of the free energy, on one site;
+    refused when the rounding floor of the difference quotient reaches the
+    tolerance."""
     space = fock.FockSpace(LatticeSpec(d=1, L=1))
     hub = model.hubbard_interaction(0.1, d=1)
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     res = fock.lambda_derivative_check(space, params, hub, q, step=1e-4)
-    return [Check("lambda_derivative", res["deviation"], 1e-6)]
+    if res["rounding_floor"] >= LAMBDA_TOL:
+        raise model.GuardError(
+            f"finite difference swamped by rounding: floor "
+            f"{res['rounding_floor']:.3g} >= tolerance {LAMBDA_TOL:g}")
+    return [Check("lambda_derivative", res["deviation"], LAMBDA_TOL)]
 
 
 # ---------------------------------------------------------------------------

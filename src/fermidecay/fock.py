@@ -19,12 +19,13 @@ sector blocks, so an expectation is one gather of it at the in-sector
 entries of the observable.  Sizes are desk scale by design, and FockSpace,
 which refuses more than MAX_MODES modes, is the one size guard.
 
-The dense calls run on one BLAS thread (_serial_blas, scoped to the call
-and restored after it) while every block of the call has at most
-SERIAL_MAX_STATES states, SERIAL_PRODUCT_MAX_STATES for the thermal
-products: on blocks this small OpenBLAS's worker thread does no useful
-work, yet each call that wakes it leaves it spinning for about 0.12 s of
-CPU.
+One BLAS thread per dense Fock call; results do not depend on the core
+count.  The eigensolves, the spectra and the thermal products run in
+_serial_blas, which sets one thread for the call and restores the earlier
+count after it.  The cost falls on the largest blocks: the sigma_x-field
+chain at L=6, with N-sectors of up to 924 states, is diagonalized with
+one thermal state on the sector path in 0.51-0.58 s against 0.31-0.36 s
+on two threads (2-vCPU machine).
 
 One model slot, model_system(space, params, u), holds H_0, H = H_0 + V and
 the Eigensystem of H for the last model asked for.  Its key is the content
@@ -66,26 +67,6 @@ MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
 # against 5.9 ms at L=5 and in 31 against 76 ms at L=6.  The value stays
 # where the split was introduced, so the reports keep their bytes.
 MOMENTUM_MIN_STATES = 25
-# A diagonalization or spectrum whose blocks have at most this many states
-# runs on one BLAS thread (_serial_blas): C(6,3)^2, the largest
-# (N_up, N_down) block the mode guard admits.  eigh wakes OpenBLAS's worker
-# from 26 states on and eigvalsh from 70, and the worker then spins for
-# about 0.12 s of CPU.  On a 2-vCPU machine (min to median of repeated
-# calls) eigh takes 0.18-0.21 ms on one thread against 0.24-0.27 ms on two
-# at 36 states, 1.9-2.4 against 2.1-2.9 ms at 150, 20-22 against 16-19 ms
-# at 400, and 167-192 against 121-127 ms at 924, the largest N-sector of a
-# spin-mixing model at L=6, which therefore keeps its threads; its smaller
-# blocks keep them too, as the worker is awake anyway.  Up to about 90
-# states one thread gives the same bytes as two; past that the last bits
-# may differ, and are then the same whatever the machine's core count.
-SERIAL_MAX_STATES = 400
-# Likewise for the thermal products V diag(w) V^dagger.  OpenBLAS threads a
-# product from 41 states when complex, from 81 when real; a complex one of
-# 64-70 states then takes 12-16 ms against 0.06 ms on one thread.  Past 80
-# states one thread sums a real product in another order, which would
-# change the last bits of the thermal states (of the L=6 envelope table),
-# and from about 150 states on the threads pay.
-SERIAL_PRODUCT_MAX_STATES = 80
 # Relative defect up to which H counts as translation invariant: rounding
 # in the sums of its entries, far below what the momentum blocks resolve.
 TRANSLATION_TOL = 1e-13
@@ -301,13 +282,13 @@ def _blas_handle():
 
 
 @contextlib.contextmanager
-def _serial_blas(serial: bool):
-    """One BLAS thread for the dense calls inside the scope when `serial`,
-    the earlier thread count restored on leaving, also when a call raises;
-    a no-op when numpy's OpenBLAS is not found.  The count is a process-wide
-    setting: while the scope is open, BLAS calls from other threads run on
-    one thread too."""
-    handle = _blas_handle() if serial else None
+def _serial_blas():
+    """One BLAS thread for the dense calls inside the scope, the earlier
+    thread count restored on leaving, also when a call raises; a no-op when
+    numpy's OpenBLAS is not found.  The count is a process-wide setting:
+    while the scope is open, BLAS calls from other threads run on one
+    thread too."""
+    handle = _blas_handle()
     if handle is None:
         yield
         return
@@ -530,7 +511,7 @@ class Eigensystem:
         if beta not in self._thermal_states:
             w_min = min(w.min() for w, _ in self.pairs)
             weights = [np.exp(-beta * (w - w_min)) for w, _ in self.pairs]
-            with _serial_blas(self.layout[2].max() <= SERIAL_PRODUCT_MAX_STATES):
+            with _serial_blas():
                 rho = np.concatenate([((V * wt) @ V.conj().T).ravel()
                                       for (_, V), wt in zip(self.pairs, weights)])
             rho.flags.writeable = False
@@ -566,7 +547,7 @@ def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem
         orbits = _orbits(spec)
         if not _commutes(H, orbits):
             orbits = None
-    with _serial_blas(layout[2].max() <= SERIAL_MAX_STATES):
+    with _serial_blas():
         pairs = [np.linalg.eigh(B)
                  if orbits is None or len(states) <= MOMENTUM_MIN_STATES
                  else _momentum_pairs(B, states, layout[1], orbits)
@@ -584,7 +565,7 @@ def log_partition(H: FockOperator, beta: float) -> float:
     """log Tr e^{-beta H} from the sector spectra alone, apart from
     diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
     _, blocks, layout = _blocks(H)
-    with _serial_blas(layout[2].max() <= SERIAL_MAX_STATES):
+    with _serial_blas():
         w = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
     return _log_sum_exp(w, beta)
 
@@ -640,7 +621,9 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
     """Central finite difference of -(1/beta) log(Tr e^{-beta H_lambda} / Tr
     e^{-beta H_0}) in a single lambda entry, against the direct correlation.
     H_0 carries no lambda, so log Tr e^{-beta H_0} cancels exactly in the
-    difference and only log Tr e^{-beta H_lambda} is computed."""
+    difference and only log Tr e^{-beta H_lambda} is computed.  Its
+    rounding_floor, eps max|E| / step, is the error that rounding of the
+    eigenvalues E of H puts into the difference quotient."""
     if step <= 0:
         raise ValueError("step must be positive")
     _, HV, eig = model_system(space, params, u)
@@ -652,5 +635,7 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
         H = _add_terms(space, HV, lam=lam)
         logs[eps] = log_partition(H, params.beta)
     fd = -(logs[step] - logs[-step]) / (2.0 * step * params.beta)
+    e_max = max(np.abs(w).max() for w, _ in eig.pairs)
     return {"finite_difference": fd, "direct": direct,
-            "deviation": abs(fd - direct)}
+            "deviation": abs(fd - direct),
+            "rounding_floor": float(np.finfo(float).eps * e_max / step)}

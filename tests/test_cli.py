@@ -105,6 +105,32 @@ def test_verify_deterministic_reports(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the L = 6 envelope reads the Fock trace on 400-state sectors, whose
+    # eigensolves and thermal products change their last bits when OpenBLAS
+    # runs them on two threads instead of one
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = {}
+    for n in (1, 2):
+        paths = [tmp_path / f"envelope_{n}.csv", tmp_path / f"theorem_{n}.json"]
+        code = ("from fermidecay import cli, fock; "
+                f"a = cli.main(['table', '--kind', 'envelope', '--L', '6', "
+                f"'--out', {str(paths[0])!r}]); "
+                f"b = cli.main(['verify', '--suite', 'theorem', '--L', '6', "
+                f"'--out', {str(paths[1])!r}]); "
+                "h = fock._blas_handle(); print(a, b, h[0]() if h else 0)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=dict(env, OPENBLAS_NUM_THREADS=str(n)))
+        assert run.returncode == 0, run.stderr
+        a, b, threads = map(int, run.stdout.split()[-3:])
+        assert (a, b) == (0, 0)
+        if threads != n:
+            pytest.skip(f"numpy's OpenBLAS runs {threads} threads where "
+                        f"OPENBLAS_NUM_THREADS={n} asks for {n}")
+        outputs[n] = [p.read_bytes() for p in paths]
+    assert outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("argv,code", [
     (["verify", "--suite", "covariance", "--beta", "0"], 2),
     (["verify", "--suite", "covariance", "--L", "0"], 2),
@@ -491,6 +517,26 @@ def test_verify_theorem_outside_the_hubbard_theorem(tmp_path):
         "schwinger_contour_identity", "trivial_hopping_vanishing",
         "antisym_hubbard_tensor", "antisym_hubbard_norm",
         "antisym_norm_inequality", "lambda_derivative"]
+
+
+def test_lambda_derivative_refused_when_rounding_swamps_it(tmp_path):
+    # at mu = 1e6 the one-site energies reach 2e6, so rounding puts
+    # eps max|E| / step = 4.4e-6 into the difference quotient, over the
+    # 1e-6 tolerance: the row is a refusal, not a plain FAIL
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "theorem", "--mu", "1e6",
+                 "--out", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"]
+              if not c["pass"]]
+    assert [c["quantity"] for c in failed] == ["lambda_derivative_aborted"]
+    assert failed[0]["computed"].startswith(
+        "finite difference swamped by rounding: floor 4.44e-06")
+
+
+def test_lambda_derivative_runs_below_the_rounding_floor():
+    # at mu = 1e5 the floor is 4.4e-7: the row runs and passes
+    (row,) = cli.lambda_derivative(ModelParams(t=1.0, mu=1e5, beta=1.0))
+    assert row.name == "lambda_derivative" and row.passed
 
 
 def test_verify_covariance_reports_the_fock_skip(tmp_path):

@@ -267,6 +267,20 @@ def test_lambda_derivative_matches_correlation():
     assert 2.0 < ratio < 8.0
 
 
+def test_lambda_derivative_rounding_floor():
+    # eps max|E| / step, from the eigenvalues of H: at mu = 1e6 the one-site
+    # energies reach 2e6 and rounding alone makes a deviation over 1e-6,
+    # which the floor covers
+    atom = FockSpace(LatticeSpec(d=1, L=1))
+    u = hubbard_interaction(0.1, d=1)
+    q = query(((0,),), ((0,),), (UP,), (UP,))
+    p = ModelParams(t=1.0, mu=1e6, beta=1.0)
+    res = lambda_derivative_check(atom, p, u, q, step=1e-4)
+    e_max = max(np.abs(w).max() for w, _ in fock.model_system(atom, p, u)[2].pairs)
+    assert res["rounding_floor"] == np.finfo(float).eps * e_max / 1e-4
+    assert 1e-6 < res["deviation"] <= res["rounding_floor"]
+
+
 def test_lambda_derivative_free_case():
     atom = FockSpace(LatticeSpec(d=1, L=1))
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
@@ -742,7 +756,7 @@ def test_no_eigh_past_the_threshold_on_invariant_models():
 def _reading_thread_counts(monkeypatch, get):
     """Patch np.linalg.eigh and eigvalsh, and fock._serial_blas, to record
     the thread count that each call, and each scope once open, sees: a
-    list of (name, block size or the scope's flag, count)."""
+    list of (name, block size or None for a scope, count)."""
     seen = []
     for name in ("eigh", "eigvalsh"):
         def reading(a, *args, _name=name, _solve=getattr(np.linalg, name),
@@ -753,9 +767,9 @@ def _reading_thread_counts(monkeypatch, get):
     scope = fock._serial_blas
 
     @contextlib.contextmanager
-    def reading_scope(serial):
-        with scope(serial):
-            seen.append(("scope", serial, get()))
+    def reading_scope():
+        with scope():
+            seen.append(("scope", None, get()))
             yield
     monkeypatch.setattr(fock, "_serial_blas", reading_scope)
     return seen
@@ -763,18 +777,21 @@ def _reading_thread_counts(monkeypatch, get):
 
 def _thread_cases():
     """The sigma_x-field square (N-sectors of 28, 56 and 70 states), with
-    and without its lattice, and the free L=4 chain (a 36-state sector)
-    without it; with an observable of each space."""
+    and without its lattice, the free L=4 chain (a 36-state sector) without
+    it, and the free L=5 chain (100-state sectors, split into momentum
+    blocks; its thermal products are on the whole sectors) with it; with an
+    observable of each space."""
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
-    square, chain = LatticeSpec(d=2, L=2), LatticeSpec(d=1, L=4)
+    square = LatticeSpec(d=2, L=2)
+    chain, chain5 = LatticeSpec(d=1, L=4), LatticeSpec(d=1, L=5)
     field = build_hamiltonian(FockSpace(square), p,
                               _example_interaction("field_x", square, 0.4))
-    free = build_hamiltonian(FockSpace(chain), p)
+    free, free5 = (build_hamiltonian(FockSpace(c), p) for c in (chain, chain5))
     return p.beta, [
         (H, spec, observable_pair(FockSpace(shape), query(
             ((0,) * shape.d,), ((1,) + (0,) * (shape.d - 1),), (UP,), (UP,))))
         for H, spec, shape in ((field, square, square), (field, None, square),
-                               (free, None, chain))]
+                               (free, None, chain), (free5, chain5, chain5))]
 
 
 def test_dense_calls_run_on_one_blas_thread(blas_count, monkeypatch):
@@ -791,7 +808,7 @@ def test_dense_calls_run_on_one_blas_thread(blas_count, monkeypatch):
             assert seen and all(count == 1 for *_, count in seen), seen
             assert blas_count() == earlier
             solved |= {n for name, n, _ in seen if name != "scope"}
-    assert {28, 36, 56, 70} <= solved
+    assert {28, 36, 56, 70, 100} <= solved
 
 
 def test_thread_count_restored_on_error(blas_count, monkeypatch):
@@ -809,23 +826,11 @@ def test_thread_count_restored_on_error(blas_count, monkeypatch):
         assert blas_count() == earlier
 
 
-def test_blocks_past_the_limits_keep_their_threads(blas_count, monkeypatch):
-    # the free L=4 chain's 36-state sector is past both limits set to 30, so
-    # every dense call of the model keeps the earlier count
-    seen = _reading_thread_counts(monkeypatch, blas_count)
-    earlier = blas_count()
-    monkeypatch.setattr(fock, "SERIAL_MAX_STATES", 30)
-    monkeypatch.setattr(fock, "SERIAL_PRODUCT_MAX_STATES", 30)
-    beta, cases = _thread_cases()
-    H, _, O = cases[2]
-    diagonalize(H).expectation(O, beta)
-    fock.log_partition(H, beta)
-    assert ("eigh", 36, earlier) in seen and ("eigvalsh", 36, earlier) in seen
-    assert all(count == earlier for *_, count in seen), seen
-    assert [flag for name, flag, _ in seen if name == "scope"] == [False] * 3
-
-
-def test_pairs_without_the_library_match_the_scoped_ones(monkeypatch):
+def test_pairs_without_the_library_match_the_scoped_ones(blas_count,
+                                                          monkeypatch):
+    # without the library the scope does nothing, and past about 90 states
+    # two threads change the last bits; so the scoped pairs, taken at two
+    # threads or more, must be those of a process on one thread
     beta, cases = _thread_cases()
 
     def run():
@@ -838,7 +843,9 @@ def test_pairs_without_the_library_match_the_scoped_ones(monkeypatch):
         return out
 
     scoped = run()
+    _, put = fock._blas_handle()
     monkeypatch.setattr(fock, "_blas_handle", lambda: None)
+    put(1)
     assert run() == scoped
 
 

@@ -129,9 +129,9 @@ def test_slot_key_without_interaction(monkeypatch):
 
 
 def test_translation_sign_without_parity(monkeypatch):
-    # the bare permutation of the modes: H no longer commutes with it (a
-    # hop across the boundary changes sign with the particle number), so
-    # the invariant models fall back to the sector path
+    # the bare permutation of the modes: its signs differ from the
+    # mode-by-mode Jordan-Wigner reference wherever occupied modes wrap
+    # around
     def no_parity(translation):
         def bare(spec):
             step, sign = translation(spec)
@@ -139,7 +139,8 @@ def test_translation_sign_without_parity(monkeypatch):
         return bare
 
     _assert_killed(monkeypatch, fock, "_translation", no_parity,
-                   test_fock.test_momentum_blocks_match_full_space)
+                   partial(test_fock.test_translation_matches_mode_loop,
+                           (1, 4)))
 
 
 def test_thread_count_restored_only_on_success(monkeypatch, blas_count):
@@ -147,8 +148,8 @@ def test_thread_count_restored_only_on_success(monkeypatch, blas_count):
     # process on one BLAS thread
     def on_success_only(_):
         @contextlib.contextmanager
-        def scope(serial):
-            handle = fock._blas_handle() if serial else None
+        def scope():
+            handle = fock._blas_handle()
             if handle is None:
                 yield
                 return
