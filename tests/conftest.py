@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fermidecay import fock
 from fermidecay.lattice import LatticeSpec, TimeGrid
 from fermidecay.model import ModelParams, hubbard_interaction
+
+# every property test draws the same examples on every run, with no deadline;
+# each keeps its own max_examples
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

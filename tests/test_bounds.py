@@ -106,7 +106,7 @@ def _det_bound_sample_loop(cs, n, vec_dim, trials, seed, block):
     return worst
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(1, 6), st.data(), st.integers(0, 2), st.integers(0, 2**32))
 def test_det_bound_sample_matches_loop(n, data, choice, seed):
     # the three shift choices of suite_detbound; 40 trials make an all-singular
@@ -187,7 +187,7 @@ def test_covariance_l1_D_matches_matrix_sums(d, L):
                 covariance_l1_D_reference(cs, grid), rel=1e-12, abs=0.0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.sampled_from([(1, L) for L in range(1, 7)]
                        + [(2, L) for L in range(1, 4)]),
        st.integers(1, 4), st.floats(0.3, 3.0), st.floats(-0.5, 0.5),
@@ -410,13 +410,15 @@ def test_schwinger_contour_guard_per_node(params):
                                 radius=radius, eta=eta)
 
 
-def test_contour_checks_hold_from_high_to_low_temperature():
+def test_contour_checks_hold_from_high_to_low_temperature(
+        betas=(0.05, 0.25, 1, 2, 5, 10, 20, 30)):
     # the strip of analyticity narrows like 1/beta, and contour_nodes sizes
     # the theta rule from it: both contour identities hold from beta = 0.05
-    # to 30, on chains and on the d = 2 and d = 3 tori with t' != 0
+    # to 30, on chains and on the d = 2 and d = 3 tori with t' != 0; the
+    # mutant catalogue passes fewer betas
     lattices = [(1, 2, 0.0, 30), (1, 4, 0.0, 30), (1, 16, 0.0, 30),
                 (2, 4, 0.3, 20), (3, 3, 0.3, 5)]
-    for beta in (0.05, 0.25, 1, 2, 5, 10, 20, 30):
+    for beta in betas:
         for d, L, t_prime, beta_max in lattices:
             if beta > beta_max:
                 continue
@@ -430,7 +432,7 @@ def test_contour_checks_hold_from_high_to_low_temperature():
     # the case of verify's schwinger_contour_identity row
     spec = LatticeSpec(d=1, L=2)
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    for beta in (0.05, 1, 2, 5, 10, 20, 30):
+    for beta in betas:
         p = ModelParams(t=1.0, mu=0.2, beta=beta)
         res = schwinger_contour_check(spec, p, TimeGrid(beta, 1),
                                       hubbard_interaction(0.1, d=1), q, axis=0)

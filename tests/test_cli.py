@@ -685,42 +685,42 @@ def test_table_envelope_refuses_outside_the_theorem(case, tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
-def test_runs_with_scipy_unimportable(tmp_path):
-    # the runtime needs numpy alone: importing the package loads no scipy,
-    # and every suite runs with scipy made unimportable
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+@pytest.fixture(scope="module")
+def fresh_process(tmp_path_factory):
+    """One fresh interpreter on the package alone: the scipy modules that
+    importing it loads; then, with scipy made unimportable, `verify --suite
+    all` and the L = 5 Fock model; then the exit code, the scipy modules and
+    whether numpy.ma was imported, as the last line of its output."""
+    out = tmp_path_factory.mktemp("fresh") / "r.json"
     scipy_keys = ("sorted(m for m in sys.modules "
                   "if m.split('.')[0] == 'scipy')")
-    code = ("import sys; import fermidecay.cli; "
-            f"print({scipy_keys})")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
-    out = tmp_path / "r.json"
-    code = ("import sys; sys.modules['scipy'] = None; "
-            "from fermidecay import cli; "
-            f"rc = cli.main(['verify', '--suite', 'all', '--out', {str(out)!r}]); "
-            f"print(rc, {scipy_keys})")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "0 ['scipy']"  # only the blocking None entry
-    assert json.loads(out.read_text())["passed"] is True
-
-
-def test_timed_paths_leave_numpy_ma_unimported(tmp_path):
-    # a plain np.unique imports numpy.ma on its first call (about 20 ms on
-    # numpy 2.4): neither verify nor the L = 5 Fock model may reach one
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = tmp_path / "r.json"
-    code = ("import sys; from fermidecay import cli, fock, model; "
+    code = ("import json, sys; from fermidecay import cli, fock, model; "
             "from fermidecay.lattice import LatticeSpec; "
+            f"loaded = {scipy_keys}; sys.modules['scipy'] = None; "
             f"rc = cli.main(['verify', '--suite', 'all', '--out', {str(out)!r}]); "
             "fock.model_system(fock.FockSpace(LatticeSpec(d=1, L=5)), "
             "model.ModelParams(t=1.0, mu=0.2, beta=1.0), "
             "model.hubbard_interaction(0.3, d=1)); "
-            "print(rc, 'numpy.ma' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
+            f"print(json.dumps([loaded, rc, {scipy_keys}, "
+            "'numpy.ma' in sys.modules]))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "0 False"
+    return json.loads(run.stdout.strip().splitlines()[-1]), out
+
+
+def test_runs_with_scipy_unimportable(fresh_process):
+    # the runtime needs numpy alone: importing the package loads no scipy,
+    # and every suite runs with scipy made unimportable
+    (loaded, rc, blocked, _), out = fresh_process
+    assert loaded == [] and rc == 0
+    assert blocked == ["scipy"]  # only the blocking None entry
+    assert json.loads(out.read_text())["passed"] is True
+
+
+def test_timed_paths_leave_numpy_ma_unimported(fresh_process):
+    # a plain np.unique imports numpy.ma on its first call (about 20 ms on
+    # numpy 2.4): neither verify nor the L = 5 Fock model may reach one
+    (_, rc, _, numpy_ma), _ = fresh_process
+    assert rc == 0 and numpy_ma is False

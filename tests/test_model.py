@@ -84,7 +84,7 @@ def hopping_reference(spec, params):
 _COUPLING = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.sampled_from([(d, L) for d in (1, 2, 3)
                         for L in range(1, 6 if d < 3 else 5)]),
        _COUPLING, _COUPLING, _COUPLING)
@@ -171,7 +171,7 @@ def test_dispersion_values():
 _SHIFT = st.builds(complex, st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.sampled_from([(1, 1), (1, 2), (1, 5), (1, 6), (2, 2), (2, 3),
                         (3, 2)]),
        st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
