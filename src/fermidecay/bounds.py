@@ -23,7 +23,6 @@ from .covariance import (
     contour_sum,
     covariance_entries,
     covariance_matrix,
-    covariance_value,
     l1_time_sums,
     site_sum_diff,
 )
@@ -85,10 +84,16 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
 
 
 def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
-    """|det(C(a_j, b_k))| against 2 * B^n * F^{-chord exponent of (sum x - sum y)}."""
+    """|det(C(a_j, b_k))| against 2 * B^n * F^{-chord exponent of (sum x - sum y)}.
+
+    The points are (site, spin, time); the n x n matrix is one
+    covariance_entries call, zero where the spins differ."""
     n = len(pairs)
-    M = np.array([[covariance_value(cs, a, b) for (_, b) in pairs]
-                  for (a, _) in pairs], dtype=complex)
+    (xa, sa, ta), (xb, sb, tb) = (
+        [np.array(f) for f in zip(*side)] for side in zip(*pairs))
+    C = covariance_entries(cs, xb[None, :] - xa[:, None],
+                           tb[None, :] - ta[:, None])
+    M = np.where(sa[:, None] == sb[None, :], C, 0.0)
     lhs = abs(complex(np.linalg.det(M)))
     dsum = site_sum_diff([a[0] for a, _ in pairs], [b[0] for _, b in pairs])
     F = theorem_decay_base(cs.params, cs.spec.d)
@@ -220,8 +225,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
     space = fock.FockSpace(spec)
     F = theorem_decay_base(params, spec.d)
     rows = []
-    for q in queries:
-        value = fock.correlation(space, params, u, q)
+    for q, value in zip(queries, fock.correlations(space, params, u, queries)):
         sum_diff = site_sum_diff(q.x_sites, q.y_sites)
         pre = _envelope_prefactor(variant, R, q.m_hat)
         env = pre * F ** (-chord_exponent(spec, sum_diff))

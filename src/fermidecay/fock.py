@@ -3,20 +3,23 @@ thermal traces.
 
 Every operator -- the mode operators, the pieces of H and the observables --
 is a FockOperator of canonical COO triplets, made by one assembler that
-applies its normal-ordered operator strings to all basis states at once with
-the Jordan-Wigner sign in the global mode order, so every sign is
-reproducible.  Thermal averages go through the eigendecomposition of H one
-conserved-number sector at a time: (N_up, N_down) when H keeps both counts,
-else the total N, else the whole space.  Each sector block is filled densely,
-real when H has no imaginary entry, and diagonalized.  Given the lattice,
-diagonalize splits a sector of more than MOMENTUM_MIN_STATES = 25 states
-into lattice-momentum blocks when H commutes with the one-site translation
-along axis 0 (checked once per H on its triplets); smaller blocks are not
-worth splitting.  The momentum eigenvectors are mapped back into the sector
-basis, real on a real H, so the rest of the oracle does not see the split.
-Per beta the Eigensystem keeps the thermal state e^{-beta H} as flattened
-sector blocks, so an expectation is one gather of it at the in-sector
-entries of the observable.  Sizes are desk scale by design, and FockSpace,
+applies the normal-ordered operator strings of any number of operators to
+all basis states in one pass, with the Jordan-Wigner sign in the global mode
+order, so every sign is reproducible.  Thermal averages go through the
+eigendecomposition of H one conserved-number sector at a time: (N_up,
+N_down) when H keeps both counts, else the total N, else the whole space.
+Each sector block is filled densely, real when H has no imaginary entry,
+and the blocks of equal size are diagonalized by one stacked eigh (eigvalsh
+for a spectrum alone).  Given the lattice, diagonalize splits a sector of
+more than MOMENTUM_MIN_STATES = 25 states into lattice-momentum blocks when
+H commutes with the one-site translation along axis 0 (checked once per H
+on its triplets); smaller blocks are not worth splitting.  The momentum
+eigenvectors are mapped back into the sector basis, real on a real H, so
+the rest of the oracle does not see the split.  Per beta the Eigensystem
+keeps the thermal state e^{-beta H} as flattened sector blocks, so an
+expectation is one gather of it at the in-sector entries of the observable;
+correlations assembles the observables of a batch of queries together and
+takes one gather per query.  Sizes are desk scale by design, and FockSpace,
 which refuses more than MAX_MODES modes, is the one size guard.
 
 One BLAS thread per dense Fock call; results do not depend on the core
@@ -27,12 +30,17 @@ chain at L=6, with N-sectors of up to 924 states, is diagonalized with
 one thermal state on the sector path in 0.51-0.58 s against 0.31-0.36 s
 on two threads (2-vCPU machine).
 
-One model slot, model_system(space, params, u), holds H_0, H = H_0 + V and
-the Eigensystem of H for the last model asked for.  Its key is the content
-of the model: the space, the parameters and a snapshot of u's entries, so
-a u changed in place is a new model.  It holds one model at a time and is
-cleared before the next is built, so the envelope, the partition ratio, the
-lambda check and the CLI rows of one model build and diagonalize H once.
+What depends on the lattice alone is computed once per lattice, in bounded
+caches of read-only values: the occupation counts per mode count, the
+sector labellings with their layouts per dimension, the orbit tables of
+the translation, and H_0 with its log Tr e^{-beta H_0} per (space,
+params), which every model on that lattice shares.  One model slot,
+model_system(space, params, u), holds H_0, H = H_0 + V and the Eigensystem
+of H for the last model asked for.  Its key is the content of the model:
+the space, the parameters and a snapshot of u's entries, so a u changed in
+place is a new model.  It holds one model at a time and is cleared before
+the next is built, so the envelope, the partition ratio, the lambda check
+and the CLI rows of one model build and diagonalize H once.
 """
 
 from __future__ import annotations
@@ -159,34 +167,53 @@ def _canonical(dim: int, rows, cols, vals) -> FockOperator:
     return FockOperator(*arrays, dim)
 
 
+@functools.lru_cache(maxsize=8)
 def _occupations(n_modes: int) -> np.ndarray:
-    """The number of occupied modes of every basis state 0 .. 2^n_modes - 1."""
+    """The number of occupied modes of every basis state 0 .. 2^n_modes - 1,
+    read-only, computed once per mode count."""
     count = np.zeros(1, dtype=int)
     for _ in range(n_modes):
         count = np.concatenate([count, count + 1])
+    count.flags.writeable = False
     return count
 
 
-def _assemble(n_modes: int, terms, dtype=complex) -> FockOperator:
-    """Sum of coeff * psi*_{c1}..psi*_{ck} psi_{a1}..psi_{al} over the terms
-    (coeff, create_modes, annihilate_modes).  Each string acts on all basis
-    states at once, rightmost factor first: psi_m (psi*_m) keeps the states
+def _assemble(n_modes: int, groups, dtype=complex) -> list[FockOperator]:
+    """For each group of terms (coeff, create_modes, annihilate_modes) the
+    operator sum of coeff * psi*_{c1}..psi*_{ck} psi_{a1}..psi_{al}.  The
+    strings of all groups act on all basis states in one pass over a (terms
+    x states) array, rightmost factor first: psi_m (psi*_m) keeps the states
     with mode m occupied (empty), applies the Jordan-Wigner sign
-    (-1)^(occupied modes below m) and flips bit m."""
+    (-1)^(occupied modes below m) and flips bit m.  A string shorter than
+    the longest is padded with identity factors, which keep every state,
+    multiply by 1.0 and flip nothing.  Each group's triplets are summed in
+    term-major order, the states of a term in ascending order."""
     dim = 2**n_modes
+    terms = [term for group in groups for term in group]
+    strings = [[(1 << m, 1 << m) for m in reversed(annihilate)] +
+               [(1 << m, 0) for m in reversed(create)]
+               for _, create, annihilate in terms]
+    width = max(map(len, strings), default=0)
+    # per term and factor: the bit of its mode and the value that bit needs;
+    # a pad is (0, 0), and its mask of lower modes, max(bit - 1, 0), is 0,
+    # so it multiplies by jw[0] = 1.0
+    bit, need = np.array([s + [(0, 0)] * (width - len(s)) for s in strings],
+                         dtype=int).reshape(len(terms), width, 2).T[:, :, :, None]
     jw = 1.0 - 2.0 * (_occupations(n_modes) & 1)  # (-1)^(occupied modes in s)
-    triplets = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=dtype),)]
-    for coeff, create, annihilate in terms:
-        start = state = np.arange(dim)
-        sign = np.full(dim, coeff, dtype=dtype)
-        for m, occupied in ([(m, 1) for m in reversed(annihilate)] +
-                            [(m, 0) for m in reversed(create)]):
-            keep = (state >> m) & 1 == occupied
-            start, state, sign = start[keep], state[keep], sign[keep]
-            sign = sign * jw[state & ((1 << m) - 1)]
-            state = state ^ (1 << m)
-        triplets.append((state, start, sign))
-    return _canonical(dim, *(np.concatenate(a) for a in zip(*triplets)))
+    state = np.tile(np.arange(dim), (len(terms), 1))
+    sign = np.repeat(np.array([coeff for coeff, *_ in terms], dtype=dtype),
+                     dim).reshape(len(terms), dim)
+    alive = np.ones(state.shape, dtype=bool)
+    for b, n in zip(bit, need):
+        alive &= state & b == n
+        sign *= jw[state & np.maximum(b - 1, 0)]
+        state ^= b
+    flat = np.flatnonzero(alive)
+    term, start = np.divmod(flat, dim)
+    rows, vals = state.ravel()[flat], sign.ravel()[flat]
+    ends = np.searchsorted(term, np.cumsum([len(g) for g in groups], dtype=int))
+    return [_canonical(dim, rows[a:b], start[a:b], vals[a:b])
+            for a, b in zip([0, *ends[:-1]], ends)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,40 +221,48 @@ def _mode_operators(n_modes: int):
     """All annihilation operators psi_q as read-only float operators.  The
     package does not call it: the benchmark reads its cache_info(), and the
     tests build their CAR operators from it."""
-    return tuple(_assemble(n_modes, [(1.0, (), (q,))], dtype=float)
-                 for q in range(n_modes))
+    return tuple(_assemble(n_modes, [[(1.0, (), (q,))] for q in range(n_modes)],
+                           dtype=float))
 
 
-def _normal_ordered(space: FockSpace, entries) -> FockOperator:
-    """Sum of coeff psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}
-    over the entries (X, Y, Xi, Phi, coeff); sites are reduced mod L."""
+def _normal_ordered(space: FockSpace, groups) -> list[FockOperator]:
+    """For each group of entries (X, Y, Xi, Phi, coeff) the sum of coeff
+    psi*_{x1 xi1}..psi*_{xl xil} psi_{yl phil}..psi_{y1 phi1}; sites are
+    reduced mod L."""
     mode = functools.partial(mode_index, space.spec)
-    return _assemble(space.n_modes, [
+    return _assemble(space.n_modes, [[
         (coeff, [mode(x, s) for x, s in zip(X, Xi)],
          [mode(y, s) for y, s in zip(reversed(Y), reversed(Phi))])
-        for X, Y, Xi, Phi, coeff in entries])
+        for X, Y, Xi, Phi, coeff in entries] for entries in groups])
 
 
 def build_h0(space: FockSpace, params: ModelParams) -> FockOperator:
     """sum of h[x, y] psi*_{x s} psi_{y s} over sites x, y and spins s, h the
     site_hopping_matrix, in row-major order of the modes 2 * site + spin."""
     h = site_hopping_matrix(space.spec, params)
-    return _assemble(space.n_modes, [(h[x, y], (2 * x + s,), (2 * y + s,))
-                                     for x in range(len(h)) for s in SPINS
-                                     for y in np.flatnonzero(h[x])])
+    return _assemble(space.n_modes, [[(h[x, y], (2 * x + s,), (2 * y + s,))
+                                      for x in range(len(h)) for s in SPINS
+                                      for y in np.flatnonzero(h[x])]])[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _free_hamiltonian(space: FockSpace, params: ModelParams) -> FockOperator:
+    """build_h0, once per (space, params): the models on one lattice and
+    build_hamiltonian share this H_0, whose arrays are read-only."""
+    return build_h0(space, params)
 
 
 def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOperator:
     """V = sum over orders and lattice sites of
     U_{L,l} psi*_{x1 xi1}..psi*_{xl xil} psi_{xl phil}..psi_{x1 phi1}."""
-    return _normal_ordered(
-        space, lattice_terms(restrict_interaction(u, space.spec), space.spec))
+    return _normal_ordered(space, [
+        lattice_terms(restrict_interaction(u, space.spec), space.spec)])[0]
 
 
 def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> FockOperator:
     """sum over entries of (lambda(X,Y,Xi,Phi) + lambda(Y,X,Phi,Xi)) times
     psi*_{x1 xi1}..psi*_{xm xim} psi_{ym phim}..psi_{y1 phi1}."""
-    return _normal_ordered(space, lam.symmetrized_terms())
+    return _normal_ordered(space, [lam.symmetrized_terms()])[0]
 
 
 def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
@@ -247,14 +282,22 @@ def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
 def build_hamiltonian(space: FockSpace, params: ModelParams,
                       u: InteractionCoefficients | None = None,
                       lam: LambdaCoefficients | None = None) -> FockOperator:
-    return _add_terms(space, build_h0(space, params), u, lam)
+    return _add_terms(space, _free_hamiltonian(space, params), u, lam)
+
+
+def observable_pairs(space: FockSpace, queries) -> list[FockOperator]:
+    """The self-adjoint pairs O + O^dagger of the correlation observables of
+    the queries, assembled together; the adjoint of O is the
+    normal-ordered string of the swapped query."""
+    return _normal_ordered(space, [[(p.x_sites, p.y_sites, p.xi_spins,
+                                     p.phi_spins, 1.0)
+                                    for p in (q, q.swapped())]
+                                   for q in queries])
 
 
 def observable_pair(space: FockSpace, q: CorrelationQuery) -> FockOperator:
-    """The self-adjoint pair O + O^dagger of the correlation observable; the
-    adjoint of O is the normal-ordered string of the swapped query."""
-    return _normal_ordered(space, [(p.x_sites, p.y_sites, p.xi_spins,
-                                    p.phi_spins, 1.0) for p in (q, q.swapped())])
+    """observable_pairs of the one query q."""
+    return observable_pairs(space, [q])[0]
 
 
 @functools.cache
@@ -301,22 +344,33 @@ def _serial_blas():
         put(before)
 
 
-def _sectors(H: FockOperator) -> list[np.ndarray]:
-    """The basis states in the finest conserved-number blocks that H keeps:
-    (N_up, N_down), else the total N, else a single block.
-
-    Mode 2*site + spin is spin up when even.  A labelling is kept when every
-    stored entry of H joins two states of equal label.
-    """
-    dim = H.dim
+@functools.lru_cache(maxsize=8)
+def _labellings(dim: int):
+    """The conserved-number labellings of the basis states, finest first:
+    (N_up, N_down), the total N and a single block.  Per labelling, its
+    label of every state, the states of each sector in ascending order and
+    their _layout; read-only, computed once per dimension.  Mode 2*site +
+    spin is spin up when even."""
     basis = np.arange(dim)
     bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
     n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
+    out = []
     for label in (n_up * dim + n_down, n_up + n_down, np.zeros(dim, dtype=int)):
-        if np.array_equal(label[H.rows], label[H.cols]):
-            break
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+        order = np.argsort(label, kind="stable")
+        sectors = tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+        layout = _layout(sectors, dim)
+        for arr in (label, order, *sectors, *layout):
+            arr.flags.writeable = False
+        out.append((label, sectors, layout))
+    return tuple(out)
+
+
+def _sectors(H: FockOperator):
+    """The sectors of the finest labelling that H keeps, and their _layout:
+    a labelling is kept when every stored entry of H joins two states of
+    equal label; the single block keeps every H."""
+    return next((sectors, layout) for label, sectors, layout in _labellings(H.dim)
+                if np.array_equal(label[H.rows], label[H.cols]))
 
 
 def _layout(sectors, dim: int):
@@ -344,8 +398,7 @@ def _blocks(H: FockOperator):
     else complex.  A block that is not hermitian is refused: each stored
     entry is compared with the adjoint of the block entry at its transposed
     place, which is 0 when unstored."""
-    sectors = _sectors(H)
-    layout = _layout(sectors, H.dim)
+    sectors, layout = _sectors(H)
     sector, _, sizes, offsets = layout
     is_complex = np.iscomplexobj(H.vals) and bool(np.any(H.vals.imag))
     flat = np.zeros(offsets[-1], dtype=complex if is_complex else float)
@@ -534,9 +587,24 @@ class Eigensystem:
         return _log_sum_exp(np.concatenate([w for w, _ in self.pairs]), beta)
 
 
+def _stacked(solve, blocks) -> list:
+    """The results of solve, one per block, in block order, from one call
+    of solve per block size on the stack of the blocks of that size; the
+    gufunc solves a stack block by block as it would solve each block
+    alone.  The blocks of one H share their dtype."""
+    out = [None] * len(blocks)
+    groups = collections.defaultdict(list)
+    for i, B in enumerate(blocks):
+        groups[len(B)].append(i)
+    for at in groups.values():
+        for i, part in zip(at, solve(np.stack([blocks[i] for i in at]))):
+            out[i] = part
+    return out
+
+
 def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem:
-    """Eigenpairs of H, one dense eigh per sector block, real on real
-    blocks.  Given the lattice of H, a sector of more than
+    """Eigenpairs of H by sector blocks, real on real blocks, one stacked
+    eigh per block size.  Given the lattice of H, a sector of more than
     MOMENTUM_MIN_STATES states is diagonalized by momentum blocks instead
     (_momentum_pairs) when H commutes with the lattice translation."""
     if spec is not None and 2**spec.n_modes != H.dim:
@@ -547,11 +615,13 @@ def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem
         orbits = _orbits(spec)
         if not _commutes(H, orbits):
             orbits = None
+    split = [orbits is not None and len(states) > MOMENTUM_MIN_STATES
+             for states in sectors]
     with _serial_blas():
-        pairs = [np.linalg.eigh(B)
-                 if orbits is None or len(states) <= MOMENTUM_MIN_STATES
-                 else _momentum_pairs(B, states, layout[1], orbits)
-                 for states, B in zip(sectors, blocks)]
+        dense = iter(_stacked(lambda S: zip(*np.linalg.eigh(S)), [
+            B for B, s in zip(blocks, split) if not s]))
+        pairs = [_momentum_pairs(B, states, layout[1], orbits) if s
+                 else next(dense) for states, B, s in zip(sectors, blocks, split)]
     return Eigensystem(sectors, pairs, layout)
 
 
@@ -563,11 +633,19 @@ def _log_sum_exp(w: np.ndarray, beta: float) -> float:
 
 def log_partition(H: FockOperator, beta: float) -> float:
     """log Tr e^{-beta H} from the sector spectra alone, apart from
-    diagonalize: its callers want no eigenvectors, and eigvalsh skips them."""
-    _, blocks, layout = _blocks(H)
+    diagonalize: its callers want no eigenvectors, and eigvalsh skips them.
+    One stacked eigvalsh per block size; the spectra are joined in sector
+    order."""
+    _, blocks, _ = _blocks(H)
     with _serial_blas():
-        w = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
+        w = np.concatenate(_stacked(np.linalg.eigvalsh, blocks))
     return _log_sum_exp(w, beta)
+
+
+@functools.lru_cache(maxsize=8)
+def _free_log_partition(space: FockSpace, params: ModelParams) -> float:
+    """log Tr e^{-beta H_0} of the shared H_0, once per (space, params)."""
+    return log_partition(_free_hamiltonian(space, params), params.beta)
 
 
 _MODEL: dict = {}  # the model slot: at most one key -> (H_0, H, Eigensystem)
@@ -589,7 +667,7 @@ def model_system(space: FockSpace, params: ModelParams,
     key = (space, params, _interaction_key(u))
     if key not in _MODEL:
         _MODEL.clear()
-        H0 = build_h0(space, params)
+        H0 = _free_hamiltonian(space, params)
         H = _add_terms(space, H0, u)
         _MODEL[key] = H0, H, diagonalize(H, space.spec)
     return _MODEL[key]
@@ -598,21 +676,31 @@ def model_system(space: FockSpace, params: ModelParams,
 def partition_ratio(space: FockSpace, params: ModelParams,
                     u: InteractionCoefficients | None) -> float:
     """Tr e^{-beta (H_0 + V)} / Tr e^{-beta H_0}; log Z of H from the
-    model's Eigensystem, that of H_0 from its spectrum."""
-    H0, _, eig = model_system(space, params, u)
+    model's Eigensystem, that of H_0 from its spectrum, taken once per
+    lattice and parameters."""
+    eig = model_system(space, params, u)[2]
     return float(np.exp(eig.log_partition(params.beta) -
-                        log_partition(H0, params.beta)))
+                        _free_log_partition(space, params)))
+
+
+def correlations(space: FockSpace, params: ModelParams,
+                 u: InteractionCoefficients | None, queries,
+                 eig=None) -> list[complex]:
+    """Thermal averages of the symmetrized correlation observables of the
+    queries, their observables assembled in one pass and each averaged by
+    one gather; in the model's Eigensystem from the slot unless eig carries
+    diagonalize(H) of the model's H."""
+    if eig is None:
+        eig = model_system(space, params, u)[2]
+    return [eig.expectation(O, params.beta)
+            for O in observable_pairs(space, queries)]
 
 
 def correlation(space: FockSpace, params: ModelParams,
                 u: InteractionCoefficients | None, q: CorrelationQuery,
                 eig=None) -> complex:
-    """Thermal average of the symmetrized correlation observable, in the
-    model's Eigensystem from the slot unless eig carries diagonalize(H) of
-    the model's H."""
-    if eig is None:
-        eig = model_system(space, params, u)[2]
-    return eig.expectation(observable_pair(space, q), params.beta)
+    """correlations of the one query q."""
+    return correlations(space, params, u, [q], eig)[0]
 
 
 def lambda_derivative_check(space: FockSpace, params: ModelParams,

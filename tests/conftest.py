@@ -12,11 +12,19 @@ settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
 
 
+def empty_model_caches():
+    """Empty the Fock model slot and the per-lattice H_0 and log Z(H_0)
+    caches, so that no model built earlier is reused."""
+    fock._MODEL.clear()
+    fock._free_hamiltonian.cache_clear()
+    fock._free_log_partition.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _empty_model_slot():
-    """Every test starts with an empty Fock model slot, so no model leaks
-    from one test into the next."""
-    fock._MODEL.clear()
+    """Every test starts with an empty Fock model slot and no cached H_0,
+    so no model leaks from one test into the next."""
+    empty_model_caches()
 
 
 @pytest.fixture

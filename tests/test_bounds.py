@@ -12,6 +12,7 @@ from fermidecay.bounds import (
     DET_BLOCK,
     covariance_l1_D,
     det_bound_sample,
+    det_decay_check,
     prop41_bound,
     prop42_bound,
     schwinger_contour_check,
@@ -72,6 +73,24 @@ def test_det_bound_block_independent_of_trial_count(params, chain4):
         one = det_bound_sample(cs, n, n, DET_BLOCK, seed=17)["worst_ratio"]
         two = det_bound_sample(cs, n, n, 2 * DET_BLOCK, seed=17)["worst_ratio"]
         assert one <= two
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(1, 4), (2, 2), (2, 3)]), st.integers(1, 4), st.data())
+def test_det_decay_check_matches_entry_loop(shape, n, data):
+    # the one covariance_entries call against the n x n matrix of
+    # covariance_value entries it replaced, unequal spins included
+    spec = LatticeSpec(*shape)
+    p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
+    cs = CovarianceSpec(spec, p)
+    point = st.tuples(st.sampled_from(enumerate_sites(spec)),
+                      st.sampled_from((UP, DOWN)),
+                      st.floats(0.0, p.beta, exclude_max=True))
+    pairs = [(data.draw(point), data.draw(point)) for _ in range(n)]
+    M = np.array([[covariance_value(cs, a, b) for _, b in pairs]
+                  for a, _ in pairs], dtype=complex)
+    got = det_decay_check(cs, pairs)["abs_det"]
+    assert got == pytest.approx(abs(complex(np.linalg.det(M))), rel=1e-12)
 
 
 def _det_bound_sample_loop(cs, n, vec_dim, trials, seed, block):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -460,31 +461,44 @@ def _nan_on_call(real, k, key):
     return planted
 
 
+def _nan_at_entry(real, k):
+    """real, with NaN for the k-th entry, counted from 0 in row-major order,
+    of its array or list result: a scan evaluated in one call."""
+    def planted(*args, **kwargs):
+        out = np.array(real(*args, **kwargs))
+        out.flat[k] = math.nan
+        return out
+    return planted
+
+
 _P = ModelParams(t=1.0, mu=0.2, beta=1.0)
 _NAN_SCANS = {
     "free_fermion_consistency": (
         lambda: cli.free_fermion_consistency(LatticeSpec(d=1, L=4), _P, (UP,)),
-        cli.covariance, "covariance_value", 5, None),
+        cli.covariance, "covariance_entries", partial(_nan_at_entry, k=5)),
     "det_bound": (
         lambda: cli.det_bound(LatticeSpec(d=1, L=4), _P, 0.7, 4, 0, 1000),
-        cli.bounds, "det_bound_sample", 7, "worst_ratio"),
+        cli.bounds, "det_bound_sample",
+        partial(_nan_on_call, k=7, key="worst_ratio")),
     "wick_vs_berezin": (lambda: cli.wick_vs_berezin(0, 3), cli.grassmann,
-                        "berezin_gaussian", 100, None),
+                        "berezin_gaussian", partial(_nan_on_call, k=100, key=None)),
     "antisymmetrization": (
         lambda: cli.antisymmetrization(LatticeSpec(d=1, L=2), 0.7, 0),
-        cli.model, "table_pinned_norm", 20, None),
+        cli.model, "table_pinned_norm", partial(_nan_on_call, k=20, key=None)),
     "u1_shift_identity": (lambda: cli.u1_shift_identity(_P, ((2, 2),)),
-                          cli.covariance, "u1_shift_identity_check", 1, None),
+                          cli.covariance, "u1_shift_identity_check",
+                          partial(_nan_on_call, k=1, key=None)),
     "contour_formula": (
         lambda: cli.contour_formula(LatticeSpec(d=1, L=4), _P,
                                     [(1, 0.25), (2, 0.5)]),
-        cli.covariance, "contour_formula_check", 1, "deviation"),
+        cli.covariance, "contour_formula_check",
+        partial(_nan_on_call, k=1, key="deviation")),
     "trivial_hopping_vanishing": (
         lambda: cli.trivial_hopping_vanishing(
             LatticeSpec(d=1, L=4), ModelParams(t=0.0, mu=0.2),
             hubbard_interaction(0.5, d=1),
             [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in (1, 2)]),
-        cli.fock, "correlation", 1, None),
+        cli.fock, "correlations", partial(_nan_at_entry, k=1)),
 }
 
 
@@ -492,8 +506,8 @@ _NAN_SCANS = {
 def test_nan_mid_scan_fails_the_row(check, monkeypatch):
     # a NaN planted after the first value of a scan reaches the row and
     # fails it; max(worst, nan) would keep worst and pass
-    run, module, name, k, key = _NAN_SCANS[check]
-    monkeypatch.setattr(module, name, _nan_on_call(getattr(module, name), k, key))
+    run, module, name, plant = _NAN_SCANS[check]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
     (row,) = [c for c in run() if isinstance(c.computed, float)
               and math.isnan(c.computed)]
     assert not row.passed

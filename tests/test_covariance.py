@@ -92,8 +92,15 @@ def test_cached_arrays_read_only(params, chain4, atom, hubbard_small):
     Z = engine.partition()
     eig = fock.diagonalize(fock.build_hamiltonian(
         fock.FockSpace(LatticeSpec(d=1, L=2)), params, hubbard_small))
+    # the per-lattice Fock tables: occupation counts, sector labellings
+    # with their layouts, and the H_0 shared by the models of a lattice
+    H0 = fock._free_hamiltonian(fock.FockSpace(chain4), params)
+    tables = [fock._occupations(chain4.n_modes), H0.rows, H0.cols, H0.vals] + [
+        arr for label, sectors, layout in fock._labellings(2**chain4.n_modes)
+        for arr in (label, *sectors, *layout)]
     for arr in [guarded_dispersions(cs), table, dts, op.rows, op.cols, op.vals,
-                engine.G, *eig.layout] + [x for pair in eig.pairs for x in pair]:
+                engine.G, *eig.layout, *tables] + [
+                    x for pair in eig.pairs for x in pair]:
         with pytest.raises(ValueError, match="read-only"):
             arr *= 0
     assert covariance_value(cs, a, a) == before

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from fermidecay import bounds, cli, fock
+from fermidecay.covariance import CovarianceSpec, covariance_value
 from fermidecay.fock import (
     CorrelationQuery,
     FockSpace,
@@ -22,6 +23,7 @@ from fermidecay.fock import (
     diagonalize,
     lambda_derivative_check,
     observable_pair,
+    observable_pairs,
     partition_ratio,
     query,
 )
@@ -47,6 +49,7 @@ from fermidecay.model import (
     spin_field_interaction,
     spin_spin_interaction,
 )
+from conftest import empty_model_caches
 from test_model import hopping_reference
 
 
@@ -436,6 +439,26 @@ def test_free_fermion_consistency_d2():
     assert row.passed and row.computed <= 1e-10
 
 
+@pytest.mark.parametrize("shape, spins", [((1, 4), (UP, DOWN)), ((2, 2), (DOWN,))])
+def test_free_fermion_consistency_matches_pair_loop(shape, spins):
+    # one correlations batch and one covariance_entries call against one
+    # correlation and two covariance_value calls per pair, bit for bit
+    spec = LatticeSpec(*shape)
+    p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
+    [row] = cli.free_fermion_consistency(spec, p, spins)
+    space, cs = FockSpace(spec), CovarianceSpec(spec, p)
+    devs = []
+    for xa in enumerate_sites(spec):
+        for xb in enumerate_sites(spec):
+            for spin in spins:
+                v = correlation(space, p, None,
+                                query((xa,), (xb,), (spin,), (spin,)))
+                a, b = (xa, spin, 0.0), (xb, spin, 0.0)
+                devs.append(abs(v - (covariance_value(cs, a, b) +
+                                     covariance_value(cs, b, a))))
+    assert row.passed and row.computed == float(np.max(devs))
+
+
 # ---------------------------------------------------------------------------
 # one drawn model against its per-term, CSR and full-space references
 # ---------------------------------------------------------------------------
@@ -538,6 +561,8 @@ def _assert_fock_case(case):
     - H_0, V, Lambda and the observables against per-term sums
     - each COO summation against the CSR constructor, the sectors and the
       blocks (real unless the sigma_y field's) against the CSR pattern
+    - the stacked eigh and eigvalsh of the sector blocks, bit for bit,
+      against one eigh and eigvalsh per block
     - at two betas from one diagonalization: the expectations, log Z and the
       cached, read-only thermal states, against one eigh of the whole space
     """
@@ -549,9 +574,10 @@ def _assert_fock_case(case):
     lam = _lambda_coefficients(m_hat, entries)
     queries = [query(*pts) for pts in points]
     calls = []
+    empty_model_caches()
     with mock.patch.object(fock, "_canonical", _recording_canonical(calls)):
         H = build_hamiltonian(space, p, u, lam)
-        pairs = [observable_pair(space, q) for q in queries]
+        pairs = observable_pairs(space, queries)
     # every summation: H_0, V, Lambda if any, their sum and the observables
     assert len(calls) == 3 + (lam is not None) + len(queries)
     for args, ours in calls:
@@ -576,6 +602,15 @@ def _assert_fock_case(case):
         assert np.max(np.abs(block - H_ref[s][:, s].toarray())) <= 1e-15
     eig = diagonalize(H)
     assert all(V.dtype == dtype for _, V in eig.pairs)
+    # the references on one BLAS thread as well: past about 90 states two
+    # threads change the last bits
+    with fock._serial_blas():
+        per_block = [np.linalg.eigh(B) for B in blocks]
+        spectrum = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
+    for (w, V), (w_ref, V_ref) in zip(eig.pairs, per_block, strict=True):
+        assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+    for beta in betas:
+        assert fock.log_partition(H, beta) == fock._log_sum_exp(spectrum, beta)
     assert sorted(np.concatenate(eig.sectors).tolist()) == \
         list(range(space.dimension))
     if lam is None:
@@ -1010,6 +1045,80 @@ def test_mode_operators_match_state_loop():
                 np.testing.assert_array_equal(arr, ref_arr)
 
 
+def assemble_reference(n_modes, terms, dtype=complex):
+    """Reference: the per-term loop that the one-pass assembler replaced.
+    Each string acts on all basis states, its factors dropping the states
+    they annihilate one factor at a time, and the triplets of all terms are
+    summed by _canonical in term-major order."""
+    dim = 2**n_modes
+    jw = np.array([-1.0 if s.bit_count() % 2 else 1.0 for s in range(dim)])
+    triplets = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=dtype),)]
+    for coeff, create, annihilate in terms:
+        start = state = np.arange(dim)
+        sign = np.full(dim, coeff, dtype=dtype)
+        for m, occupied in ([(m, 1) for m in reversed(annihilate)] +
+                            [(m, 0) for m in reversed(create)]):
+            keep = (state >> m) & 1 == occupied
+            start, state, sign = start[keep], state[keep], sign[keep]
+            sign = sign * jw[state & ((1 << m) - 1)]
+            state = state ^ (1 << m)
+        triplets.append((state, start, sign))
+    return fock._canonical(dim, *(np.concatenate(a) for a in zip(*triplets)))
+
+
+@st.composite
+def _term_groups(draw):
+    """(n_modes, dtype, groups): up to four groups of up to five terms
+    (coeff, create_modes, annihilate_modes), each string of up to six
+    factors; modes may repeat, so that some strings vanish, and groups and
+    strings may be empty."""
+    n = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([complex, float]))
+    coeff = (st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                allow_infinity=False)
+             if dtype is complex else st.floats(-2.0, 2.0))
+    modes = st.lists(st.integers(0, n - 1), max_size=3)
+    groups = st.lists(st.lists(st.tuples(coeff, modes, modes), max_size=5),
+                      max_size=4)
+    return n, dtype, draw(groups)
+
+
+@settings(max_examples=60)
+@given(_term_groups())
+@example((3, complex, [[]]))
+# an exact cancellation, a repeated mode and a constant
+@example((3, float, [[(0.5, [0], [1]), (-0.5, [0], [1]), (1.0, [2, 2], [])],
+                     [], [(2.0, [], [])]]))
+def test_assembler_matches_per_term_loop_bitwise(case):
+    n, dtype, groups = case
+    ours = fock._assemble(n, groups, dtype)
+    assert len(ours) == len(groups)
+    for op, terms in zip(ours, groups):
+        ref = assemble_reference(n, terms, dtype)
+        for f in ("rows", "cols", "vals"):
+            a, b = getattr(op, f), getattr(ref, f)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([(1, 2), (1, 3), (2, 2)]), st.sampled_from(_KINDS),
+       st.data())
+def test_correlations_match_per_query_correlation(shape, kind, data):
+    # a batch, its observables assembled in one pass, against one
+    # correlation per query, bit for bit; the empty batch included
+    spec = LatticeSpec(*shape)
+    space = FockSpace(spec)
+    p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.3)
+    u = _example_interaction(kind, spec, 0.4)
+    queries = [query(*data.draw(_points(spec, m)))
+               for m in data.draw(st.lists(st.integers(1, 3), max_size=5))]
+    batch = fock.correlations(space, p, u, queries)
+    single = [correlation(space, p, u, q) for q in queries]
+    assert len(batch) == len(queries)
+    assert np.array(batch, dtype=complex).tobytes() == \
+        np.array(single, dtype=complex).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the COO operator paths against the CSR code they replaced
 # ---------------------------------------------------------------------------
@@ -1075,7 +1184,8 @@ def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
         to_csr(fock.build_lambda_term(space, lam))
     _assert_triplets_match(H, H_ref)
     assert len(diagonalize(H).sectors) == (spec.n_sites + 1) ** 2
-    for s, ref_s in zip(fock._sectors(H), sectors_reference(H_ref), strict=True):
+    for s, ref_s in zip(fock._sectors(H)[0], sectors_reference(H_ref),
+                        strict=True):
         np.testing.assert_array_equal(s, ref_s)
 
 
@@ -1087,7 +1197,7 @@ def test_exact_trace_refuses_non_hermitian(trace, as_dense):
     # the (N_up, N_down) blocks, and nothing stores their adjoint; as_dense
     # rebuilds the operator from its dense matrix, in row-major order
     space = FockSpace(LatticeSpec(d=1, L=2))
-    H = fock._assemble(space.n_modes, [(0.5, (0,), (2,)), (1.0, (1,), (1,))])
+    [H] = fock._assemble(space.n_modes, [[(0.5, (0,), (2,)), (1.0, (1,), (1,))]])
     with pytest.raises(HermiticityError, match="not hermitian") as exc:
         trace(from_matrix(H.toarray()) if as_dense else H)
     assert isinstance(exc.value, ValueError)
@@ -1155,8 +1265,10 @@ def test_slot_holds_one_model():
 @contextlib.contextmanager
 def _counting_fock_calls():
     """Counters of the H_0 builds, diagonalizations and spectrum-only
-    partition functions made inside the block."""
+    partition functions made inside the block, which starts with no model
+    and no H_0 cached."""
     names = ("build_h0", "diagonalize", "log_partition")
+    empty_model_caches()
     with contextlib.ExitStack() as stack:
         mocks = {n: stack.enter_context(mock.patch.object(
             fock, n, wraps=getattr(fock, n))) for n in names}
@@ -1165,7 +1277,9 @@ def _counting_fock_calls():
 
 def test_one_diagonalize_per_model():
     # the envelope, the partition ratio and the lambda check share one H and
-    # its Eigensystem; log Z(H_0) and the two H_lambda need spectra alone
+    # its Eigensystem; log Z(H_0) and the two H_lambda need spectra alone.
+    # A second model on the lattice reuses H_0 and log Z(H_0), and the
+    # free model is H_0 itself
     spec = LatticeSpec(d=1, L=4)
     space = FockSpace(spec)
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
@@ -1177,17 +1291,24 @@ def test_one_diagonalize_per_model():
         ratio = partition_ratio(space, p, u)
         res = lambda_derivative_check(space, p, u, q, step=1e-4)
         assert counts() == {"build_h0": 1, "diagonalize": 1, "log_partition": 3}
+        other = partition_ratio(space, p, hubbard_interaction(0.1, d=1))
+        assert build_hamiltonian(space, p) is fock.model_system(space, p, None)[1]
+        assert counts() == {"build_h0": 1, "diagonalize": 3, "log_partition": 3}
     assert all(r["passed"] for r in rows)
-    H0, H = build_h0(space, p), build_hamiltonian(space, p, u)
-    assert ratio == pytest.approx(math.exp(fock.log_partition(H, p.beta) -
-                                           fock.log_partition(H0, p.beta)),
-                                  rel=1e-12)
+    H0 = build_h0(space, p)
+    for v, value in ((u, ratio), (hubbard_interaction(0.1, d=1), other)):
+        H = build_hamiltonian(space, p, v)
+        assert value == pytest.approx(math.exp(fock.log_partition(H, p.beta) -
+                                               fock.log_partition(H0, p.beta)),
+                                      rel=1e-12)
     assert res["deviation"] <= 1e-6
 
 
 def test_exact_trace_workload_builds_each_model_once(tmp_path):
-    # six models: five envelopes through the slot and the free model's own
-    # diagonalize; four log Z(H_0) and two pairs of H_lambda spectra
+    # six models on three lattices: one H_0 per lattice; five envelopes
+    # through the slot and the free model's own diagonalize; log Z(H_0) once
+    # on each of the two lattices with partition rows, and two pairs of
+    # H_lambda spectra
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("exact_trace_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -1195,4 +1316,4 @@ def test_exact_trace_workload_builds_each_model_once(tmp_path):
     timed = workloads.setup_exact_trace(1801, False, tmp_path)
     with _counting_fock_calls() as counts:
         assert timed() == 0
-        assert counts() == {"build_h0": 6, "diagonalize": 6, "log_partition": 8}
+        assert counts() == {"build_h0": 3, "diagonalize": 6, "log_partition": 6}

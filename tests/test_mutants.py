@@ -14,6 +14,7 @@ import pytest
 import test_bounds
 import test_fock
 import test_model
+from conftest import empty_model_caches
 from fermidecay import bounds, covariance, fock, model
 from fermidecay.cli import main
 from fermidecay.lattice import LatticeSpec
@@ -31,15 +32,15 @@ def _no_cached_mutant():
 def _mutate(monkeypatch, module, name, make):
     """Replace module.name by make(original) in every package and test
     module that holds it, the defining one and those that imported it; then
-    empty the Fock model slot and the orbit tables, so that nothing built
-    before the mutant hides it."""
+    empty the Fock model slot, the cached H_0 and the orbit tables, so that
+    nothing built before the mutant hides it."""
     original = getattr(module, name)
     mutant = make(original)
     for mod_name, mod in list(sys.modules.items()):
         if (mod_name.startswith(("fermidecay", "test_"))
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, mutant)
-    fock._MODEL.clear()
+    empty_model_caches()
     fock._orbits.cache_clear()
 
 
@@ -93,10 +94,11 @@ def test_prop42_bound_over_hundred(monkeypatch):
 
 def test_observable_without_adjoint(monkeypatch, tmp_path):
     def o_only(_):
-        return lambda space, q: fock._normal_ordered(
-            space, [(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, 1.0)])
+        return lambda space, queries: fock._normal_ordered(space, [
+            [(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, 1.0)]
+            for q in queries])
 
-    _assert_killed(monkeypatch, fock, "observable_pair", o_only,
+    _assert_killed(monkeypatch, fock, "observable_pairs", o_only,
                    partial(_verify, tmp_path, "--suite", "theorem"))
 
 
