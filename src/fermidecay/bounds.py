@@ -34,6 +34,7 @@ from .model import (
     ModelParams,
     check_smallness,
     interaction_norm,
+    restrict_interaction,
     theorem_decay_base,
 )
 
@@ -146,7 +147,8 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
     against the sharper binomial bound."""
     cs = CovarianceSpec(spec, params)
     D = covariance_l1_D(cs, grid)
-    norms = {l: interaction_norm(u, l, spec) for l in u.orders}
+    finite = restrict_interaction(u, spec)
+    norms = {l: interaction_norm(finite, l) for l in finite.orders}
     engine = SchwingerEngine(spec, params, grid, u)
     series = engine.schwinger_series(q, m_max)
     rows = []

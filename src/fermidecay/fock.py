@@ -13,7 +13,7 @@ and the blocks of equal size are diagonalized by one stacked eigh (eigvalsh
 for a spectrum alone).  Given the lattice, diagonalize splits a sector of
 more than MOMENTUM_MIN_STATES = 25 states into lattice-momentum blocks when
 H commutes with the one-site translation along axis 0 (checked once per H
-on its triplets); smaller blocks are not worth splitting.  The momentum
+on its triplets); smaller sectors stay whole.  The momentum
 eigenvectors are mapped back into the sector basis, real on a real H, so
 the rest of the oracle does not see the split.  Per beta the Eigensystem
 keeps the thermal state e^{-beta H} as flattened sector blocks, so an
@@ -69,11 +69,13 @@ from .model import (
 MAX_MODES = 12  # dimension 4096: the one guard on every dense Fock trace
 # Sectors of more states are diagonalized by momentum blocks when H commutes
 # with the lattice translation.  The split costs gathers and a DFT product
-# per sector and pays once the eigh it saves is large: on one BLAS thread,
-# min of repeated calls, the Hubbard chain diagonalizes by momentum blocks
-# in 1.1 ms against 0.85 ms by sectors at L=4 (36-state sectors), in 4.8
-# against 5.9 ms at L=5 and in 31 against 76 ms at L=6.  The value stays
-# where the split was introduced, so the reports keep their bytes.
+# per sector and pays once the eigh it saves is large: diagonalize plus one
+# thermal state of the U = 0.5 Hubbard chain, on one BLAS thread, fastest of
+# 7 runs (3 at L=6; 2-vCPU machine), takes 1.3 ms by momentum blocks against
+# 1.0 ms by sectors at L=4 (one 36-state sector split), 5.4 against 6.9 ms
+# at L=5 and 53 against 91 ms at L=6.  The split was introduced at 25 when a
+# larger eigh woke OpenBLAS's worker thread, which the one-thread scope now
+# prevents; the value stays there so that the reports keep their bytes.
 MOMENTUM_MIN_STATES = 25
 # Relative defect up to which H counts as translation invariant: rounding
 # in the sums of its entries, far below what the momentum blocks resolve.
@@ -219,8 +221,7 @@ def _assemble(n_modes: int, groups, dtype=complex) -> list[FockOperator]:
 @functools.lru_cache(maxsize=8)
 def _mode_operators(n_modes: int):
     """All annihilation operators psi_q as read-only float operators.  The
-    package does not call it: the benchmark reads its cache_info(), and the
-    tests build their CAR operators from it."""
+    package does not call it: the benchmark reads its cache_info()."""
     return tuple(_assemble(n_modes, [[(1.0, (), (q,))] for q in range(n_modes)],
                            dtype=float))
 
@@ -293,11 +294,6 @@ def observable_pairs(space: FockSpace, queries) -> list[FockOperator]:
                                      p.phi_spins, 1.0)
                                     for p in (q, q.swapped())]
                                    for q in queries])
-
-
-def observable_pair(space: FockSpace, q: CorrelationQuery) -> FockOperator:
-    """observable_pairs of the one query q."""
-    return observable_pairs(space, [q])[0]
 
 
 @functools.cache
@@ -715,7 +711,7 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
     if step <= 0:
         raise ValueError("step must be positive")
     _, HV, eig = model_system(space, params, u)
-    direct = correlation(space, params, u, q, eig=eig)
+    direct = correlation(space, params, u, q)
     logs = {}
     for eps in (step, -step):
         lam = LambdaCoefficients(m_hat=q.m_hat)

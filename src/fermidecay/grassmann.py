@@ -439,8 +439,7 @@ class SchwingerEngine:
         self.vertices = build_vertices(self.space, u,
                                        interaction_sites=interaction_sites)
         self._plans = {}
-        self._denominator = None
-        self._numerators = {}
+        self._series = {}
 
     def _plan(self, q=None):
         """The compiled plan of the denominator, or of the query q."""
@@ -450,14 +449,20 @@ class SchwingerEngine:
             self._plans[q] = _subset_plan(seeds, self.vertices.monomials)
         return self._plans[q]
 
+    def _evaluate(self, q, G):
+        """The series of the plan of q (None: the partition function) at the
+        engine's covariance, read-only and computed once per plan, or one
+        series per covariance of a stack G."""
+        if G is not None:
+            return _evaluate_plan(self._plan(q), G)
+        if q not in self._series:
+            self._series[q] = _evaluate_plan(self._plan(q), self.G)
+        return self._series[q]
+
     def denominator(self, G: np.ndarray | None = None) -> np.ndarray:
         """The partition-function series at the engine's covariance (computed
         once), or one series per covariance of a stack G."""
-        if G is not None:
-            return _evaluate_plan(self._plan(), G)
-        if self._denominator is None:
-            self._denominator = _evaluate_plan(self._plan(), self.G)
-        return self._denominator
+        return self._evaluate(None, G)
 
     def partition(self, eta: complex = 1.0, G: np.ndarray | None = None):
         """The discretized partition-function ratio at eta: the denominator
@@ -468,11 +473,7 @@ class SchwingerEngine:
         """The series of the query q at the engine's covariance (computed
         once per query), or one series per covariance of a stack G; all
         observable seeds of q share one plan."""
-        if G is not None:
-            return _evaluate_plan(self._plan(q), G)
-        if q not in self._numerators:
-            self._numerators[q] = _evaluate_plan(self._plan(q), self.G)
-        return self._numerators[q]
+        return self._evaluate(q, G)
 
     def schwinger_series(self, q, m_max: int) -> np.ndarray:
         """Taylor coefficients b_0..b_{m_max} of the Schwinger function of the

@@ -178,19 +178,15 @@ def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
     return terms
 
 
-def interaction_norm(u: InteractionCoefficients, l: int,
-                     spec: LatticeSpec | None = None) -> float:
-    """The paper-style norm: max over the pinned index j and its spin, sum of
-    absolute values over everything else (sites summed with the anchor fixed).
-
-    With spec given the entries are reduced mod L first (finite-lattice norm);
-    otherwise the stored infinite-lattice table is used directly.
-    """
+def interaction_norm(u: InteractionCoefficients, l: int) -> float:
+    """The paper-style norm of the stored table: max over the pinned index j
+    and its spin, sum of absolute values over everything else (sites summed
+    with the anchor fixed).  The finite-lattice norm is that of
+    restrict_interaction(u, spec), where order-1 entries at sites equal mod L
+    share one site."""
     table = u.orders.get(l)
     if not table:
         return 0.0
-    if spec is not None:
-        table = restrict_interaction(u, spec).orders.get(l, {})
     if l == 1:
         best = 0.0
         sums: dict[tuple, float] = {}

@@ -238,16 +238,6 @@ def test_covariance_bounded_by_one(re_z, im_frac, sa, sb, ta, tb):
     assert abs(v) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("L,half_steps,shift", [
-    (1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
-    (1, 1, 0.1j), (2, 2, 0.1j),
-])
-def test_det_identity(params, L, half_steps, shift):
-    cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, (shift or 0,))
-    res = det_identity_check(cs, TimeGrid(params.beta, half_steps))
-    assert res["relative_error"] <= 1e-8
-
-
 def test_det_identity_closed_form_atom(params, atom):
     res = det_identity_check(CovarianceSpec(atom, params), TimeGrid(1.0, 1))
     E0 = dispersion_reference((0.0,), params, 1).real

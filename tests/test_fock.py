@@ -22,7 +22,6 @@ from fermidecay.fock import (
     correlation,
     diagonalize,
     lambda_derivative_check,
-    observable_pair,
     observable_pairs,
     partition_ratio,
     query,
@@ -64,54 +63,23 @@ def from_matrix(M) -> fock.FockOperator:
     return fock._canonical(M.shape[0], M.row, M.col, M.data)
 
 
-def mode_operator(space: FockSpace, mode: int, kind: str) -> sp.csr_matrix:
-    """psi_mode ("annihilate") or psi*_mode ("create") from the cached
-    Jordan-Wigner operators."""
-    if not 0 <= mode < space.n_modes:
-        raise ValueError(f"mode {mode} outside 0..{space.n_modes - 1}")
-    a = to_csr(fock._mode_operators(space.n_modes)[mode])
-    if kind == "annihilate":
-        return a
-    if kind == "create":
-        return a.conj().T.tocsr()
-    raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
+def number_reference(space, mode):
+    """Reference: psi*_mode psi_mode from the state-loop mode operators."""
+    return operator_product_reference(space, [mode], [mode])
 
 
-@pytest.fixture
-def space2():
-    return FockSpace(LatticeSpec(d=1, L=2))
-
-
-def test_car_relations(space2):
-    n = space2.n_modes
-    dim = space2.dimension
-    for a in range(n):
-        A = mode_operator(space2, a, "annihilate")
-        assert np.max(np.abs((A @ A).toarray())) == 0.0
-        for b in range(n):
-            C = mode_operator(space2, b, "create")
-            anti = (A @ C + C @ A).toarray()
-            target = np.eye(dim) if a == b else np.zeros((dim, dim))
-            np.testing.assert_allclose(anti, target, atol=1e-14)
-            A2 = mode_operator(space2, b, "annihilate")
-            np.testing.assert_allclose((A @ A2 + A2 @ A).toarray(), 0, atol=1e-14)
-
-
-def test_number_operator_spectrum(space2):
-    A = mode_operator(space2, 1, "annihilate")
-    nop = (A.conj().T @ A).toarray()
+def test_number_operator_spectrum():
+    nop = number_reference(FockSpace(LatticeSpec(d=1, L=2)), 1).toarray()
     vals = np.linalg.eigvalsh(nop)
     assert set(np.round(vals).astype(int)) == {0, 1}
 
 
-def test_adjoint_and_guards(space2):
-    A = mode_operator(space2, 0, "annihilate")
-    C = mode_operator(space2, 0, "create")
-    np.testing.assert_allclose(A.conj().T.toarray(), C.toarray())
-    with pytest.raises(ValueError):
-        mode_operator(space2, 99, "annihilate")
-    with pytest.raises(ValueError):
-        mode_operator(space2, 0, "destroy")
+def test_adjoint_and_guards():
+    # the assembler's psi*_m is the adjoint of the state-loop psi_m
+    for n in (1, 4):
+        creators = fock._assemble(n, [[(1.0, (m,), ())] for m in range(n)])
+        for op, ref in zip(creators, mode_operators_reference(n), strict=True):
+            np.testing.assert_array_equal(op.toarray(), ref.conj().T.toarray())
     # the one size guard: 12 modes, dimension 4096
     assert FockSpace(LatticeSpec(d=1, L=6)).dimension == 4096
     for spec in (LatticeSpec(d=1, L=7), LatticeSpec(d=2, L=3),
@@ -126,9 +94,7 @@ def test_h0_mu_only_is_number_operator():
     space = FockSpace(spec)
     p = ModelParams(t=0.0, mu=0.7)
     H = build_h0(space, p).toarray()
-    N = sum((mode_operator(space, m, "create") @
-             mode_operator(space, m, "annihilate")).toarray()
-            for m in range(space.n_modes))
+    N = sum(number_reference(space, m).toarray() for m in range(space.n_modes))
     np.testing.assert_allclose(H, -0.7 * N, atol=1e-14)
 
 
@@ -140,8 +106,7 @@ def test_hubbard_atom_spectrum_and_average():
     eps = -2.0 * p.t - p.mu
     w = np.sort(np.linalg.eigvalsh(H.toarray()))
     np.testing.assert_allclose(w, sorted([0.0, eps, eps, 2 * eps + U]), atol=1e-12)
-    nup = mode_operator(atom, 0, "create") @ mode_operator(atom, 0, "annihilate")
-    avg = diagonalize(H).expectation(from_matrix(nup), p.beta)
+    avg = diagonalize(H).expectation(from_matrix(number_reference(atom, 0)), p.beta)
     Z = 1 + 2 * math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))
     expected = (math.exp(-p.beta * eps) + math.exp(-p.beta * (2 * eps + U))) / Z
     assert avg.real == pytest.approx(expected, rel=1e-12)
@@ -160,8 +125,7 @@ def test_thermal_average_identity_and_ground_state():
                          key=lambda sector: sector[1][0][0])
     g = np.zeros(atom.dimension, dtype=complex)
     g[states] = V[:, 0]
-    nup = (mode_operator(atom, 0, "create") @
-           mode_operator(atom, 0, "annihilate")).toarray()
+    nup = number_reference(atom, 0).toarray()
     ground = g.conj() @ nup @ g
     avg = eig.expectation(from_matrix(nup), 50.0)
     assert avg.real == pytest.approx(ground.real, abs=1e-10)
@@ -175,12 +139,8 @@ def test_spin_field_contributes_polarization():
     V = fock.build_interaction(space, fld).toarray()
     pol = np.zeros_like(V)
     for x in enumerate_sites(spec):
-        up = mode_index(spec, x, UP)
-        dn = mode_index(spec, x, DOWN)
-        nu = (mode_operator(space, up, "create") @
-              mode_operator(space, up, "annihilate")).toarray()
-        nd = (mode_operator(space, dn, "create") @
-              mode_operator(space, dn, "annihilate")).toarray()
+        nu, nd = (number_reference(space, mode_index(spec, x, s)).toarray()
+                  for s in (UP, DOWN))
         pol += 0.5 * b * (nu - nd)
     np.testing.assert_allclose(V, pol, atol=1e-14)
 
@@ -345,18 +305,19 @@ def test_observable_pair_hermitian():
     spec = LatticeSpec(d=1, L=2)
     space = FockSpace(spec)
     q = query(((0,), (1,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
-    O = observable_pair(space, q).toarray()
+    O = observable_pairs(space, [q])[0].toarray()
     np.testing.assert_allclose(O, O.conj().T, atol=1e-14)
 
 
 def test_car_relations_eight_modes():
-    # all mode pairs on the L^d = 4 lattice (8 modes, dim 256)
-    space = FockSpace(LatticeSpec(d=1, L=4))
-    dim = space.dimension
-    eye = np.eye(dim)
-    ann = [mode_operator(space, m, "annihilate") for m in range(space.n_modes)]
-    for a in range(space.n_modes):
-        for b in range(space.n_modes):
+    # all mode pairs on the L^d = 4 lattice (8 modes, dim 256), from the
+    # state-loop operators that test_mode_operators_match_state_loop pins
+    # the package's to; psi_a psi_a = 0 exactly
+    ann = mode_operators_reference(8)
+    eye = np.eye(2**8)
+    for a in range(8):
+        assert (ann[a] @ ann[a]).count_nonzero() == 0
+        for b in range(8):
             anti = (ann[a] @ ann[b].conj().T + ann[b].conj().T @ ann[a]).toarray()
             np.testing.assert_allclose(anti, eye if a == b else 0, atol=1e-14)
             anti2 = (ann[a] @ ann[b] + ann[b] @ ann[a]).toarray()
@@ -370,9 +331,8 @@ def _spin_operator(space, spec, x, component):
         for phi in (UP, DOWN):
             c = 0.5 * PAULI[component][xi, phi]
             if c != 0:
-                term = c * (mode_operator(space, mode_index(spec, x, xi), "create")
-                            @ mode_operator(space, mode_index(spec, x, phi),
-                                            "annihilate"))
+                term = c * operator_product_reference(
+                    space, [mode_index(spec, x, xi)], [mode_index(spec, x, phi)])
                 out = term if out is None else out + term
     return out
 
@@ -406,9 +366,7 @@ def test_density_density_interaction_operator_identity():
                                   density_density_interaction(tables)).toarray()
 
     def number(x, s):
-        m = mode_index(spec, x, s)
-        return (mode_operator(space, m, "create") @
-                mode_operator(space, m, "annihilate")).toarray()
+        return number_reference(space, mode_index(spec, x, s)).toarray()
 
     direct = -0.2 * number((0,), UP)
     for shift in enumerate_sites(spec):  # translated copies of the pair term
@@ -425,18 +383,10 @@ def test_hubbard_interaction_operator_identity():
     ours = fock.build_interaction(space, hubbard_interaction(U, d=1)).toarray()
     direct = np.zeros_like(ours)
     for x in enumerate_sites(spec):
-        nu = (mode_operator(space, mode_index(spec, x, UP), "create") @
-              mode_operator(space, mode_index(spec, x, UP), "annihilate")).toarray()
-        nd = (mode_operator(space, mode_index(spec, x, DOWN), "create") @
-              mode_operator(space, mode_index(spec, x, DOWN), "annihilate")).toarray()
+        nu, nd = (number_reference(space, mode_index(spec, x, s)).toarray()
+                  for s in (UP, DOWN))
         direct += U * nu @ nd
     np.testing.assert_allclose(ours, direct, atol=1e-13)
-
-
-def test_free_fermion_consistency_d2():
-    p = ModelParams(t=1.0, t_prime=0.3, mu=0.2, beta=1.0)
-    [row] = cli.free_fermion_consistency(LatticeSpec(2, 2), p, (DOWN,))
-    assert row.passed and row.computed <= 1e-10
 
 
 @pytest.mark.parametrize("shape, spins", [((1, 4), (UP, DOWN)), ((2, 2), (DOWN,))])
@@ -527,15 +477,18 @@ def _points(draw, spec, m):
             [draw(spin) for _ in range(m)], [draw(spin) for _ in range(m)])
 
 
-_KINDS = ("hubbard", "density_density", "spin_spin", "field_x", "field_y",
-          "field_z")
+# the kinds that commute with the one-site translation
+_INVARIANT_KINDS = ("hubbard", "spin_spin", "field_x", "field_y", "field_z")
+_KINDS = _INVARIANT_KINDS + ("density_density", "site_field_x", "site_field_z")
 
 
 @st.composite
 def _fock_case(draw):
-    """(shape, kind, coupling, t', mu, two betas, (m_hat, lambda entries),
-    query points for m = 1, 2, 3); up to three lambda entries, each (points,
-    coefficient)."""
+    """(shape, kind, coupling, t', mu, betas, (m_hat, lambda entries),
+    split_all, query points for m = 1, 2, 3): two betas, up to three lambda
+    entries, each (points, coefficient); split_all takes the momentum blocks
+    on every sector of a translation-invariant H, down to the one-state
+    ones."""
     shape = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]))
     spec = LatticeSpec(*shape)
     m_hat = draw(st.integers(1, 2))
@@ -544,7 +497,8 @@ def _fock_case(draw):
     return (shape, draw(st.sampled_from(_KINDS)), draw(st.floats(0.05, 1.0)),
             draw(st.floats(-0.5, 0.5)), draw(st.floats(0.0, 0.5)),
             (draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))),
-            (m_hat, entries), [draw(_points(spec, m)) for m in (1, 2, 3)])
+            (m_hat, entries), draw(st.booleans()),
+            [draw(_points(spec, m)) for m in (1, 2, 3)])
 
 
 # query points on a chain of four sites or more, for m = 1, 2, 3, and one
@@ -554,6 +508,8 @@ _CHAIN_POINTS = [([(1,)], [(1,)], [UP], [UP]),
                  ([(0,), (1,), (2,)], [(1,), (2,), (3,)], [UP, UP, DOWN],
                   [UP, DOWN, DOWN])]
 _CHAIN_LAMBDA = (2, [(([(0,), (1,)], [(2,), (3,)], [UP, DOWN], [UP, DOWN]), -0.3)])
+_SITE_QUERIES = [(((0,),), ((1,),), (UP,), (UP,)),
+                 (((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))]
 
 
 def _assert_fock_case(case):
@@ -563,10 +519,17 @@ def _assert_fock_case(case):
       blocks (real unless the sigma_y field's) against the CSR pattern
     - the stacked eigh and eigvalsh of the sector blocks, bit for bit,
       against one eigh and eigvalsh per block
-    - at two betas from one diagonalization: the expectations, log Z and the
-      cached, read-only thermal states, against one eigh of the whole space
+    - diagonalize(H, spec): one _momentum_pairs call per split sector when H
+      commutes with the translation, else the sector path bit for bit
+    - at each beta, from the sector path and from diagonalize(H, spec): the
+      expectations, log Z and the cached, read-only thermal states, against
+      one eigh of the whole space, or against the sector path past 1024
+      states
+    - the slot's correlations batch against one correlation per query, bit
+      for bit, and the empty batch
     """
-    shape, kind, coupling, t_prime, mu, betas, (m_hat, entries), points = case
+    (shape, kind, coupling, t_prime, mu, betas, (m_hat, entries), split_all,
+     points) = case
     spec = LatticeSpec(*shape)
     space = FockSpace(spec)
     p = ModelParams(t=1.0, t_prime=t_prime, mu=mu, beta=betas[0])
@@ -609,26 +572,55 @@ def _assert_fock_case(case):
         spectrum = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
     for (w, V), (w_ref, V_ref) in zip(eig.pairs, per_block, strict=True):
         assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
-    for beta in betas:
-        assert fock.log_partition(H, beta) == fock._log_sum_exp(spectrum, beta)
+    spectrum_only = [fock.log_partition(H, beta) for beta in betas]
+    assert spectrum_only == [fock._log_sum_exp(spectrum, beta) for beta in betas]
     assert sorted(np.concatenate(eig.sectors).tolist()) == \
         list(range(space.dimension))
+    invariant = translation_defect_reference(spec, H) <= 1e-12
     if lam is None:
         n = spec.n_sites
-        spin_flips = kind in ("field_x", "field_y")
+        spin_flips = kind.endswith(("field_x", "field_y"))
         assert len(eig.sectors) == (2 * n + 1 if spin_flips else (n + 1) ** 2)
+        assert invariant == (kind in _INVARIANT_KINDS or n == 1)
+    # without lambda, H is the slot's model, which holds diagonalize(H, spec)
+    threshold = 0 if split_all else fock.MOMENTUM_MIN_STATES
+    with mock.patch.object(fock, "MOMENTUM_MIN_STATES", threshold), \
+            mock.patch.object(fock, "_momentum_pairs",
+                              wraps=fock._momentum_pairs) as split:
+        if lam is None:
+            moment = fock.model_system(space, p, u)[2]
+        else:
+            moment = diagonalize(H, spec)
+    assert split.call_count == invariant * sum(
+        len(s) > threshold for s in eig.sectors)
+    assert all(V.dtype == dtype for _, V in moment.pairs)
+    if not invariant:
+        for (w, V), (w_ref, V_ref) in zip(moment.pairs, eig.pairs, strict=True):
+            assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
     # psi*_a psi_b alone: not hermitian, and off-block when the spins differ
     hops = [from_matrix(operator_product_reference(space, [a], [b]))
             for a, b in [(mode_index(spec, q.x_sites[0], q.xi_spins[0]),
                           mode_index(spec, q.y_sites[0], q.phi_spins[0]))
                          for q in queries] + [(0, space.n_modes - 1)]]
-    full = full_space_reference(H)
-    for O in pairs + hops:
-        assert np.max(np.abs([eig.expectation(O, beta) for beta in betas] -
-                             _full_space_expectation(full, O, betas))) <= 1e-12
-    for beta in betas:
-        assert abs(fock.log_partition(H, beta) -
-                   _full_space_log_partition(full[0], beta)) <= 1e-12
+    if space.dimension <= 1024:
+        w_full, V_full = full_space_reference(H)
+        expect = functools.partial(_full_space_expectation, (w_full, V_full))
+        log_z = [_full_space_log_partition(w_full, beta) for beta in betas]
+        z = [np.sum(np.exp(-beta * (w_full - w_full.min()))) for beta in betas]
+    else:  # L = 6: the sector path, checked block by block above
+        expect = lambda O, bs: [eig.expectation(O, beta) for beta in bs]
+        log_z = [eig.log_partition(beta) for beta in betas]
+        z = [eig._thermal(beta)[1] for beta in betas]
+    for e in (eig, moment):
+        for O in pairs + hops:
+            values = [e.expectation(O, beta) for beta in betas]
+            assert np.max(np.abs(np.subtract(values, expect(O, betas)))) <= 1e-12
+    for beta, log_z_sp, log_z_ref, z_ref in zip(betas, spectrum_only, log_z, z,
+                                                strict=True):
+        assert abs(eig.log_partition(beta) - log_z_sp) <= 1e-12
+        for value in (log_z_sp, eig.log_partition(beta), moment.log_partition(beta)):
+            assert abs(value - log_z_ref) <= 1e-12
+        assert moment._thermal(beta)[1] == pytest.approx(z_ref, rel=1e-12)
         rho, Z = eig._thermal(beta)
         assert eig._thermal(beta)[0] is rho and rho.dtype == dtype
         _, _, sizes, offsets = eig.layout
@@ -637,11 +629,15 @@ def _assert_fock_case(case):
                                   rel=1e-12)
         with pytest.raises(ValueError, match="read-only"):
             rho[0] = 0.0
+    batch = fock.correlations(space, p, u, queries)
+    assert len(batch) == len(queries) and fock.correlations(space, p, u, []) == []
+    assert np.array(batch, dtype=complex).tobytes() == np.array(
+        [correlation(space, p, u, q) for q in queries], dtype=complex).tobytes()
 
 
 # each kind on the L = 4 chain, since the derandomized draws cluster on
 # shorter chains
-_CHAIN_CASES = {kind: ((1, 4), kind, *rest, _CHAIN_POINTS) for kind, *rest in [
+_CHAIN_CASES = {kind: ((1, 4), kind, *rest, False, _CHAIN_POINTS) for kind, *rest in [
     ("hubbard", 0.3, 0.4, 0.0, (0.5, 2.0), _CHAIN_LAMBDA),
     ("density_density", 0.6, -0.3, 0.4, (0.7, 1.6), _CHAIN_LAMBDA),
     ("spin_spin", 0.8, 0.1, 0.2, (1.2, 0.3), _CHAIN_LAMBDA),
@@ -652,11 +648,21 @@ _CHAIN_CASES = {kind: ((1, 4), kind, *rest, _CHAIN_POINTS) for kind, *rest in [
 
 @settings(max_examples=40)
 @given(_fock_case())
-# the L = 5 chain, dimension 1024: (N_up, N_down) sectors with a spin-flip
-# query
-@example(((1, 5), "hubbard", 0.5, 0.2, 0.2, (1.0, 2.0), (1, []),
+# the L = 5 chain, dimension 1024: (N_up, N_down) sectors of up to 100
+# states, split into momentum blocks, with a spin-flip query
+@example(((1, 5), "hubbard", 0.5, 0.2, 0.2, (1.0, 2.0), (1, []), False,
           [([(0,)], [(1,)], [UP], [DOWN]),
-           ([(0,), (0,)], [(2,), (2,)], [UP, DOWN], [UP, DOWN])]))
+           ([(0,), (0,)], [(2,), (2,)], [UP, DOWN], [UP, DOWN])] + _SITE_QUERIES))
+@example(((1, 5), "hubbard", 0.3, 0.0, 0.2, (1.0,), (1, []), False, []))
+@example(((1, 4), "hubbard", 0.5, 0.2, 0.2, (1.0,), (1, []), False, _SITE_QUERIES))
+@example(((1, 4), "field_y", 0.5, 0.2, 0.3, (1.5,), (1, []), False, []))
+# the L = 6 chain, dimension 4096, against the sector path
+@example(((1, 6), "spin_spin", 0.4, 0.2, 0.3, (1.5,), (1, []), False, _SITE_QUERIES))
+@example(((1, 6), "site_field_z", 0.4, 0.2, 0.3, (1.5,), (1, []), False,
+          _SITE_QUERIES))
+@example(((2, 2), "site_field_x", 0.4, 0.2, 0.3, (1.5,), (1, []), True, _SITE_QUERIES))
+@example(((1, 4), "hubbard", 0.4, 0.2, 0.3, (1.5,),
+          (1, [(([(0,)], [(1,)], [UP], [UP]), 0.3)]), True, _SITE_QUERIES))
 def test_sectors_match_full_space(case):
     _assert_fock_case(case)
 
@@ -664,7 +670,7 @@ def test_sectors_match_full_space(case):
 def test_coo_paths_match_csr_reference():
     # the L = 5 chain under a transverse field: N sectors of up to 252 states
     _assert_fock_case(((1, 5), "field_x", 0.7, -0.3, 0.1, (0.6, 1.3),
-                       _CHAIN_LAMBDA, _CHAIN_POINTS))
+                       _CHAIN_LAMBDA, False, _CHAIN_POINTS))
 
 
 def test_assembler_matches_per_term_sums():
@@ -696,7 +702,7 @@ def test_sector_counts_and_L5():
 
 
 # ---------------------------------------------------------------------------
-# momentum blocks against the full-space reference
+# the translation, and the threshold of the momentum split
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
@@ -729,84 +735,6 @@ def test_translation_matches_mode_loop(shape):
     for ours, ref in zip(fock._translation(spec), translation_reference(spec),
                          strict=True):
         np.testing.assert_array_equal(ours, ref)
-
-
-_INVARIANT_KINDS = ("hubbard", "spin_spin", "field_x", "field_y", "field_z")
-
-
-@st.composite
-def _momentum_case(draw):
-    """(shape, kind, coupling, mu, beta, lambda entries, split_all, query
-    points); the lambda entries, (m_hat, [(points, coefficient)]), are
-    drawn for the kind "lambda", a Hubbard model with lambda terms."""
-    shape = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2)]))
-    spec = LatticeSpec(*shape)
-    kind = draw(st.sampled_from(_INVARIANT_KINDS + (
-        "density_density", "site_field_x", "site_field_z", "lambda")))
-    m_hat = draw(st.integers(1, 2))
-    lam = [(draw(_points(spec, m_hat)), draw(st.floats(0.05, 0.5)))
-           for _ in range(draw(st.integers(1, 2)) if kind == "lambda" else 0)]
-    return (shape, kind, draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
-            draw(st.floats(0.2, 2.0)), (m_hat, lam), draw(st.booleans()),
-            [draw(_points(spec, m)) for m in (1, 2)])
-
-
-_SITE_QUERIES = [(((0,),), ((1,),), (UP,), (UP,)),
-                 (((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))]
-
-
-@settings(max_examples=40)
-@given(_momentum_case())
-@example(((1, 4), "hubbard", 0.5, 0.2, 1.0, (1, []), False, _SITE_QUERIES))
-@example(((1, 5), "hubbard", 0.5, 0.2, 1.0, (1, []), False, _SITE_QUERIES))
-@example(((1, 6), "spin_spin", 0.4, 0.3, 1.5, (1, []), False, _SITE_QUERIES))
-@example(((1, 6), "site_field_z", 0.4, 0.3, 1.5, (1, []), False, _SITE_QUERIES))
-@example(((2, 2), "site_field_x", 0.4, 0.3, 1.5, (1, []), True, _SITE_QUERIES))
-@example(((1, 4), "lambda", 0.4, 0.3, 1.5,
-          (1, [(([(0,)], [(1,)], [UP], [UP]), 0.3)]), True, _SITE_QUERIES))
-def test_momentum_blocks_match_full_space(case):
-    # diagonalize(H, spec) against one eigh of the whole space, or against
-    # the sector path at L = 6, where the whole space has 4096 states; the
-    # drawn cases stay at dimension 256 at most, the L = 5 and L = 6 chains
-    # come as examples; split_all takes the momentum blocks on every
-    # sector, down to the one-state ones
-    shape, kind, coupling, mu, beta, (m_hat, entries), split_all, points = case
-    spec = LatticeSpec(d=shape[0], L=shape[1])
-    space = FockSpace(spec)
-    p = ModelParams(t=1.0, t_prime=0.2, mu=mu, beta=beta)
-    u = _example_interaction("hubbard" if entries else kind, spec, coupling)
-    lam = _lambda_coefficients(m_hat, entries)
-    H = build_hamiltonian(space, p, u, lam)
-    invariant = translation_defect_reference(spec, H) <= 1e-12
-    if lam is None:
-        assert invariant == (kind in _INVARIANT_KINDS)
-    threshold = 0 if split_all else fock.MOMENTUM_MIN_STATES
-    with mock.patch.object(fock, "MOMENTUM_MIN_STATES", threshold), \
-            mock.patch.object(fock, "_momentum_pairs",
-                              wraps=fock._momentum_pairs) as split:
-        eig = diagonalize(H, spec)
-    sector = diagonalize(H)
-    assert split.call_count == invariant * sum(
-        len(s) > threshold for s in sector.sectors)
-    dtype = np.complex128 if kind == "field_y" else np.float64
-    assert all(V.dtype == dtype for _, V in eig.pairs)
-    if not invariant:
-        for (w, V), (w_ref, V_ref) in zip(eig.pairs, sector.pairs, strict=True):
-            assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
-    if space.dimension <= 1024:
-        full = full_space_reference(H)
-        expect = functools.partial(_full_space_expectation, full)
-        log_z = _full_space_log_partition(full[0], beta)
-        z = np.sum(np.exp(-beta * (full[0] - full[0].min())))
-    else:
-        expect = sector.expectation
-        log_z, z = sector.log_partition(beta), sector._thermal(beta)[1]
-    hop = from_matrix(mode_operator(space, 0, "create") @
-                      mode_operator(space, 3, "annihilate"))
-    for O in [observable_pair(space, query(*pts)) for pts in points] + [hop]:
-        assert abs(eig.expectation(O, beta) - expect(O, beta)) <= 1e-12
-    assert abs(eig.log_partition(beta) - log_z) <= 1e-12
-    assert eig._thermal(beta)[1] == pytest.approx(z, rel=1e-12)
 
 
 def test_no_eigh_past_the_threshold_on_invariant_models():
@@ -872,8 +800,8 @@ def _thread_cases():
                               _example_interaction("field_x", square, 0.4))
     free, free5 = (build_hamiltonian(FockSpace(c), p) for c in (chain, chain5))
     return p.beta, [
-        (H, spec, observable_pair(FockSpace(shape), query(
-            ((0,) * shape.d,), ((1,) + (0,) * (shape.d - 1),), (UP,), (UP,))))
+        (H, spec, observable_pairs(FockSpace(shape), [query(
+            ((0,) * shape.d,), ((1,) + (0,) * (shape.d - 1),), (UP,), (UP,))])[0])
         for H, spec, shape in ((field, square, square), (field, None, square),
                                (free, None, chain), (free5, chain5, chain5))]
 
@@ -1100,25 +1028,6 @@ def test_assembler_matches_per_term_loop_bitwise(case):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=25)
-@given(st.sampled_from([(1, 2), (1, 3), (2, 2)]), st.sampled_from(_KINDS),
-       st.data())
-def test_correlations_match_per_query_correlation(shape, kind, data):
-    # a batch, its observables assembled in one pass, against one
-    # correlation per query, bit for bit; the empty batch included
-    spec = LatticeSpec(*shape)
-    space = FockSpace(spec)
-    p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.3)
-    u = _example_interaction(kind, spec, 0.4)
-    queries = [query(*data.draw(_points(spec, m)))
-               for m in data.draw(st.lists(st.integers(1, 3), max_size=5))]
-    batch = fock.correlations(space, p, u, queries)
-    single = [correlation(space, p, u, q) for q in queries]
-    assert len(batch) == len(queries)
-    assert np.array(batch, dtype=complex).tobytes() == \
-        np.array(single, dtype=complex).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # the COO operator paths against the CSR code they replaced
 # ---------------------------------------------------------------------------
@@ -1208,28 +1117,6 @@ def test_exact_trace_refuses_non_hermitian(trace, as_dense):
 # the one model slot
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=30)
-@given(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]),
-       st.sampled_from(["hubbard", "density_density", "spin_spin",
-                        "field_x", "field_y", "field_z"]),
-       st.floats(0.05, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 0.5),
-       st.floats(0.2, 2.0))
-@example((1, 4), "field_y", 0.5, 0.2, 0.3, 1.5)
-@example((1, 5), "hubbard", 0.3, 0.0, 0.2, 1.0)
-def test_eigensystem_log_partition_matches_spectrum(shape, kind, coupling,
-                                                    t_prime, mu, beta):
-    # log Z from the eigenpairs and from the spectrum-only path: one
-    # log-sum-exp over eigenvalues from eigh and from eigvalsh
-    spec = LatticeSpec(d=shape[0], L=shape[1])
-    space = FockSpace(spec)
-    p = ModelParams(t=1.0, t_prime=t_prime, mu=mu, beta=beta)
-    H = build_hamiltonian(space, p, _example_interaction(kind, spec, coupling))
-    eig = diagonalize(H)
-    dtype = np.complex128 if kind == "field_y" else np.float64
-    assert all(V.dtype == dtype for _, V in eig.pairs)
-    assert abs(eig.log_partition(beta) - fock.log_partition(H, beta)) <= 1e-12
-
-
 def test_correlation_follows_the_interaction():
     # two models that differ in u alone, then u changed in place: each
     # correlation from the slot is that of its own H
@@ -1238,8 +1125,8 @@ def test_correlation_follows_the_interaction():
     q = query(((0,), (0,)), ((1,), (1,)), (UP, DOWN), (UP, DOWN))
 
     def fresh(u):
-        eig = diagonalize(build_hamiltonian(space, p, u))
-        return eig.expectation(observable_pair(space, q), p.beta)
+        [O] = observable_pairs(space, [q])
+        return diagonalize(build_hamiltonian(space, p, u)).expectation(O, p.beta)
 
     weak, strong = hubbard_interaction(0.1, d=1), hubbard_interaction(2.0, d=1)
     assert abs(fresh(weak) - fresh(strong)) > 1e-3

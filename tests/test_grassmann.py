@@ -56,10 +56,15 @@ def subset_products(seed, monomials):
 def subset_scan_reference(seed, monomials, G):
     """Sum of Gaussian expectations of seed * prod_{v in S} monomial_v over all
     subsets S, graded by |S|: one Wick determinant per node of the subset
-    recursion.  The compiled plan must reproduce it."""
-    out = [0.0 + 0.0j] * (len(monomials) + 1)
-    for depth, state in subset_products(seed, monomials):
-        out[depth] += wick_canonical(state, G)
+    recursion, (-1)^{k(k-1)/2} det G(barred, unbarred) for k barred and k
+    unbarred generators, at the covariance G or at every covariance of a
+    stack G at once.  The compiled plan must reproduce it."""
+    out = np.zeros(G.shape[:-2] + (len(monomials) + 1,), dtype=complex)
+    for depth, (bm, um, c) in subset_products(seed, monomials):
+        k = bm.bit_count()
+        if k == um.bit_count():
+            sub = G[..., _mask_bits(bm), :][..., _mask_bits(um)]
+            out[..., depth] += c * (-1) ** (k * (k - 1) // 2) * np.linalg.det(sub)
     return out
 
 
@@ -167,21 +172,6 @@ def test_monomial_product_nilpotent_and_sign():
     assert ab == (0b101, 0b1010, -1.0)  # one swap merging psi_1 past psibar_2
     assert ab[2] == ba[2]
     assert monomial_product(a, a) is None
-
-
-def test_wick_berezin_agreement(rng):
-    # acceptance-grade: N=6, 200 random monomials, well-conditioned G
-    n = 6
-    G = random_g(rng, n)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        barred = [int(v) for v in rng.permutation(n)[:k]]
-        unbarred = [int(v) for v in rng.permutation(n)[:k]]
-        ref = wick_canonical(monomial(barred, unbarred), G)
-        via = berezin_gaussian(n, GrassmannPolynomial.from_monomial(barred, unbarred), G)
-        worst = max(worst, abs(ref - via))
-    assert worst <= 1e-12
 
 
 def test_berezin_normalization_and_antisymmetry(rng):
@@ -563,7 +553,8 @@ def test_sites_outside_window_match_reduced_sites(d, L, k, params):
         vs = build_vertices(gspace, None, lam)
         results.append((
             [(op.rows, op.cols, op.vals) for op in (
-                fock.observable_pair(fspace, q), fock.build_lambda_term(fspace, lam))],
+                *fock.observable_pairs(fspace, [q]),
+                fock.build_lambda_term(fspace, lam))],
             observable_monomials(gspace, q),
             sorted(map(repr, zip(vs.monomials, vs.blocks)))))
     (ref_ops, *ref), (ops, *got) = results
@@ -704,29 +695,25 @@ def _vertex_case(draw):
 @settings(max_examples=30)
 @given(_vertex_case())
 def test_plan_matches_subset_recursion(case):
+    # one compiled plan: its index groups bit for bit against those built
+    # one mask at a time, its series against one Wick determinant per node
+    # of the subset recursion
     seeds, monomials, stack = case
     plan = _subset_plan(seeds, monomials)
-    ref = np.array([np.sum([subset_scan_reference(s, monomials, G)
-                            for s in seeds], axis=0) for G in stack])
+    groups = plan_groups_reference(seeds, monomials)
+    assert [group[0] for group in plan.groups] == [group[0] for group in groups]
+    for group, ref_group in zip(plan.groups, groups, strict=True):
+        for arr, ref_arr in zip(group[1:], ref_group[1:], strict=True):
+            assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
+            assert arr.tobytes() == ref_arr.tobytes()
+    ref = np.sum([subset_scan_reference(s, monomials, stack) for s in seeds],
+                 axis=0)
     scale = max(1.0, float(np.abs(ref).max()))
     batched = _evaluate_plan(plan, stack)
     assert batched.shape == ref.shape
     assert np.abs(batched - ref).max() <= 1e-12 * scale
     for G, row in zip(stack, ref):
         assert np.abs(_evaluate_plan(plan, G) - row).max() <= 1e-12 * scale
-
-
-@settings(max_examples=30)
-@given(_vertex_case())
-def test_plan_indices_match_mask_bits(case):
-    seeds, monomials, _ = case
-    plan = _subset_plan(seeds, monomials)
-    ref = plan_groups_reference(seeds, monomials)
-    assert [group[0] for group in plan.groups] == [group[0] for group in ref]
-    for group, ref_group in zip(plan.groups, ref, strict=True):
-        for arr, ref_arr in zip(group[1:], ref_group[1:], strict=True):
-            assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
-            assert arr.tobytes() == ref_arr.tobytes()
 
 
 def test_engine_denominator_computed_once(atom, params):

@@ -283,7 +283,11 @@ def test_interaction_norms():
     # hubbard as stored: pinned spin up on slot 1 collects the single entry
     hub = hubbard_interaction(0.3, d=1)
     assert interaction_norm(hub, 2) == pytest.approx(0.3)
-    assert interaction_norm(hub, 2, LatticeSpec(d=1, L=4)) == pytest.approx(0.3)
+    # site 4 is site 0 of the L = 4 chain: the finite-lattice norm sums both
+    u.add(1, (((4,),), (UP,), (DOWN,)), 0.5)
+    u.add(1, (((4,),), (DOWN,), (UP,)), 0.5)
+    assert interaction_norm(u, 1) == 2.5
+    assert interaction_norm(restrict_interaction(u, LatticeSpec(d=1, L=4)), 1) == 3.0
 
 
 def test_spin_field_interaction():
