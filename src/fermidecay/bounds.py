@@ -178,13 +178,12 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
 
 def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
                             grid: TimeGrid, u: InteractionCoefficients, q,
-                            axis: int, n: int = 1, radius: float | None = None,
-                            eta: complex = 1.0) -> dict:
+                            axis: int, n: int = 1) -> dict:
     """The contour representation of the chord-weighted Schwinger function,
-    the mechanism behind the decay theorem, checked at one value of eta:
+    the mechanism behind the decay theorem, checked at eta = 1:
 
-        chord^n S(C_h, eta) = prod_j (L/2pi) int dtheta_j (2pi i)^{-1}
-                              oint dw_j (w_j - theta_j)^{-2} S(C_h(sum w_j e_p), eta).
+        chord^n S(C_h) = prod_j (L/2pi) int dtheta_j (2pi i)^{-1}
+                         oint dw_j (w_j - theta_j)^{-2} S(C_h(sum w_j e_p)).
 
     Every quadrature node costs one Schwinger evaluation at a shifted
     covariance.  contour_sum hands over DET_BLOCK nodes at a time; one
@@ -194,10 +193,10 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     """
     engine = SchwingerEngine(spec, params, grid, u)
     dsum = site_sum_diff(q.x_sites, q.y_sites)
-    rhs = chord(spec.L, dsum[axis])**n * engine.schwinger_value(q, eta)
+    rhs = chord(spec.L, dsum[axis])**n * engine.schwinger_value(q)
     cs = CovarianceSpec(spec, params)
     lhs = contour_sum(lambda stack: engine.schwinger_value(
-        q, eta, G=covariance_matrix(cs, grid, stack)), cs, axis, n, radius)
+        q, G=covariance_matrix(cs, grid, stack)), cs, axis, n)
     return {"lhs": lhs, "rhs": complex(rhs), "deviation": abs(lhs - rhs)}
 
 

@@ -495,7 +495,8 @@ def cmd_verify(args) -> int:
 
 def cmd_model_validate(args) -> int:
     spec, params, u = model.load_model(args.model)
-    norms = {l: model.interaction_norm(u, l) for l in u.orders}
+    finite = model.restrict_interaction(u, spec)
+    norms = {l: model.interaction_norm(finite, l) for l in finite.orders}
     report = {"d": spec.d, "L": spec.L, "beta": params.beta,
               "norms": {str(l): v for l, v in norms.items()}}
     U = u.hubbard_coupling()

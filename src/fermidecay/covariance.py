@@ -73,8 +73,8 @@ def shift_radius(params: ModelParams, d: int, r: float) -> float:
 
 
 def contour_radius(params: ModelParams, d: int, n: int = 1) -> float:
-    """The shift radius at pi/(2 beta) over n: the default circle radius of
-    the n-fold contour checks."""
+    """The shift radius at pi/(2 beta) over n: the circle radius of the
+    n-fold contour checks."""
     return shift_radius(params, d, math.pi / (2.0 * params.beta)) / n
 
 
@@ -354,16 +354,14 @@ def contour_nodes(L: int, n: int,
     return total_shift, total_w
 
 
-def contour_sum(value_at, cs: CovarianceSpec, axis: int, n: int = 1,
-                radius: float | None = None) -> complex:
+def contour_sum(value_at, cs: CovarianceSpec, axis: int, n: int = 1) -> complex:
     """The n-fold contour quadrature sum_b w_b value_at(stack_b), with the
-    nodes shifting the momenta along axis (radius contour_radius by
-    default).  value_at takes a (B, d) stack of shifts, DET_BLOCK nodes at a
-    time, and returns the B values, so memory does not grow with the node
-    count."""
-    if radius is None:
-        radius = contour_radius(cs.params, cs.spec.d, n)
-    shifts, weights = contour_nodes(cs.spec.L, n, radius)
+    nodes shifting the momenta along axis on circles of radius
+    contour_radius.  value_at takes a (B, d) stack of shifts, DET_BLOCK
+    nodes at a time, and returns the B values, so memory does not grow with
+    the node count."""
+    shifts, weights = contour_nodes(
+        cs.spec.L, n, contour_radius(cs.params, cs.spec.d, n))
     e_axis = np.eye(cs.spec.d)[axis]
     total = 0.0 + 0.0j
     for b in range(0, len(shifts), DET_BLOCK):
@@ -372,8 +370,8 @@ def contour_sum(value_at, cs: CovarianceSpec, axis: int, n: int = 1,
     return complex(total)
 
 
-def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
-                          radius: float | None = None) -> dict:
+def contour_formula_check(cs: CovarianceSpec, a, b, axis: int,
+                          n: int = 1) -> dict:
     """Iterated contour representation of the chord-weighted covariance.
 
     lhs: the n-fold contour_sum of C(shift + sum_j w_j e_axis);
@@ -384,7 +382,7 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int, n: int = 1,
     rhs = chord(cs.spec.L, m)**n * covariance_value(cs, a, b)
     dx, dt = np.subtract(xb, xa), float(tb) - float(ta)
     lhs = contour_sum(lambda stack: covariance_entries(cs, dx, dt, stack),
-                      cs, axis, n, radius) if sa == sb else 0.0 + 0.0j
+                      cs, axis, n) if sa == sb else 0.0 + 0.0j
     return {"lhs": lhs, "rhs": rhs, "deviation": abs(lhs - rhs)}
 
 

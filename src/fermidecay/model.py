@@ -522,13 +522,15 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
                     R: float | None = None) -> SmallnessReport:
     """Evaluate the interaction-smallness hypothesis of the decay theorems.
 
-    general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1);
+    general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1),
+    with the finite-lattice norms of restrict_interaction(u, spec);
     hubbard: |U| <= (108 beta)^{-1} K^{-d}.
     """
     if variant == "general":
         K = geometric_sum_factor(params, spec.d)
         if R is None or not 0.0 < R < 1.0:
             raise ValueError("general variant needs R in (0, 1)")
+        u = restrict_interaction(u, spec)
         lhs = sum(l * 16.0**l * interaction_norm(u, l) for l in u.orders)
         rhs = R / (params.beta * K)
         return SmallnessReport("general", lhs, rhs, lhs < rhs, R)

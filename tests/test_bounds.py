@@ -35,33 +35,32 @@ from fermidecay.grassmann import SchwingerEngine
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid, enumerate_sites
 from fermidecay.model import (
     GuardError,
+    InteractionCoefficients,
     ModelParams,
+    check_smallness,
     geometric_sum_factor,
     hubbard_interaction,
     hubbard_threshold,
+    spin_field_interaction,
 )
 
 
-def test_det_bound_one_by_one(params, chain4):
-    cs = CovarianceSpec(chain4, params)
-    res = det_bound_sample(cs, 1, 1, 100, seed=11)
+_P_TP = ModelParams(t=1.0, t_prime=0.3, mu=0.1, beta=1.0)
+# the shift radii at pi/(2 beta), beta = 1
+_RAD = shift_radius(ModelParams(), 1, math.pi / 2)
+_RAD_TP = shift_radius(_P_TP, 2, math.pi / 2)
+
+
+@pytest.mark.parametrize("shape,p,shift,n,vec_dim,trials,seed,bound", [
     # |C| <= 1 makes the 1x1 ratio at most 1/4
-    assert res["worst_ratio"] <= 0.25 + 1e-12
-
-
-@pytest.mark.parametrize("shifted", [False, True])
-def test_det_bound_randomized(params, chain4, shifted):
-    rad = shift_radius(params, 1, math.pi / (2 * params.beta))
-    cs = CovarianceSpec(chain4, params, (0.4 + 1j * rad if shifted else 0,))
-    res = det_bound_sample(cs, 4, 4, 120, seed=5)
-    assert res["worst_ratio"] <= 1.0
-
-
-def test_det_bound_reproducible(params, chain4):
-    cs = CovarianceSpec(chain4, params)
-    a = det_bound_sample(cs, 3, 2, 40, seed=9)
-    b = det_bound_sample(cs, 3, 2, 40, seed=9)
-    assert a["worst_ratio"] == b["worst_ratio"]
+    ((1, 4), ModelParams(), (0,), 1, 1, 100, 11, 0.25 + 1e-12),
+    ((1, 4), ModelParams(), (0,), 4, 4, 120, 5, 1.0),
+    ((1, 4), ModelParams(), (0.4 + 1j * _RAD,), 4, 4, 120, 5, 1.0),
+    ((2, 2), _P_TP, (1j * _RAD_TP, 0.2 - 1j * _RAD_TP), 5, 3, 100, 13, 1.0),
+], ids=["n1", "n4", "n4_shifted", "d2_two_axis_shifts"])
+def test_det_bound_holds(shape, p, shift, n, vec_dim, trials, seed, bound):
+    cs = CovarianceSpec(LatticeSpec(*shape), p, shift)
+    assert det_bound_sample(cs, n, vec_dim, trials, seed)["worst_ratio"] <= bound
 
 
 def test_det_bound_block_independent_of_trial_count(params, chain4):
@@ -167,22 +166,12 @@ def test_det_bound_sample_refuses_non_finite_determinant():
 
 
 def test_covariance_l1_D_properties(params):
-    spec = LatticeSpec(d=1, L=4)
-    grid = TimeGrid(1.0, 2)
-    cs = CovarianceSpec(spec, params)
-    D = covariance_l1_D(cs, grid)
-    closed = 4.0 * params.beta * geometric_sum_factor(params, spec.d)
-    assert 0 < D <= closed
-    # also below the doubled-grid l1 sum it is dominated by
-    assert D <= l1_bound_check(cs, grid)["lhs"] + 1e-12
     # single site: the pinned sum is just the time sum of |C|
-    atom = LatticeSpec(d=1, L=1)
-    csa = CovarianceSpec(atom, params)
-    Da = covariance_l1_D(csa, grid)
-    from fermidecay.covariance import covariance_value
+    grid = TimeGrid(1.0, 2)
+    csa = CovarianceSpec(LatticeSpec(d=1, L=1), params)
     direct = sum(abs(covariance_value(csa, ((0,), UP, t), ((0,), UP, 0.0)))
                  for t in grid.points) / grid.h
-    assert Da == pytest.approx(direct, abs=1e-12)
+    assert covariance_l1_D(csa, grid) == pytest.approx(direct, abs=1e-12)
 
 
 def covariance_l1_D_reference(cs, grid):
@@ -196,14 +185,18 @@ def covariance_l1_D_reference(cs, grid):
 @pytest.mark.parametrize("d,L", [(1, L) for L in range(1, 6)]
                          + [(2, L) for L in range(1, 6)])
 def test_covariance_l1_D_matches_matrix_sums(d, L):
+    # and stays below its closed form 4 beta K^d, up to the full shift radius
     p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.5)
     rad = shift_radius(p, d, math.pi / (2 * p.beta))
+    closed = 4.0 * p.beta * geometric_sum_factor(p, d)
     for hs in (1, 2, 3):
-        for z in (0, 0.4 + 0.7j * rad):
+        for z in (0, 0.4 + 0.7j * rad, 1j * rad):
             cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, (0,) * (d - 1) + (z,))
             grid = TimeGrid(p.beta, hs)
-            assert covariance_l1_D(cs, grid) == pytest.approx(
-                covariance_l1_D_reference(cs, grid), rel=1e-12, abs=0.0)
+            D = covariance_l1_D(cs, grid)
+            assert D == pytest.approx(covariance_l1_D_reference(cs, grid),
+                                      rel=1e-12, abs=0.0)
+            assert D <= closed
 
 
 @settings(max_examples=40)
@@ -289,7 +282,6 @@ def test_coefficient_series_sums_to_81_16():
 
 
 def test_theorem_envelope_values(params, chain4):
-    from fermidecay.model import InteractionCoefficients
     hub = hubbard_interaction(0.9 * hubbard_threshold(params, 1), d=1)
     pair = fock.query(((0,), (0,)), ((0,), (0,)), (UP, DOWN), (UP, DOWN))
     # zero separation: the bare prefactor
@@ -328,32 +320,56 @@ def test_verify_taylor_bounds_criterion_config():
     assert all(r["passed"] for r in rep10["c_rows"])
 
 
-def test_verify_theorem_envelope_passes(params):
-    spec = LatticeSpec(d=1, L=4)
-    U = 0.9 * hubbard_threshold(params, spec.d)
-    hub = hubbard_interaction(U, d=1)
-    queries = []
-    for sep in range(3):
-        queries.append(fock.query(((0,), (0,)), ((sep,), (sep,)),
-                                  (UP, DOWN), (UP, DOWN)))
-    rows = verify_theorem_envelope(spec, params, hub, queries, variant="hubbard")
-    assert all(r["passed"] for r in rows)
-    assert all(r["imag_defect"] <= 1e-12 for r in rows)
+def _pairs(d, seps):
+    origin = (0,) * d
+    return [fock.query((origin, origin), (s, s), (UP, DOWN), (UP, DOWN))
+            for s in seps]
 
 
-def test_verify_theorem_envelope_L6(params):
+def _at_threshold(p, d):
+    return hubbard_interaction(0.9 * hubbard_threshold(p, d), d=d)
+
+
+_P2 = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.0)
+_SINGLES = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in range(3)]
+# l = 1 and l = 2 terms together in the general smallness sum
+_MIXED = spin_field_interaction({(0,): (0.0, 0.0, 4e-4)})
+_MIXED.add(2, (((0,), (0,)), (UP, DOWN), (UP, DOWN)), 5e-6)
+# (lattice, params, u, queries, variant, R) of each envelope case
+_ENVELOPE_CASES = {
+    "L4": ((1, 4), ModelParams(), _at_threshold(ModelParams(), 1),
+           _pairs(1, [(s,) for s in range(3)]), "hubbard", None),
     # dimension 4096: every separation of the L = 6 chain, within 10 s
+    "L6": ((1, 6), ModelParams(), _at_threshold(ModelParams(), 1),
+           _pairs(1, [(s,) for s in range(6)]), "hubbard", None),
+    # the d-dependent constants end to end on the 2x2 torus
+    "d2": ((2, 2), _P2, _at_threshold(_P2, 2),
+           _pairs(2, [(0, 0), (1, 0), (1, 1)]), "hubbard", None),
+    "field": ((1, 4), ModelParams(),
+              spin_field_interaction({(0,): (0.0, 0.0, 1e-3)}), _SINGLES,
+              "general", 0.5),
+    "mixed_orders": ((1, 4), ModelParams(), _MIXED, _SINGLES, "general", 0.5),
+    # U = 0: the envelope prefactor trivially dominates the free correlation
+    "free": ((1, 4), ModelParams(), InteractionCoefficients(), _SINGLES,
+             "general", 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENVELOPE_CASES))
+def test_verify_theorem_envelope_holds(case):
+    shape, p, u, queries, variant, R = _ENVELOPE_CASES[case]
+    spec = LatticeSpec(*shape)
     start = time.perf_counter()
-    spec = LatticeSpec(d=1, L=6)
-    hub = hubbard_interaction(0.9 * hubbard_threshold(params, spec.d), d=1)
-    queries = [fock.query(((0,), (0,)), ((sep,), (sep,)), (UP, DOWN), (UP, DOWN))
-               for sep in range(6)]
-    rows = verify_theorem_envelope(spec, params, hub, queries, variant="hubbard")
+    assert check_smallness(u, p, spec, variant=variant, R=R).satisfied
+    rows = verify_theorem_envelope(spec, p, u, queries, variant=variant, R=R)
     elapsed = time.perf_counter() - start
-    assert [r["sum_diff"] for r in rows] == [(-2 * sep,) for sep in range(6)]
     assert all(r["passed"] for r in rows)
     assert all(r["imag_defect"] <= 1e-12 for r in rows)
-    assert elapsed < 10.0, f"L = 6 envelope took {elapsed:.1f}s"
+    if case == "L6":
+        assert [r["sum_diff"] for r in rows] == [(-2 * sep,) for sep in range(6)]
+        assert elapsed < 10.0, f"L = 6 envelope took {elapsed:.1f}s"
+    if case == "free":
+        assert all(r["envelope_chord"] >= 4.0 for r in rows)
 
 
 def test_verify_theorem_envelope_refuses_large_coupling(params):
@@ -363,36 +379,6 @@ def test_verify_theorem_envelope_refuses_large_coupling(params):
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     with pytest.raises(ValueError, match="smallness"):
         verify_theorem_envelope(spec, params, hub, [q], variant="hubbard")
-
-
-def test_verify_theorem_envelope_general_variant(params):
-    from fermidecay.model import spin_field_interaction, check_smallness
-    spec = LatticeSpec(d=1, L=4)
-    fld = spin_field_interaction({(0,): (0.0, 0.0, 1e-3)})
-    rep = check_smallness(fld, params, spec, variant="general", R=0.5)
-    assert rep.satisfied
-    queries = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in range(3)]
-    rows = verify_theorem_envelope(spec, params, fld, queries,
-                                   variant="general", R=0.5)
-    assert all(r["passed"] for r in rows)
-
-
-def test_covariance_l1_D_shifted_below_closed_form(params):
-    closed = 4.0 * params.beta * geometric_sum_factor(params, 1)
-    rad = shift_radius(params, 1, math.pi / (2 * params.beta))
-    for L, hs in ((2, 1), (4, 2), (8, 2)):
-        for im in (0.0, 0.5 * rad, rad):
-            cs = CovarianceSpec(LatticeSpec(d=1, L=L), params, (1j * im,))
-            assert covariance_l1_D(cs, TimeGrid(params.beta, hs)) <= closed
-
-
-def test_det_bound_two_axis_shifts():
-    p = ModelParams(t=1.0, t_prime=0.3, mu=0.1, beta=1.0)
-    spec = LatticeSpec(d=2, L=2)
-    rad = shift_radius(p, 2, math.pi / (2 * p.beta))
-    cs = CovarianceSpec(spec, p, (1j * rad, 0.2 - 1j * rad))
-    res = det_bound_sample(cs, 5, 3, 100, seed=13)
-    assert res["worst_ratio"] <= 1.0
 
 
 def test_schwinger_contour_identity(params):
@@ -406,27 +392,23 @@ def test_schwinger_contour_identity(params):
 
 
 def test_schwinger_contour_guard_per_node(params):
-    # eta at a root of the denominator at one shifted node inside the second
-    # stacked block, but not at the unshifted covariance: the batched
-    # evaluation must still refuse that node
+    # eta at a root of the denominator at one node of the default contour
+    # past its first DET_BLOCK nodes, but not at the unshifted covariance:
+    # the evaluation on the stacked covariances must still refuse that node
     spec = LatticeSpec(d=1, L=2)
-    hub = hubbard_interaction(0.1, d=1)
     grid = TimeGrid(1.0, 1)
     q = fock.query(((0,),), ((1,),), (UP,), (UP,))
-    radius = 0.3
-    shifts, _ = contour_nodes(spec.L, 1, radius)
-    node = DET_BLOCK + 17  # past the first block
+    shifts, _ = contour_nodes(spec.L, 1, contour_radius(params, spec.d))
+    node = DET_BLOCK + 17
     assert node < len(shifts)
-    engine = SchwingerEngine(spec, params, grid, hub)
+    engine = SchwingerEngine(spec, params, grid, hubbard_interaction(0.1, d=1))
     G = covariance_matrix(CovarianceSpec(spec, params), grid,
-                          shifts[node:node + 1, None])
-    shifted = engine.denominator(G)[0]
-    eta = complex(np.roots(shifted[::-1])[0])
-    assert abs(engine.partition(eta, G)[0]) < 1e-12
+                          shifts[:node + 1, None])
+    eta = complex(np.roots(engine.denominator(G)[node][::-1])[0])
+    assert abs(engine.partition(eta, G)[node]) < 1e-12
     assert abs(engine.partition(eta)) > 1e-6
     with pytest.raises(GuardError, match="too small"):
-        schwinger_contour_check(spec, params, grid, hub, q, axis=0, n=1,
-                                radius=radius, eta=eta)
+        engine.schwinger_value(q, eta, G)
 
 
 def test_contour_checks_hold_from_high_to_low_temperature(
@@ -468,45 +450,3 @@ def test_contour_nodes_guard():
                               axis=0, n=2)
     shifts, _ = contour_nodes(4, 2, contour_radius(ModelParams(), 1, 2))
     assert len(shifts) <= MAX_CONTOUR_NODES
-
-
-def test_verify_theorem_envelope_d2():
-    # exercises the d-dependent constants end to end on the 2x2 torus
-    spec = LatticeSpec(d=2, L=2)
-    p = ModelParams(t=1.0, t_prime=0.2, mu=0.1, beta=1.0)
-    U = 0.9 * hubbard_threshold(p, spec.d)
-    hub = hubbard_interaction(U, d=2)
-    queries = []
-    for sep in ((0, 0), (1, 0), (1, 1)):
-        queries.append(fock.query(((0, 0), (0, 0)), (sep, sep),
-                                  (UP, DOWN), (UP, DOWN)))
-    rows = verify_theorem_envelope(spec, p, hub, queries, variant="hubbard")
-    assert all(r["passed"] for r in rows)
-
-
-def test_verify_theorem_envelope_mixed_orders(params):
-    # l = 1 and l = 2 terms together in the general smallness sum
-    from fermidecay.model import spin_field_interaction, check_smallness
-    spec = LatticeSpec(d=1, L=4)
-    u = spin_field_interaction({(0,): (0.0, 0.0, 4e-4)})
-    u.add(2, ((((0,), (0,))), (UP, DOWN), (UP, DOWN)), 5e-6)
-    rep = check_smallness(u, params, spec, variant="general", R=0.5)
-    assert rep.satisfied
-    # lhs collects 1*16*||U_1|| + 2*256*||U_2||
-    assert rep.lhs == pytest.approx(16 * 2e-4 + 512 * 5e-6, rel=1e-12)
-    queries = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in range(3)]
-    rows = verify_theorem_envelope(spec, params, u, queries,
-                                   variant="general", R=0.5)
-    assert all(r["passed"] for r in rows)
-
-
-def test_verify_theorem_envelope_free_interaction(params):
-    # U = 0: the envelope prefactor trivially dominates the free correlation
-    from fermidecay.model import InteractionCoefficients
-    spec = LatticeSpec(d=1, L=4)
-    u = InteractionCoefficients()
-    queries = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in range(3)]
-    rows = verify_theorem_envelope(spec, params, u, queries,
-                                   variant="general", R=0.5)
-    assert all(r["passed"] for r in rows)
-    assert all(r["envelope_chord"] >= 4.0 for r in rows)

@@ -14,16 +14,18 @@ import pytest
 
 from fermidecay import cli, fock
 from fermidecay.cli import main
-from fermidecay.lattice import UP, LatticeSpec
+from fermidecay.lattice import DOWN, UP, LatticeSpec
 from fermidecay.model import (
     GuardError,
     ModelFileError,
     ModelParams,
+    check_smallness,
     hubbard_interaction,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
+    spin_field_interaction,
     spin_spin_interaction,
 )
 
@@ -81,19 +83,27 @@ def test_table_hermiticity_violation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_model_validate_reads_the_finite_lattice_norm(tmp_path, capsys):
+    # a spin-flip pair written at site 4 of the L = 4 chain sits on site 0,
+    # beside the sigma_z field there: both files hold one model
+    spec, reports, lhs = LatticeSpec(d=1, L=4), [], []
+    for site in (0, 4):
+        u = spin_field_interaction({(0,): (0.0, 0.0, 2e-4)})
+        u.add(1, (((site,),), (UP,), (DOWN,)), 1e-4)
+        u.add(1, (((site,),), (DOWN,), (UP,)), 1e-4)
+        path = tmp_path / f"flip_at_{site}.json"
+        save_model(path, spec, ModelParams(), u)
+        assert main(["model-validate", "--model", str(path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        lhs.append(check_smallness(u, ModelParams(), spec, R=0.5).lhs)
+    assert reports[0] == reports[1] and lhs[0] == lhs[1]
+    assert reports[0]["norms"] == {"1": 2e-4}
+    assert lhs[0] == reports[0]["smallness_general_R0.5"]["lhs"]
+    assert lhs[0] == pytest.approx(16 * 2e-4, rel=1e-12)
+
+
 def test_model_validate_missing_file(tmp_path):
     assert main(["model-validate", "--model", str(tmp_path / "nope.json")]) == 2
-
-
-def test_verify_covariance_exit_zero(tmp_path):
-    out = tmp_path / "report.json"
-    rc = main(["verify", "--suite", "covariance", "--seed", "3",
-               "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["passed"] is True
-    assert any(c["quantity"] == "free_fermion_consistency"
-               for c in payload["checks"])
 
 
 def test_verify_deterministic_reports(tmp_path):
@@ -568,13 +578,6 @@ def test_verify_covariance_reports_the_fock_skip(tmp_path):
         "quantity": "free_fermion_consistency", "computed": None,
         "bound": 1e-10, "ratio": None, "pass": True,
         "details": {"skipped": "14 modes exceed the 12-mode guard"}}
-
-
-def test_verify_grassmann(tmp_path):
-    out = tmp_path / "report.json"
-    rc = main(["verify", "--suite", "grassmann", "--seed", "2",
-               "--out", str(out)])
-    assert rc == 0
 
 
 def test_table_covariance_decay_row_count(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fermidecay.cli import _random_order2_table
 from fermidecay.lattice import (
     DOWN,
     UP,
@@ -23,7 +24,6 @@ from fermidecay.model import (
     LambdaCoefficients,
     ModelFileError,
     ModelParams,
-    antisym_pinned_norm,
     antisymmetrize,
     check_fourier_consistency,
     check_smallness,
@@ -31,7 +31,6 @@ from fermidecay.model import (
     density_density_interaction,
     dispersion_grid,
     geometric_sum_factor,
-    hubbard_antisymmetric_tensor,
     hubbard_interaction,
     interaction_norm,
     lattice_terms,
@@ -43,7 +42,6 @@ from fermidecay.model import (
     site_hopping_matrix,
     spin_field_interaction,
     spin_spin_interaction,
-    table_pinned_norm,
 )
 
 
@@ -322,20 +320,6 @@ def test_spin_spin_interaction_structure():
 
 # --- anti-symmetrization -----------------------------------------------------
 
-def _random_hermitian_table(spec, rng, n_entries=6):
-    g = {}
-    sites = enumerate_sites(spec)
-    for _ in range(n_entries):
-        X = (sites[int(rng.integers(len(sites)))],
-             sites[int(rng.integers(len(sites)))])
-        Xi = (int(rng.integers(2)), int(rng.integers(2)))
-        Phi = (int(rng.integers(2)), int(rng.integers(2)))
-        val = complex(rng.normal(), rng.normal())
-        g[(X, Xi, Phi)] = g.get((X, Xi, Phi), 0) + val
-        g[(X, Phi, Xi)] = g.get((X, Phi, Xi), 0) + val.conjugate()
-    return g
-
-
 def test_antisymmetrize_order1_is_diagonal():
     spec = LatticeSpec(d=1, L=2)
     g = {(((1,),), (UP,), (DOWN,)): 0.7 + 0.1j}
@@ -346,32 +330,15 @@ def test_antisymmetrize_order1_is_diagonal():
     assert np.count_nonzero(f) == 1
 
 
-def test_antisymmetrize_hubbard_matches_explicit_tensor():
-    spec = LatticeSpec(d=1, L=4)
-    U = 0.9
-    g = {((x, x), (UP, DOWN), (UP, DOWN)): U for x in enumerate_sites(spec)}
-    f = antisymmetrize(g, spec, 2)
-    np.testing.assert_allclose(f, hubbard_antisymmetric_tensor(U, spec), atol=1e-14)
-    assert antisym_pinned_norm(f, 2) == pytest.approx(abs(U) / 2)
-
-
 def test_antisymmetrize_sign_equivariance(rng):
     spec = LatticeSpec(d=1, L=2)
-    g = _random_hermitian_table(spec, rng)
+    g = _random_order2_table(spec, rng)
     f = antisymmetrize(g, spec, 2)
     n = spec.n_modes
     idx = rng.integers(0, n, size=(100, 4))
     for a, b, c, d in idx:
         assert f[a, b, c, d] == pytest.approx(-f[b, a, c, d], abs=1e-12)
         assert f[a, b, c, d] == pytest.approx(-f[a, b, d, c], abs=1e-12)
-
-
-def test_antisym_norm_inequality(rng):
-    spec = LatticeSpec(d=1, L=2)
-    for _ in range(50):
-        g = _random_hermitian_table(spec, rng)
-        f = antisymmetrize(g, spec, 2)
-        assert antisym_pinned_norm(f, 2) <= table_pinned_norm(g, 2) + 1e-12
 
 
 def test_antisymmetrize_rejects_large_order():
@@ -404,6 +371,14 @@ def test_check_smallness_zero_interaction(params, chain4):
     for R in (0.1, 0.5, 0.9):
         rep = check_smallness(u, params, chain4, variant="general", R=R)
         assert rep.satisfied and rep.lhs == 0.0
+
+
+def test_check_smallness_general_lhs(params, chain4):
+    # l = 1 and l = 2 terms: lhs collects 1*16*||U_1|| + 2*256*||U_2||
+    u = spin_field_interaction({(0,): (0.0, 0.0, 4e-4)})
+    u.add(2, (((0,), (0,)), (UP, DOWN), (UP, DOWN)), 5e-6)
+    rep = check_smallness(u, params, chain4, variant="general", R=0.5)
+    assert rep.lhs == pytest.approx(16 * 2e-4 + 512 * 5e-6, rel=1e-12)
 
 
 def test_check_smallness_hubbard_rhs(params, chain4):
