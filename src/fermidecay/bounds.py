@@ -2,10 +2,10 @@
 
 Covers the 4^n determinant bound (base DET_BOUND_B) on inner-product-weighted
 covariance blocks and its decaying form on point pairs, the l1 covariance
-integral, the two Taylor-coefficient bounds, and the decay envelopes of the
-two main theorems, written once in verify_theorem_envelope after
-model.check_smallness has checked their hypothesis (chord-distance exponent at
-finite L, the Euclidean exponent reported alongside for reference).
+integral, the two Taylor-coefficient bounds, and the decay envelope of the main
+theorems, written once in verify_theorem_envelope: model.check_smallness picks
+the theorem that covers the model, checks its hypothesis and gives its prefactor
+(chord-distance exponent at finite L, the Euclidean one reported alongside).
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
     dsum = site_sum_diff([a[0] for a, _ in pairs], [b[0] for _, b in pairs])
     F = theorem_decay_base(cs.params, cs.spec.d)
     bound = 2.0 * DET_BOUND_B**n * F ** (-chord_exponent(cs.spec, dsum))
-    return {"abs_det": lhs, "bound": bound, "ratio": lhs / bound,
-            "satisfied": lhs <= bound}
+    return {"abs_det": lhs, "bound": bound, "satisfied": lhs <= bound}
 
 
 def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
@@ -200,35 +199,27 @@ def schwinger_contour_check(spec: LatticeSpec, params: ModelParams,
     return {"lhs": lhs, "rhs": complex(rhs), "deviation": abs(lhs - rhs)}
 
 
-def _envelope_prefactor(variant: str, R: float | None, m_hat: int) -> float:
-    """The envelope at zero distance: 324 for the on-site theorem, else
-    4^(m_hat+1) - m_hat 4^(2 m_hat+1) log(1 - R)."""
-    if variant == "hubbard":
-        return 324.0
-    return 4.0 ** (m_hat + 1) - m_hat * 4.0 ** (2 * m_hat + 1) * math.log(1.0 - R)
-
-
 def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
                             u: InteractionCoefficients, queries,
-                            variant: str = "hubbard",
-                            R: float | None = None) -> list[dict]:
+                            variant: str | None = None,
+                            R: float | None = 0.5) -> list[dict]:
     """Exact-trace correlations against the envelope prefactor * F^(-distance),
     F = F(pi/(2 beta)), for every query.  A row passes against the finite-L
     chord distance of sum(x) - sum(y), what the proofs establish before the
     infinite-volume limit; the printed limit form |sum(x) - sum(y)|/(4 e d)
-    is reported alongside.  Refuses to run when the smallness hypothesis
-    fails."""
+    is reported alongside.  Prefactor and hypothesis come from the one
+    check_smallness report, which picks u's theorem; refuses when it fails."""
     report = check_smallness(u, params, spec, variant=variant, R=R)
     if not report.satisfied:
         raise GuardError(
             f"smallness hypothesis violated: lhs {report.lhs:.6g} vs "
-            f"rhs {report.rhs:.6g} ({variant})")
+            f"rhs {report.rhs:.6g} ({report.variant})")
     space = fock.FockSpace(spec)
     F = theorem_decay_base(params, spec.d)
     rows = []
     for q, value in zip(queries, fock.correlations(space, params, u, queries)):
         sum_diff = site_sum_diff(q.x_sites, q.y_sites)
-        pre = _envelope_prefactor(variant, R, q.m_hat)
+        pre = report.envelope_prefactor(q.m_hat)
         env = pre * F ** (-chord_exponent(spec, sum_diff))
         rows.append({
             "x_sites": q.x_sites, "y_sites": q.y_sites,

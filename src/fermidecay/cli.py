@@ -320,14 +320,13 @@ def _separation_queries(spec):
 
 
 def smallness(spec, params, u):
-    rep = model.check_smallness(u, params, spec, variant="hubbard")
-    return [Check("smallness_hubbard", rep.lhs, rep.rhs)]
+    rep = model.check_smallness(u, params, spec)
+    return [Check(f"smallness_{rep.variant}", rep.lhs, rep.rhs, rep.satisfied)]
 
 
 def theorem_envelope(spec, params, u, queries):
     """Criterion 11: exact-trace correlations against the finite-L envelope."""
-    rows = bounds.verify_theorem_envelope(spec, params, u, queries,
-                                          variant="hubbard")
+    rows = bounds.verify_theorem_envelope(spec, params, u, queries)
     return [Check(f"envelope_sep{row['sum_diff']}", row["abs_correlation"],
                   row["envelope_chord"],
                   envelope_euclidean=row["envelope_euclidean"])
@@ -531,8 +530,7 @@ def cmd_table(args) -> int:
         rows = [{"separation": r["y_sites"][0][0],
                  **{k: r[k] for k in fields[1:]}}
                 for r in bounds.verify_theorem_envelope(
-                    spec, params, u, _separation_queries(spec),
-                    variant="hubbard")]
+                    spec, params, u, _separation_queries(spec))]
     elif args.kind == "beta_sweep":
         fields = ["beta", "worst_envelope_ratio", "l1_sum", "l1_bound", "D",
                   "hubbard_threshold", "scaled_threshold"]

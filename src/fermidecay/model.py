@@ -516,16 +516,28 @@ class SmallnessReport:
     satisfied: bool
     R: float | None = None
 
+    def envelope_prefactor(self, m_hat: int) -> float:
+        """The envelope at zero distance: 324 on-site, else
+        4^(m_hat+1) - m_hat 4^(2 m_hat+1) log(1 - R)."""
+        if self.variant == "hubbard":
+            return 324.0
+        return 4.0**(m_hat + 1) - m_hat * 4.0**(2 * m_hat + 1) * math.log(1.0 - self.R)
+
 
 def check_smallness(u: InteractionCoefficients, params: ModelParams,
-                    spec: LatticeSpec, variant: str = "general",
-                    R: float | None = None) -> SmallnessReport:
-    """Evaluate the interaction-smallness hypothesis of the decay theorems.
+                    spec: LatticeSpec, variant: str | None = None,
+                    R: float | None = 0.5) -> SmallnessReport:
+    """The smallness hypothesis of the decay theorem that covers u: the
+    on-site one for the pure on-site Hubbard term, else the general one.
+    variant and R override (model-validate and the benchmark name theirs).
 
     general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1),
     with the finite-lattice norms of restrict_interaction(u, spec);
     hubbard: |U| <= (108 beta)^{-1} K^{-d}.
     """
+    U = u.hubbard_coupling()
+    if variant is None:
+        variant = "general" if U is None else "hubbard"
     if variant == "general":
         K = geometric_sum_factor(params, spec.d)
         if R is None or not 0.0 < R < 1.0:
@@ -536,7 +548,6 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
         return SmallnessReport("general", lhs, rhs, lhs < rhs, R)
     if variant == "hubbard":
         rhs = hubbard_threshold(params, spec.d)
-        U = u.hubbard_coupling()
         if U is None:
             raise GuardError("hubbard variant requires a pure on-site interaction")
         return SmallnessReport("hubbard", abs(U), rhs, abs(U) <= rhs)

@@ -288,7 +288,7 @@ def test_theorem_envelope_values(params, chain4):
     (row,) = verify_theorem_envelope(chain4, params, hub, [pair])
     assert row["sum_diff"] == (0,) and row["envelope_chord"] == 324.0
     (row,) = verify_theorem_envelope(chain4, params, InteractionCoefficients(),
-                                     [pair], variant="general", R=0.5)
+                                     [pair])
     v = row["envelope_chord"]
     assert v == row["envelope_euclidean"]
     assert v == pytest.approx(4**3 - 2 * 4**5 * math.log(0.5), rel=1e-12)
@@ -300,7 +300,7 @@ def test_theorem_envelope_values(params, chain4):
     assert 324.0 > e1 > e2
     with pytest.raises(ValueError):
         verify_theorem_envelope(chain4, params, InteractionCoefficients(),
-                                singles, variant="general", R=1.5)
+                                singles, R=1.5)
 
 
 def test_verify_taylor_bounds_criterion_config():
@@ -335,33 +335,32 @@ _SINGLES = [fock.query(((0,),), ((s,),), (UP,), (UP,)) for s in range(3)]
 # l = 1 and l = 2 terms together in the general smallness sum
 _MIXED = spin_field_interaction({(0,): (0.0, 0.0, 4e-4)})
 _MIXED.add(2, (((0,), (0,)), (UP, DOWN), (UP, DOWN)), 5e-6)
-# (lattice, params, u, queries, variant, R) of each envelope case
+# (lattice, params, u, queries) of each envelope case; u picks its theorem,
+# the on-site one for the Hubbard cases and the general one at R = 0.5 else
 _ENVELOPE_CASES = {
     "L4": ((1, 4), ModelParams(), _at_threshold(ModelParams(), 1),
-           _pairs(1, [(s,) for s in range(3)]), "hubbard", None),
+           _pairs(1, [(s,) for s in range(3)])),
     # dimension 4096: every separation of the L = 6 chain, within 10 s
     "L6": ((1, 6), ModelParams(), _at_threshold(ModelParams(), 1),
-           _pairs(1, [(s,) for s in range(6)]), "hubbard", None),
+           _pairs(1, [(s,) for s in range(6)])),
     # the d-dependent constants end to end on the 2x2 torus
     "d2": ((2, 2), _P2, _at_threshold(_P2, 2),
-           _pairs(2, [(0, 0), (1, 0), (1, 1)]), "hubbard", None),
+           _pairs(2, [(0, 0), (1, 0), (1, 1)])),
     "field": ((1, 4), ModelParams(),
-              spin_field_interaction({(0,): (0.0, 0.0, 1e-3)}), _SINGLES,
-              "general", 0.5),
-    "mixed_orders": ((1, 4), ModelParams(), _MIXED, _SINGLES, "general", 0.5),
+              spin_field_interaction({(0,): (0.0, 0.0, 1e-3)}), _SINGLES),
+    "mixed_orders": ((1, 4), ModelParams(), _MIXED, _SINGLES),
     # U = 0: the envelope prefactor trivially dominates the free correlation
-    "free": ((1, 4), ModelParams(), InteractionCoefficients(), _SINGLES,
-             "general", 0.5),
+    "free": ((1, 4), ModelParams(), InteractionCoefficients(), _SINGLES),
 }
 
 
 @pytest.mark.parametrize("case", list(_ENVELOPE_CASES))
 def test_verify_theorem_envelope_holds(case):
-    shape, p, u, queries, variant, R = _ENVELOPE_CASES[case]
+    shape, p, u, queries = _ENVELOPE_CASES[case]
     spec = LatticeSpec(*shape)
     start = time.perf_counter()
-    assert check_smallness(u, p, spec, variant=variant, R=R).satisfied
-    rows = verify_theorem_envelope(spec, p, u, queries, variant=variant, R=R)
+    assert check_smallness(u, p, spec).satisfied
+    rows = verify_theorem_envelope(spec, p, u, queries)
     elapsed = time.perf_counter() - start
     assert all(r["passed"] for r in rows)
     assert all(r["imag_defect"] <= 1e-12 for r in rows)
@@ -378,7 +377,7 @@ def test_verify_theorem_envelope_refuses_large_coupling(params):
     hub = hubbard_interaction(U, d=1)
     q = fock.query(((0,),), ((0,),), (UP,), (UP,))
     with pytest.raises(ValueError, match="smallness"):
-        verify_theorem_envelope(spec, params, hub, [q], variant="hubbard")
+        verify_theorem_envelope(spec, params, hub, [q])
 
 
 def test_schwinger_contour_identity(params):

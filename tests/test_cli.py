@@ -20,6 +20,7 @@ from fermidecay.model import (
     ModelFileError,
     ModelParams,
     check_smallness,
+    density_density_interaction,
     hubbard_interaction,
     load_model,
     model_from_dict,
@@ -31,6 +32,8 @@ from fermidecay.model import (
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "models" / "hubbard_chain_L4.json"
+# a nearest-neighbour spin-spin chain at 0.9 of its general threshold
+SPIN_SPIN_MODEL = ROOT / "models" / "spin_spin_chain_L4.json"
 
 
 @pytest.fixture
@@ -95,7 +98,7 @@ def test_model_validate_reads_the_finite_lattice_norm(tmp_path, capsys):
         save_model(path, spec, ModelParams(), u)
         assert main(["model-validate", "--model", str(path)]) == 0
         reports.append(json.loads(capsys.readouterr().out))
-        lhs.append(check_smallness(u, ModelParams(), spec, R=0.5).lhs)
+        lhs.append(check_smallness(u, ModelParams(), spec).lhs)
     assert reports[0] == reports[1] and lhs[0] == lhs[1]
     assert reports[0]["norms"] == {"1": 2e-4}
     assert lhs[0] == reports[0]["smallness_general_R0.5"]["lhs"]
@@ -523,9 +526,53 @@ def test_nan_mid_scan_fails_the_row(check, monkeypatch):
     assert not row.passed
 
 
-def test_verify_theorem_outside_the_hubbard_theorem(tmp_path):
-    # a spin-spin model: the on-site smallness condition and the envelope
-    # refuse it, the checks on their own fixed models still pass
+def _at_general_threshold(build):
+    """build(c) at 0.9 of its general smallness threshold on the L = 4 chain."""
+    rep = check_smallness(build(1.0), ModelParams(), LatticeSpec(d=1, L=4))
+    return build(0.9 * rep.rhs / rep.lhs)
+
+
+# L = 4 chain models off the on-site form, and the smallness_general ratio
+# each reads; the spin-spin one is the shipped file, whose frozen
+# coefficients the general sum must bring to 0.9
+_GENERAL_MODELS = {
+    "field_1e-7": (lambda: spin_field_interaction(
+        {(x,): (0.0, 0.0, 1e-7) for x in range(4)}), None),
+    "field_z": (lambda: _at_general_threshold(lambda c: spin_field_interaction(
+        {(x,): (0.0, 0.0, c) for x in range(4)})), 0.9),
+    "spin_spin": (None, 0.9),
+    "density_order3": (lambda: _at_general_threshold(
+        lambda c: density_density_interaction(
+            {3: {(((1,), (0,), (0,)), (UP, UP, DOWN)): c}})), 0.9),
+}
+
+
+@pytest.mark.parametrize("case", list(_GENERAL_MODELS))
+def test_verify_theorem_under_the_general_theorem(case, tmp_path):
+    # a model off the on-site form picks the general theorem: its
+    # hypothesis row and every envelope row pass
+    build, ratio = _GENERAL_MODELS[case]
+    path = SPIN_SPIN_MODEL
+    if build is not None:
+        path = tmp_path / "model.json"
+        save_model(path, LatticeSpec(d=1, L=4), ModelParams(), build())
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "theorem", "--model", str(path),
+                 "--out", str(out)]) == 0
+    checks = {c["quantity"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [name for name in checks if name.startswith("envelope_sep")] == [
+        f"envelope_sep({-2 * sep},)" for sep in range(4)]
+    general = checks["smallness_general"]
+    assert general["pass"]
+    if ratio is None:  # B sigma_z / 2 on every site: norm 5e-8, lhs 16 * 5e-8
+        assert general["computed"] == pytest.approx(8e-7, rel=1e-12)
+    else:
+        assert general["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+def test_verify_theorem_past_the_general_threshold(tmp_path):
+    # a spin-spin model past its general threshold: the hypothesis row fails
+    # and the envelope refuses it, the checks on their own fixed models pass
     path = tmp_path / "spin.json"
     path.write_text(json.dumps(model_to_dict(
         LatticeSpec(d=1, L=4), ModelParams(),
@@ -536,7 +583,12 @@ def test_verify_theorem_outside_the_hubbard_theorem(tmp_path):
     assert rc == 1
     checks = {c["quantity"]: c for c in json.loads(out.read_text())["checks"]}
     failed = [name for name, c in checks.items() if not c["pass"]]
-    assert failed == ["smallness_aborted", "theorem_envelope_aborted"]
+    assert failed == ["smallness_general", "theorem_envelope_aborted"]
+    # 2 * 16^2 * ||U_2||, with ||U_2|| = w = 1e-4, against R / (beta K)
+    assert checks["smallness_general"]["computed"] == pytest.approx(
+        0.0512, rel=1e-12)
+    assert checks["smallness_general"]["bound"] == pytest.approx(
+        0.010555339261117019, rel=1e-12)
     assert list(checks)[2:] == [
         "schwinger_contour_identity", "trivial_hopping_vanishing",
         "antisym_hubbard_tensor", "antisym_hubbard_norm",
@@ -627,9 +679,8 @@ def test_table_beta_sweep(tmp_path):
 
 
 def test_shipped_model_file_validates():
-    import pathlib
-    path = pathlib.Path(__file__).resolve().parents[1] / "models" / "hubbard_chain_L4.json"
-    assert main(["model-validate", "--model", str(path)]) == 0
+    for path in (MODEL, SPIN_SPIN_MODEL):
+        assert main(["model-validate", "--model", str(path)]) == 0
 
 
 def test_model_validate_refuses_vanishing_hopping(tmp_path, capsys):
@@ -684,7 +735,7 @@ def test_table_envelope_rows_are_the_theorem_checks(extra, tmp_path):
 @pytest.mark.parametrize("case", ["oversized", "spin_spin"])
 def test_table_envelope_refuses_outside_the_theorem(case, tmp_path, capsys):
     # the table applies the smallness hypothesis that verify applies: an
-    # oversized coupling, or a model the on-site envelope does not bound,
+    # oversized coupling, or a spin-spin model past its general threshold,
     # aborts with one line and leaves an existing --out untouched
     if case == "oversized":
         extra = ["--coupling-fraction", "1.5"]

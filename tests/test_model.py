@@ -369,7 +369,7 @@ def test_decay_base_values(params):
 def test_check_smallness_zero_interaction(params, chain4):
     u = InteractionCoefficients()
     for R in (0.1, 0.5, 0.9):
-        rep = check_smallness(u, params, chain4, variant="general", R=R)
+        rep = check_smallness(u, params, chain4, R=R)
         assert rep.satisfied and rep.lhs == 0.0
 
 
@@ -377,13 +377,21 @@ def test_check_smallness_general_lhs(params, chain4):
     # l = 1 and l = 2 terms: lhs collects 1*16*||U_1|| + 2*256*||U_2||
     u = spin_field_interaction({(0,): (0.0, 0.0, 4e-4)})
     u.add(2, (((0,), (0,)), (UP, DOWN), (UP, DOWN)), 5e-6)
-    rep = check_smallness(u, params, chain4, variant="general", R=0.5)
+    rep = check_smallness(u, params, chain4)
+    assert rep.variant == "general" and rep.R == 0.5
     assert rep.lhs == pytest.approx(16 * 2e-4 + 512 * 5e-6, rel=1e-12)
+    # asked for explicitly, the on-site hypothesis refuses it
+    with pytest.raises(GuardError, match="pure on-site"):
+        check_smallness(u, params, chain4, variant="hubbard")
 
 
 def test_check_smallness_hubbard_rhs(params, chain4):
     hub = hubbard_interaction(1e-5, d=1)
-    rep = check_smallness(hub, params, chain4, variant="hubbard")
+    rep = check_smallness(hub, params, chain4)
+    assert rep.variant == "hubbard"
+    # asked for explicitly, the general sum reads 2 * 16^2 * |U|
+    general = check_smallness(hub, params, chain4, variant="general")
+    assert general.lhs == pytest.approx(512 * 1e-5, rel=1e-12)
     # frozen from a 40-digit evaluation of (108 beta)^-1 ((F^a+1)/(F^a-1))^-1
     assert rep.rhs == pytest.approx(1.9546924557624060e-04, rel=1e-12)
     assert rep.satisfied
@@ -395,7 +403,7 @@ def test_smallness_threshold_beta_scaling():
     for beta in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
         p = ModelParams(t=1.0, mu=0.0, beta=beta)
         rep = check_smallness(hubbard_interaction(1e-9), p,
-                              LatticeSpec(d=1, L=4), variant="hubbard")
+                              LatticeSpec(d=1, L=4))
         vals.append(rep.rhs * beta**2)
     assert max(vals) / min(vals) < 10.0
 

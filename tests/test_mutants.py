@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import test_bounds
+import test_cli
 import test_fock
 import test_model
 from conftest import empty_model_caches
@@ -64,6 +65,16 @@ def test_decay_base_squared(monkeypatch):
     _assert_killed(monkeypatch, model, "theorem_decay_base",
                    lambda F: lambda params, d: F(params, d) ** 2,
                    _threshold_value)
+
+
+def test_general_sum_without_factor_l(monkeypatch, tmp_path):
+    # check_smallness sums l 16^l ||U_l||: with every norm divided by l the
+    # shipped order-2 spin-spin file reads 0.45 of its general threshold,
+    # which still passes, so the killer asserts the reported ratio of 0.9
+    _assert_killed(monkeypatch, model, "interaction_norm",
+                   lambda norm: lambda u, l: norm(u, l) / l,
+                   partial(test_cli.test_verify_theorem_under_the_general_theorem,
+                           "spin_spin", tmp_path))
 
 
 def test_l1_window_one_step_short(monkeypatch):
