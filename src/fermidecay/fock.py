@@ -9,18 +9,18 @@ order, so every sign is reproducible.  Thermal averages go through the
 eigendecomposition of H one conserved-number sector at a time: (N_up,
 N_down) when H keeps both counts, else the total N, else the whole space.
 Each sector block is filled densely, real when H has no imaginary entry,
-and the blocks of equal size are diagonalized by one stacked eigh (eigvalsh
-for a spectrum alone).  Given the lattice, diagonalize splits a sector of
-more than MOMENTUM_MIN_STATES = 25 states into lattice-momentum blocks when
-H commutes with the one-site translation along axis 0 (checked once per H
-on its triplets); smaller sectors stay whole.  The momentum
-eigenvectors are mapped back into the sector basis, real on a real H, so
-the rest of the oracle does not see the split.  Per beta the Eigensystem
-keeps the thermal state e^{-beta H} as flattened sector blocks, so an
-expectation is one gather of it at the in-sector entries of the observable;
-correlations assembles the observables of a batch of queries together and
-takes one gather per query.  Sizes are desk scale by design, and FockSpace,
-which refuses more than MAX_MODES modes, is the one size guard.
+and diagonalized by its own eigh (eigvalsh for a spectrum alone).  Given
+the lattice, diagonalize splits a sector of more than MOMENTUM_MIN_STATES
+= 25 states into lattice-momentum blocks when H commutes with the one-site
+translation along axis 0 (checked once per H on its triplets); smaller
+sectors stay whole.  The momentum eigenvectors are mapped back into the
+sector basis, real on a real H, so the rest of the oracle does not see the
+split.  Per beta the Eigensystem keeps the thermal state e^{-beta H} as
+flattened sector blocks, so an expectation is one gather of it at the
+in-sector entries of the observable; correlations assembles the observables
+of a batch of queries together and takes one gather per query.  Sizes are
+desk scale by design, and FockSpace, which refuses more than MAX_MODES
+modes, is the one size guard.
 
 One BLAS thread per dense Fock call; results do not depend on the core
 count.  The eigensolves, the spectra and the thermal products run in
@@ -494,7 +494,8 @@ def _momentum_pairs(B: np.ndarray, states: np.ndarray, local: np.ndarray,
                     orbits: _Orbits):
     """The eigenpairs of the sector block B of a translation-invariant H, one
     eigh per momentum block, the eigenvectors mapped back into the sector
-    basis; the momentum blocks of equal size share one stacked eigh.
+    basis.  The pairs come by block size, then by m, so that the columns,
+    and the sums over them, keep one order.
 
     The block at k = 2 pi m / L between the orbits of the representatives
     a and b is <a, k|H|b, k> = sqrt(R_a) <a|H|b, k>, a gather of the row of
@@ -523,20 +524,22 @@ def _momentum_pairs(B: np.ndarray, states: np.ndarray, local: np.ndarray,
     for size, pair in sorted(set(zip(sizes.tolist(), paired.tolist()))):
         if size == 0:
             continue
-        group = ms[(sizes == size) & (paired == pair)]
-        at = np.nonzero(carried[:, group].T)[1].reshape(len(group), size)
-        blocks = Hk[at[:, :, None], at[:, None, :], group[:, None, None]]
-        w, Y = np.linalg.eigh(blocks.real if real and not pair else blocks)
-        on_orbits = np.zeros((len(group), len(reps), size), dtype=Y.dtype)
-        on_orbits[np.arange(len(group))[:, None], at] = Y
-        V = wave[:, group, None] * on_orbits[:, orbit].swapaxes(0, 1)
+        w, V = [], []
+        for m in ms[(sizes == size) & (paired == pair)]:
+            at = np.flatnonzero(carried[:, m])
+            block = Hk[at[:, None], at, m]
+            w_m, Y = np.linalg.eigh(block.real if real and not pair else block)
+            on_orbits = np.zeros((len(reps), size), dtype=Y.dtype)
+            on_orbits[at] = Y
+            w.append(w_m)
+            V.append(wave[:, m, None] * on_orbits[orbit])
         if pair:
             # V at m and conj(V) at L - m: sqrt(2) times their real and
             # imaginary parts are real orthonormal eigenvectors of both
-            w = np.concatenate([w, w])
-            V = np.sqrt(2) * np.concatenate([V.real, V.imag], axis=1)
-        values.append(w.ravel())
-        vectors.append((V.real if real else V).reshape(len(states), -1))
+            w += w
+            V = [np.sqrt(2) * v.real for v in V] + [np.sqrt(2) * v.imag for v in V]
+        values += w
+        vectors += [v.real if real else v for v in V]
     return np.concatenate(values), np.hstack(vectors)
 
 
@@ -583,26 +586,11 @@ class Eigensystem:
         return _log_sum_exp(np.concatenate([w for w, _ in self.pairs]), beta)
 
 
-def _stacked(solve, blocks) -> list:
-    """The results of solve, one per block, in block order, from one call
-    of solve per block size on the stack of the blocks of that size; the
-    gufunc solves a stack block by block as it would solve each block
-    alone.  The blocks of one H share their dtype."""
-    out = [None] * len(blocks)
-    groups = collections.defaultdict(list)
-    for i, B in enumerate(blocks):
-        groups[len(B)].append(i)
-    for at in groups.values():
-        for i, part in zip(at, solve(np.stack([blocks[i] for i in at]))):
-            out[i] = part
-    return out
-
-
 def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem:
-    """Eigenpairs of H by sector blocks, real on real blocks, one stacked
-    eigh per block size.  Given the lattice of H, a sector of more than
-    MOMENTUM_MIN_STATES states is diagonalized by momentum blocks instead
-    (_momentum_pairs) when H commutes with the lattice translation."""
+    """Eigenpairs of H by sector blocks, real on real blocks, one eigh per
+    block.  Given the lattice of H, a sector of more than MOMENTUM_MIN_STATES
+    states is diagonalized by momentum blocks instead (_momentum_pairs) when
+    H commutes with the lattice translation."""
     if spec is not None and 2**spec.n_modes != H.dim:
         raise ValueError(f"{spec} has {spec.n_modes} modes, H dimension {H.dim}")
     sectors, blocks, layout = _blocks(H)
@@ -614,10 +602,8 @@ def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem
     split = [orbits is not None and len(states) > MOMENTUM_MIN_STATES
              for states in sectors]
     with _serial_blas():
-        dense = iter(_stacked(lambda S: zip(*np.linalg.eigh(S)), [
-            B for B, s in zip(blocks, split) if not s]))
         pairs = [_momentum_pairs(B, states, layout[1], orbits) if s
-                 else next(dense) for states, B, s in zip(sectors, blocks, split)]
+                 else np.linalg.eigh(B) for states, B, s in zip(sectors, blocks, split)]
     return Eigensystem(sectors, pairs, layout)
 
 
@@ -630,11 +616,10 @@ def _log_sum_exp(w: np.ndarray, beta: float) -> float:
 def log_partition(H: FockOperator, beta: float) -> float:
     """log Tr e^{-beta H} from the sector spectra alone, apart from
     diagonalize: its callers want no eigenvectors, and eigvalsh skips them.
-    One stacked eigvalsh per block size; the spectra are joined in sector
-    order."""
+    One eigvalsh per block; the spectra are joined in sector order."""
     _, blocks, _ = _blocks(H)
     with _serial_blas():
-        w = np.concatenate(_stacked(np.linalg.eigvalsh, blocks))
+        w = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
     return _log_sum_exp(w, beta)
 
 

@@ -517,8 +517,8 @@ def _assert_fock_case(case):
     - H_0, V, Lambda and the observables against per-term sums
     - each COO summation against the CSR constructor, the sectors and the
       blocks (real unless the sigma_y field's) against the CSR pattern
-    - the stacked eigh and eigvalsh of the sector blocks, bit for bit,
-      against one eigh and eigvalsh per block
+    - the sector pairs and the spectrum-only log Z, bit for bit, against one
+      eigh and eigvalsh per block in sector order
     - diagonalize(H, spec): one _momentum_pairs call per split sector when H
       commutes with the translation, else the sector path bit for bit
     - at each beta, from the sector path and from diagonalize(H, spec): the

@@ -42,6 +42,7 @@ from fermidecay.model import (
     site_hopping_matrix,
     spin_field_interaction,
     spin_spin_interaction,
+    theorem_decay_base,
 )
 
 
@@ -203,6 +204,28 @@ def test_dispersion_grid_matches_scalar_reference(shape, t, t_prime, mu, data):
             stacked[j],
             [dispersion_reference(k, p, d, shifts + [(wj, axis)]) for k in ks],
             rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("d,L", [(1, 4), (1, 5), (1, 6), (1, 8), (2, 4),
+                                 (2, 6), (2, 8), (3, 4), (3, 5), (3, 8)])
+def test_strip_edge_of_the_decay_base(d, L):
+    # the shift i log F along axis p moves E_k by i sinh(log F) sin k_p
+    # (2t + 4t' sum_{l != p} cos k_l), and sinh(log F) = (pi/(2 beta))/(2A)
+    # with A = |t| + 2(d-1)|t'|: |Im E| reaches pi/(2 beta) where sin k_p = 1,
+    # on the grid when L = 0 mod 4, and stays below it elsewhere
+    spec = LatticeSpec(d=d, L=L)
+    for t_prime in (0.0, 0.3, 0.5):
+        for beta in (0.5, 1.0, 4.0):
+            p = ModelParams(t_prime=t_prime, beta=beta)
+            edge = math.pi / (2 * beta)
+            log_F = math.log(theorem_decay_base(p, d))
+            for axis in range(d):
+                E = dispersion_grid(spec, p, 1j * log_F * np.eye(d)[axis])
+                worst = np.abs(E.imag).max()
+                if L % 4 == 0:
+                    assert worst == pytest.approx(edge, rel=1e-12, abs=0.0)
+                else:
+                    assert worst <= edge
 
 
 @pytest.mark.parametrize("d,L,t,tp,mu", [

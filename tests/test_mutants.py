@@ -13,6 +13,7 @@ import pytest
 
 import test_bounds
 import test_cli
+import test_covariance
 import test_fock
 import test_model
 from conftest import empty_model_caches
@@ -62,9 +63,30 @@ _threshold_value = partial(test_model.test_check_smallness_hubbard_rhs,
 
 
 def test_decay_base_squared(monkeypatch):
-    _assert_killed(monkeypatch, model, "theorem_decay_base",
-                   lambda F: lambda params, d: F(params, d) ** 2,
-                   _threshold_value)
+    for killer in (_threshold_value,
+                   partial(test_model.test_strip_edge_of_the_decay_base, 1, 4)):
+        with monkeypatch.context() as mp:
+            _assert_killed(mp, model, "theorem_decay_base",
+                           lambda F: lambda params, d: F(params, d) ** 2,
+                           killer)
+
+
+def test_contour_shifts_subtracted(monkeypatch):
+    # for n >= 2 the nodes are sums of one shift per circle; with the later
+    # circles' shifts subtracted the n = 2 formula misses by 0.17 at m = 1
+    def subtracted(nodes):
+        def contour_nodes(L, n, radius):
+            w1, wt1 = nodes(L, 1, radius)
+            total_shift, total_w = w1, wt1
+            for _ in range(n - 1):
+                total_shift = (total_shift[:, None] - w1[None, :]).reshape(-1)
+                total_w = (total_w[:, None] * wt1[None, :]).reshape(-1)
+            return total_shift, total_w
+        return contour_nodes
+
+    _assert_killed(monkeypatch, covariance, "contour_nodes", subtracted,
+                   partial(test_covariance.test_contour_formula_n2,
+                           ModelParams(), LatticeSpec(d=1, L=4)))
 
 
 def test_general_sum_without_factor_l(monkeypatch, tmp_path):
