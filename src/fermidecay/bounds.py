@@ -80,8 +80,7 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
             raise GuardError(f"non-finite determinant at n = {n}, shift "
                              f"{cs.shift}: covariance entries near underflow")
         worst = max(worst, float(dets.max()))
-    return {"worst_ratio": worst / DET_BOUND_B**n, "n": n, "vec_dim": vec_dim,
-            "trials": trials}
+    return {"worst_ratio": worst / DET_BOUND_B**n, "trials": trials}
 
 
 def det_decay_check(cs: CovarianceSpec, pairs) -> dict:
@@ -107,8 +106,10 @@ def covariance_l1_D(cs: CovarianceSpec, grid: TimeGrid) -> float:
     (1/h)-weighted absolute column/row sums, in both argument orders.
 
     Every row and every column of C_h sums |C| over all site differences and
-    over one window of beta*h consecutive grid time differences, so D is the
-    largest such window sum of the translation-invariant lookup table.
+    over one window of beta*h consecutive grid time differences.  As |C(tau -
+    beta)| = |C(tau)|, all T windows of the lookup table hold one sum up to
+    rounding; the max over them stays, since a single window moves the last
+    bit of D (at L = 4, beta*h = 4) and with it the pinned prop41 bounds.
     """
     T = grid.n_points
     per_dt = l1_time_sums(cs, grid)[:2 * T - 1]  # dt = (1-T..T-1)/h
@@ -222,7 +223,7 @@ def verify_theorem_envelope(spec: LatticeSpec, params: ModelParams,
         pre = report.envelope_prefactor(q.m_hat)
         env = pre * F ** (-chord_exponent(spec, sum_diff))
         rows.append({
-            "x_sites": q.x_sites, "y_sites": q.y_sites,
+            "y_sites": q.y_sites,
             "sum_diff": tuple(int(c) for c in sum_diff),
             "correlation": value.real,
             "abs_correlation": abs(value),

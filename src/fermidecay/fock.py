@@ -8,19 +8,20 @@ all basis states in one pass, with the Jordan-Wigner sign in the global mode
 order, so every sign is reproducible.  Thermal averages go through the
 eigendecomposition of H one conserved-number sector at a time: (N_up,
 N_down) when H keeps both counts, else the total N, else the whole space.
-Each sector block is filled densely, real when H has no imaginary entry,
-and diagonalized by its own eigh (eigvalsh for a spectrum alone).  Given
-the lattice, diagonalize splits a sector of more than MOMENTUM_MIN_STATES
-= 25 states into lattice-momentum blocks when H commutes with the one-site
-translation along axis 0 (checked once per H on its triplets); smaller
-sectors stay whole.  The momentum eigenvectors are mapped back into the
-sector basis, real on a real H, so the rest of the oracle does not see the
-split.  Per beta the Eigensystem keeps the thermal state e^{-beta H} as
-flattened sector blocks, so an expectation is one gather of it at the
-in-sector entries of the observable; correlations assembles the observables
-of a batch of queries together and takes one gather per query.  Sizes are
-desk scale by design, and FockSpace, which refuses more than MAX_MODES
-modes, is the one size guard.
+One _Layout defines the flat format of the sector blocks, stored row-major
+one after another.  Each block of H is filled densely through it, real when
+H has no imaginary entry, and diagonalized by its own eigh (eigvalsh for a
+spectrum alone).  Given the lattice, diagonalize splits a sector of more
+than MOMENTUM_MIN_STATES = 25 states into lattice-momentum blocks when H
+commutes with the one-site translation along axis 0 (checked once per H on
+its triplets); smaller sectors stay whole.  The momentum eigenvectors are
+mapped back into the sector basis, real on a real H, so the rest of the
+oracle does not see the split.  Per beta the Eigensystem keeps the thermal
+state e^{-beta H} in the same layout, so an expectation is one gather of it
+at the in-sector entries of the observable; correlations assembles the
+observables of a batch of queries together and takes one gather per query.
+Sizes are desk scale by design, and FockSpace, which refuses more than
+MAX_MODES modes, is the one size guard.
 
 One BLAS thread per dense Fock call; results do not depend on the core
 count.  The eigensolves, the spectra and the thermal products run in
@@ -32,9 +33,9 @@ on two threads (2-vCPU machine).
 
 What depends on the lattice alone is computed once per lattice, in bounded
 caches of read-only values: the occupation counts per mode count, the
-sector labellings with their layouts per dimension, the orbit tables of
-the translation, and H_0 with its log Tr e^{-beta H_0} per (space,
-params), which every model on that lattice shares.  One model slot,
+sector layouts per dimension, the orbit tables of the translation, and H_0
+with its log Tr e^{-beta H_0} per (space, params), which every model on
+that lattice shares.  One model slot,
 model_system(space, params, u), holds H_0, H = H_0 + V and the Eigensystem
 of H for the last model asked for.  Its key is the content of the model:
 the space, the parameters and a snapshot of u's entries, so a u changed in
@@ -340,13 +341,35 @@ def _serial_blas():
         put(before)
 
 
+class _Layout(collections.namedtuple(
+        "_Layout", "sectors sector local sizes offsets")):
+    """The flat sector-block format (see _labellings): sectors[i], the basis
+    states of sector i in ascending order; sector[s] and local[s], the sector
+    of state s and its index in it; the blocks, sizes[i] states square, stored
+    row-major one after another from offsets[i].  Read-only."""
+
+    __slots__ = ()
+
+    def at(self, rows, cols):
+        """The flat positions of the (row, col) entries that lie inside a
+        block, and the mask of those entries."""
+        which = self.sector[rows]
+        inside = which == self.sector[cols]
+        pos = (self.offsets[which] + self.local[rows] * self.sizes[which]
+               + self.local[cols])
+        return pos[inside], inside
+
+    def blocks(self, flat):
+        """The square views of the blocks of a flat array in this layout."""
+        return [flat[o:o + n * n].reshape(n, n)
+                for o, n in zip(self.offsets, self.sizes)]
+
+
 @functools.lru_cache(maxsize=8)
-def _labellings(dim: int):
-    """The conserved-number labellings of the basis states, finest first:
-    (N_up, N_down), the total N and a single block.  Per labelling, its
-    label of every state, the states of each sector in ascending order and
-    their _layout; read-only, computed once per dimension.  Mode 2*site +
-    spin is spin up when even."""
+def _labellings(dim: int) -> tuple[_Layout, ...]:
+    """The _Layouts of the conserved-number labellings of the basis states,
+    finest first: (N_up, N_down), the total N and a single block; computed
+    once per dimension.  Mode 2*site + spin is spin up when even."""
     basis = np.arange(dim)
     bits = (basis[:, None] >> np.arange(max(dim - 1, 1).bit_length())) & 1
     n_up, n_down = bits[:, 0::2].sum(axis=1), bits[:, 1::2].sum(axis=1)
@@ -354,60 +377,35 @@ def _labellings(dim: int):
     for label in (n_up * dim + n_down, n_up + n_down, np.zeros(dim, dtype=int)):
         order = np.argsort(label, kind="stable")
         sectors = tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
-        layout = _layout(sectors, dim)
-        for arr in (label, order, *sectors, *layout):
+        sector, local = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+        for i, states in enumerate(sectors):
+            sector[states] = i
+            local[states] = np.arange(len(states))
+        sizes = np.array([len(s) for s in sectors])
+        offsets = np.concatenate([[0], np.cumsum(sizes**2)])
+        for arr in (*sectors, sector, local, sizes, offsets):
             arr.flags.writeable = False
-        out.append((label, sectors, layout))
+        out.append(_Layout(sectors, sector, local, sizes, offsets))
     return tuple(out)
 
 
-def _sectors(H: FockOperator):
-    """The sectors of the finest labelling that H keeps, and their _layout:
-    a labelling is kept when every stored entry of H joins two states of
-    equal label; the single block keeps every H."""
-    return next((sectors, layout) for label, sectors, layout in _labellings(H.dim)
-                if np.array_equal(label[H.rows], label[H.cols]))
-
-
-def _layout(sectors, dim: int):
-    """For every basis state its sector and its index inside that sector,
-    and the size and flat offset of each sector block, the blocks stored
-    row-major one after another."""
-    sector, local = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
-    for i, states in enumerate(sectors):
-        sector[states] = i
-        local[states] = np.arange(len(states))
-    sizes = np.array([len(s) for s in sectors])
-    return sector, local, sizes, np.concatenate([[0], np.cumsum(sizes**2)])
-
-
-def _flat_at(layout, which, rows, cols) -> np.ndarray:
-    """Flat positions of the (row, col) entries of the blocks `which`."""
-    _, local, sizes, offsets = layout
-    return offsets[which] + local[rows] * sizes[which] + local[cols]
-
-
 def _blocks(H: FockOperator):
-    """The sectors of H, its dense block on each and their _layout; the
-    blocks are filled by one scatter of the stored entries, all of which lie
-    inside a block, and are real when no entry of H has an imaginary part,
-    else complex.  A block that is not hermitian is refused: each stored
-    entry is compared with the adjoint of the block entry at its transposed
-    place, which is 0 when unstored."""
-    sectors, layout = _sectors(H)
-    sector, _, sizes, offsets = layout
+    """The dense blocks of H on the finest layout it keeps, where each
+    stored entry joins two states of one sector, and that layout; one
+    scatter fills them, real when no entry has an imaginary part.  A block
+    that is not hermitian is refused: each stored entry is compared with the
+    adjoint of the block entry at its transposed place, 0 when unstored."""
+    layout = next(kept for kept in _labellings(H.dim)
+                  if np.array_equal(kept.sector[H.rows], kept.sector[H.cols]))
     is_complex = np.iscomplexobj(H.vals) and bool(np.any(H.vals.imag))
-    flat = np.zeros(offsets[-1], dtype=complex if is_complex else float)
-    which = sector[H.rows]
-    flat[_flat_at(layout, which, H.rows, H.cols)] = \
-        H.vals if is_complex else H.vals.real
-    transposed = flat[_flat_at(layout, which, H.cols, H.rows)]
+    flat = np.zeros(layout.offsets[-1], dtype=complex if is_complex else float)
+    flat[layout.at(H.rows, H.cols)[0]] = H.vals if is_complex else H.vals.real
+    transposed = flat[layout.at(H.cols, H.rows)[0]]
     herm_defect = np.abs(H.vals - transposed.conj()).max(initial=0.0)
     if herm_defect > 1e-10:
         raise HermiticityError(
             f"matrix is not hermitian (defect {herm_defect:.3e})")
-    return sectors, [flat[offsets[i]:offsets[i + 1]].reshape(n, n)
-                     for i, n in enumerate(sizes)], layout
+    return layout.blocks(flat), layout
 
 
 def _translation(spec: LatticeSpec):
@@ -544,16 +542,16 @@ def _momentum_pairs(B: np.ndarray, states: np.ndarray, local: np.ndarray,
 
 
 class Eigensystem:
-    """The eigenpairs of H by conserved-number sector: sectors[i] holds the
-    basis states of sector i and pairs[i] its (eigenvalues, eigenvectors),
-    the eigenvectors in the sector's basis.  It keeps the sector layout and,
-    per beta, the thermal state of H.  The pairs, the layout and the thermal
-    states are read-only."""
+    """The eigenpairs of H by conserved-number sector: pairs[i] holds the
+    (eigenvalues, eigenvectors) of the block of layout.sectors[i], the
+    eigenvectors in the sector's basis.  It keeps the _Layout and, per
+    beta, the thermal state of H in it.  The pairs and the thermal states
+    are read-only."""
 
-    def __init__(self, sectors, pairs, layout):
-        for arr in [a for pair in pairs for a in pair] + list(layout):
+    def __init__(self, pairs, layout: _Layout):
+        for arr in [a for pair in pairs for a in pair]:
             arr.flags.writeable = False
-        self.sectors, self.pairs, self.layout = sectors, pairs, layout
+        self.pairs, self.layout = pairs, layout
         self._thermal_states = {}
 
     def _thermal(self, beta: float) -> tuple[np.ndarray, float]:
@@ -576,9 +574,7 @@ class Eigensystem:
         sector.  e^{-beta H} is block diagonal, so the entries of O between
         sectors add nothing."""
         rho, Z = self._thermal(beta)
-        which = self.layout[0][O.rows]
-        inside = which == self.layout[0][O.cols]
-        at = _flat_at(self.layout, which[inside], O.cols[inside], O.rows[inside])
+        at, inside = self.layout.at(O.cols, O.rows)
         return complex(O.vals[inside] @ rho[at] / Z)
 
     def log_partition(self, beta: float) -> float:
@@ -593,18 +589,17 @@ def diagonalize(H: FockOperator, spec: LatticeSpec | None = None) -> Eigensystem
     H commutes with the lattice translation."""
     if spec is not None and 2**spec.n_modes != H.dim:
         raise ValueError(f"{spec} has {spec.n_modes} modes, H dimension {H.dim}")
-    sectors, blocks, layout = _blocks(H)
+    blocks, layout = _blocks(H)
     orbits = None
-    if spec is not None and layout[2].max() > MOMENTUM_MIN_STATES:
+    if spec is not None and layout.sizes.max() > MOMENTUM_MIN_STATES:
         orbits = _orbits(spec)
         if not _commutes(H, orbits):
             orbits = None
-    split = [orbits is not None and len(states) > MOMENTUM_MIN_STATES
-             for states in sectors]
     with _serial_blas():
-        pairs = [_momentum_pairs(B, states, layout[1], orbits) if s
-                 else np.linalg.eigh(B) for states, B, s in zip(sectors, blocks, split)]
-    return Eigensystem(sectors, pairs, layout)
+        pairs = [_momentum_pairs(B, states, layout.local, orbits)
+                 if orbits is not None and len(states) > MOMENTUM_MIN_STATES
+                 else np.linalg.eigh(B) for states, B in zip(layout.sectors, blocks)]
+    return Eigensystem(pairs, layout)
 
 
 def _log_sum_exp(w: np.ndarray, beta: float) -> float:
@@ -617,7 +612,7 @@ def log_partition(H: FockOperator, beta: float) -> float:
     """log Tr e^{-beta H} from the sector spectra alone, apart from
     diagonalize: its callers want no eigenvectors, and eigvalsh skips them.
     One eigvalsh per block; the spectra are joined in sector order."""
-    _, blocks, _ = _blocks(H)
+    blocks, _ = _blocks(H)
     with _serial_blas():
         w = np.concatenate([np.linalg.eigvalsh(B) for B in blocks])
     return _log_sum_exp(w, beta)
@@ -705,6 +700,5 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
         logs[eps] = log_partition(H, params.beta)
     fd = -(logs[step] - logs[-step]) / (2.0 * step * params.beta)
     e_max = max(np.abs(w).max() for w, _ in eig.pairs)
-    return {"finite_difference": fd, "direct": direct,
-            "deviation": abs(fd - direct),
+    return {"direct": direct, "deviation": abs(fd - direct),
             "rounding_floor": float(np.finfo(float).eps * e_max / step)}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -29,6 +30,7 @@ from fermidecay.covariance import (
     covariance_matrix,
     covariance_value,
     l1_bound_check,
+    l1_time_sums,
     shift_radius,
 )
 from fermidecay.grassmann import SchwingerEngine
@@ -219,6 +221,24 @@ def test_covariance_l1_D_is_half_the_l1_sum(shape, hs, beta, mu, shifted, data):
     grid = TimeGrid(beta, hs)
     assert covariance_l1_D(cs, grid) == pytest.approx(
         0.5 * l1_bound_check(cs, grid)["lhs"], rel=1e-12, abs=0.0)
+
+
+def test_covariance_l1_D_windows_agree():
+    # |C(dt - beta)| = |C(dt)|: all T windows of beta*h consecutive time
+    # differences hold one sum, so a window one step shorter is an equivalent
+    # mutant of covariance_l1_D
+    shapes = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (2, 2), (2, 3), (2, 4),
+              (3, 2), (3, 3)]
+    for (d, L), beta, t_prime, beta_h in itertools.product(
+            shapes, (0.5, 1.0, 4.0), (0.0, 0.3), (2, 4, 8)):
+        p = ModelParams(t=1.0, t_prime=t_prime, mu=0.2, beta=beta)
+        for z in (0, 0.5j * contour_radius(p, d)):
+            cs = CovarianceSpec(LatticeSpec(d=d, L=L), p, (0,) * (d - 1) + (z,))
+            T = beta_h
+            windows = np.convolve(l1_time_sums(cs, TimeGrid(beta, T // 2))
+                                  [:2 * T - 1], np.ones(T), "valid")
+            assert len(windows) == T
+            assert np.ptp(windows) <= 1e-13 * windows.max()
 
 
 def test_covariance_l1_D_above_matrix_size_limit(params):

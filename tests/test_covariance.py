@@ -92,15 +92,15 @@ def test_cached_arrays_read_only(params, chain4, atom, hubbard_small):
     Z = engine.partition()
     eig = fock.diagonalize(fock.build_hamiltonian(
         fock.FockSpace(LatticeSpec(d=1, L=2)), params, hubbard_small))
-    # the per-lattice Fock tables: occupation counts, sector labellings
-    # with their layouts, and the H_0 shared by the models of a lattice
+    # the per-lattice Fock tables: occupation counts, the sector layouts,
+    # and the H_0 shared by the models of a lattice
     H0 = fock._free_hamiltonian(fock.FockSpace(chain4), params)
     tables = [fock._occupations(chain4.n_modes), H0.rows, H0.cols, H0.vals] + [
-        arr for label, sectors, layout in fock._labellings(2**chain4.n_modes)
-        for arr in (label, *sectors, *layout)]
+        arr for layout in (eig.layout, *fock._labellings(2**chain4.n_modes))
+        for field in layout
+        for arr in (field if isinstance(field, tuple) else (field,))]
     for arr in [guarded_dispersions(cs), table, dts, op.rows, op.cols, op.vals,
-                engine.G, *eig.layout, *tables] + [
-                    x for pair in eig.pairs for x in pair]:
+                engine.G, *tables] + [x for pair in eig.pairs for x in pair]:
         with pytest.raises(ValueError, match="read-only"):
             arr *= 0
     assert covariance_value(cs, a, a) == before
@@ -302,15 +302,15 @@ def test_gauss_legendre(m):
                                                  rel=1e-12, abs=0.0)
 
 
-def test_contour_formula_n2(params, chain4):
+@pytest.mark.parametrize("m", [1, 2])
+def test_contour_formula_n2(m, params, chain4):
     # at m = L/2 the sum sees no sign of the second contour's shift: a
     # difference in place of the sum of the two shifts reads 1.5e-17 there
     # and 0.17 at m = 1
     cs = CovarianceSpec(chain4, params)
-    for m in (1, 2):
-        res = contour_formula_check(cs, ((m,), UP, 0.0), ((0,), UP, 0.1),
-                                    axis=0, n=2)
-        assert res["deviation"] <= 1e-6
+    res = contour_formula_check(cs, ((m,), UP, 0.0), ((0,), UP, 0.1),
+                                axis=0, n=2)
+    assert res["deviation"] <= 1e-6
 
 
 def test_contour_formula_with_base_shift(params, chain4):

@@ -85,7 +85,7 @@ def test_contour_shifts_subtracted(monkeypatch):
         return contour_nodes
 
     _assert_killed(monkeypatch, covariance, "contour_nodes", subtracted,
-                   partial(test_covariance.test_contour_formula_n2,
+                   partial(test_covariance.test_contour_formula_n2, 1,
                            ModelParams(), LatticeSpec(d=1, L=4)))
 
 
