@@ -29,7 +29,6 @@ from .grassmann import (
     GrassmannPolynomial,
     SchwingerEngine,
     berezin_gaussian,
-    discrete_partition,
     wick_expectation,
 )
 from .bounds import (

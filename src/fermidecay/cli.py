@@ -264,10 +264,10 @@ def partition_and_h_convergence(spec, params, u, half_steps):
     for hs in half_steps:
         grid = TimeGrid(params.beta, hs)
         engine = grassmann.SchwingerEngine(spec, params, grid, u)
-        dp = grassmann.discrete_partition(spec, params, grid, u)
+        tp = fock.transfer_partition(fock.FockSpace(spec), params, grid, u)
         pe = engine.partition()
-        checks.append(Check(f"partition_equivalence_bh{2*hs}", abs(dp - pe),
-                            1e-10, h=grid.h, partition=dp))
+        checks.append(Check(f"partition_equivalence_bh{2*hs}", abs(tp - pe),
+                            1e-10, h=grid.h, partition=tp))
         rows.append({"h": grid.h, "correlation": engine.correlation(q)})
     exact = fock.correlation(fock.FockSpace(spec), params, u, q).real
     errors = [abs(r["correlation"].real - exact) for r in rows]

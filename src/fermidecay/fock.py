@@ -20,6 +20,11 @@ oracle does not see the split.  Per beta the Eigensystem keeps the thermal
 state e^{-beta H} in the same layout, so an expectation is one gather of it
 at the in-sector entries of the observable; correlations assembles the
 observables of a batch of queries together and takes one gather per query.
+transfer_partition writes the grid partition ratio of the Grassmann
+integral as an exact trace of transfer matrices, Tr[(e^{-H_0/h}
+S)^{beta h}]: the slice operator S of one grid time comes from one
+_normal_ordered call, e^{-H_0/h} is the thermal state of H_0 at 1/h.  It is
+the cross-check of the Schwinger engine's partition series.
 Sizes are desk scale by design, and FockSpace, which refuses more than
 MAX_MODES modes, is the one size guard.
 
@@ -50,12 +55,13 @@ import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SPINS, LatticeSpec, mode_index
+from .lattice import SPINS, LatticeSpec, TimeGrid, mode_index
 from .model import (
     GuardError,
     HermiticityError,
@@ -657,6 +663,38 @@ def partition_ratio(space: FockSpace, params: ModelParams,
     eig = model_system(space, params, u)[2]
     return float(np.exp(eig.log_partition(params.beta) -
                         _free_log_partition(space, params)))
+
+
+def transfer_partition(space: FockSpace, params: ModelParams, grid: TimeGrid,
+                       u: InteractionCoefficients | None,
+                       lam: LambdaCoefficients | None = None) -> complex:
+    """The grid partition ratio Z_h / Z_0 of the Grassmann integral as a
+    trace of transfer matrices, Tr[(e^{-H_0/h} S)^{beta h}] / Tr
+    e^{-beta H_0}.  The slice operator is S = 1 + sum over the nonempty
+    subsets A of one time slice's terms m_a of prod_{a in A} (-c_a/h) times
+    the normal-ordered product :prod_{a in A} m_a:, one group per subset; a
+    subset that repeats a mode assembles to zero.  e^{-H_0/h} and Tr e^{-beta
+    H_0} come from one Eigensystem of H_0, their shifts by its lowest
+    eigenvalue cancel in the ratio.  n terms per slice make 2^n subsets,
+    256 at the engine's 16 instances on two grid times."""
+    terms = [] if u is None else lattice_terms(
+        restrict_interaction(u, space.spec), space.spec)
+    terms += [] if lam is None else lam.symmetrized_terms()
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(terms, k) for k in range(len(terms) + 1))
+    # per subset its concatenated (X, Y, Xi, Phi) and the product of its
+    # -c/h; the empty subset is the identity
+    S = sum(op.toarray() for op in _normal_ordered(space, [
+        [(*(sum((a[i] for a in A), ()) for i in range(4)),
+          np.prod([-a[4] / grid.h for a in A]))] for A in subsets]))
+    eig = diagonalize(_free_hamiltonian(space, params), space.spec)
+    rho = eig._thermal(1 / grid.h)[0]
+    step = np.zeros(S.shape, dtype=rho.dtype)
+    for states, block in zip(eig.layout.sectors, eig.layout.blocks(rho)):
+        step[np.ix_(states, states)] = block
+    with _serial_blas():
+        power = np.linalg.matrix_power(step @ S, grid.n_points)
+    return complex(np.trace(power) / eig._thermal(params.beta)[1])
 
 
 def correlations(space: FockSpace, params: ModelParams,

@@ -18,17 +18,14 @@ combinatorics (which subsets survive, with which sign) do not depend on G, so
 they are compiled once into a plan: per (subset size, degree) a row index
 array, a column index array and signed coefficients.  A plan is evaluated with
 one stacked determinant per group, at one covariance or at a stack of them.
-`discrete_partition` assembles the partition sum from the vertex blocks
-directly, one stacked determinant per subset size and degree, without the
-plan or the monomial product, as the plan's cross-check.
+The plan's partition sum is cross-checked by fock.transfer_partition, the
+same grid integral as an exact trace of transfer matrices.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -295,33 +292,23 @@ def _berezin_weight(n: int, data: bytes):
 # interaction vertices on the time grid
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VertexSet:
-    """Grassmann interaction monomials, one per (lattice term, grid time)."""
-
-    monomials: list = field(default_factory=list)   # canonical (b, u, c)
-    blocks: list = field(default_factory=list)      # (row idx list, col idx list, coeff)
-
-
 def _time_slices(space: GrassmannIndexSpace, X, Y, Xi, Phi, coeff):
-    """For each grid time t, the row indices (x_j, xi_j, t) and column indices
-    (y_j, phi_j, t) of the term, and the canonical monomial of
-    -(coeff/h) psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t},
+    """For each grid time t the canonical monomial of -(coeff/h)
+    psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t},
     None when a generator repeats."""
     for t in range(space.grid.n_points):
-        rows = [space.index(x, s, t) for x, s in zip(X, Xi)]
-        cols = [space.index(y, s, t) for y, s in zip(Y, Phi)]
-        yield rows, cols, monomial(rows, cols[::-1], -coeff / space.grid.h)
+        yield monomial([space.index(x, s, t) for x, s in zip(X, Xi)],
+                       [space.index(y, s, t) for y, s in zip(Y, Phi)][::-1],
+                       -coeff / space.grid.h)
 
 
 def build_vertices(space: GrassmannIndexSpace,
                    u: InteractionCoefficients | None,
                    lam: LambdaCoefficients | None = None,
-                   interaction_sites=None) -> VertexSet:
-    """One vertex per interaction or lambda term (X, Y, Xi, Phi, c) and grid
-    time: the time slices of c * V, V = -(1/h) sum_t
-    psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
-    vs = VertexSet()
+                   interaction_sites=None) -> list:
+    """The canonical vertex monomials, one per interaction or lambda term
+    (X, Y, Xi, Phi, c) and grid time: the time slices of c * V, V = -(1/h)
+    sum_t psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
     terms = []
     if u is not None:
         terms = [term for term in lattice_terms(
@@ -330,23 +317,20 @@ def build_vertices(space: GrassmannIndexSpace,
                  or all(x in interaction_sites for x in term[0])]
     if lam is not None:
         terms += lam.symmetrized_terms()
-    for X, Y, Xi, Phi, coeff in terms:
-        for rows, cols, mono in _time_slices(space, X, Y, Xi, Phi, coeff):
-            # a repeated generator makes the vertex vanish; its det block
-            # then repeats a row or a column, so its determinant vanishes too
-            vs.monomials.append((0, 0, 0.0) if mono is None else mono)
-            vs.blocks.append((rows, cols, coeff))
-    if len(vs.blocks) > MAX_INSTANCES:
+    # a repeated generator makes the vertex vanish: a zero monomial
+    vertices = [(0, 0, 0.0) if mono is None else mono
+                for term in terms for mono in _time_slices(space, *term)]
+    if len(vertices) > MAX_INSTANCES:
         raise GuardError(
-            f"{len(vs.blocks)} interaction instances exceed the subset-sum "
+            f"{len(vertices)} interaction instances exceed the subset-sum "
             f"guard of {MAX_INSTANCES}; shrink the grid or the support")
-    return vs
+    return vertices
 
 
 def observable_monomials(space: GrassmannIndexSpace, q) -> list:
     """The canonical monomials of V^{m}_{h, X, Y, Xi, Phi} of the query q: one
     per grid time, each weighted by -1/h."""
-    return [mono for _, _, mono in _time_slices(
+    return [mono for mono in _time_slices(
         space, q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, 1.0)
         if mono is not None]
 
@@ -446,7 +430,7 @@ class SchwingerEngine:
         if q not in self._plans:
             seeds = ([(0, 0, 1.0 + 0.0j)] if q is None
                      else observable_monomials(self.space, q))
-            self._plans[q] = _subset_plan(seeds, self.vertices.monomials)
+            self._plans[q] = _subset_plan(seeds, self.vertices)
         return self._plans[q]
 
     def _evaluate(self, q, G):
@@ -519,44 +503,3 @@ def _series_divide(num, den, m_max: int) -> list:
             acc -= dj * out[m - j]
         out.append(acc / den[0])
     return out
-
-
-# ---------------------------------------------------------------------------
-# discretized partition function (determinant-assembly route)
-# ---------------------------------------------------------------------------
-
-def discrete_partition(spec: LatticeSpec, params: ModelParams, grid: TimeGrid,
-                       u: InteractionCoefficients | None,
-                       lam: LambdaCoefficients | None = None) -> complex:
-    """The discretized expansion of Tr e^{-beta H_lambda} / Tr e^{-beta H_0}:
-
-        1 + sum over nonempty subsets S of (vertex, time) instances of
-        (-1)^{|S|} prod(coeff/h) det(C_h(row args, col args)).
-
-    The ordered m-fold products of the printed series collapse to subsets
-    because repeated instances give repeated determinant rows.  The subsets
-    of one size and one number of rows share one stacked determinant.  This
-    is the independent cross-check of the engine's denominator at eta = 1: it
-    goes through neither the engine's plan nor the monomial product.
-    """
-    space = GrassmannIndexSpace(spec, grid)
-    G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    blocks = build_vertices(space, u, lam).blocks
-    total = 1.0 + 0.0j
-    for size in range(1, len(blocks) + 1):
-        # subsets of one size, grouped by their number of determinant rows
-        groups = {}
-        for subset in itertools.combinations(blocks, size):
-            rows = [r for block in subset for r in block[0]]
-            cols = [c for block in subset for c in block[1]]
-            coeff = math.prod(block[2] / grid.h for block in subset)
-            group = groups.setdefault(len(rows), ([], [], []))
-            group[0].append(rows)
-            group[1].append(cols)
-            group[2].append(coeff)
-        for k, (rows, cols, coeffs) in groups.items():
-            rows = np.array(rows, dtype=np.intp).reshape(len(coeffs), k)
-            cols = np.array(cols, dtype=np.intp).reshape(len(coeffs), k)
-            dets = np.linalg.det(G[rows[:, :, None], cols[:, None, :]])
-            total += (-1) ** size * complex(dets @ np.array(coeffs))
-    return total

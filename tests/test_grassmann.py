@@ -8,12 +8,12 @@ from fermidecay import cli, fock, grassmann
 from fermidecay.covariance import CovarianceSpec, covariance_matrix, covariance_value
 from fermidecay.grassmann import (
     MAX_BEREZIN_GENERATORS,
+    MAX_INSTANCES,
     GrassmannIndexSpace,
     GrassmannPolynomial,
     SchwingerEngine,
     berezin_gaussian,
     build_vertices,
-    discrete_partition,
     monomial,
     monomial_product,
     observable_monomials,
@@ -32,7 +32,12 @@ from fermidecay.model import (
     GuardError,
     LambdaCoefficients,
     ModelParams,
+    density_density_interaction,
     hubbard_interaction,
+    lattice_terms,
+    restrict_interaction,
+    spin_field_interaction,
+    spin_spin_interaction,
 )
 
 
@@ -88,12 +93,21 @@ def plan_groups_reference(seeds, monomials):
 
 
 def discrete_partition_reference(spec, params, grid, u, lam=None):
-    """The determinant-assembly partition sum with one determinant per
-    nonempty subset of vertex blocks, walked depth first.  A subset whose
-    blocks repeat a row or a column has a zero determinant, and so has every
+    """The determinant-assembly partition sum
+
+        1 + sum over nonempty subsets of (term, grid time) vertex blocks of
+        prod(-coeff/h) det(C_h(rows (x_j, xi_j, t), cols (y_j, phi_j, t))),
+
+    one determinant per subset, walked depth first.  A subset whose blocks
+    repeat a row or a column has a zero determinant, and so has every
     subset that holds it: the walk skips both."""
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    blocks = build_vertices(GrassmannIndexSpace(spec, grid), u, lam).blocks
+    space = GrassmannIndexSpace(spec, grid)
+    terms = lattice_terms(restrict_interaction(u, spec), spec)
+    terms += [] if lam is None else lam.symmetrized_terms()
+    blocks = [([space.index(x, s, t) for x, s in zip(X, Xi)],
+               [space.index(y, s, t) for y, s in zip(Y, Phi)], coeff)
+              for X, Y, Xi, Phi, coeff in terms for t in range(grid.n_points)]
     total = 0.0 + 0.0j
     stack = [([], [], 1.0 + 0.0j, 0)]
     while stack:
@@ -338,9 +352,14 @@ def test_index_space_rejects_generator_count_off_four(atom):
         GrassmannIndexSpace(atom, SimpleNamespace(n_points=1))
 
 
+def transfer(spec, params, grid, u, lam=None):
+    """fock.transfer_partition on the Fock space of the lattice spec."""
+    return fock.transfer_partition(fock.FockSpace(spec), params, grid, u, lam)
+
+
 def test_partition_free_is_one(atom, params):
     grid = TimeGrid(1.0, 1)
-    assert discrete_partition(atom, params, grid, None) == pytest.approx(1.0)
+    assert transfer(atom, params, grid, None) == pytest.approx(1.0)
     assert SchwingerEngine(atom, params, grid, None).partition() == pytest.approx(1.0)
     eng = SchwingerEngine(atom, params, grid, hubbard_interaction(0.3, d=1))
     assert eng.partition(eta=0.0) == pytest.approx(1.0)
@@ -350,9 +369,9 @@ def test_partition_free_is_one(atom, params):
 def test_partition_equivalence(atom, params, half_steps):
     hub = hubbard_interaction(0.3, d=1)
     grid = TimeGrid(1.0, half_steps)
-    dp = discrete_partition(atom, params, grid, hub)
+    tp = transfer(atom, params, grid, hub)
     pe = SchwingerEngine(atom, params, grid, hub).partition()
-    assert abs(dp - pe) <= 1e-10
+    assert abs(tp - pe) <= 1e-10
 
 
 def test_partition_berezin_oracle(atom, params):
@@ -361,13 +380,12 @@ def test_partition_berezin_oracle(atom, params):
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
     G = covariance_matrix(CovarianceSpec(atom, params), grid)
-    vs = build_vertices(space, hub)
     poly = GrassmannPolynomial.one()
-    for (b, u, c) in vs.monomials:
+    for (b, u, c) in build_vertices(space, hub):
         poly = poly * one_plus(b, u, c)
     ber = berezin_gaussian(space.n, poly, G)
-    dp = discrete_partition(atom, params, grid, hub)
-    assert ber == pytest.approx(dp, abs=1e-12)
+    tp = transfer(atom, params, grid, hub)
+    assert ber == pytest.approx(tp, abs=1e-12)
 
 
 def test_partition_h_convergence_to_trace(atom, params):
@@ -376,15 +394,17 @@ def test_partition_h_convergence_to_trace(atom, params):
     exact = fock.partition_ratio(space, params, hub)
     errs = []
     for hs in (1, 2, 4):
-        dp = discrete_partition(atom, params, TimeGrid(1.0, hs), hub)
-        errs.append(abs(dp - exact))
+        tp = transfer(atom, params, TimeGrid(1.0, hs), hub)
+        errs.append(abs(tp - exact))
     assert errs[2] < errs[1] < errs[0]
 
 
 def test_partition_instance_guard(params):
-    hub = hubbard_interaction(0.2, d=1)
-    with pytest.raises(ValueError):
-        discrete_partition(LatticeSpec(d=1, L=4), params, TimeGrid(1.0, 4), hub)
+    # 8 generators, but 12 spin-spin terms per grid time on two grid times
+    spin_spin = spin_spin_interaction({(1,): 0.2})
+    with pytest.raises(GuardError, match="24 interaction instances exceed"):
+        SchwingerEngine(LatticeSpec(d=1, L=2), params, TimeGrid(1.0, 1),
+                        spin_spin)
 
 
 def _lambda(pairs, coeff):
@@ -407,7 +427,7 @@ def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
     spec = LatticeSpec(d=1, L=L)
     grid = TimeGrid(1.0, half_steps)
     hub = hubbard_interaction(0.3, d=1)
-    got = discrete_partition(spec, params, grid, hub, lam)
+    got = transfer(spec, params, grid, hub, lam)
     ref = discrete_partition_reference(spec, params, grid, hub, lam)
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -423,7 +443,8 @@ def test_discrete_partition_shares_no_code_with_the_plan(atom, params,
 
     monkeypatch.setattr(grassmann, "_subset_plan", refuse)
     monkeypatch.setattr(grassmann, "monomial_product", refuse)
-    assert abs(discrete_partition(atom, params, grid, hub) - expected) <= 1e-10
+    monkeypatch.setattr(grassmann, "covariance_matrix", refuse)
+    assert abs(transfer(atom, params, grid, hub) - expected) <= 1e-10
 
 
 def test_lambda_vertices_differentiate_partition(atom, params):
@@ -439,7 +460,7 @@ def test_lambda_vertices_differentiate_partition(atom, params):
     for s in (eps, -eps):
         lam = LambdaCoefficients(m_hat=1)
         lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, s)
-        vals[s] = discrete_partition(atom, params, grid, hub, lam=lam)
+        vals[s] = transfer(atom, params, grid, hub, lam=lam)
     fd = -(np.log(vals[eps]) - np.log(vals[-eps])) / (2 * eps * params.beta)
     assert fd == pytest.approx(target.real, abs=1e-7)
 
@@ -550,13 +571,12 @@ def test_sites_outside_window_match_reduced_sites(d, L, k, params):
         q = fock.query(X, Y, Xi, Phi)
         lam = LambdaCoefficients(m_hat=2)
         lam.add(X, Y, Xi, Phi, 0.3)
-        vs = build_vertices(gspace, None, lam)
         results.append((
             [(op.rows, op.cols, op.vals) for op in (
                 *fock.observable_pairs(fspace, [q]),
                 fock.build_lambda_term(fspace, lam))],
             observable_monomials(gspace, q),
-            sorted(map(repr, zip(vs.monomials, vs.blocks)))))
+            sorted(map(repr, build_vertices(gspace, None, lam)))))
     (ref_ops, *ref), (ops, *got) = results
     assert len(ref[0]) == 2 and len(ref[1]) == 4
     assert got == ref
@@ -581,12 +601,67 @@ def test_partition_equivalence_two_sites(params):
     spec = LatticeSpec(d=1, L=2)
     hub = hubbard_interaction(0.25, d=1)
     grid = TimeGrid(1.0, 1)
-    dp = discrete_partition(spec, params, grid, hub)
+    tp = transfer(spec, params, grid, hub)
     pe = SchwingerEngine(spec, params, grid, hub).partition()
-    assert abs(dp - pe) <= 1e-10
+    assert abs(tp - pe) <= 1e-10
     space = fock.FockSpace(spec)
     exact = fock.partition_ratio(space, params, hub)
-    assert abs(dp - exact) < 0.05
+    assert abs(tp - exact) < 0.05
+
+
+@pytest.mark.parametrize("U,half_steps", [(0.1, 1), (0.3, 2)])
+def test_transfer_partition_on_two_sites(params, U, half_steps):
+    # two Hubbard terms per grid time: S holds their product, which the
+    # atom's one-term slices never reach
+    spec = LatticeSpec(d=1, L=2)
+    hub = hubbard_interaction(U, d=1)
+    grid = TimeGrid(1.0, half_steps)
+    pe = SchwingerEngine(spec, params, grid, hub).partition()
+    assert abs(transfer(spec, params, grid, hub) - pe) <= 1e-12 * abs(pe)
+
+
+@st.composite
+def _grid_model(draw):
+    """A lattice, a grid and an interaction within the engine's guards: the
+    atom at beta*h <= 8, the two-site chain at beta*h <= 4 or the 2x2 square
+    at beta*h = 2, with a Hubbard, sigma-field or density-density term."""
+    spec, half_steps = draw(st.sampled_from([
+        (LatticeSpec(d=1, L=1), 1), (LatticeSpec(d=1, L=1), 2),
+        (LatticeSpec(d=1, L=1), 4), (LatticeSpec(d=1, L=2), 1),
+        (LatticeSpec(d=1, L=2), 2), (LatticeSpec(d=2, L=2), 1)]))
+    per_slice = MAX_INSTANCES // (2 * half_steps)   # terms per grid time
+    coupling = st.builds(float.__mul__, st.sampled_from((-1.0, 1.0)),
+                         st.floats(0.05, 1.0))
+    site = st.tuples(*[st.integers(0, spec.L - 1)] * spec.d)
+    spin = st.sampled_from((UP, DOWN))
+    kind = draw(st.sampled_from(["hubbard", "sigma", "density"]))
+    if kind == "hubbard":
+        u = hubbard_interaction(draw(coupling), d=spec.d)
+    elif kind == "sigma":
+        # four order-1 terms per site, two when the field is along z alone
+        sites = draw(st.lists(site, min_size=1, unique=True, max_size=min(
+            spec.n_sites, max(per_slice // 4, 1))))
+        xy = coupling if per_slice >= 4 else st.just(0.0)
+        u = spin_field_interaction({x: [draw(xy), draw(xy), draw(coupling)]
+                                    for x in sites})
+    else:
+        # one order-2 entry on every site and one order-1 entry
+        origin = (0,) * spec.d
+        x, xi = draw(site), draw(spin)
+        eta = 1 - xi if x == origin else draw(spin)
+        u = density_density_interaction({
+            2: {((x, origin), (xi, eta)): draw(coupling)},
+            1: {((draw(site),), (draw(spin),)): draw(coupling)}})
+    return spec, TimeGrid(1.0, half_steps), u
+
+
+@settings(max_examples=25)
+@given(_grid_model())
+def test_transfer_partition_matches_engine(case):
+    spec, grid, u = case
+    params = ModelParams()
+    pe = SchwingerEngine(spec, params, grid, u).partition()
+    assert abs(transfer(spec, params, grid, u) - pe) <= 1e-12 * abs(pe)
 
 
 def test_exp_nilpotent_rejects_odd_terms():
@@ -627,13 +702,13 @@ def test_taylor_coefficient_against_berezin_derivative(atom, params):
     grid = TimeGrid(1.0, 1)
     space = GrassmannIndexSpace(atom, grid)
     G = covariance_matrix(CovarianceSpec(atom, params), grid)
-    vs = build_vertices(space, hub)
+    vertices = build_vertices(space, hub)
     obs = observable_monomials(space,
                                fock.query(((0,),), ((0,),), (UP,), (UP,)))
 
     def schwinger_berezin(eta):
         expw = GrassmannPolynomial.one()
-        for (b, u, c) in vs.monomials:
+        for (b, u, c) in vertices:
             expw = expw * one_plus(b, u, c * eta)
         den = berezin_gaussian(space.n, expw, G)
         num = 0.0 + 0.0j
@@ -677,7 +752,7 @@ def _vertex_case(draw):
                   for f in (site, site, spin, spin)],
                 draw(st.floats(0.05, 0.5)))
     hub = hubbard_interaction(draw(st.floats(0.05, 1.0)), d=1)
-    monomials = list(build_vertices(space, hub, lam).monomials)
+    monomials = build_vertices(space, hub, lam)
     # a vanishing vertex, as build_vertices emits for repeated generators
     monomials.insert(draw(st.integers(0, len(monomials))), (0, 0, 0.0))
     m = draw(st.integers(1, 2))
@@ -722,7 +797,7 @@ def test_engine_denominator_computed_once(atom, params):
     den = eng.denominator()
     assert eng.denominator() is den
     assert not den.flags.writeable
-    ref = subset_scan_reference((0, 0, 1.0 + 0.0j), eng.vertices.monomials,
+    ref = subset_scan_reference((0, 0, 1.0 + 0.0j), eng.vertices,
                                 eng.G)
     assert np.abs(den - ref).max() <= 1e-12
     # a stack of one covariance gives the same series as the engine's own

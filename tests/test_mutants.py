@@ -15,6 +15,7 @@ import test_bounds
 import test_cli
 import test_covariance
 import test_fock
+import test_grassmann
 import test_model
 from conftest import empty_model_caches
 from fermidecay import bounds, covariance, fock, model
@@ -200,3 +201,17 @@ def test_thread_count_restored_only_on_success(monkeypatch, blas_count):
     _assert_killed(monkeypatch, fock, "_serial_blas", on_success_only,
                    partial(test_fock.test_thread_count_restored_on_error,
                            blas_count, monkeypatch))
+
+
+def test_slice_without_products(monkeypatch):
+    # S = 1 - V/h: the groups of products of two or more Hubbard terms, the
+    # entries with more than two creators, are dropped.  The atom's slices
+    # hold one term each, so the two-site chain is needed: there the ratio
+    # misses by 7.3e-5 at U = 0.1
+    def single_terms(normal_ordered):
+        return lambda space, groups: normal_ordered(space, [
+            group for group in groups if len(group) > 1 or len(group[0][0]) <= 2])
+
+    _assert_killed(monkeypatch, fock, "_normal_ordered", single_terms,
+                   partial(test_grassmann.test_transfer_partition_on_two_sites,
+                           ModelParams(), 0.1, 1))
