@@ -33,7 +33,7 @@ from .model import (
     InteractionCoefficients,
     ModelParams,
     check_smallness,
-    interaction_norm,
+    interaction_norms,
     restrict_interaction,
     theorem_decay_base,
 )
@@ -147,8 +147,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
     against the sharper binomial bound."""
     cs = CovarianceSpec(spec, params)
     D = covariance_l1_D(cs, grid)
-    finite = restrict_interaction(u, spec)
-    norms = {l: interaction_norm(finite, l) for l in finite.orders}
+    norms = interaction_norms(u, spec)
     engine = SchwingerEngine(spec, params, grid, u)
     series = engine.schwinger_series(q, m_max)
     rows = []
@@ -159,7 +158,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
                      "passed": bm <= bound})
     out = {"D": D, "b_rows": rows}
 
-    U = u.hubbard_coupling()
+    U = restrict_interaction(u, spec).hubbard_coupling()
     if U is not None and q.m_hat == 2:
         c_rows = []
         origin = ((0,) * spec.d,)

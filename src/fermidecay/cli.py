@@ -494,12 +494,9 @@ def cmd_verify(args) -> int:
 
 def cmd_model_validate(args) -> int:
     spec, params, u = model.load_model(args.model)
-    finite = model.restrict_interaction(u, spec)
-    norms = {l: model.interaction_norm(finite, l) for l in finite.orders}
-    report = {"d": spec.d, "L": spec.L, "beta": params.beta,
-              "norms": {str(l): v for l, v in norms.items()}}
-    U = u.hubbard_coupling()
-    if U is not None:
+    report = {"d": spec.d, "L": spec.L, "beta": params.beta, "norms": {
+        str(l): v for l, v in model.interaction_norms(u, spec).items()}}
+    if model.restrict_interaction(u, spec).hubbard_coupling() is not None:
         rep = model.check_smallness(u, params, spec, variant="hubbard")
         report["smallness_hubbard"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                                        "satisfied": rep.satisfied}

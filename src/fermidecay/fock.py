@@ -22,9 +22,10 @@ at the in-sector entries of the observable; correlations assembles the
 observables of a batch of queries together and takes one gather per query.
 transfer_partition writes the grid partition ratio of the Grassmann
 integral as an exact trace of transfer matrices, Tr[(e^{-H_0/h}
-S)^{beta h}]: the slice operator S of one grid time comes from one
-_normal_ordered call, e^{-H_0/h} is the thermal state of H_0 at 1/h.  It is
-the cross-check of the Schwinger engine's partition series.
+S)^{beta h}]: the slice operator S of one grid time is one _normal_ordered
+group of the subsets of its terms that repeat no mode, e^{-H_0/h} is the
+thermal state of H_0 at 1/h.  It is the cross-check of the Schwinger
+engine's partition series.
 Sizes are desk scale by design, and FockSpace, which refuses more than
 MAX_MODES modes, is the one size guard.
 
@@ -55,7 +56,6 @@ import collections
 import contextlib
 import ctypes
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -69,7 +69,6 @@ from .model import (
     LambdaCoefficients,
     ModelParams,
     lattice_terms,
-    restrict_interaction,
     site_hopping_matrix,
 )
 
@@ -263,8 +262,7 @@ def _free_hamiltonian(space: FockSpace, params: ModelParams) -> FockOperator:
 def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOperator:
     """V = sum over orders and lattice sites of
     U_{L,l} psi*_{x1 xi1}..psi*_{xl xil} psi_{xl phil}..psi_{x1 phi1}."""
-    return _normal_ordered(space, [
-        lattice_terms(restrict_interaction(u, space.spec), space.spec)])[0]
+    return _normal_ordered(space, [lattice_terms(u, space.spec)])[0]
 
 
 def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> FockOperator:
@@ -665,28 +663,40 @@ def partition_ratio(space: FockSpace, params: ModelParams,
                         _free_log_partition(space, params)))
 
 
+def _transfer_slice(space: FockSpace, terms, h: float) -> np.ndarray:
+    """The slice operator S = 1 + sum over the nonempty subsets A of the
+    terms m_a = (X, Y, Xi, Phi, c_a) of prod_{a in A} (-c_a/h) :prod_{a in A}
+    m_a:, dense.  Only the live subsets, which repeat no creation and no
+    annihilation mode, are formed, in the order of itertools.combinations,
+    each from a smaller one and a later term; they are assembled as one group."""
+    mode = functools.partial(mode_index, space.spec)
+    grow = []  # per live term: (X, Y, Xi, Phi), -c/h and its two mode masks
+    for X, Y, Xi, Phi, c in terms:
+        masks = [sum(1 << mode(*p) for p in zip(*ps))
+                 for ps in ((X, Xi), (Y, Phi))]
+        if masks[0].bit_count() == masks[1].bit_count() == len(X):
+            grow.append(((X, Y, Xi, Phi), -c / h, *masks))
+    live = [(((), (), (), ()), 1.0, 0, 0, 0)]  # the empty subset: the identity
+    for parts, c, cm, am, start in live:  # also visits the subsets appended
+        live += [(tuple(map(tuple.__add__, parts, more)), c * cn,
+                  cm | cmn, am | amn, j + 1)
+                 for j, (more, cn, cmn, amn) in enumerate(grow[start:], start)
+                 if not (cm & cmn or am & amn)]
+    S = _normal_ordered(space, [[(*parts, c) for parts, c, *_ in live]])[0]
+    return S.toarray()
+
+
 def transfer_partition(space: FockSpace, params: ModelParams, grid: TimeGrid,
                        u: InteractionCoefficients | None,
                        lam: LambdaCoefficients | None = None) -> complex:
     """The grid partition ratio Z_h / Z_0 of the Grassmann integral as a
-    trace of transfer matrices, Tr[(e^{-H_0/h} S)^{beta h}] / Tr
-    e^{-beta H_0}.  The slice operator is S = 1 + sum over the nonempty
-    subsets A of one time slice's terms m_a of prod_{a in A} (-c_a/h) times
-    the normal-ordered product :prod_{a in A} m_a:, one group per subset; a
-    subset that repeats a mode assembles to zero.  e^{-H_0/h} and Tr e^{-beta
-    H_0} come from one Eigensystem of H_0, their shifts by its lowest
-    eigenvalue cancel in the ratio.  n terms per slice make 2^n subsets,
-    256 at the engine's 16 instances on two grid times."""
-    terms = [] if u is None else lattice_terms(
-        restrict_interaction(u, space.spec), space.spec)
+    trace of transfer matrices, Tr[(e^{-H_0/h} S)^{beta h}] / Tr e^{-beta
+    H_0}, S the _transfer_slice of one time slice's terms.  e^{-H_0/h} and
+    Tr e^{-beta H_0} come from one Eigensystem of H_0, their shifts by its
+    lowest eigenvalue cancel in the ratio."""
+    terms = [] if u is None else lattice_terms(u, space.spec)
     terms += [] if lam is None else lam.symmetrized_terms()
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(terms, k) for k in range(len(terms) + 1))
-    # per subset its concatenated (X, Y, Xi, Phi) and the product of its
-    # -c/h; the empty subset is the identity
-    S = sum(op.toarray() for op in _normal_ordered(space, [
-        [(*(sum((a[i] for a in A), ()) for i in range(4)),
-          np.prod([-a[4] / grid.h for a in A]))] for A in subsets]))
+    S = _transfer_slice(space, terms, grid.h)
     eig = diagonalize(_free_hamiltonian(space, params), space.spec)
     rho = eig._thermal(1 / grid.h)[0]
     step = np.zeros(S.shape, dtype=rho.dtype)

@@ -37,7 +37,6 @@ from .model import (
     LambdaCoefficients,
     ModelParams,
     lattice_terms,
-    restrict_interaction,
 )
 
 MAX_WICK_GENERATORS = 24
@@ -311,8 +310,7 @@ def build_vertices(space: GrassmannIndexSpace,
     sum_t psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
     terms = []
     if u is not None:
-        terms = [term for term in lattice_terms(
-                     restrict_interaction(u, space.spec), space.spec)
+        terms = [term for term in lattice_terms(u, space.spec)
                  if interaction_sites is None
                  or all(x in interaction_sites for x in term[0])]
     if lam is not None:

@@ -4,7 +4,9 @@ Interactions are stored as sparse maps keyed by (X, Xi, Phi) at every order l,
 with X a tuple of l sites.  An order-l coefficient (l >= 2) is anchored: the
 last site of X is pinned at the origin, so translation invariance is structural
 rather than validated.  Order-1 coefficients keep their absolute site (they
-need not be translation invariant).
+need not be translation invariant).  On the finite lattice an interaction is
+restrict_interaction(u, spec); lattice_terms, interaction_norms and
+check_smallness read u through it, so their callers pass u as stored.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ def restrict_interaction(u: InteractionCoefficients,
 
 
 def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
-    """Expand a restricted interaction into per-lattice-site terms.
+    """Expand the finite-lattice interaction restrict_interaction(u, spec)
+    into per-lattice-site terms.
 
     Returns (X, X, Xi, Phi, coeff), the term shape of
     LambdaCoefficients.symmetrized_terms, with X in canonical Gamma
@@ -168,7 +171,7 @@ def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
     order-1 entries stay at their site.
     """
     terms = []
-    for l, table in sorted(u.orders.items()):
+    for l, table in sorted(restrict_interaction(u, spec).orders.items()):
         shifts = enumerate_sites(spec) if l >= 2 else [(0,) * spec.d]
         for (X, Xi, Phi), value in sorted(table.items()):
             for y in shifts:
@@ -178,32 +181,23 @@ def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
     return terms
 
 
-def interaction_norm(u: InteractionCoefficients, l: int) -> float:
-    """The paper-style norm of the stored table: max over the pinned index j
-    and its spin, sum of absolute values over everything else (sites summed
-    with the anchor fixed).  The finite-lattice norm is that of
-    restrict_interaction(u, spec), where order-1 entries at sites equal mod L
-    share one site."""
-    table = u.orders.get(l)
-    if not table:
-        return 0.0
-    if l == 1:
-        best = 0.0
-        sums: dict[tuple, float] = {}
-        for ((x,), (xi,), _Phi), value in table.items():
-            sums[(x, xi)] = sums.get((x, xi), 0.0) + abs(value)
-        for total in sums.values():
-            best = max(best, total)
-        return best
-    best = 0.0
-    for j in range(l):
-        for sigma in SPINS:
-            total = 0.0
-            for (_X, Xi, _Phi), value in table.items():
-                if Xi[j] == sigma:
-                    total += abs(value)
-            best = max(best, total)
-    return best
+def interaction_norms(u: InteractionCoefficients,
+                      spec: LatticeSpec) -> dict[int, float]:
+    """{l: ||U_l||} of the finite-lattice interaction restrict_interaction(u,
+    spec), where order-1 entries at sites equal mod L share one site."""
+    finite = restrict_interaction(u, spec)
+    return {l: _interaction_norm(finite, l) for l in finite.orders}
+
+
+def _interaction_norm(u: InteractionCoefficients, l: int) -> float:
+    """The paper-style norm of one table: max over the pinned index j and its
+    spin, sum of absolute values over everything else (sites summed with the
+    anchor fixed); an order-1 entry pins its site as well."""
+    sums: dict[tuple, float] = {}
+    for (X, Xi, _Phi), value in u.orders.get(l, {}).items():
+        for pin in [(X[0], Xi[0])] if l == 1 else enumerate(Xi):
+            sums[pin] = sums.get(pin, 0.0) + abs(value)
+    return max(sums.values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +521,15 @@ class SmallnessReport:
 def check_smallness(u: InteractionCoefficients, params: ModelParams,
                     spec: LatticeSpec, variant: str | None = None,
                     R: float | None = 0.5) -> SmallnessReport:
-    """The smallness hypothesis of the decay theorem that covers u: the
-    on-site one for the pure on-site Hubbard term, else the general one.
-    variant and R override (model-validate and the benchmark name theirs).
+    """The smallness hypothesis of the decay theorem that covers the
+    finite-lattice interaction restrict_interaction(u, spec): the on-site
+    one for the pure on-site Hubbard term, else the general one.  variant
+    and R override (model-validate and the benchmark name theirs).
 
-    general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1),
-    with the finite-lattice norms of restrict_interaction(u, spec);
+    general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1);
     hubbard: |U| <= (108 beta)^{-1} K^{-d}.
     """
+    u = restrict_interaction(u, spec)
     U = u.hubbard_coupling()
     if variant is None:
         variant = "general" if U is None else "hubbard"
@@ -542,8 +537,7 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
         K = geometric_sum_factor(params, spec.d)
         if R is None or not 0.0 < R < 1.0:
             raise ValueError("general variant needs R in (0, 1)")
-        u = restrict_interaction(u, spec)
-        lhs = sum(l * 16.0**l * interaction_norm(u, l) for l in u.orders)
+        lhs = sum(l * 16.0**l * _interaction_norm(u, l) for l in u.orders)
         rhs = R / (params.beta * K)
         return SmallnessReport("general", lhs, rhs, lhs < rhs, R)
     if variant == "hubbard":

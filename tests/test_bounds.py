@@ -333,6 +333,10 @@ def test_verify_taylor_bounds_criterion_config():
     assert all(r["passed"] for r in rep["b_rows"])
     assert all(r["passed"] for r in rep["c_rows"])
     assert rep["b_rows"][0]["bound"] == 4.0**2
+    # written at X = ((2,), (0,)), the entry is the on-site term at L = 2
+    aliased = InteractionCoefficients()
+    aliased.add(2, (((2,), (0,)), (UP, DOWN), (UP, DOWN)), 0.1)
+    assert verify_taylor_bounds(spec, p, grid, aliased, q, 3) == rep
     # bounds scale with |U|^m and keep holding at 10x the coupling
     rep10 = verify_taylor_bounds(spec, p, grid, hubbard_interaction(1.0, d=1),
                                  q, 3)

@@ -105,6 +105,25 @@ def test_model_validate_reads_the_finite_lattice_norm(tmp_path, capsys):
     assert lhs[0] == pytest.approx(16 * 2e-4, rel=1e-12)
 
 
+def test_theorem_read_from_the_finite_lattice_table(tmp_path, capsys):
+    # the on-site entry written at X = ((4,), (0,)) is the on-site term of
+    # the L = 4 chain: the copy picks the on-site theorem, as the shipped
+    # file does, and reports the same bytes
+    data = json.loads(MODEL.read_text())
+    data["interaction"][0]["entries"][0]["X"] = [[4], [0]]
+    copy = tmp_path / "hubbard_at_4.json"
+    copy.write_text(json.dumps(data))
+    reports = []
+    for i, path in enumerate((MODEL, copy)):
+        out = tmp_path / f"theorem_{i}.json"
+        assert main(["verify", "--suite", "theorem", "--model", str(path),
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert main(["model-validate", "--model", str(copy)]) == 0
+    assert "smallness_hubbard" in json.loads(capsys.readouterr().out)
+
+
 def test_model_validate_missing_file(tmp_path):
     assert main(["model-validate", "--model", str(tmp_path / "nope.json")]) == 2
 

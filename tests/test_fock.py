@@ -44,7 +44,6 @@ from fermidecay.model import (
     hubbard_interaction,
     hubbard_threshold,
     lattice_terms,
-    restrict_interaction,
     spin_field_interaction,
     spin_spin_interaction,
 )
@@ -926,7 +925,7 @@ def test_build_h0_matches_delta_loop_bitwise(shape, t, t_prime, mu):
 def interaction_reference(space, u):
     spec = space.spec
     H = _zero(space)
-    for X, _, Xi, Phi, coeff in lattice_terms(restrict_interaction(u, spec), spec):
+    for X, _, Xi, Phi, coeff in lattice_terms(u, spec):
         create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
         annih = [mode_index(spec, x, s) for x, s in zip(reversed(X), reversed(Phi))]
         H = H + coeff * operator_product_reference(space, create, annih)

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +36,6 @@ from fermidecay.model import (
     density_density_interaction,
     hubbard_interaction,
     lattice_terms,
-    restrict_interaction,
     spin_field_interaction,
     spin_spin_interaction,
 )
@@ -103,7 +103,7 @@ def discrete_partition_reference(spec, params, grid, u, lam=None):
     subset that holds it: the walk skips both."""
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
     space = GrassmannIndexSpace(spec, grid)
-    terms = lattice_terms(restrict_interaction(u, spec), spec)
+    terms = lattice_terms(u, spec)
     terms += [] if lam is None else lam.symmetrized_terms()
     blocks = [([space.index(x, s, t) for x, s in zip(X, Xi)],
                [space.index(y, s, t) for y, s in zip(Y, Phi)], coeff)
@@ -414,7 +414,7 @@ def _lambda(pairs, coeff):
     return lam
 
 
-@pytest.mark.parametrize("L,half_steps,lam", [
+_SUBSET_LOOP_CASES = [
     (1, 1, None),
     (1, 2, None),
     (1, 4, None),                                              # V = 8
@@ -422,7 +422,10 @@ def _lambda(pairs, coeff):
     (1, 2, _lambda([((0,), (0,), UP, DOWN)], 0.3)),            # degrees 2, 1
     (2, 1, _lambda([((0,), (1,), UP, UP), ((1,), (1,), DOWN, UP)], 0.2)),
     (1, 4, _lambda([((0,), (0,), UP, UP)], -0.25)),            # V = 16
-])
+]
+
+
+@pytest.mark.parametrize("L,half_steps,lam", _SUBSET_LOOP_CASES)
 def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
     spec = LatticeSpec(d=1, L=L)
     grid = TimeGrid(1.0, half_steps)
@@ -430,6 +433,47 @@ def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
     got = transfer(spec, params, grid, hub, lam)
     ref = discrete_partition_reference(spec, params, grid, hub, lam)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def transfer_slice_reference(space, terms, h):
+    """The slice operator summed over all 2^n subsets of the terms, one
+    group per subset; a subset that repeats a mode assembles to zero."""
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(terms, k) for k in range(len(terms) + 1))
+    return sum(op.toarray() for op in fock._normal_ordered(space, [
+        [(*(sum((a[i] for a in A), ()) for i in range(4)),
+          np.prod([-a[4] / h for a in A]))] for A in subsets]))
+
+
+@pytest.mark.parametrize("L,half_steps,u,lam", [
+    *[(L, half_steps, hubbard_interaction(0.3, d=1), lam) for L, half_steps, lam
+      in _SUBSET_LOOP_CASES],
+    (2, 1, spin_spin_interaction({(1,): 0.2}), None),         # 25 of 4096 live
+    (3, 1, spin_field_interaction({(x,): (0.4, 0.0, 0.0) for x in range(3)}),
+     None),
+])
+def test_transfer_slice_matches_all_subsets(L, half_steps, u, lam):
+    space, grid = fock.FockSpace(LatticeSpec(d=1, L=L)), TimeGrid(1.0, half_steps)
+    terms = lattice_terms(u, space.spec)
+    terms += [] if lam is None else lam.symmetrized_terms()
+    got = fock._transfer_slice(space, terms, grid.h)
+    ref = transfer_slice_reference(space, terms, grid.h)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_transfer_slice_assembles_the_live_subsets(params, monkeypatch):
+    # the two-site spin-spin chain has 12 terms per slice: of their 4096
+    # subsets, 25 repeat no creation and no annihilation mode
+    normal_ordered, strings = fock._normal_ordered, []
+
+    def record(space, groups):
+        strings.extend(map(len, groups))
+        return normal_ordered(space, groups)
+
+    monkeypatch.setattr(fock, "_normal_ordered", record)
+    transfer(LatticeSpec(d=1, L=2), params, TimeGrid(1.0, 1),
+             spin_spin_interaction({(1,): 0.2}))
+    assert strings == [25]
 
 
 def test_discrete_partition_shares_no_code_with_the_plan(atom, params,

@@ -32,7 +32,7 @@ from fermidecay.model import (
     dispersion_grid,
     geometric_sum_factor,
     hubbard_interaction,
-    interaction_norm,
+    interaction_norms,
     lattice_terms,
     load_model,
     model_from_dict,
@@ -296,19 +296,19 @@ def test_restrict_hubbard_is_L_independent():
 
 
 def test_interaction_norms():
+    chain4 = LatticeSpec(d=1, L=4)
     # single order-1 term: norm is |c|
     u = InteractionCoefficients()
     u.add(1, (((0,),), (UP,), (UP,)), -2.5)
-    assert interaction_norm(u, 1) == 2.5
-    assert interaction_norm(InteractionCoefficients(), 2) == 0.0
-    # hubbard as stored: pinned spin up on slot 1 collects the single entry
+    assert interaction_norms(u, chain4) == {1: 2.5}
+    assert interaction_norms(InteractionCoefficients(), chain4) == {}
+    # hubbard: pinned spin up on slot 1 collects the single entry
     hub = hubbard_interaction(0.3, d=1)
-    assert interaction_norm(hub, 2) == pytest.approx(0.3)
+    assert interaction_norms(hub, chain4) == {2: pytest.approx(0.3)}
     # site 4 is site 0 of the L = 4 chain: the finite-lattice norm sums both
     u.add(1, (((4,),), (UP,), (DOWN,)), 0.5)
     u.add(1, (((4,),), (DOWN,), (UP,)), 0.5)
-    assert interaction_norm(u, 1) == 2.5
-    assert interaction_norm(restrict_interaction(u, LatticeSpec(d=1, L=4)), 1) == 3.0
+    assert interaction_norms(u, chain4) == {1: 3.0}
 
 
 def test_spin_field_interaction():
@@ -490,11 +490,15 @@ def test_model_file_errors(tmp_path):
 
 def test_lattice_terms_translate_anchored_entries():
     spec = LatticeSpec(d=1, L=4)
-    hub = restrict_interaction(hubbard_interaction(0.3, d=1), spec)
-    terms = lattice_terms(hub, spec)
+    terms = lattice_terms(hubbard_interaction(0.3, d=1), spec)
     assert len(terms) == 4
     sites = sorted(t[1][0] for t in terms)
     assert sites == [(0,), (1,), (2,), (3,)]
+    # an entry written at site 5 is read at site 1 of the L = 4 chain
+    u, u5 = InteractionCoefficients(), InteractionCoefficients()
+    u.add(1, (((1,),), (UP,), (DOWN,)), 0.2)
+    u5.add(1, (((5,),), (UP,), (DOWN,)), 0.2)
+    assert lattice_terms(u5, spec) == lattice_terms(u, spec)
 
 
 @settings(max_examples=30)

@@ -94,7 +94,7 @@ def test_general_sum_without_factor_l(monkeypatch, tmp_path):
     # check_smallness sums l 16^l ||U_l||: with every norm divided by l the
     # shipped order-2 spin-spin file reads 0.45 of its general threshold,
     # which still passes, so the killer asserts the reported ratio of 0.9
-    _assert_killed(monkeypatch, model, "interaction_norm",
+    _assert_killed(monkeypatch, model, "_interaction_norm",
                    lambda norm: lambda u, l: norm(u, l) / l,
                    partial(test_cli.test_verify_theorem_under_the_general_theorem,
                            "spin_spin", tmp_path))
@@ -204,13 +204,13 @@ def test_thread_count_restored_only_on_success(monkeypatch, blas_count):
 
 
 def test_slice_without_products(monkeypatch):
-    # S = 1 - V/h: the groups of products of two or more Hubbard terms, the
-    # entries with more than two creators, are dropped.  The atom's slices
-    # hold one term each, so the two-site chain is needed: there the ratio
-    # misses by 7.3e-5 at U = 0.1
+    # S = 1 - V/h: the products of two or more Hubbard terms, the strings
+    # with more than two creators, are dropped.  The atom's slices hold one
+    # term each, so the two-site chain is needed: there the ratio misses by
+    # 7.3e-5 at U = 0.1
     def single_terms(normal_ordered):
         return lambda space, groups: normal_ordered(space, [
-            group for group in groups if len(group) > 1 or len(group[0][0]) <= 2])
+            [term for term in group if len(term[0]) <= 2] for group in groups])
 
     _assert_killed(monkeypatch, fock, "_normal_ordered", single_terms,
                    partial(test_grassmann.test_transfer_partition_on_two_sites,
