@@ -29,7 +29,6 @@ from .grassmann import (
     GrassmannPolynomial,
     SchwingerEngine,
     berezin_gaussian,
-    wick_expectation,
 )
 from .bounds import (
     covariance_l1_D,

@@ -240,7 +240,10 @@ def det_bound(spec, params, real_shift, trials_per_call, seed, seed_stride):
 
 
 def wick_vs_berezin(seed, max_degree):
-    """Criterion 02: Wick determinants against the Berezin expansion."""
+    """Criterion 02: Wick determinants against the Berezin expansion.  Each
+    drawn monomial is evaluated as the Schwinger engine evaluates every
+    Gaussian expectation, as a compiled plan (one seed, no vertices), so the
+    expansion checks the plan's sign and index conventions."""
     rng = np.random.default_rng(seed)
     n = 6
     G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
@@ -249,7 +252,8 @@ def wick_vs_berezin(seed, max_degree):
         k = int(rng.integers(1, max_degree + 1))
         barred = list(rng.permutation(n)[:k])
         unbarred = list(rng.permutation(n)[:k])
-        ref = grassmann.wick_canonical(grassmann.monomial(barred, unbarred), G)
+        plan = grassmann._subset_plan([grassmann.monomial(barred, unbarred)], [])
+        ref = grassmann._evaluate_plan(plan, G)[0]
         via_berezin = grassmann.berezin_gaussian(
             n, grassmann.GrassmannPolynomial.from_monomial(barred, unbarred), G)
         devs.append(abs(ref - via_berezin))

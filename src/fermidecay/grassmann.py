@@ -3,10 +3,12 @@
 Monomials live in a canonical normal form: all barred generators first, then
 all unbarred, each block in ascending global index order, with the sign of the
 reordering tracked explicitly.  Gaussian expectations of canonical monomials
-are determinants of the covariance sampled at the barred/unbarred indices; the
-Berezin engine below instead expands the Gaussian weight literally and serves
-as the independent cross-check of every sign convention.  The expanded weight
-is a dense array indexed by (barred mask, unbarred mask): each binomial of the
+are determinants of the covariance sampled at the barred/unbarred indices.
+The compiled subset plans below are the one routine that evaluates them; a
+single monomial is the plan of one seed and no vertices.  The Berezin engine
+instead expands the Gaussian weight literally and serves as the independent
+cross-check of the plan's sign and index conventions.  The expanded weight is
+a dense array indexed by (barred mask, unbarred mask): each binomial of the
 exponential is one array update whose signs come from a popcount-parity
 table, and G^{-1} is the engine's only linear algebra.  The weight of a
 covariance is cached by the content of G, so repeated integrals against one G
@@ -129,39 +131,6 @@ def monomial_product(t1, t2):
         sign = -sign
     sign *= _merge_sign(b1, b2) * _merge_sign(u1, u2)
     return (b1 | b2, u1 | u2, c1 * c2 * sign)
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def wick_expectation(n: int, barred, unbarred, G: np.ndarray) -> complex:
-    """Gaussian expectation det(G(j_u, p_v)) of the reversed-barred monomial
-    over n generators; mismatched degrees and repeated generators integrate
-    to zero."""
-    for i in list(barred) + list(unbarred):
-        if not 0 <= i < n:
-            raise ValueError(f"generator index {i} outside 0..{n - 1}")
-    term = monomial(list(reversed(barred)), unbarred)
-    return 0.0 + 0.0j if term is None else wick_canonical(term, G)
-
-
-def wick_canonical(term, G: np.ndarray) -> complex:
-    """Gaussian expectation of a canonical monomial: the written-order barred
-    block picks up (-1)^{k(k-1)/2} relative to the determinant convention."""
-    bm, um, c = term
-    k = bm.bit_count()
-    if k != um.bit_count():
-        return 0.0 + 0.0j
-    if k == 0:
-        return complex(c)
-    sub = G[np.ix_(_mask_bits(bm), _mask_bits(um))]
-    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    return c * sign * complex(np.linalg.det(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +315,9 @@ class _SubsetPlan:
 def _subset_plan(seeds, monomials) -> _SubsetPlan:
     """Walk seed * prod_{v in S} monomial_v over all subsets S once.
 
-    Each surviving product contributes its coefficient times the canonical
-    sign (-1)^{k(k-1)/2} of wick_canonical; products of mismatched barred and
+    Each surviving product contributes its coefficient times (-1)^{k(k-1)/2},
+    the sign of the written-order barred block of a canonical monomial
+    relative to the determinant convention; products of mismatched barred and
     unbarred degree integrate to zero and are dropped here.  The masks of a
     group become its index arrays at the end, in one array operation each.
     """

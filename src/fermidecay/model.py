@@ -204,6 +204,12 @@ def _interaction_norm(u: InteractionCoefficients, l: int) -> float:
 # hopping matrix and dispersion relation
 # ---------------------------------------------------------------------------
 
+# the Fourier check builds dense n x n hopping and phase matrices: a peak of
+# about 160 MiB over the import at the cap, which admits the d = 3, L = 8
+# lattice (512 sites) and the d = 1, L = 2048 one
+MAX_FOURIER_SITES = 2048
+
+
 def site_hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
     """The hopping on sites as a sum of lattice shifts S_v, (S_v)[x, y] = 1
     when x = y + v mod L: -t (S_{-e_j} + S_{+e_j}) for each axis j, -t' S_v
@@ -255,8 +261,12 @@ def check_fourier_consistency(spec: LatticeSpec, params: ModelParams) -> float:
     """Max over k of |E_k - sum_x T(x, 0) e^{-i<k,x>}|, T the site hopping.
 
     E_k must be the Fourier symbol of the hopping matrix; this ties the two
-    independent implementations together.
+    independent implementations together.  Refuses more than
+    MAX_FOURIER_SITES sites before allocating.
     """
+    if spec.n_sites > MAX_FOURIER_SITES:
+        raise GuardError(f"{spec.n_sites} sites exceed the "
+                         f"{MAX_FOURIER_SITES}-site guard of the Fourier check")
     col = site_hopping_matrix(spec, params)[:, 0]  # the origin has rank 0
     sites = enumerate_sites(spec)
     ks = momentum_grid(spec)
@@ -591,11 +601,16 @@ def save_model(path, spec, params, u):
 
 
 def _finite(value) -> float:
-    """float(value), refusing the NaN and Infinity that json.load accepts and
-    the bools and numeric strings float() would read as numbers."""
-    if isinstance(value, (bool, str)) or not math.isfinite(float(value)):
+    """float(value), refusing the NaN and Infinity that json.load accepts, the
+    integers past the float range, and the bools and numeric strings float()
+    would read as numbers."""
+    try:
+        number = math.nan if isinstance(value, (bool, str)) else float(value)
+    except OverflowError:  # an integer such as 10**400
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"non-finite or non-numeric value {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value) -> int:
@@ -639,6 +654,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or an integer past int()'s digit limit
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     return model_from_dict(data)

@@ -251,12 +251,30 @@ def test_subcommand_option_sets():
     (("mu",), math.inf),
     (("beta",), True),
     (("mu",), "0.2"),
-], ids=["beta_nan", "re_nan", "mu_inf", "beta_bool", "mu_string"])
+    (("t",), 10**400),
+    (("interaction", 0, "entries", 0, "re"), -10**400),
+], ids=["beta_nan", "re_nan", "mu_inf", "beta_bool", "mu_string",
+        "t_huge_int", "re_huge_int"])
 def test_model_file_refuses_non_finite(path, value, tmp_path, capsys):
     # json.dumps writes NaN and Infinity and json.load accepts them; a model
     # file carrying one is a usage error, as a non-finite flag is; so is a
-    # bool or a string, which float() would read as 1.0 or 0.2
+    # bool or a string, which float() would read as 1.0 or 0.2, and an
+    # integer past the float range, where float() raises OverflowError
     _assert_model_file_refused(path, value, "non-finite", tmp_path, capsys)
+
+
+def test_model_file_refuses_integer_past_digit_limit(tmp_path, capsys):
+    # json.load reads a 5000-digit integer with int(), which refuses more
+    # digits than sys.get_int_max_str_digits() with a plain ValueError
+    data = model_to_dict(LatticeSpec(d=1, L=4), ModelParams(),
+                         hubbard_interaction(0.1, d=1))
+    data["t"] = "digits"
+    model_file = tmp_path / "digits.json"
+    model_file.write_text(json.dumps(data).replace('"digits"', "1" * 5000))
+    assert main(["model-validate", "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("path,value", [
@@ -398,6 +416,25 @@ def test_verify_refusal_aborts_one_check(tmp_path, monkeypatch):
     assert aborted == {"quantity": "det_decay_aborted", "computed": "probe",
                        "bound": None, "ratio": None, "pass": False}
     assert checks[-2] is aborted
+
+
+def test_fourier_check_refused_before_allocating(tmp_path, monkeypatch):
+    # at L = 100000 the dense hopping matrix alone would take 74.5 GiB: the
+    # site guard refuses the check first, as its own aborted row
+    def no_allocation(*args):
+        raise AssertionError("hopping matrix built past the site guard")
+
+    monkeypatch.setattr(cli.model, "site_hopping_matrix", no_allocation)
+    monkeypatch.setitem(cli.SUITES, "covariance", lambda spec, params, u, args:
+                        [partial(cli.fourier_consistency, spec, params)])
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", "--L", "100000",
+                 "--out", str(out)]) == 1
+    (row,) = json.loads(out.read_text())["checks"]
+    assert row == {"quantity": "fourier_consistency_aborted",
+                   "computed": "100000 sites exceed the 2048-site guard of "
+                               "the Fourier check",
+                   "bound": None, "ratio": None, "pass": False}
 
 
 @pytest.mark.parametrize("fault", [ValueError, np.linalg.LinAlgError])

@@ -18,13 +18,10 @@ from fermidecay.grassmann import (
     monomial,
     monomial_product,
     observable_monomials,
-    wick_canonical,
-    wick_expectation,
 )
 from fermidecay.grassmann import (
     _berezin_weight,
     _evaluate_plan,
-    _mask_bits,
     _series_value,
     _subset_plan,
 )
@@ -43,6 +40,23 @@ from fermidecay.model import (
 
 def random_g(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+
+
+def _mask_bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def plan_expectation(barred, unbarred, G) -> complex:
+    """Gaussian expectation of psibar_{b1}..psi_{uk} in the written order,
+    evaluated as the engine evaluates every one: the plan of one seed and no
+    vertices."""
+    plan = _subset_plan([monomial(barred, unbarred)], [])
+    return complex(_evaluate_plan(plan, G)[0])
 
 
 def subset_products(seed, monomials):
@@ -158,13 +172,20 @@ def grid_correlations(spec, params, u, q, half_steps):
 
 
 def test_wick_expectation_contract(rng):
+    # det G(barred, unbarred) times (-1)^{k(k-1)/2}; mismatched degrees
+    # integrate to zero, and a repeated generator is no monomial at all
     G = random_g(rng, 6)
-    assert wick_expectation(6, [2], [3], G) == pytest.approx(G[2, 3])
-    assert wick_expectation(6, [], [], G) == 1.0
-    assert wick_expectation(6, [1], [2, 3], G) == 0.0
-    assert abs(wick_expectation(6, [0, 1], [2, 2], G)) <= 1e-14
-    with pytest.raises(ValueError):
-        wick_expectation(6, [7], [0], G)
+    assert plan_expectation([2], [3], G) == pytest.approx(G[2, 3])
+    assert plan_expectation([0, 1], [2, 3], G) == pytest.approx(
+        -np.linalg.det(G[np.ix_([0, 1], [2, 3])]))
+    assert plan_expectation([1, 0], [2, 3], G) == -plan_expectation(
+        [0, 1], [2, 3], G)
+    assert plan_expectation([], [], G) == 1.0
+    assert plan_expectation([1], [2, 3], G) == 0.0
+    assert monomial([0, 1], [2, 2]) is None
+    # a generator past n is refused, never integrated to zero
+    with pytest.raises(IndexError, match="index 7 is out of bounds"):
+        plan_expectation([7], [0], G)
 
 
 def test_monomial_canonicalization_signs():
@@ -230,12 +251,13 @@ def test_berezin_rejects_mismatched_covariance_and_generators(rng):
     # a larger G must not be cut down to its top-left corner
     with pytest.raises(ValueError, match=r"shape \(6, 6\) for 4 generators"):
         berezin_gaussian(4, GrassmannPolynomial.from_monomial([0], [1]), G)
-    # a generator past n must not integrate to zero; Wick refuses it as well
+    # a generator past n must not integrate to zero; the plan refuses it as
+    # well
     f = GrassmannPolynomial.from_monomial([4], [0])
     with pytest.raises(ValueError, match=r"generator index 4 outside 0\.\.3"):
         berezin_gaussian(4, f, G[:4, :4])
-    with pytest.raises(ValueError, match=r"generator index 4 outside 0\.\.3"):
-        wick_expectation(4, [4], [0], G[:4, :4])
+    with pytest.raises(IndexError, match="index 4 is out of bounds"):
+        plan_expectation([4], [0], G[:4, :4])
 
 
 @st.composite
@@ -281,7 +303,7 @@ def test_dense_weight_at_eight_generators():
 def test_berezin_expansion_makes_no_det_call(rng, monkeypatch):
     n = 6
     G = random_g(rng, n)
-    ref = wick_canonical(monomial([0, 1, 4], [2, 3, 5]), G)
+    ref = plan_expectation([0, 1, 4], [2, 3, 5], G)
 
     def refuse(*args, **kwargs):
         raise AssertionError("determinant inside the Berezin engine")
@@ -302,7 +324,7 @@ def test_berezin_at_generator_cap(rng):
     for _ in range(100):
         barred = [int(v) for v in rng.permutation(n)[:rng.integers(0, 4)]]
         unbarred = [int(v) for v in rng.permutation(n)[:rng.integers(0, 4)]]
-        ref = wick_canonical(monomial(barred, unbarred), G)
+        ref = plan_expectation(barred, unbarred, G)
         via = berezin_gaussian(n, GrassmannPolynomial.from_monomial(barred, unbarred), G)
         worst = max(worst, abs(ref - via))
     assert worst <= 1e-12
@@ -330,8 +352,7 @@ def test_berezin_cache_follows_content_of_g(rng):
     G[0, 2] += 0.5
     moved = berezin_gaussian(n, f, G)
     assert moved != first
-    assert moved == pytest.approx(wick_canonical(monomial([0, 1], [2, 3]), G),
-                                  rel=1e-12)
+    assert moved == pytest.approx(plan_expectation([0, 1], [2, 3], G), rel=1e-12)
     with pytest.raises(ValueError, match="limited to 10 generators"):
         berezin_gaussian(11, GrassmannPolynomial.one(), np.eye(11))
 

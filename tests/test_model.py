@@ -233,6 +233,7 @@ def test_strip_edge_of_the_decay_base(d, L):
     (2, 2, 1.0, 0.4, 0.0),
     (1, 1, 1.0, 0.0, 0.0),
     (2, 3, 0.8, -0.2, 0.5),
+    (3, 8, 1.0, 0.3, 0.2),  # the largest lattice CI verifies, under the guard
 ])
 def test_fourier_consistency(d, L, t, tp, mu):
     dev = check_fourier_consistency(LatticeSpec(d=d, L=L),

@@ -18,7 +18,7 @@ import test_fock
 import test_grassmann
 import test_model
 from conftest import empty_model_caches
-from fermidecay import bounds, covariance, fock, model
+from fermidecay import bounds, cli, covariance, fock, grassmann, model
 from fermidecay.cli import main
 from fermidecay.lattice import LatticeSpec
 from fermidecay.model import ModelParams
@@ -215,3 +215,28 @@ def test_slice_without_products(monkeypatch):
     _assert_killed(monkeypatch, fock, "_normal_ordered", single_terms,
                    partial(test_grassmann.test_transfer_partition_on_two_sites,
                            ModelParams(), 0.1, 1))
+
+
+def _wick_vs_berezin_row():
+    # the row as `verify --suite grassmann` runs it at the default seed
+    (row,) = cli.wick_vs_berezin(0, 3)
+    assert row.passed, row.row()
+
+
+def test_plan_without_canonical_sign(monkeypatch):
+    # a plan whose coefficients lose (-1)^{k(k-1)/2}: every drawn monomial
+    # of degree 2 or 3 in each family changes sign, and the row reads 63 to
+    # 93 at seeds 0, 7 and 2024 against 1e-12; the partition rows see it as
+    # well, but only this row ties the sign to the Berezin expansion
+    def unsigned(subset_plan):
+        def plan(seeds, monomials):
+            p = subset_plan(seeds, monomials)
+            return dataclasses.replace(p, groups=tuple(
+                (depth, rows, cols,
+                 -coeffs if rows.shape[1] * (rows.shape[1] - 1) // 2 % 2
+                 else coeffs)
+                for depth, rows, cols, coeffs in p.groups))
+        return plan
+
+    _assert_killed(monkeypatch, grassmann, "_subset_plan", unsigned,
+                   _wick_vs_berezin_row)
