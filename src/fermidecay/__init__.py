@@ -13,7 +13,6 @@ from .lattice import (
 )
 from .model import (
     InteractionCoefficients,
-    LambdaCoefficients,
     ModelParams,
     check_smallness,
     decay_base,

@@ -48,6 +48,20 @@ THETA_NODES_MIN = 16
 THETA_NODES_PER_RATIO = 5
 CIRCLE_NODES = 32
 MAX_CONTOUR_NODES = 2 ** 21
+# covariance_entries refuses a momentum sum of more than MAX_SUM_ENTRIES
+# entries: L^d momenta times the rows of its phase (site differences), time
+# kernel (shifts x time differences) and shifted dispersions (d per shift).
+# Peak RSS over the import at the cap: 1.0 GiB (decay table, L = 5780), 1.3
+# GiB (256 6 x 6 determinants, L = 1820), 1.5 GiB (256 contour nodes,
+# L = 65000); numpy 2.4, 2-vCPU machine.  It admits the d = 2, L = 64 table.
+MAX_SUM_ENTRIES = 2 ** 25
+# decay_envelope_check refuses a lattice whose smallest envelope is below
+# ENVELOPE_FLOOR.  The float64 sum rounds |C| by about 4e-17 L (the phase
+# at |<k, x>| up to 2 pi L): 3.6e-14 at L = 1024, 1.4e-13 at 4096 in d = 1,
+# against a long-double sum; under 0.15% of an envelope above the floor.  At
+# L = 2048 (smallest envelope 3.3e-19) a ratio read 5.4e4 of rounding alone.
+# The chain at beta = 1 reaches the floor near L = 1120.
+ENVELOPE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,9 +164,16 @@ def covariance_entries(cs: CovarianceSpec, dx, dt, stack=None) -> np.ndarray:
     of length d) and time differences dt = t_b - t_a; dx[..., 0] and dt
     broadcast against each other.  This is the one evaluation of the
     momentum sum; with a (B, d) stack of further shifts, see
-    guarded_dispersions, the result gains a leading axis of length B."""
+    guarded_dispersions, the result gains a leading axis of length B.
+    Refuses a sum past MAX_SUM_ENTRIES before it allocates."""
     dx = np.asarray(dx, dtype=float)
     dt = np.reshape(dt, (1,) * (dx.ndim - 1 - np.ndim(dt)) + np.shape(dt))
+    shifts = 1 if stack is None else len(stack)
+    entries = cs.spec.n_sites * (math.prod(dx.shape[:-1])
+                                 + shifts * (dt.size + cs.spec.d))
+    if entries > MAX_SUM_ENTRIES:
+        raise GuardError(f"momentum sum of {entries} entries exceeds the "
+                         f"{MAX_SUM_ENTRIES}-entry guard")
     phase = np.exp(1j * (dx @ momentum_grid(cs.spec).T))
     vals = _fermi_factor(guarded_dispersions(cs, stack), dt,
                          cs.params.beta)
@@ -388,9 +409,15 @@ def contour_formula_check(cs: CovarianceSpec, a, b, axis: int,
 
 def decay_envelope_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     """Scan all (site difference, time difference) pairs for the two decay
-    envelopes: 2 F^{-chord exponent} and the reduced-window l1 variant."""
+    envelopes: 2 F^{-chord exponent} and the reduced-window l1 variant.
+    Refuses a lattice whose smallest envelope is below ENVELOPE_FLOOR."""
     spec = cs.spec
     F = theorem_decay_base(cs.params, spec.d)
+    # the smallest envelope is the chord one at the antipode on every axis
+    smallest = 2.0 * F ** (-chord_exponent(spec, (spec.L // 2,) * spec.d))
+    if smallest < ENVELOPE_FLOOR:
+        raise GuardError(f"smallest decay envelope {smallest:.3g} is below "
+                         f"the rounding floor {ENVELOPE_FLOOR:g}")
     table, _ = _covariance_lookup(cs, grid)
     chord_ratios, reduced_ratios, rows = [], [], []
     for rank, dvec in enumerate(enumerate_sites(spec)):
@@ -417,7 +444,7 @@ def l1_bound_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     # C(x xi t, 0 xi 0) is the table entry at (-x mod L, -t)
     lhs = float(np.sum(l1_time_sums(cs, grid))) / grid.h
     rhs = 4.0 * cs.params.beta * geometric_sum_factor(cs.params, cs.spec.d)
-    return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
+    return {"lhs": lhs, "rhs": rhs}
 
 
 def site_sum_diff(x_sites, y_sites) -> np.ndarray:

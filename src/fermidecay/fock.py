@@ -20,6 +20,9 @@ oracle does not see the split.  Per beta the Eigensystem keeps the thermal
 state e^{-beta H} in the same layout, so an expectation is one gather of it
 at the in-sector entries of the observable; correlations assembles the
 observables of a batch of queries together and takes one gather per query.
+A CorrelationQuery is the one m_hat-body observable: its pair_terms are the
+strings of O + O^dagger, and a lambda coupling {query: real value} adds
+value (O + O^dagger) per query to H.
 transfer_partition writes the grid partition ratio of the Grassmann
 integral as an exact trace of transfer matrices, Tr[(e^{-H_0/h}
 S)^{beta h}]: the slice operator S of one grid time is one _normal_ordered
@@ -66,8 +69,8 @@ from .model import (
     GuardError,
     HermiticityError,
     InteractionCoefficients,
-    LambdaCoefficients,
     ModelParams,
+    lambda_terms,
     lattice_terms,
     site_hopping_matrix,
 )
@@ -108,9 +111,9 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class CorrelationQuery:
-    """Sites/spins of the symmetrized m_hat-body correlation observable, kept
-    as tuples of Python ints whatever sequences built them, so that equal
-    queries hash alike and serve as cache keys."""
+    """Sites/spins of the symmetrized m_hat-body observable O + O^dagger,
+    kept as tuples of Python ints whatever sequences built them, so that
+    equal queries hash alike and key caches and lambda couplings."""
 
     x_sites: tuple
     y_sites: tuple
@@ -132,6 +135,15 @@ class CorrelationQuery:
     def swapped(self) -> "CorrelationQuery":
         return CorrelationQuery(self.y_sites, self.x_sites,
                                 self.phi_spins, self.xi_spins)
+
+    def pair_terms(self, c: float = 1.0) -> list:
+        """The normal-ordered strings (X, Y, Xi, Phi, c) of c (O + O^dagger),
+        O^dagger the string of the swapped query, c real; one string of
+        weight 2c when the two coincide."""
+        adjoint = self.swapped()
+        pair = (self,) if adjoint == self else (self, adjoint)
+        return [(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins,
+                 float(c) * 2 / len(pair)) for q in pair]
 
 
 query = CorrelationQuery
@@ -265,20 +277,13 @@ def build_interaction(space: FockSpace, u: InteractionCoefficients) -> FockOpera
     return _normal_ordered(space, [lattice_terms(u, space.spec)])[0]
 
 
-def build_lambda_term(space: FockSpace, lam: LambdaCoefficients) -> FockOperator:
-    """sum over entries of (lambda(X,Y,Xi,Phi) + lambda(Y,X,Phi,Xi)) times
-    psi*_{x1 xi1}..psi*_{xm xim} psi_{ym phim}..psi_{y1 phi1}."""
-    return _normal_ordered(space, [lam.symmetrized_terms()])[0]
-
-
 def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
-               lam: LambdaCoefficients | None = None) -> FockOperator:
+               lam: dict | None = None) -> FockOperator:
     """H + V + Lambda, their triplets summed once in that order, so that a
     Hamiltonian assembled from a shared H_0 or H_0 + V is bitwise the one
-    build_hamiltonian makes."""
-    ops = [H] + [build(space, c) for c, build in ((u, build_interaction),
-                                                  (lam, build_lambda_term))
-                 if c is not None]
+    build_hamiltonian makes.  lam is a coupling {CorrelationQuery: real}."""
+    ops = [H] + ([] if u is None else [build_interaction(space, u)])
+    ops += [] if lam is None else _normal_ordered(space, [lambda_terms(lam)])
     if len(ops) == 1:
         return H
     return _canonical(H.dim, *(np.concatenate([getattr(op, f) for op in ops])
@@ -287,18 +292,14 @@ def _add_terms(space: FockSpace, H, u: InteractionCoefficients | None = None,
 
 def build_hamiltonian(space: FockSpace, params: ModelParams,
                       u: InteractionCoefficients | None = None,
-                      lam: LambdaCoefficients | None = None) -> FockOperator:
+                      lam: dict | None = None) -> FockOperator:
     return _add_terms(space, _free_hamiltonian(space, params), u, lam)
 
 
 def observable_pairs(space: FockSpace, queries) -> list[FockOperator]:
     """The self-adjoint pairs O + O^dagger of the correlation observables of
-    the queries, assembled together; the adjoint of O is the
-    normal-ordered string of the swapped query."""
-    return _normal_ordered(space, [[(p.x_sites, p.y_sites, p.xi_spins,
-                                     p.phi_spins, 1.0)
-                                    for p in (q, q.swapped())]
-                                   for q in queries])
+    the queries, their pair_terms assembled together."""
+    return _normal_ordered(space, [q.pair_terms() for q in queries])
 
 
 @functools.cache
@@ -688,14 +689,14 @@ def _transfer_slice(space: FockSpace, terms, h: float) -> np.ndarray:
 
 def transfer_partition(space: FockSpace, params: ModelParams, grid: TimeGrid,
                        u: InteractionCoefficients | None,
-                       lam: LambdaCoefficients | None = None) -> complex:
+                       lam: dict | None = None) -> complex:
     """The grid partition ratio Z_h / Z_0 of the Grassmann integral as a
     trace of transfer matrices, Tr[(e^{-H_0/h} S)^{beta h}] / Tr e^{-beta
     H_0}, S the _transfer_slice of one time slice's terms.  e^{-H_0/h} and
     Tr e^{-beta H_0} come from one Eigensystem of H_0, their shifts by its
     lowest eigenvalue cancel in the ratio."""
     terms = [] if u is None else lattice_terms(u, space.spec)
-    terms += [] if lam is None else lam.symmetrized_terms()
+    terms += [] if lam is None else lambda_terms(lam)
     S = _transfer_slice(space, terms, grid.h)
     eig = diagonalize(_free_hamiltonian(space, params), space.spec)
     rho = eig._thermal(1 / grid.h)[0]
@@ -731,7 +732,8 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
                             u: InteractionCoefficients | None,
                             q: CorrelationQuery, step: float = 1e-4) -> dict:
     """Central finite difference of -(1/beta) log(Tr e^{-beta H_lambda} / Tr
-    e^{-beta H_0}) in a single lambda entry, against the direct correlation.
+    e^{-beta H_0}) in the coupling lambda = {q: +-step}, H_lambda = H +-
+    step (O + O^dagger), against the direct correlation.
     H_0 carries no lambda, so log Tr e^{-beta H_0} cancels exactly in the
     difference and only log Tr e^{-beta H_lambda} is computed.  Its
     rounding_floor, eps max|E| / step, is the error that rounding of the
@@ -740,13 +742,9 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
         raise ValueError("step must be positive")
     _, HV, eig = model_system(space, params, u)
     direct = correlation(space, params, u, q)
-    logs = {}
-    for eps in (step, -step):
-        lam = LambdaCoefficients(m_hat=q.m_hat)
-        lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, eps)
-        H = _add_terms(space, HV, lam=lam)
-        logs[eps] = log_partition(H, params.beta)
-    fd = -(logs[step] - logs[-step]) / (2.0 * step * params.beta)
+    up, down = (log_partition(_add_terms(space, HV, lam={q: eps}), params.beta)
+                for eps in (step, -step))
+    fd = -(up - down) / (2.0 * step * params.beta)
     e_max = max(np.abs(w).max() for w, _ in eig.pairs)
     return {"direct": direct, "deviation": abs(fd - direct),
             "rounding_floor": float(np.finfo(float).eps * e_max / step)}

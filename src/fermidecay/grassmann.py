@@ -36,8 +36,8 @@ from .lattice import LatticeSpec, TimeGrid, spacetime_index
 from .model import (
     GuardError,
     InteractionCoefficients,
-    LambdaCoefficients,
     ModelParams,
+    lambda_terms,
     lattice_terms,
 )
 
@@ -272,18 +272,19 @@ def _time_slices(space: GrassmannIndexSpace, X, Y, Xi, Phi, coeff):
 
 def build_vertices(space: GrassmannIndexSpace,
                    u: InteractionCoefficients | None,
-                   lam: LambdaCoefficients | None = None,
+                   lam: dict | None = None,
                    interaction_sites=None) -> list:
     """The canonical vertex monomials, one per interaction or lambda term
     (X, Y, Xi, Phi, c) and grid time: the time slices of c * V, V = -(1/h)
-    sum_t psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}."""
+    sum_t psibar_{x1 xi1 t}..psibar_{xl xil t} psi_{yl phil t}..psi_{y1 phi1 t}.
+    lam is a coupling {query: real value}, its terms model.lambda_terms."""
     terms = []
     if u is not None:
         terms = [term for term in lattice_terms(u, space.spec)
                  if interaction_sites is None
                  or all(x in interaction_sites for x in term[0])]
     if lam is not None:
-        terms += lam.symmetrized_terms()
+        terms += lambda_terms(lam)
     # a repeated generator makes the vertex vanish: a zero monomial
     vertices = [(0, 0, 0.0) if mono is None else mono
                 for term in terms for mono in _time_slices(space, *term)]

@@ -7,6 +7,7 @@ rather than validated.  Order-1 coefficients keep their absolute site (they
 need not be translation invariant).  On the finite lattice an interaction is
 restrict_interaction(u, spec); lattice_terms, interaction_norms and
 check_smallness read u through it, so their callers pass u as stored.
+lambda_terms gives the strings of a lambda coupling {query: real value}.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +69,6 @@ class GuardError(ValueError):
     hypothesis, or past the precision of a closed form."""
 
 
-def _as_site_tuple(x) -> tuple[int, ...]:
-    return tuple(int(c) for c in x)
-
-
 def _entry_name(l: int, key) -> str:
     X, Xi, Phi = key
     return (f"order {l} entry at X={X}, "
@@ -97,7 +94,7 @@ class InteractionCoefficients:
         if l < 1:
             raise ValueError(f"interaction order must be >= 1, got {l}")
         X, Xi, Phi = key
-        X = tuple(_as_site_tuple(x) for x in X)
+        X = tuple(tuple(int(c) for c in x) for x in X)
         if len(X) != l or len(Xi) != l or len(Phi) != l:
             raise ValueError(f"order {l} entry must carry l sites and spins")
         if l >= 2 and any(c != 0 for c in X[-1]):
@@ -165,10 +162,10 @@ def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
     """Expand the finite-lattice interaction restrict_interaction(u, spec)
     into per-lattice-site terms.
 
-    Returns (X, X, Xi, Phi, coeff), the term shape of
-    LambdaCoefficients.symmetrized_terms, with X in canonical Gamma
-    coordinates; order >= 2 anchors are translated over the whole lattice,
-    order-1 entries stay at their site.
+    Returns (X, X, Xi, Phi, coeff), the string shape of
+    fock.CorrelationQuery.pair_terms, with X in canonical Gamma coordinates;
+    order >= 2 anchors are translated over the whole lattice, order-1
+    entries stay at their site.
     """
     terms = []
     for l, table in sorted(restrict_interaction(u, spec).orders.items()):
@@ -179,6 +176,12 @@ def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
                     tuple((c + yc) % spec.L for c, yc in zip(x, y)) for x in X)
                 terms.append((shifted, shifted, Xi, Phi, value))
     return terms
+
+
+def lambda_terms(lam: dict) -> list:
+    """The strings of Lambda = sum over a coupling {fock.CorrelationQuery:
+    real value} of value (O + O^dagger): the union of their pair_terms."""
+    return [term for q, value in lam.items() for term in q.pair_terms(value)]
 
 
 def interaction_norms(u: InteractionCoefficients,
@@ -370,38 +373,6 @@ def density_density_interaction(tables: dict[int, dict]) -> InteractionCoefficie
                     f"(site, spin) pairs, got X={X}, Xi={Xi}")
             u.add(l, (X, Xi, Xi), value.real)
     return u
-
-
-# ---------------------------------------------------------------------------
-# lambda couplings for the derivative formula
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LambdaCoefficients:
-    """Real couplings lambda(X,Y,Xi,Phi) of order m_hat, entering the modified
-    interaction as lambda(X,Y,Xi,Phi) + lambda(Y,X,Phi,Xi)."""
-
-    m_hat: int
-    entries: dict = field(default_factory=dict)
-
-    def add(self, X, Y, Xi, Phi, value: float):
-        lengths = tuple(map(len, (X, Y, Xi, Phi)))
-        if lengths != (self.m_hat,) * 4:
-            raise ValueError(f"lambda entry of order m_hat = {self.m_hat} has "
-                             f"X, Y, Xi, Phi of lengths {lengths}")
-        key = (tuple(_as_site_tuple(x) for x in X),
-               tuple(_as_site_tuple(y) for y in Y),
-               tuple(int(s) for s in Xi), tuple(int(s) for s in Phi))
-        self.entries[key] = self.entries.get(key, 0.0) + float(value)
-
-    def symmetrized_terms(self):
-        """Terms (X, Y, Xi, Phi, coeff) of sum lambda(X,Y,Xi,Phi)+lambda(Y,X,Phi,Xi)."""
-        out = {}
-        for (X, Y, Xi, Phi), v in self.entries.items():
-            for key in ((X, Y, Xi, Phi), (Y, X, Phi, Xi)):
-                out[key] = out.get(key, 0.0) + v
-        return [(X, Y, Xi, Phi, v) for (X, Y, Xi, Phi), v in sorted(out.items())
-                if v != 0.0]
 
 
 # ---------------------------------------------------------------------------

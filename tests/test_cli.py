@@ -437,6 +437,38 @@ def test_fourier_check_refused_before_allocating(tmp_path, monkeypatch):
                    "bound": None, "ratio": None, "pass": False}
 
 
+def test_covariance_decay_refused_below_the_rounding_floor(tmp_path):
+    # at L = 2048 the decay envelopes fall to 3.3e-19, far below the rounding
+    # of the momentum sum, where the ratios read 5.4e4 and 7.5e3: that row is
+    # a refusal, and every other row of the suite still passes
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "covariance", "--L", "2048",
+                 "--out", str(out)]) == 1
+    failed = [c["quantity"] for c in json.loads(out.read_text())["checks"]
+              if not c["pass"]]
+    assert failed == ["covariance_decay_aborted"]
+
+
+def test_oversized_momentum_sums_refused_without_traceback(tmp_path):
+    # at L = 100000 the Fourier check, the contour block and the decay table
+    # would each allocate GiBs: under a 3 GiB address-space cap on its own
+    # process the suite exits 1 on refusals alone, with no traceback
+    out, cap = tmp_path / "report.json", 3 * 2**30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from fermidecay import cli; "
+            "sys.exit(cli.main(['verify', '--suite', 'covariance', '--L', "
+            f"'100000', '--out', {str(out)!r}]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                                             PYTHONPATH=str(ROOT / "src")))
+    assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr
+    failed = [c["quantity"] for c in json.loads(out.read_text())["checks"]
+              if not c["pass"]]
+    assert failed == ["fourier_consistency_aborted", "contour_formula_aborted",
+                      "covariance_decay_aborted", "det_decay_aborted"]
+
+
 @pytest.mark.parametrize("fault", [ValueError, np.linalg.LinAlgError])
 def test_verify_fault_is_not_a_refusal(fault, tmp_path, monkeypatch):
     # only a GuardError is a refusal: any other exception in a check, a

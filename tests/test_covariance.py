@@ -365,6 +365,51 @@ def test_decay_envelope_keeps_a_nan_mid_scan(params, monkeypatch):
     assert math.isnan(res["worst_ratio_reduced"])
 
 
+def test_decay_envelope_refused_below_the_rounding_floor(params, monkeypatch):
+    # at L = 2048 the smallest envelope, 3.3e-19, is far below the rounding
+    # of the momentum sum: refused before the table is built; at L = 1024
+    # (8.2e-10) the scan runs
+    def no_table(*args):
+        raise AssertionError("covariance table built below the floor")
+
+    monkeypatch.setattr(covariance, "_covariance_lookup", no_table)
+    grid = TimeGrid(params.beta, 2)
+    with pytest.raises(GuardError, match="3.32e-19 is below the rounding floor"):
+        decay_envelope_check(CovarianceSpec(LatticeSpec(d=1, L=2048), params),
+                             grid)
+    cs = CovarianceSpec(LatticeSpec(d=1, L=2048), params)
+    far = ((0,), UP, 0.0), ((1024,), UP, 0.5)
+    with pytest.raises(GuardError, match="below the rounding floor"):
+        det_decay_check(cs, [far])
+    with pytest.raises(AssertionError, match="below the floor"):
+        decay_envelope_check(CovarianceSpec(LatticeSpec(d=1, L=1024), params),
+                             grid)
+
+
+def test_momentum_sum_refused_before_allocating(params, monkeypatch):
+    # the decay table of the L = 100000 chain would need a 74.5 GiB phase
+    # product, a 256-node contour block a 1e5-momentum kernel per node: both
+    # are refused before the momentum grid or the dispersion is formed.  The
+    # d = 2, L = 64 table, 4096 x (4096 + 8 + 2) entries, is admitted.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(covariance, "momentum_grid", admitted)
+    monkeypatch.setattr(covariance, "guarded_dispersions", admitted)
+    chain = CovarianceSpec(LatticeSpec(d=1, L=100000), params)
+    dts = np.arange(8.0)
+    with pytest.raises(GuardError, match="exceeds the 33554432-entry guard"):
+        covariance_entries(chain, np.zeros((100000, 1, 1)), dts)
+    with pytest.raises(GuardError, match="51300000 entries"):
+        covariance_entries(chain, (1.0,), 0.25, np.zeros((256, 1)))
+    square = CovarianceSpec(LatticeSpec(d=2, L=64), params)
+    with pytest.raises(Admitted):
+        covariance_entries(square, np.zeros((4096, 1, 2)), dts)
+
+
 def l1_bound_reference(cs, grid):
     """Reference: the time-point loop l1_bound_check replaced."""
     spec = cs.spec
@@ -392,7 +437,7 @@ def test_l1_bound_matches_time_loop(d, L, hs, shifted):
         res = l1_bound_check(cs, grid)
         assert res["lhs"] == pytest.approx(l1_bound_reference(cs, grid),
                                            rel=1e-12, abs=0.0)
-        assert res["satisfied"]
+        assert res["lhs"] <= res["rhs"]
 
 
 def test_l1_bound_beta_scaling():
@@ -417,7 +462,7 @@ def test_det_decay_check(params, rng):
             b = (sites[int(rng.integers(8))], UP, float(rng.uniform(0, 1)))
             pairs.append((a, b))
         res = det_decay_check(cs, pairs)
-        assert res["satisfied"]
+        assert res["abs_det"] <= res["bound"]
     # coincident points: rank-deficient but still below 2 * 4^n
     a = ((0,), UP, 0.3)
     res = det_decay_check(cs, [(a, a), (a, a)])

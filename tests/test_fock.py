@@ -38,11 +38,11 @@ from fermidecay.lattice import (
 )
 from fermidecay.model import (
     HermiticityError,
-    LambdaCoefficients,
     ModelParams,
     density_density_interaction,
     hubbard_interaction,
     hubbard_threshold,
+    lambda_terms,
     lattice_terms,
     spin_field_interaction,
     spin_spin_interaction,
@@ -148,12 +148,11 @@ def test_hamiltonian_hermitian_with_random_lambda(rng):
     spec = LatticeSpec(d=1, L=2)
     space = FockSpace(spec)
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
-    lam = LambdaCoefficients(m_hat=1)
     sites = enumerate_sites(spec)
-    for _ in range(5):
-        lam.add((sites[int(rng.integers(2))],), (sites[int(rng.integers(2))],),
-                (int(rng.integers(2)),), (int(rng.integers(2)),),
-                float(rng.normal()))
+    lam = _lambda_coupling([
+        (((sites[int(rng.integers(2))],), (sites[int(rng.integers(2))],),
+          (int(rng.integers(2)),), (int(rng.integers(2)),)), float(rng.normal()))
+        for _ in range(5)])
     H = build_hamiltonian(space, p, hubbard_interaction(0.2, d=1), lam).toarray()
     assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
@@ -270,8 +269,15 @@ def test_partition_ratio_free_is_one():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        CorrelationQuery(((0,),), ((0,), (1,)), (UP,), (UP,))
+    # every list must carry m_hat entries, or the strings of the observable
+    # and of a lambda coupling would be built from zipped, truncated lists
+    for X, Y, Xi, Phi in [(((0,),), ((0,), (1,)), (UP,), (UP,)),
+                          (((0,),), ((0,), (1,)), (UP,), (UP, DOWN)),
+                          (((0,),), ((0,),), (UP, DOWN), (UP,)),
+                          (((0,),), ((0,),), (UP,), ()),
+                          (((0,), (1,)), ((0,),), (UP,), (UP,))]:
+        with pytest.raises(ValueError, match="length m_hat"):
+            CorrelationQuery(X, Y, Xi, Phi)
     q = query(((0,), (1,)), ((1,), (0,)), (UP, DOWN), (DOWN, UP))
     s = q.swapped()
     assert s.x_sites == q.y_sites and s.xi_spins == q.phi_spins
@@ -455,14 +461,14 @@ def _example_interaction(kind, spec, coupling):
                                    for i, x in enumerate(enumerate_sites(spec))})
 
 
-def _lambda_coefficients(m_hat, entries):
-    """LambdaCoefficients with the (points, coefficient) entries, or None
-    when there are none."""
+def _lambda_coupling(entries):
+    """The coupling {query: value} of the (points, coefficient) entries, the
+    values of equal queries summed, or None when there are none."""
     if not entries:
         return None
-    lam = LambdaCoefficients(m_hat=m_hat)
+    lam = {}
     for pts, value in entries:
-        lam.add(*pts, value)
+        lam[query(*pts)] = lam.get(query(*pts), 0.0) + value
     return lam
 
 
@@ -532,7 +538,7 @@ def _assert_fock_case(case):
     space = FockSpace(spec)
     p = ModelParams(t=1.0, t_prime=t_prime, mu=mu, beta=betas[0])
     u = _example_interaction(kind, spec, coupling)
-    lam = _lambda_coefficients(m_hat, entries)
+    lam = _lambda_coupling(entries)
     queries = [query(*pts) for pts in points]
     calls = []
     empty_model_caches()
@@ -546,7 +552,7 @@ def _assert_fock_case(case):
     pieces = [(build_h0(space, p), h0_reference(space, p)),
               (fock.build_interaction(space, u), interaction_reference(space, u))]
     if lam is not None:
-        pieces.append((fock.build_lambda_term(space, lam),
+        pieces.append((lambda_term(space, lam),
                        lambda_term_reference(space, lam)))
     for ours, ref in pieces + [(O, observable_pair_reference(space, q))
                                for O, q in zip(pairs, queries)]:
@@ -932,14 +938,14 @@ def interaction_reference(space, u):
     return H
 
 
+def lambda_term(space, lam):
+    """Lambda of the coupling lam as _add_terms assembles it."""
+    return fock._normal_ordered(space, [lambda_terms(lam)])[0]
+
+
 def lambda_term_reference(space, lam):
-    spec = space.spec
-    H = _zero(space)
-    for X, Y, Xi, Phi, coeff in lam.symmetrized_terms():
-        create = [mode_index(spec, x, s) for x, s in zip(X, Xi)]
-        annih = [mode_index(spec, y, s) for y, s in zip(reversed(Y), reversed(Phi))]
-        H = H + coeff * operator_product_reference(space, create, annih)
-    return H
+    return sum((value * observable_pair_reference(space, q)
+                for q, value in lam.items()), _zero(space))
 
 
 def observable_pair_reference(space, q):
@@ -1071,15 +1077,14 @@ def test_exact_cancellation_drops_entry_and_keeps_spin_sectors():
     p = ModelParams(t=1.0, mu=0.2, beta=1.0)
     b = 0.6
     fld = spin_field_interaction({(0,): (b, 0.0, 0.0)})
-    lam = LambdaCoefficients(m_hat=1)
-    lam.add(((0,),), ((0,),), (UP,), (DOWN,), -0.5 * b)
+    lam = {query(((0,),), ((0,),), (UP,), (DOWN,)): -0.5 * b}
     assert len(diagonalize(build_hamiltonian(space, p, fld)).layout.sectors) == 5
     H = build_hamiltonian(space, p, fld, lam)
     H0 = build_h0(space, p)
     for ours, ref in ((H.rows, H0.rows), (H.cols, H0.cols), (H.vals, H0.vals)):
         np.testing.assert_array_equal(ours, ref)
     H_ref = (to_csr(H0) + to_csr(fock.build_interaction(space, fld))) + \
-        to_csr(fock.build_lambda_term(space, lam))
+        to_csr(lambda_term(space, lam))
     _assert_triplets_match(H, H_ref)
     assert len(diagonalize(H).layout.sectors) == (spec.n_sites + 1) ** 2
     for s, ref_s in zip(fock._blocks(H)[1].sectors, sectors_reference(H_ref),

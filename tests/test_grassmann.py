@@ -28,10 +28,10 @@ from fermidecay.grassmann import (
 from fermidecay.lattice import DOWN, UP, LatticeSpec, TimeGrid
 from fermidecay.model import (
     GuardError,
-    LambdaCoefficients,
     ModelParams,
     density_density_interaction,
     hubbard_interaction,
+    lambda_terms,
     lattice_terms,
     spin_field_interaction,
     spin_spin_interaction,
@@ -118,7 +118,7 @@ def discrete_partition_reference(spec, params, grid, u, lam=None):
     G = covariance_matrix(CovarianceSpec(spec, params), grid)
     space = GrassmannIndexSpace(spec, grid)
     terms = lattice_terms(u, spec)
-    terms += [] if lam is None else lam.symmetrized_terms()
+    terms += [] if lam is None else lambda_terms(lam)
     blocks = [([space.index(x, s, t) for x, s in zip(X, Xi)],
                [space.index(y, s, t) for y, s in zip(Y, Phi)], coeff)
               for X, Y, Xi, Phi, coeff in terms for t in range(grid.n_points)]
@@ -429,10 +429,9 @@ def test_partition_instance_guard(params):
 
 
 def _lambda(pairs, coeff):
-    """Lambda coefficients with one entry per (x, y, xi, phi) of pairs."""
-    lam = LambdaCoefficients(m_hat=len(pairs))
-    lam.add(*zip(*pairs), coeff)
-    return lam
+    """The coupling {query: coeff} of the query with one (x, y, xi, phi) per
+    particle of pairs."""
+    return {fock.query(*zip(*pairs)): coeff}
 
 
 _SUBSET_LOOP_CASES = [
@@ -476,7 +475,7 @@ def transfer_slice_reference(space, terms, h):
 def test_transfer_slice_matches_all_subsets(L, half_steps, u, lam):
     space, grid = fock.FockSpace(LatticeSpec(d=1, L=L)), TimeGrid(1.0, half_steps)
     terms = lattice_terms(u, space.spec)
-    terms += [] if lam is None else lam.symmetrized_terms()
+    terms += [] if lam is None else lambda_terms(lam)
     got = fock._transfer_slice(space, terms, grid.h)
     ref = transfer_slice_reference(space, terms, grid.h)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -523,9 +522,7 @@ def test_lambda_vertices_differentiate_partition(atom, params):
     eps = 1e-6
     vals = {}
     for s in (eps, -eps):
-        lam = LambdaCoefficients(m_hat=1)
-        lam.add(q.x_sites, q.y_sites, q.xi_spins, q.phi_spins, s)
-        vals[s] = transfer(atom, params, grid, hub, lam=lam)
+        vals[s] = transfer(atom, params, grid, hub, lam={q: s})
     fd = -(np.log(vals[eps]) - np.log(vals[-eps])) / (2 * eps * params.beta)
     assert fd == pytest.approx(target.real, abs=1e-7)
 
@@ -634,12 +631,11 @@ def test_sites_outside_window_match_reduced_sites(d, L, k, params):
     results = []
     for X, Y, Xi, Phi in (inside, outside):
         q = fock.query(X, Y, Xi, Phi)
-        lam = LambdaCoefficients(m_hat=2)
-        lam.add(X, Y, Xi, Phi, 0.3)
+        lam = {q: 0.3}
         results.append((
             [(op.rows, op.cols, op.vals) for op in (
                 *fock.observable_pairs(fspace, [q]),
-                fock.build_lambda_term(fspace, lam))],
+                fock.build_hamiltonian(fspace, ModelParams(), lam=lam))],
             observable_monomials(gspace, q),
             sorted(map(repr, build_vertices(gspace, None, lam)))))
     (ref_ops, *ref), (ops, *got) = results
@@ -812,10 +808,9 @@ def _vertex_case(draw):
     lam = None
     if draw(st.booleans()):
         m_hat = draw(st.integers(1, 2))
-        lam = LambdaCoefficients(m_hat=m_hat)
-        lam.add(*[[draw(f) for _ in range(m_hat)]
-                  for f in (site, site, spin, spin)],
-                draw(st.floats(0.05, 0.5)))
+        lam = {fock.query(*[[draw(f) for _ in range(m_hat)]
+                            for f in (site, site, spin, spin)]):
+               draw(st.floats(0.05, 0.5))}
     hub = hubbard_interaction(draw(st.floats(0.05, 1.0)), d=1)
     monomials = build_vertices(space, hub, lam)
     # a vanishing vertex, as build_vertices emits for repeated generators

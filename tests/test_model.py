@@ -21,7 +21,6 @@ from fermidecay.model import (
     GuardError,
     HermiticityError,
     InteractionCoefficients,
-    LambdaCoefficients,
     ModelFileError,
     ModelParams,
     antisymmetrize,
@@ -247,21 +246,6 @@ def test_fourier_consistency_single_mode():
     p = ModelParams(t=0.7, mu=0.4)
     T = site_hopping_matrix(spec, p)
     assert abs(T[0, 0] - (-2 * 0.7 - 0.4)) < 1e-14
-
-
-@pytest.mark.parametrize("X,Y,Xi,Phi", [
-    (((0,),), ((0,), (1,)), (UP,), (UP, DOWN)),
-    (((0,),), ((0,),), (UP, DOWN), (UP,)),
-    (((0,),), ((0,),), (UP,), ()),
-    (((0,), (1,)), ((0,),), (UP,), (UP,)),
-])
-def test_lambda_entry_refuses_lists_of_other_lengths(X, Y, Xi, Phi):
-    # every list must carry m_hat entries, as fock.query demands of the same
-    # lists, or the lambda term would be built from zipped, truncated lists
-    lam = LambdaCoefficients(m_hat=1)
-    with pytest.raises(ValueError, match="m_hat = 1"):
-        lam.add(X, Y, Xi, Phi, 0.1)
-    assert lam.entries == {}
 
 
 def test_hermiticity_validation():
