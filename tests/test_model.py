@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermidecay.cli import _random_order2_table
+from fermidecay.fock import CorrelationQuery
 from fermidecay.lattice import (
     DOWN,
     UP,
@@ -32,6 +33,7 @@ from fermidecay.model import (
     geometric_sum_factor,
     hubbard_interaction,
     interaction_norms,
+    lambda_terms,
     lattice_terms,
     load_model,
     model_from_dict,
@@ -246,6 +248,22 @@ def test_fourier_consistency_single_mode():
     p = ModelParams(t=0.7, mu=0.4)
     T = site_hopping_matrix(spec, p)
     assert abs(T[0, 0] - (-2 * 0.7 - 0.4)) < 1e-14
+
+
+@pytest.mark.parametrize("X,Y,Xi,Phi", [
+    (((0,),), ((0,), (1,)), (UP,), (UP, DOWN)),
+    (((0,),), ((0,),), (UP, DOWN), (UP,)),
+    (((0,),), ((0,),), (UP,), ()),
+    (((0,), (1,)), ((0,),), (UP,), (UP,)),
+])
+def test_lambda_entry_refuses_lists_of_other_lengths(X, Y, Xi, Phi):
+    # a lambda coupling is keyed by CorrelationQuery, whose lists must all
+    # carry m_hat entries, or the lambda term would be built from zipped,
+    # truncated lists; the refused key leaves the coupling and its terms empty
+    lam = {}
+    with pytest.raises(ValueError, match="length m_hat"):
+        lam[CorrelationQuery(X, Y, Xi, Phi)] = 0.1
+    assert lam == {} and lambda_terms(lam) == []
 
 
 def test_hermiticity_validation():
