@@ -7,9 +7,9 @@ from .lattice import (
     UP,
     LatticeSpec,
     TimeGrid,
-    enumerate_momenta,
     enumerate_sites,
     periodic_reduce,
+    site_grid,
 )
 from .model import (
     InteractionCoefficients,

@@ -28,14 +28,14 @@ from .covariance import (
     site_sum_diff,
 )
 from .grassmann import SchwingerEngine
-from .lattice import LatticeSpec, TimeGrid, enumerate_sites
+from .lattice import LatticeSpec, TimeGrid, site_grid
 from .model import (
     GuardError,
     InteractionCoefficients,
     ModelParams,
     check_smallness,
     interaction_norms,
-    restrict_interaction,
+    onsite_coupling,
     theorem_decay_base,
 )
 
@@ -55,7 +55,7 @@ def det_bound_sample(cs: CovarianceSpec, n: int, vec_dim: int, trials: int,
     A non-finite determinant, which LAPACK returns on blocks with denormal
     entries, is refused with a GuardError.
     """
-    sites = np.array(enumerate_sites(cs.spec))
+    sites = site_grid(cs.spec)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // DET_BLOCK))
     worst = 0.0
     for b, ss in zip(range(0, trials, DET_BLOCK), streams):
@@ -161,7 +161,7 @@ def verify_taylor_bounds(spec: LatticeSpec, params: ModelParams,
         rows.append({"m": m, "abs_coefficient": bm, "bound": bound})
     out = {"D": D, "b_rows": rows}
 
-    U = restrict_interaction(u, spec).hubbard_coupling()
+    U = onsite_coupling(u, spec)
     if U is not None and q.m_hat == 2:
         c_rows = []
         origin = ((0,) * spec.d,)

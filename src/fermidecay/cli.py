@@ -500,7 +500,7 @@ def cmd_model_validate(args) -> int:
     spec, params, u = model.load_model(args.model)
     report = {"d": spec.d, "L": spec.L, "beta": params.beta, "norms": {
         str(l): v for l, v in model.interaction_norms(u, spec).items()}}
-    if model.restrict_interaction(u, spec).hubbard_coupling() is not None:
+    if model.onsite_coupling(u, spec) is not None:
         rep = model.check_smallness(u, params, spec, variant="hubbard")
         report["smallness_hubbard"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                                        "satisfied": rep.satisfied}

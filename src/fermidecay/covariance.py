@@ -28,6 +28,7 @@ from .lattice import (
     enumerate_sites,
     momentum_grid,
     periodic_reduce,
+    site_grid,
     site_ranks,
 )
 from .model import (
@@ -185,7 +186,7 @@ def _covariance_table(cs: CovarianceSpec, grid: TimeGrid, stack=None):
     all grid time differences in (-beta, beta], and those differences."""
     n = grid.n_points
     dts = np.arange(-(n - 1), n + 1) / grid.h  # time differences t_b - t_a
-    diffs = np.array(enumerate_sites(cs.spec), dtype=float)[:, None, :]
+    diffs = site_grid(cs.spec)[:, None, :]
     return covariance_entries(cs, diffs, dts, stack), dts
 
 
@@ -212,7 +213,7 @@ def covariance_matrix(cs: CovarianceSpec, grid: TimeGrid,
         raise GuardError(f"covariance matrix size {N} exceeds {MATRIX_SIZE_LIMIT}")
     table, _ = (_covariance_lookup(cs, grid) if stack is None
                 else _covariance_table(cs, grid, stack))
-    sites = np.array(enumerate_sites(spec))
+    sites = site_grid(spec)
     rank = site_ranks(spec, sites[None, :, :] - sites[:, None, :])  # site_b - site_a
     tidx = np.arange(grid.n_points)
     dt_idx = tidx[None, :] - tidx[:, None] + grid.n_points - 1  # into dts
@@ -257,7 +258,7 @@ def matsubara_check(cs: CovarianceSpec, grid: TimeGrid) -> dict:
     E = guarded_dispersions(cs)
     omegas = matsubara_frequencies(grid)
     ks = momentum_grid(spec)
-    sites = np.array(enumerate_sites(spec), dtype=float)
+    sites = site_grid(spec).astype(float)
     T = grid.n_points
     # rows (omega, k, spin) against columns (time, site, spin), both with the
     # last index fastest: the column order of C_h
@@ -284,8 +285,7 @@ def u1_shift_identity_check(cs: CovarianceSpec, grid: TimeGrid, axis: int) -> fl
     M0 = covariance_matrix(cs, grid)
     M1 = covariance_matrix(cs, grid,
                            np.eye(1, spec.d, axis) * (2.0 * math.pi / spec.L))[0]
-    sites = np.array(enumerate_sites(spec), dtype=float)
-    comp = np.repeat(sites[:, axis], 2)
+    comp = np.repeat(site_grid(spec)[:, axis], 2)
     comp = np.tile(comp, grid.n_points)
     phase = np.exp(1j * 2.0 * math.pi * (comp[:, None] - comp[None, :]) / spec.L)
     return float(np.max(np.abs(phase * M0 - M1)))

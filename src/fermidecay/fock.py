@@ -45,8 +45,8 @@ caches of read-only values: the occupation counts per mode count, the
 sector layouts per dimension, the orbit tables of the translation, and H_0
 with its log Tr e^{-beta H_0} per (space, params), which every model on
 that lattice shares.  One model slot,
-model_system(space, params, u), holds H_0, H = H_0 + V and the Eigensystem
-of H for the last model asked for.  Its key is the content of the model:
+model_system(space, params, u), holds H = H_0 + V and the Eigensystem of
+H for the last model asked for.  Its key is the content of the model:
 the space, the parameters and a snapshot of u's entries, so a u changed in
 place is a new model.  It holds one model at a time and is cleared before
 the next is built, so the envelope, the partition ratio, the lambda check
@@ -629,7 +629,7 @@ def _free_log_partition(space: FockSpace, params: ModelParams) -> float:
     return log_partition(_free_hamiltonian(space, params), params.beta)
 
 
-_MODEL: dict = {}  # the model slot: at most one key -> (H_0, H, Eigensystem)
+_MODEL: dict = {}  # the model slot: at most one key -> (H, Eigensystem)
 
 
 def _interaction_key(u: InteractionCoefficients | None):
@@ -643,14 +643,13 @@ def _interaction_key(u: InteractionCoefficients | None):
 
 def model_system(space: FockSpace, params: ModelParams,
                  u: InteractionCoefficients | None):
-    """(H_0, H_0 + V, diagonalize(H_0 + V)) of the model, from the one-model
+    """(H_0 + V, diagonalize(H_0 + V)) of the model, from the one-model
     slot; a model of other content clears the slot before it is built."""
     key = (space, params, _interaction_key(u))
     if key not in _MODEL:
         _MODEL.clear()
-        H0 = _free_hamiltonian(space, params)
-        H = _add_terms(space, H0, u)
-        _MODEL[key] = H0, H, diagonalize(H, space.spec)
+        H = _add_terms(space, _free_hamiltonian(space, params), u)
+        _MODEL[key] = H, diagonalize(H, space.spec)
     return _MODEL[key]
 
 
@@ -659,7 +658,7 @@ def partition_ratio(space: FockSpace, params: ModelParams,
     """Tr e^{-beta (H_0 + V)} / Tr e^{-beta H_0}; log Z of H from the
     model's Eigensystem, that of H_0 from its spectrum, taken once per
     lattice and parameters."""
-    eig = model_system(space, params, u)[2]
+    eig = model_system(space, params, u)[1]
     return float(np.exp(eig.log_partition(params.beta) -
                         _free_log_partition(space, params)))
 
@@ -716,7 +715,7 @@ def correlations(space: FockSpace, params: ModelParams,
     one gather; in the model's Eigensystem from the slot unless eig carries
     diagonalize(H) of the model's H."""
     if eig is None:
-        eig = model_system(space, params, u)[2]
+        eig = model_system(space, params, u)[1]
     return [eig.expectation(O, params.beta)
             for O in observable_pairs(space, queries)]
 
@@ -740,7 +739,7 @@ def lambda_derivative_check(space: FockSpace, params: ModelParams,
     eigenvalues E of H puts into the difference quotient."""
     if step <= 0:
         raise ValueError("step must be positive")
-    _, HV, eig = model_system(space, params, u)
+    HV, eig = model_system(space, params, u)
     direct = correlation(space, params, u, q)
     up, down = (log_partition(_add_terms(space, HV, lam={q: eps}), params.beta)
                 for eps in (step, -step))

@@ -8,7 +8,6 @@ space-time index = time_idx*(2*L^d) + mode index (time slowest).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ DOWN = 1
 SPINS = (UP, DOWN)
 
 Site = tuple[int, ...]
-Momentum = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,17 @@ class LatticeSpec:
         return 2 * self.L**self.d
 
 
+def site_grid(spec: LatticeSpec) -> np.ndarray:
+    """All L^d sites as the rows of a C-contiguous (L^d, d) integer array, in
+    lexicographic order: the one enumeration of the lattice.  The copy makes
+    it contiguous; a transposed view changes the BLAS products that read it."""
+    return np.indices((spec.L,) * spec.d).reshape(spec.d, -1).T.copy()
+
+
 def enumerate_sites(spec: LatticeSpec) -> list[Site]:
-    """All L^d sites in lexicographic order of their coordinate tuples."""
-    return list(itertools.product(range(spec.L), repeat=spec.d))
+    """The rows of site_grid as tuples of Python ints, hashable sites; the
+    tuples share the L ints of one coordinate axis, as range(L) would."""
+    return list(zip(*np.arange(spec.L).astype(object)[site_grid(spec).T]))
 
 
 def site_index(spec: LatticeSpec, site) -> int:
@@ -70,16 +76,9 @@ def mode_index(spec: LatticeSpec, site, spin: int) -> int:
     return 2 * site_index(spec, site) + spin
 
 
-def enumerate_momenta(spec: LatticeSpec) -> list[Momentum]:
-    """All L^d momenta 2*pi*n/L, same lexicographic order convention as sites."""
-    step = 2.0 * np.pi / spec.L
-    return [tuple(step * n for n in ns)
-            for ns in itertools.product(range(spec.L), repeat=spec.d)]
-
-
 def momentum_grid(spec: LatticeSpec) -> np.ndarray:
-    """Momenta as an (L^d, d) float array in enumeration order."""
-    return np.array(enumerate_momenta(spec), dtype=float).reshape(spec.n_sites, spec.d)
+    """The L^d momenta 2*pi*n/L, n the rows of site_grid, as an (L^d, d) array."""
+    return site_grid(spec) * (2.0 * np.pi / spec.L)
 
 
 def periodic_reduce(x, L: int):

@@ -5,8 +5,8 @@ with X a tuple of l sites.  An order-l coefficient (l >= 2) is anchored: the
 last site of X is pinned at the origin, so translation invariance is structural
 rather than validated.  Order-1 coefficients keep their absolute site (they
 need not be translation invariant).  On the finite lattice an interaction is
-restrict_interaction(u, spec); lattice_terms, interaction_norms and
-check_smallness read u through it, so their callers pass u as stored.
+restrict_interaction(u, spec); lattice_terms, interaction_norms, onsite_coupling
+and check_smallness read u through it, so their callers pass u as stored.
 lambda_terms gives the strings of a lambda coupling {query: real value}.
 """
 
@@ -28,6 +28,7 @@ from .lattice import (
     mode_index,
     momentum_grid,
     periodic_reduce,
+    site_grid,
     site_ranks,
 )
 
@@ -120,21 +121,6 @@ class InteractionCoefficients:
                         f"{value.conjugate()} does not match the swapped-spin "
                         f"entry value {pv}")
 
-    def hubbard_coupling(self) -> float | None:
-        """Return U when the interaction is exactly the on-site Hubbard term."""
-        if set(self.orders) != {2}:
-            return None
-        table = self.orders[2]
-        if len(table) != 1:
-            return None
-        (X, Xi, Phi), value = next(iter(table.items()))
-        origin2 = ((0,) * len(X[0]),) * 2
-        if X != origin2 or Xi != (UP, DOWN) or Phi != (UP, DOWN):
-            return None
-        if abs(value.imag) > 0:
-            return None
-        return value.real
-
 
 def restrict_interaction(u: InteractionCoefficients,
                          spec: LatticeSpec) -> InteractionCoefficients:
@@ -156,6 +142,21 @@ def restrict_interaction(u: InteractionCoefficients,
             seen[red] = key
             out.add(l, red, value)
     return out
+
+
+def onsite_coupling(u: InteractionCoefficients,
+                    spec: LatticeSpec) -> float | None:
+    """U when the finite-lattice interaction restrict_interaction(u, spec) is
+    exactly the on-site Hubbard term, else None: the one reading of whether
+    the on-site results apply."""
+    orders = restrict_interaction(u, spec).orders
+    if set(orders) != {2} or len(orders[2]) != 1:
+        return None
+    (X, Xi, Phi), value = next(iter(orders[2].items()))
+    if (X != ((0,) * len(X[0]),) * 2 or Xi != (UP, DOWN) or Phi != (UP, DOWN)
+            or abs(value.imag) > 0):
+        return None
+    return value.real
 
 
 def lattice_terms(u: InteractionCoefficients, spec: LatticeSpec):
@@ -221,7 +222,7 @@ def site_hopping_matrix(spec: LatticeSpec, params: ModelParams) -> np.ndarray:
     Shifts that coincide on small lattices (L <= 2, where x+e_j = x-e_j)
     add up.
     """
-    sites = np.array(enumerate_sites(spec))
+    sites = site_grid(spec)
     n = len(sites)
 
     def shift(v) -> np.ndarray:
@@ -271,10 +272,8 @@ def check_fourier_consistency(spec: LatticeSpec, params: ModelParams) -> float:
         raise GuardError(f"{spec.n_sites} sites exceed the "
                          f"{MAX_FOURIER_SITES}-site guard of the Fourier check")
     col = site_hopping_matrix(spec, params)[:, 0]  # the origin has rank 0
-    sites = enumerate_sites(spec)
-    ks = momentum_grid(spec)
-    xs = np.array(sites, dtype=float).reshape(len(sites), spec.d)
-    phases = np.exp(-1j * (ks @ xs.T))  # (n_k, n_x)
+    xs = site_grid(spec).astype(float)
+    phases = np.exp(-1j * (momentum_grid(spec) @ xs.T))  # (n_k, n_x)
     synth = phases @ col
     return float(np.max(np.abs(dispersion_grid(spec, params) - synth)))
 
@@ -328,8 +327,7 @@ def spin_spin_interaction(w: dict, d: int = 1,
             raise ValueError("w(0) != 0 adds a site-independent quadratic "
                              "correction; pass the lattice size L")
         quad = 0.25 * w0 * sum(p @ p for p in PAULI)
-        window = range(-(L // 2), -(L // 2) + L)
-        for site in itertools.product(window, repeat=d):
+        for site in site_grid(LatticeSpec(d, L)) - L // 2:
             for xi in SPINS:
                 for phi in SPINS:
                     u.add(1, ((site,), (xi,), (phi,)), quad[xi, phi])
@@ -510,15 +508,15 @@ def check_smallness(u: InteractionCoefficients, params: ModelParams,
     general: sum_l l 16^l ||U_l||_l < beta^{-1} K^{-d} R with R in (0,1);
     hubbard: |U| <= (108 beta)^{-1} K^{-d}.
     """
-    u = restrict_interaction(u, spec)
-    U = u.hubbard_coupling()
+    U = onsite_coupling(u, spec)
     if variant is None:
         variant = "general" if U is None else "hubbard"
     if variant == "general":
         K = geometric_sum_factor(params, spec.d)
         if R is None or not 0.0 < R < 1.0:
             raise ValueError("general variant needs R in (0, 1)")
-        lhs = sum(l * 16.0**l * _interaction_norm(u, l) for l in u.orders)
+        lhs = sum(l * 16.0**l * norm
+                  for l, norm in interaction_norms(u, spec).items())
         rhs = R / (params.beta * K)
         return SmallnessReport("general", lhs, rhs, lhs < rhs, R)
     if variant == "hubbard":

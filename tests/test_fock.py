@@ -201,12 +201,12 @@ def test_free_correlation_fermi_function():
     spec = LatticeSpec(d=1, L=4)
     space = FockSpace(spec)
     p = ModelParams(t=1.0, mu=0.3, beta=1.0)
-    from fermidecay.lattice import enumerate_momenta
+    from fermidecay.lattice import momentum_grid
     from test_model import dispersion_reference
     q = query(((1,),), ((1,),), (UP,), (UP,))
     v = correlation(space, p, None, q)
     fermi = np.mean([1.0 / (1.0 + math.exp(p.beta * dispersion_reference(k, p, 1).real))
-                     for k in enumerate_momenta(spec)])
+                     for k in momentum_grid(spec)])
     assert v.real == pytest.approx(2.0 * fermi, abs=1e-12)
 
 
@@ -237,7 +237,7 @@ def test_lambda_derivative_rounding_floor():
     q = query(((0,),), ((0,),), (UP,), (UP,))
     p = ModelParams(t=1.0, mu=1e6, beta=1.0)
     res = lambda_derivative_check(atom, p, u, q, step=1e-4)
-    e_max = max(np.abs(w).max() for w, _ in fock.model_system(atom, p, u)[2].pairs)
+    e_max = max(np.abs(w).max() for w, _ in fock.model_system(atom, p, u)[1].pairs)
     assert res["rounding_floor"] == np.finfo(float).eps * e_max / 1e-4
     assert 1e-6 < res["deviation"] <= res["rounding_floor"]
 
@@ -584,7 +584,7 @@ def _assert_fock_case(case):
             mock.patch.object(fock, "_momentum_pairs",
                               wraps=fock._momentum_pairs) as split:
         if lam is None:
-            moment = fock.model_system(space, p, u)[2]
+            moment = fock.model_system(space, p, u)[1]
         else:
             moment = diagonalize(H, spec)
     assert split.call_count == invariant * sum(
@@ -749,7 +749,7 @@ def test_no_eigh_past_the_threshold_on_invariant_models():
                           (dataclasses.replace(p, t=0.0), hub)):
             fock.model_system(space, params, u)
         assert rows and max(rows) <= fock.MOMENTUM_MIN_STATES
-        H = fock.model_system(space, p, hub)[1]
+        H = fock.model_system(space, p, hub)[0]
         diagonalize(H)
     assert max(rows) == 36
     with pytest.raises(ValueError, match="6 modes, H dimension 256"):
@@ -1138,8 +1138,8 @@ def test_slot_holds_one_model():
     u = hubbard_interaction(0.1, d=1)
     first = fock.model_system(space, p, u)
     assert fock.model_system(space, p, hubbard_interaction(0.1, d=1)) is first
-    H0, H, eig = fock.model_system(space, p, None)
-    assert H is H0 and len(fock._MODEL) == 1
+    H, eig = fock.model_system(space, p, None)
+    assert H is fock._free_hamiltonian(space, p) and len(fock._MODEL) == 1
     assert fock.model_system(space, p, u) is not first
 
 
@@ -1173,7 +1173,7 @@ def test_one_diagonalize_per_model():
         res = lambda_derivative_check(space, p, u, q, step=1e-4)
         assert counts() == {"build_h0": 1, "diagonalize": 1, "log_partition": 3}
         other = partition_ratio(space, p, hubbard_interaction(0.1, d=1))
-        assert build_hamiltonian(space, p) is fock.model_system(space, p, None)[1]
+        assert build_hamiltonian(space, p) is fock.model_system(space, p, None)[0]
         assert counts() == {"build_h0": 1, "diagonalize": 3, "log_partition": 3}
     assert all(r["passed"] for r in rows)
     H0 = build_h0(space, p)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fermidecay import cli, fock, grassmann
 from fermidecay.covariance import CovarianceSpec, covariance_matrix, covariance_value
@@ -104,35 +104,6 @@ def plan_groups_reference(seeds, monomials):
              np.array(cols, dtype=np.intp).reshape(len(coeffs), k),
              np.array(coeffs, dtype=np.complex128))
             for (depth, k), (rows, cols, coeffs) in sorted(groups.items())]
-
-
-def discrete_partition_reference(spec, params, grid, u, lam=None):
-    """The determinant-assembly partition sum
-
-        1 + sum over nonempty subsets of (term, grid time) vertex blocks of
-        prod(-coeff/h) det(C_h(rows (x_j, xi_j, t), cols (y_j, phi_j, t))),
-
-    one determinant per subset, walked depth first.  A subset whose blocks
-    repeat a row or a column has a zero determinant, and so has every
-    subset that holds it: the walk skips both."""
-    G = covariance_matrix(CovarianceSpec(spec, params), grid)
-    space = GrassmannIndexSpace(spec, grid)
-    terms = lattice_terms(u, spec)
-    terms += [] if lam is None else lambda_terms(lam)
-    blocks = [([space.index(x, s, t) for x, s in zip(X, Xi)],
-               [space.index(y, s, t) for y, s in zip(Y, Phi)], coeff)
-              for X, Y, Xi, Phi, coeff in terms for t in range(grid.n_points)]
-    total = 0.0 + 0.0j
-    stack = [([], [], 1.0 + 0.0j, 0)]
-    while stack:
-        rows, cols, coeff, start = stack.pop()
-        total += coeff * np.linalg.det(G[np.ix_(rows, cols)]) if rows else 1.0
-        for i in range(start, len(blocks)):
-            r, c, cf = blocks[i]
-            if (len({*rows, *r}) == len(rows) + len(r)
-                    and len({*cols, *c}) == len(cols) + len(c)):
-                stack.append((rows + r, cols + c, -coeff * cf / grid.h, i + 1))
-    return total
 
 
 def weight_polynomial(n, G):
@@ -445,16 +416,6 @@ _SUBSET_LOOP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("L,half_steps,lam", _SUBSET_LOOP_CASES)
-def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
-    spec = LatticeSpec(d=1, L=L)
-    grid = TimeGrid(1.0, half_steps)
-    hub = hubbard_interaction(0.3, d=1)
-    got = transfer(spec, params, grid, hub, lam)
-    ref = discrete_partition_reference(spec, params, grid, hub, lam)
-    assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
 def transfer_slice_reference(space, terms, h):
     """The slice operator summed over all 2^n subsets of the terms, one
     group per subset; a subset that repeats a mode assembles to zero."""
@@ -683,9 +644,11 @@ def test_transfer_partition_on_two_sites(params, U, half_steps):
 
 @st.composite
 def _grid_model(draw):
-    """A lattice, a grid and an interaction within the engine's guards: the
-    atom at beta*h <= 8, the two-site chain at beta*h <= 4 or the 2x2 square
-    at beta*h = 2, with a Hubbard, sigma-field or density-density term."""
+    """A lattice, a grid, an interaction and a lambda coupling or None within
+    the engine's guards: the atom at beta*h <= 8, the two-site chain at
+    beta*h <= 4 or the 2x2 square at beta*h = 2, with a Hubbard, sigma-field
+    or density-density term, and a coupling of one m_hat <= 2 query when its
+    two strings fit the guard on every grid time."""
     spec, half_steps = draw(st.sampled_from([
         (LatticeSpec(d=1, L=1), 1), (LatticeSpec(d=1, L=1), 2),
         (LatticeSpec(d=1, L=1), 4), (LatticeSpec(d=1, L=2), 1),
@@ -713,16 +676,40 @@ def _grid_model(draw):
         u = density_density_interaction({
             2: {((x, origin), (xi, eta)): draw(coupling)},
             1: {((draw(site),), (draw(spin),)): draw(coupling)}})
-    return spec, TimeGrid(1.0, half_steps), u
+    grid = TimeGrid(1.0, half_steps)
+    lam = None
+    room = MAX_INSTANCES - len(build_vertices(GrassmannIndexSpace(spec, grid), u))
+    if room >= 2 * grid.n_points and draw(st.booleans()):
+        m_hat = draw(st.integers(1, 2))
+        lam = {fock.query(*[[draw(f) for _ in range(m_hat)]
+                            for f in (site, site, spin, spin)]):
+               draw(st.floats(0.05, 0.5))}
+    return spec, grid, u, lam
 
 
+def _at_subset_loop_cases(test):
+    """test with an explicit example at each of the _SUBSET_LOOP_CASES: the
+    on-site chain at U = 0.3, with and without their lambda couplings."""
+    for L, half_steps, lam in _SUBSET_LOOP_CASES:
+        test = example((LatticeSpec(d=1, L=L), TimeGrid(1.0, half_steps),
+                        hubbard_interaction(0.3, d=1), lam))(test)
+    return test
+
+
+@_at_subset_loop_cases
 @settings(max_examples=25)
 @given(_grid_model())
 def test_transfer_partition_matches_engine(case):
-    spec, grid, u = case
+    spec, grid, u, lam = case
     params = ModelParams()
-    pe = SchwingerEngine(spec, params, grid, u).partition()
-    assert abs(transfer(spec, params, grid, u) - pe) <= 1e-12 * abs(pe)
+    if lam is None:
+        pe = SchwingerEngine(spec, params, grid, u).partition()
+    else:  # the engine takes no lambda: the plan of its vertices with lam
+        plan = _subset_plan([(0, 0, 1.0 + 0.0j)], build_vertices(
+            GrassmannIndexSpace(spec, grid), u, lam))
+        G = covariance_matrix(CovarianceSpec(spec, params), grid)
+        pe = _series_value(_evaluate_plan(plan, G), 1.0)
+    assert abs(transfer(spec, params, grid, u, lam) - pe) <= 1e-12 * abs(pe)
 
 
 def test_exp_nilpotent_rejects_odd_terms():

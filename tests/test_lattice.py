@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,23 @@ from hypothesis import given, strategies as st
 from fermidecay.lattice import (
     LatticeSpec,
     TimeGrid,
-    enumerate_momenta,
     enumerate_sites,
     mode_index,
+    momentum_grid,
     periodic_reduce,
+    site_grid,
     site_index,
     site_ranks,
     spacetime_index,
 )
+
+
+def momenta_reference(spec):
+    """The L^d momenta 2*pi*n/L as tuples over the lexicographic n, in an
+    (L^d, d) float array."""
+    step = 2.0 * np.pi / spec.L
+    return np.array([tuple(step * n for n in ns) for ns in itertools.product(
+        range(spec.L), repeat=spec.d)], dtype=float).reshape(spec.n_sites, spec.d)
 
 
 def test_enumerate_sites_lexicographic():
@@ -24,11 +34,11 @@ def test_enumerate_sites_lexicographic():
 
 
 def test_enumerate_momenta_values():
-    np.testing.assert_allclose([k[0] for k in enumerate_momenta(LatticeSpec(1, 2))],
+    np.testing.assert_allclose(momentum_grid(LatticeSpec(1, 2))[:, 0],
                                [0.0, np.pi])
-    np.testing.assert_allclose([k[0] for k in enumerate_momenta(LatticeSpec(1, 4))],
+    np.testing.assert_allclose(momentum_grid(LatticeSpec(1, 4))[:, 0],
                                [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    k22 = enumerate_momenta(LatticeSpec(2, 2))
+    k22 = momentum_grid(LatticeSpec(2, 2))
     np.testing.assert_allclose(k22, [(0, 0), (0, np.pi), (np.pi, 0), (np.pi, np.pi)])
 
 
@@ -57,11 +67,19 @@ def test_site_ranks_is_site_index(d, L, coords):
         [[site_index(spec, y - x) for y in sites] for x in sites]
 
 
-@pytest.mark.parametrize("d,L", [(1, 3), (2, 3), (1, 8), (3, 2)])
+@pytest.mark.parametrize("d,L", [(1, 3), (2, 3), (1, 8), (3, 2), (1, 1),
+                                 (1, 4), (1, 5), (2, 64)])
 def test_momentum_site_counts(d, L):
+    # the one enumeration: contiguous, the sites' tuples as rows, and the
+    # momenta of the tuple-built reference to the last bit
     spec = LatticeSpec(d=d, L=L)
-    assert len(enumerate_sites(spec)) == L**d
-    assert len(enumerate_momenta(spec)) == L**d
+    grid = site_grid(spec)
+    assert grid.flags.c_contiguous and grid.shape == (L**d, d)
+    sites = enumerate_sites(spec)
+    np.testing.assert_array_equal(grid, np.array(sites))
+    assert {type(c) for x in sites for c in x} == {int}
+    k = momentum_grid(spec)
+    assert k.dtype == float and k.tobytes() == momenta_reference(spec).tobytes()
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 3)])
@@ -69,8 +87,8 @@ def test_momentum_orthogonality(d, L):
     # sum_x e^{i<k,x>} = L^d * 1_{k=0}
     spec = LatticeSpec(d=d, L=L)
     xs = np.array(enumerate_sites(spec), dtype=float)
-    for i, k in enumerate(enumerate_momenta(spec)):
-        s = np.exp(1j * (xs @ np.array(k))).sum()
+    for i, k in enumerate(momentum_grid(spec)):
+        s = np.exp(1j * (xs @ k)).sum()
         expected = spec.n_sites if i == 0 else 0.0
         assert abs(s - expected) < 1e-10
 

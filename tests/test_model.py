@@ -38,6 +38,7 @@ from fermidecay.model import (
     load_model,
     model_from_dict,
     model_to_dict,
+    onsite_coupling,
     restrict_interaction,
     save_model,
     site_hopping_matrix,
@@ -530,4 +531,4 @@ def test_cancelling_entries_prune_order():
     u.add(2, ((((0,), (0,))), (UP, DOWN), (UP, DOWN)), 1.0)
     u.add(2, ((((0,), (0,))), (UP, DOWN), (UP, DOWN)), -1.0)
     assert u.orders == {}
-    assert u.hubbard_coupling() is None
+    assert onsite_coupling(u, LatticeSpec(d=1, L=1)) is None
