@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fermidecay import cli, fock, grassmann
 from fermidecay.covariance import CovarianceSpec, covariance_matrix, covariance_value
@@ -687,28 +687,33 @@ def _grid_model(draw):
     return spec, grid, u, lam
 
 
-def _at_subset_loop_cases(test):
-    """test with an explicit example at each of the _SUBSET_LOOP_CASES: the
-    on-site chain at U = 0.3, with and without their lambda couplings."""
-    for L, half_steps, lam in _SUBSET_LOOP_CASES:
-        test = example((LatticeSpec(d=1, L=L), TimeGrid(1.0, half_steps),
-                        hubbard_interaction(0.3, d=1), lam))(test)
-    return test
+def engine_partition(spec, params, grid, u, lam=None):
+    """The engine's partition; with a lambda coupling, which the engine does
+    not take, the plan of its vertices with lam at the covariance."""
+    if lam is None:
+        return SchwingerEngine(spec, params, grid, u).partition()
+    plan = _subset_plan([(0, 0, 1.0 + 0.0j)], build_vertices(
+        GrassmannIndexSpace(spec, grid), u, lam))
+    G = covariance_matrix(CovarianceSpec(spec, params), grid)
+    return _series_value(_evaluate_plan(plan, G), 1.0)
 
 
-@_at_subset_loop_cases
+@pytest.mark.parametrize("L,half_steps,lam", _SUBSET_LOOP_CASES)
+def test_discrete_partition_matches_subset_loop(params, L, half_steps, lam):
+    # the on-site chain at U = 0.3, with and without the lambda couplings
+    spec = LatticeSpec(d=1, L=L)
+    grid = TimeGrid(1.0, half_steps)
+    hub = hubbard_interaction(0.3, d=1)
+    pe = engine_partition(spec, params, grid, hub, lam)
+    assert abs(transfer(spec, params, grid, hub, lam) - pe) <= 1e-12 * abs(pe)
+
+
 @settings(max_examples=25)
 @given(_grid_model())
 def test_transfer_partition_matches_engine(case):
     spec, grid, u, lam = case
     params = ModelParams()
-    if lam is None:
-        pe = SchwingerEngine(spec, params, grid, u).partition()
-    else:  # the engine takes no lambda: the plan of its vertices with lam
-        plan = _subset_plan([(0, 0, 1.0 + 0.0j)], build_vertices(
-            GrassmannIndexSpace(spec, grid), u, lam))
-        G = covariance_matrix(CovarianceSpec(spec, params), grid)
-        pe = _series_value(_evaluate_plan(plan, G), 1.0)
+    pe = engine_partition(spec, params, grid, u, lam)
     assert abs(transfer(spec, params, grid, u, lam) - pe) <= 1e-12 * abs(pe)
 
 
